@@ -8,7 +8,8 @@ Subcommands:
 * ``scan``      nrf / advantage / resolution / noise CSV curves
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure.  Identical config + seed produce byte-identical outputs.
+failure.  Identical config + seed produce byte-identical outputs, for
+any thread count.
 """
 
 from __future__ import annotations
@@ -18,9 +19,13 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import replace
 
-# QPI_THREADS caps BLAS/FFT worker pools; must be set before numpy loads.
+# QPI_THREADS caps BLAS/FFT worker pools, which must be set before numpy
+# loads, and the frame-sampling threads of twinbeam.sample_frames, which
+# read it when they start.  Frames are independent by stream index, so
+# the output does not depend on the number of threads.
 if os.environ.get("QPI_THREADS"):
     _t = os.environ["QPI_THREADS"]
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -242,20 +247,19 @@ def cmd_simulate(args):
         qpf.write_qpf(path, field)
         outputs.append(path)
 
-    base = RngStream(args.seed)
-    stream = 0
-    for dz in dz_list:
-        for frame in range(args.frames):
-            for tag, signed_dz in (("m", -dz), ("0", 0.0), ("p", +dz)):
-                tf = twinbeam.sample_twin_frame(
-                    obj, sys_cfg, twin_cfg, signed_dz, base.child(stream)
-                )
-                stream += 1
-                stem = f"dz{fmt(dz)}_f{frame:04d}_{tag}"
-                for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
-                    path = os.path.join(args.out, f"{stem}_{arm}.qpf")
-                    qpf.write_qpf(path, field)
-                    outputs.append(path)
+    with closing(
+        twinbeam.sample_triples(
+            obj, sys_cfg, twin_cfg, dz_list, args.frames, RngStream(args.seed)
+        )
+    ) as triples:
+        for dz in dz_list:
+            for frame in range(args.frames):
+                for tag, tf in zip(("m", "0", "p"), next(triples)):
+                    stem = f"dz{fmt(dz)}_f{frame:04d}_{tag}"
+                    for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
+                        path = os.path.join(args.out, f"{stem}_{arm}.qpf")
+                        qpf.write_qpf(path, field)
+                        outputs.append(path)
     snap = _config_snapshot(
         sys_cfg,
         twin_cfg,
@@ -385,11 +389,11 @@ def _scan_nrf(args, sys_cfg, twin_cfg):
     pitch = sys_cfg.object_pixel
     size = 220
     grid = ScalarField2D(size, size, pitch, np.zeros((size, size)))
-    base = RngStream(args.seed)
-    frames = [
-        twinbeam.sample_twin_frame(None, sys_cfg, twin_cfg, 0.0, base.child(i), grid=grid)
-        for i in range(args.frames)
-    ]
+    frames = list(
+        twinbeam.sample_frames(
+            None, sys_cfg, twin_cfg, [0.0] * args.frames, RngStream(args.seed), grid=grid
+        )
+    )
     rows = []
     for bin_px in (1, 3, 6, 12, 25):
         point = twinbeam.measure_nrf(frames, bin_px, l_cff=twin_cfg.l_cff)
@@ -410,44 +414,41 @@ def _scan_advantage(args, sys_cfg, twin_cfg):
     obj = generate_test_target(220, 220, pitch)
     dz_list = _parse_dz_list(args.dz)
     mean_s, mean_i = twinbeam.expected_counts(None, sys_cfg, twin_cfg, 0.0, grid=obj.tau)
-    base = RngStream(args.seed)
     rows = []
-    stream = 0
-    for dz in dz_list:
-        triples = []
-        for _ in range(args.frames):
-            fm = twinbeam.sample_twin_frame(obj, sys_cfg, twin_cfg, -dz, base.child(stream))
-            f0 = twinbeam.sample_twin_frame(obj, sys_cfg, twin_cfg, 0.0, base.child(stream + 1))
-            fp = twinbeam.sample_twin_frame(obj, sys_cfg, twin_cfg, +dz, base.child(stream + 2))
-            stream += 3
-            triples.append((fm, f0, fp))
-        for bin_px in (1, 3):
-            config = retrieval.RetrievalConfig(
-                dz=dz,
-                wavenumber=sys_cfg.wavenumber,
-                bin_px=bin_px,
-                reference_mean=mean_s,
-                reference_mean_idler=mean_i,
-                eta0=twin_cfg.eta0,
-                epsilon=twin_cfg.epsilon,
-                l_cff=twin_cfg.l_cff,
-            )
-            phi_ref = metrics.reference_phase(obj, sys_cfg, twin_cfg, config)
-            for mode in ("tie", "tau"):
-                adv = metrics.quantum_advantage(
-                    triples, replace(config, k_mode=mode), phi_ref
+    with closing(
+        twinbeam.sample_triples(
+            obj, sys_cfg, twin_cfg, dz_list, args.frames, RngStream(args.seed)
+        )
+    ) as stream:
+        for dz in dz_list:
+            triples = [next(stream) for _ in range(args.frames)]
+            for bin_px in (1, 3):
+                config = retrieval.RetrievalConfig(
+                    dz=dz,
+                    wavenumber=sys_cfg.wavenumber,
+                    bin_px=bin_px,
+                    reference_mean=mean_s,
+                    reference_mean_idler=mean_i,
+                    eta0=twin_cfg.eta0,
+                    epsilon=twin_cfg.epsilon,
+                    l_cff=twin_cfg.l_cff,
                 )
-                rows.append(
-                    (
-                        dz,
-                        adv.d_factor,
-                        mode,
-                        adv.c_quant,
-                        adv.c_clas,
-                        adv.ratio,
-                        adv.ratio_stderr,
+                phi_ref = metrics.reference_phase(obj, sys_cfg, twin_cfg, config)
+                for mode in ("tie", "tau"):
+                    adv = metrics.quantum_advantage(
+                        triples, replace(config, k_mode=mode), phi_ref
                     )
-                )
+                    rows.append(
+                        (
+                            dz,
+                            adv.d_factor,
+                            mode,
+                            adv.c_quant,
+                            adv.c_clas,
+                            adv.ratio,
+                            adv.ratio_stderr,
+                        )
+                    )
     return ["dz", "D", "k_mode", "C_quant", "C_clas", "ratio", "stderr"], rows
 
 
@@ -513,6 +514,17 @@ def cmd_scan(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _seed(text):
+    """argparse type of --seed: a non-negative integer (numpy seeds are unsigned)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="twinphase",
@@ -523,7 +535,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+        p.add_argument("--seed", type=_seed, default=0, help="master seed (u64)")
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("target", help="render the engineered test object")

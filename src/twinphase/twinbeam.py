@@ -17,6 +17,9 @@ requested region, so border pixels keep their correlation partners.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -139,21 +142,42 @@ def d_factor_for_bin(bin_px: int, pitch: float, l_cff: float) -> float:
 # Count redistribution kernels
 # ---------------------------------------------------------------------------
 
+# The kernel arithmetic below works in place on arrays it owns (``t``,
+# ``z``), so a per-pixel kernel needs few frame-sized temporaries; each
+# operation keeps the operand order of the plain expression in its
+# docstring, so the results are bit-identical to it.
+
 def _norm_pdf(z):
-    return np.exp(-0.5 * z * z) / _SQRT2PI
+    """exp(-0.5 * z * z) / sqrt(2 pi), in a new array."""
+    pdf = np.multiply(-0.5, z, out=np.empty_like(z))
+    pdf *= z
+    np.exp(pdf, out=pdf)
+    pdf /= _SQRT2PI
+    return pdf
 
 
 def _cdf_integral(z):
-    """Antiderivative of the standard normal CDF: z*Phi(z) + phi(z)."""
-    return z * ndtr(z) + _norm_pdf(z)
+    """Antiderivative of the standard normal CDF, z * Phi(z) + phi(z),
+    computed in place of the array ``z``."""
+    pdf = _norm_pdf(z)
+    z *= ndtr(z)
+    z += pdf
+    return z
 
 
 def _shift_cdf(t, s):
-    """P(uniform(0,1) + N(0, s) < t); with s = 0 this is clip(t, 0, 1)."""
-    t = np.asarray(t, dtype=float)
+    """P(uniform(0,1) + N(0, s) < t), computed in place of the array ``t``:
+    s * (I(t / s) - I((t - 1) / s)) with I = _cdf_integral, or
+    clip(t, 0, 1) when s = 0."""
     if s == 0.0:
-        return np.clip(t, 0.0, 1.0)
-    return s * (_cdf_integral(t / s) - _cdf_integral((t - 1.0) / s))
+        return np.clip(t, 0.0, 1.0, out=t)
+    lower = np.subtract(t, 1.0, out=np.empty_like(t))
+    lower /= s
+    t /= s
+    t = _cdf_integral(t)
+    t -= _cdf_integral(lower)
+    t *= s
+    return t
 
 
 def _scatter_shift(out, take, j, axis):
@@ -187,33 +211,39 @@ def _shift_axis(counts, shift, s, axis, rng):
     expectation, for deterministic mean-count computations.
     Returns (out, spill).
     """
-    scalar_shift = np.isscalar(shift) or np.ndim(shift) == 0
-    d = float(shift) if scalar_shift else np.asarray(shift, dtype=float)
-    dmin = d if scalar_shift else float(d.min())
-    dmax = d if scalar_shift else float(d.max())
-    jmin = int(math.floor(dmin - 6.0 * s))
-    jmax = int(math.ceil(dmax + 6.0 * s))
+    # A scalar shift is a 0-d array, so the in-place arithmetic serves both.
+    d = np.asarray(shift, dtype=float)
+    jmin = int(math.floor(float(d.min()) - 6.0 * s))
+    jmax = int(math.ceil(float(d.max()) + 6.0 * s))
 
     sampled = rng is not None
     out = np.zeros_like(counts) if sampled else np.zeros(counts.shape)
-    rem = counts.copy() if sampled else np.asarray(counts, dtype=float)
-    rem_w = np.ones(() if scalar_shift else counts.shape)
+    rem = counts.copy() if sampled else np.array(counts, dtype=float)
+    rem_w = np.ones(d.shape)
+    p = np.empty(d.shape)
     spill = 0
-    cdf_prev = _shift_cdf(jmin - d, s)
+    cdf_prev = _shift_cdf(np.subtract(jmin, d, out=np.empty(d.shape)), s)
     for j in range(jmin, jmax + 1):
-        cdf_next = _shift_cdf(j + 1 - d, s)
-        prob = cdf_next - cdf_prev
+        cdf_next = _shift_cdf(np.subtract(j + 1, d, out=np.empty(d.shape)), s)
+        # prob = cdf_next - cdf_prev, in the buffer of cdf_prev
+        prob = np.subtract(cdf_next, cdf_prev, out=cdf_prev)
         cdf_prev = cdf_next
+        # p = clip(where(rem_w > 0, prob / max(rem_w, 1e-300), 0), 0, 1);
+        # rem_w is never negative, so "not rem_w > 0" is "rem_w <= 0"
+        np.maximum(rem_w, 1e-300, out=p)
         with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(rem_w > 0, prob / np.maximum(rem_w, 1e-300), 0.0)
-        p = np.clip(p, 0.0, 1.0)
+            np.divide(prob, p, out=p)
+        np.copyto(p, 0.0, where=rem_w <= 0.0)
+        np.clip(p, 0.0, 1.0, out=p)
         if sampled:
             take = rng.binomial(rem, p)
         else:
             take = rem * p
-        rem = rem - take
-        rem_w = np.maximum(rem_w - prob, 0.0)
+        rem -= take
+        rem_w -= prob
+        np.maximum(rem_w, 0.0, out=rem_w)
         spill += _scatter_shift(out, take, j, axis)
+        del take
     # kernel truncation tail (< 1e-8 of the mass)
     spill += int(np.sum(rem)) if sampled else float(np.sum(rem))
     return out, spill
@@ -237,7 +267,8 @@ def _pair_rate(twin: TwinBeamConfig, width, height, pitch, margin):
     extends one further reach (so no reachable photon ever leaves it).
     The illumination weight is normalized to unit mean over the
     requested region, so the detected signal marginal averages
-    mean_photons_per_pixel there.
+    mean_photons_per_pixel there.  With eta0 = 0 nothing is ever
+    detected, and the rate is zero.
     """
     pw, ph = width + 4 * margin, height + 4 * margin
     if twin.beam_profile == "uniform":
@@ -254,7 +285,8 @@ def _pair_rate(twin: TwinBeamConfig, width, height, pitch, margin):
     weight[-margin:, :] = 0.0
     weight[:, :margin] = 0.0
     weight[:, -margin:] = 0.0
-    return weight * (twin.mean_photons_per_pixel / twin.eta0)
+    weight *= twin.mean_photons_per_pixel / twin.eta0 if twin.eta0 > 0 else 0.0
+    return weight
 
 
 def _phase_displacement(obj: Optional[ObjectSpec], sys: OpticalSystem, dz, margin):
@@ -266,6 +298,41 @@ def _phase_displacement(obj: Optional[ObjectSpec], sys: OpticalSystem, dz, margi
     gy, gx = np.gradient(phi, pitch)
     scale = (dz * 1e3) / sys.wavenumber  # um^2
     return scale * gx / pitch, scale * gy / pitch
+
+
+def _transport(obj, sys, twin, dz, grid):
+    """Set-up shared by the sampler and its expectation counterpart.
+
+    Returns ``(template, crop, rate, tau, idler, signal)``: the output
+    grid, the slices that crop the padded grid to it, the pair birth
+    rate and the transmittance on the padded grid (tau is 1.0 without
+    an object), and each arm's ``(shift_x, shift_y, s)`` arguments of
+    ``_redistribute``.
+    """
+    if obj is not None:
+        template = obj.tau
+    elif grid is not None:
+        template = grid
+    else:
+        raise ValueError("need an object or a grid template")
+    width, height, pitch = template.width, template.height, template.pitch
+    sigma_px = twin.sigma / pitch
+    delta_px = twin.delta / pitch
+    blur_px = sys.blur_fwhm * FWHM_TO_SIGMA / pitch
+    disp_x, disp_y = _phase_displacement(obj, sys, dz, 0)
+    max_disp = 0.0
+    if not np.isscalar(disp_x):
+        max_disp = max(float(np.abs(disp_x).max()), float(np.abs(disp_y).max()))
+    margin = int(math.ceil(6 * sigma_px + abs(delta_px) + 6 * blur_px + max_disp)) + 1
+
+    rate = _pair_rate(twin, width, height, pitch, margin)
+    if obj is not None:
+        tau = np.pad(obj.tau.values, 2 * margin, mode="edge")
+        disp_x, disp_y = _phase_displacement(obj, sys, dz, 2 * margin)
+    else:
+        tau = 1.0
+    crop = (slice(2 * margin, 2 * margin + height), slice(2 * margin, 2 * margin + width))
+    return template, crop, rate, tau, (delta_px, delta_px, sigma_px), (disp_x, disp_y, blur_px)
 
 
 def sample_twin_frame(
@@ -286,36 +353,9 @@ def sample_twin_frame(
     phase-gradient displacement (dz/k) grad phi and the imaging blur.
     ``dz`` is signed (mm); pass ``grid`` for object-free frames.
     """
-    if obj is not None:
-        template = obj.tau
-    elif grid is not None:
-        template = grid
-    else:
-        raise ValueError("need an object or a grid template")
-    width, height, pitch = template.width, template.height, template.pitch
+    template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz, grid)
     gen = rng.generator()
-
-    sigma_px = twin.sigma / pitch
-    delta_px = twin.delta / pitch
-    blur_px = sys.blur_fwhm * FWHM_TO_SIGMA / pitch
-    disp_x, disp_y = _phase_displacement(obj, sys, dz, 0)
-    max_disp = 0.0
-    if not np.isscalar(disp_x):
-        max_disp = max(float(np.abs(disp_x).max()), float(np.abs(disp_y).max()))
-    margin = int(math.ceil(6 * sigma_px + abs(delta_px) + 6 * blur_px + max_disp)) + 1
-
-    if twin.eta0 == 0.0:
-        zero = template.with_values(np.zeros((height, width)))
-        return TwinBeamFrame(zero, zero, dz, rng.stream_index, 0.0)
-
-    rate = _pair_rate(twin, width, height, pitch, margin)
-    pairs = gen.poisson(rate)
-
-    if obj is not None:
-        tau = np.pad(obj.tau.values, 2 * margin, mode="edge")
-        disp_x, disp_y = _phase_displacement(obj, sys, dz, 2 * margin)
-    else:
-        tau = 1.0
+    rem = gen.poisson(rate)
 
     # Correlated thinning: per pair the signal survives the object with
     # probability tau and is detected with eta0; the idler is detected
@@ -324,35 +364,41 @@ def sample_twin_frame(
     p_both = eta0 * eta0 * tau
     p_s_only = eta0 * tau * (1.0 - eta0)
     p_i_only = eta0 * (1.0 - eta0 * tau)
-    k_both = gen.binomial(pairs, p_both)
-    rem = pairs - k_both
+    k_both = gen.binomial(rem, p_both)
+    rem -= k_both
     with np.errstate(divide="ignore", invalid="ignore"):
         p1 = np.clip(p_s_only / np.maximum(1.0 - p_both, 1e-300), 0.0, 1.0)
     k_s_only = gen.binomial(rem, np.broadcast_to(p1, rem.shape))
-    rem = rem - k_s_only
+    rem -= k_s_only
     with np.errstate(divide="ignore", invalid="ignore"):
         p2 = np.clip(
             p_i_only / np.maximum(1.0 - p_both - p_s_only, 1e-300), 0.0, 1.0
         )
     k_i_only = gen.binomial(rem, np.broadcast_to(p2, rem.shape))
 
-    s_births = k_both + k_s_only
-    i_births = k_both + k_i_only
+    s_births = k_s_only
+    s_births += k_both
+    i_births = k_i_only
+    i_births += k_both
     total_detected = int(s_births.sum() + i_births.sum())
+    # Two frames may be in flight at once (see sample_frames): drop the
+    # padded set-up arrays before the redistribution, the peak of a frame.
+    del rate, tau, rem, p_both, p_s_only, p_i_only, p1, p2, k_both, k_s_only, k_i_only
 
     # Idler arm: point-reflect about the grid center, then spread by the
-    # pair correlation with the misalignment offset.
-    i_mirrored = i_births[::-1, ::-1]
-    n_i, spill_i = _redistribute(i_mirrored, delta_px, delta_px, sigma_px, gen)
+    # pair correlation with the misalignment offset.  It is cropped
+    # before the signal arm runs.
+    n_i, spill_i = _redistribute(i_births[::-1, ::-1], *idler, gen)
+    del i_births
+    n_i = template.with_values(n_i[crop])
 
     # Signal arm: phase-gradient displacement plus imaging blur.
-    n_s, spill_s = _redistribute(s_births, disp_x, disp_y, blur_px, gen)
-
-    crop = (slice(2 * margin, 2 * margin + height), slice(2 * margin, 2 * margin + width))
+    n_s, spill_s = _redistribute(s_births, *signal, gen)
+    del s_births
     spill = (spill_i + spill_s) / max(total_detected, 1)
     return TwinBeamFrame(
-        n_s=template.with_values(n_s[crop].astype(float)),
-        n_i=template.with_values(n_i[crop].astype(float)),
+        n_s=template.with_values(n_s[crop]),
+        n_i=n_i,
         dz=dz,
         stream_index=rng.stream_index,
         spill=spill,
@@ -370,38 +416,124 @@ def expected_counts(
 
     Deterministic counterpart of the sampler (same kernels applied as
     expectations); used for calibration references instead of averaging
-    large frame sets.
+    large frame sets.  With eta0 = 0 both means are zero.
     """
-    if obj is not None:
-        template = obj.tau
-    elif grid is not None:
-        template = grid
-    else:
-        raise ValueError("need an object or a grid template")
-    width, height, pitch = template.width, template.height, template.pitch
-    sigma_px = twin.sigma / pitch
-    delta_px = twin.delta / pitch
-    blur_px = sys.blur_fwhm * FWHM_TO_SIGMA / pitch
-    disp_x, disp_y = _phase_displacement(obj, sys, dz, 0)
-    max_disp = 0.0
-    if not np.isscalar(disp_x):
-        max_disp = max(float(np.abs(disp_x).max()), float(np.abs(disp_y).max()))
-    margin = int(math.ceil(6 * sigma_px + abs(delta_px) + 6 * blur_px + max_disp)) + 1
-
-    rate = _pair_rate(twin, width, height, pitch, margin)
-    if obj is not None:
-        tau = np.pad(obj.tau.values, 2 * margin, mode="edge")
-        disp_x, disp_y = _phase_displacement(obj, sys, dz, 2 * margin)
-    else:
-        tau = 1.0
-    eta0 = twin.eta0
-    mean_s_births = rate * eta0 * tau
-    mean_i_births = rate * eta0
-
-    mean_i, _ = _redistribute(mean_i_births[::-1, ::-1], delta_px, delta_px, sigma_px, None)
-    mean_s, _ = _redistribute(mean_s_births, disp_x, disp_y, blur_px, None)
-    crop = (slice(2 * margin, 2 * margin + height), slice(2 * margin, 2 * margin + width))
+    template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz, grid)
+    mean_s_births = rate * twin.eta0 * tau
+    mean_i_births = rate * twin.eta0
+    mean_i, _ = _redistribute(mean_i_births[::-1, ::-1], *idler, None)
+    mean_s, _ = _redistribute(mean_s_births, *signal, None)
     return template.with_values(mean_s[crop]), template.with_values(mean_i[crop])
+
+
+def _frame_workers() -> int:
+    """Threads that draw frames: the CPUs this process may run on,
+    capped by the QPI_THREADS environment variable when it is set."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    try:
+        workers = min(workers, int(os.environ.get("QPI_THREADS", "")))
+    except ValueError:
+        pass
+    return max(workers, 1)
+
+
+def sample_frames(
+    obj: Optional[ObjectSpec],
+    sys: OpticalSystem,
+    twin: TwinBeamConfig,
+    dzs,
+    base: RngStream,
+    grid: Optional[ScalarField2D] = None,
+):
+    """Yield ``sample_twin_frame(obj, sys, twin, dzs[i], base.child(i))``
+    for i = 0, 1, ... in order.
+
+    Frames are independent by stream index, so they are drawn on one
+    thread per CPU this process may use, capped by the QPI_THREADS
+    environment variable, and the output does not depend on the thread
+    count.  The calling thread is one of the workers, so one worker
+    starts no thread.  numpy's random draws and ufuncs release the GIL,
+    and each frame owns its own Generator.  No frame is started more
+    than ``workers`` places beyond the last one yielded, so a slow
+    consumer does not make frames pile up; memory therefore grows with
+    the thread count.  An exception raised while drawing frame i
+    reaches the consumer when it asks for frame i.  Exhaust or close
+    the generator to stop its threads.
+    """
+    dzs = list(dzs)
+    workers = min(_frame_workers(), len(dzs))
+    done = [threading.Event() for _ in dzs]
+    results = [None] * len(dzs)  # (frame, exception)
+    unclaimed = iter(range(len(dzs)))  # frames are claimed in index order
+    lock = threading.Lock()
+    ahead = threading.Semaphore(workers)  # one slot per frame claimed, not yet yielded
+    closed = False
+
+    def draw_next():
+        """Claim the next frame and draw it; False when none is left."""
+        with lock:
+            i = None if closed else next(unclaimed, None)
+        if i is None:
+            return False
+        try:
+            frame = sample_twin_frame(obj, sys, twin, dzs[i], base.child(i), grid=grid)
+            results[i] = (frame, None)
+        except Exception as exc:  # raised to the consumer at frame i
+            results[i] = (None, exc)
+        done[i].set()
+        return True
+
+    def worker():
+        while ahead.acquire() and draw_next():
+            pass
+
+    def take(i):
+        """Frame i, drawn here while it is not ready and a slot is free."""
+        while not done[i].is_set() and ahead.acquire(blocking=False):
+            draw_next()
+        done[i].wait()
+        frame, error = results[i]
+        results[i] = None
+        if error is not None:
+            raise error
+        ahead.release()
+        return frame
+
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        for i in range(len(dzs)):
+            yield take(i)
+    finally:
+        with lock:
+            closed = True
+        for thread in threads:
+            ahead.release()
+        for thread in threads:
+            thread.join()
+
+
+def sample_triples(
+    obj: Optional[ObjectSpec],
+    sys: OpticalSystem,
+    twin: TwinBeamConfig,
+    dzs,
+    frames: int,
+    base: RngStream,
+):
+    """Yield ``(f_minus, f_0, f_plus)`` defocus triples: ``frames``
+    triples at -dz, 0, +dz for each dz of ``dzs`` in turn.
+
+    The exposures are the frames of ``sample_frames`` in that order, so
+    triple t is drawn from streams 3t, 3t + 1 and 3t + 2 of ``base``.
+    """
+    signed = [s for dz in dzs for _ in range(frames) for s in (-dz, 0.0, +dz)]
+    with closing(sample_frames(obj, sys, twin, signed, base)) as exposures:
+        yield from zip(exposures, exposures, exposures)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,8 @@ from twinphase.twinbeam import (
     measure_nrf,
     nrf_predicted,
     register_idler,
-    sample_twin_frame,
+    sample_frames,
+    sample_triples,
 )
 
 SYS = OpticalSystem()
@@ -71,11 +72,7 @@ def report(num, name, ok, detail):
 def object_free_frames():
     """100 object-free calibration frames at z = 0 (criteria 1-3)."""
     grid = ScalarField2D(220, 220, PITCH, np.zeros((220, 220)))
-    base = RngStream(5150)
-    return [
-        sample_twin_frame(None, SYS, TWIN, 0.0, base.child(i), grid=grid)
-        for i in range(N_FRAMES)
-    ]
+    return list(sample_frames(None, SYS, TWIN, [0.0] * N_FRAMES, RngStream(5150), grid=grid))
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +88,7 @@ def object_triples():
     (criteria 7-8)."""
     obj = generate_test_target(220, 220, PITCH)
     dz = 0.0125
-    base = RngStream(20250823)
-    triples = []
-    for f in range(N_FRAMES):
-        fm = sample_twin_frame(obj, SYS, TWIN, -dz, base.child(3 * f))
-        f0 = sample_twin_frame(obj, SYS, TWIN, 0.0, base.child(3 * f + 1))
-        fp = sample_twin_frame(obj, SYS, TWIN, +dz, base.child(3 * f + 2))
-        triples.append((fm, f0, fp))
-    return obj, dz, triples
+    return obj, dz, list(sample_triples(obj, SYS, TWIN, [dz], N_FRAMES, RngStream(20250823)))
 
 
 @pytest.fixture(scope="module")
@@ -229,10 +219,7 @@ def test_criterion_06_step_heights():
     obj = generate_test_target(220, 220, PITCH)
     hi = replace(TWIN, mean_photons_per_pixel=TWIN.mean_photons_per_pixel * 1000.0)
     dz = 0.025
-    base = RngStream(777)
-    fm = sample_twin_frame(obj, SYS, hi, -dz, base.child(0))
-    f0 = sample_twin_frame(obj, SYS, hi, 0.0, base.child(1))
-    fp = sample_twin_frame(obj, SYS, hi, +dz, base.child(2))
+    [(fm, f0, fp)] = sample_triples(obj, SYS, hi, [dz], 1, RngStream(777))
     mean_s, mean_i = expected_counts(None, SYS, hi, 0.0, grid=obj.tau)
     cfg = base_config(dz, mean_s, mean_i)
     phase = phase_from_twin_frames(fm, f0, fp, cfg)

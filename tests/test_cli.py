@@ -200,3 +200,20 @@ class TestSimulateCommand:
     def test_bad_dz_list_exits_2(self, tmp_path):
         code = main(["simulate", "--out", str(tmp_path / "s"), "--dz", "0,-1"])
         assert code == EXIT_CONFIG
+
+    def test_zero_efficiency_runs(self, tmp_path):
+        cfg = tmp_path / "dark.cfg"
+        cfg.write_text("eta0 = 0\n")
+        out = tmp_path / "sim"
+        args = ["simulate", "--config", str(cfg), "--frames", "1", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        for name in ("calib_mean_signal.qpf", "dz0.025_f0000_p_s.qpf"):
+            assert not qpf.read_qpf(out / name).values.any()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["scan", "nrf"]])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "-1", "--frames", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--seed: must be non-negative" in capsys.readouterr().err

@@ -1,0 +1,72 @@
+"""Golden output hashes: the pipeline's bytes are pinned across changes.
+
+``golden_hashes.json`` holds the SHA-256 of every QPF/CSV written by
+``simulate --frames 2 --seed 3`` -> ``retrieve --k-mode tie --bin 3``
+-> ``scan nrf --frames 5 --seed 11``.  Criterion 12 compares two runs
+of one build with each other; this test compares a run with the
+recorded bytes, so a refactor can show that it changes no output.
+
+The frames come from numpy's binomial and Poisson streams, which are
+only fixed for one numpy version, so the fixture records that version
+and the test fails, naming both versions, when it differs.  Regenerate
+the fixture with ``PYTHONPATH=src python tests/test_golden.py`` only
+for a numpy upgrade, never to absorb an output change.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from twinphase.cli import main as cli_main
+
+FIXTURE = Path(__file__).with_name("golden_hashes.json")
+
+
+def run_pipeline(root):
+    """Run the pinned commands under ``root``; return {relative path: sha256}."""
+    sim, ret, scan = root / "simulate", root / "retrieve", root / "scan_nrf"
+    commands = [
+        ["simulate", "--frames", "2", "--seed", "3", "--out", str(sim)],
+        ["retrieve", "--frames", str(sim), "--k-mode", "tie", "--bin", "3", "--out", str(ret)],
+        ["scan", "nrf", "--frames", "5", "--seed", "11", "--out", str(scan)],
+    ]
+    for argv in commands:
+        code = cli_main(argv)
+        if code != 0:
+            raise RuntimeError(f"{' '.join(argv[:2])} exited {code}")
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for out in (sim, ret, scan)
+        for path in sorted(out.iterdir())
+        if path.suffix in (".qpf", ".csv")
+    }
+
+
+def test_outputs_match_golden_hashes(tmp_path):
+    golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    if np.__version__ != golden["numpy"]:
+        pytest.fail(
+            f"golden hashes were recorded with numpy {golden['numpy']}, "
+            f"this is numpy {np.__version__}: the random streams may differ; "
+            "regenerate the fixture on a commit whose output is trusted"
+        )
+    actual = run_pipeline(tmp_path)
+    assert sorted(actual) == sorted(golden["files"]), "the set of output files changed"
+    changed = sorted(name for name, digest in golden["files"].items() if actual[name] != digest)
+    assert not changed, f"outputs differ from the golden hashes: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = run_pipeline(Path(tmp))
+    FIXTURE.write_text(
+        json.dumps({"numpy": np.__version__, "files": files}, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {len(files)} hashes to {FIXTURE}", file=sys.stderr)

@@ -1,6 +1,9 @@
 """Tests of the twin-beam sampler, correlation model and metrology."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,8 +26,12 @@ from twinphase.twinbeam import (
     measure_nrf,
     nrf_predicted,
     register_idler,
+    sample_frames,
+    sample_triples,
     sample_twin_frame,
 )
+from twinphase import twinbeam
+from twinphase.cli import EXIT_NUMERICAL, main
 
 # Frozen oracle values of the pair-collection efficiency, computed with
 # an independent 2D double integral of the Gaussian pair correlation
@@ -204,6 +211,106 @@ class TestExpectedCounts:
             mean_s.values[null_mask].mean(), rel=0.02
         )
         assert sampled.mean() == pytest.approx(mean_s.values.mean(), rel=0.01)
+
+    def test_zero_efficiency_gives_zero_means(self):
+        sys_ = OpticalSystem()
+        dark = TwinBeamConfig(eta0=0.0, mean_photons_per_pixel=600.0)
+        grid = ScalarField2D(64, 64, sys_.object_pixel, np.zeros((64, 64)))
+        mean_s, mean_i = expected_counts(None, sys_, dark, 0.0, grid=grid)
+        assert not mean_s.values.any() and not mean_i.values.any()
+
+
+def use_threads(monkeypatch, threads, cpus=4):
+    """Let sample_frames see ``cpus`` CPUs and cap it at ``threads``."""
+    monkeypatch.setattr(
+        twinbeam.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+    monkeypatch.setenv("QPI_THREADS", str(threads))
+
+
+class TestSampleFrames:
+    def frame_bytes(self, frames):
+        return [
+            (f.n_s.values.tobytes(), f.n_i.values.tobytes(), f.dz, f.stream_index, f.spill)
+            for f in frames
+        ]
+
+    def test_independent_of_thread_count_and_order(self, monkeypatch):
+        sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=200.0)
+        obj = generate_test_target(220, 220, sys_.object_pixel)
+        dzs, base = [-0.05, 0.0, 0.05, 0.0], RngStream(8)
+        runs = []
+        for threads in (1, 2):
+            use_threads(monkeypatch, threads)
+            runs.append(self.frame_bytes(sample_frames(obj, sys_, twin, dzs, base)))
+        # the RngStream promise: a frame depends on its stream index only,
+        # not on the order in which frames are drawn
+        reverse = {
+            i: sample_twin_frame(obj, sys_, twin, dzs[i], base.child(i))
+            for i in reversed(range(len(dzs)))
+        }
+        direct = self.frame_bytes(reverse[i] for i in range(len(dzs)))
+        assert runs[0] == runs[1]
+        assert runs[0] == direct
+
+    def test_draws_at_most_workers_ahead_of_reader(self, monkeypatch):
+        workers, n = 3, 40
+        started = []
+
+        def fake_sample(obj, sys_, twin, dz, rng, grid=None):
+            started.append(rng.stream_index)
+            time.sleep(0.001)
+            return rng.stream_index
+
+        use_threads(monkeypatch, workers, cpus=8)
+        monkeypatch.setattr(twinbeam, "sample_twin_frame", fake_sample)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads_before = threading.active_count()
+            got = []
+            for index in sample_frames(None, None, None, [0.0] * n, RngStream(1)):
+                got.append(index)
+                assert len(started) <= len(got) + workers
+                time.sleep(0.005)  # a slow reader: the threads run ahead if they can
+                assert len(started) <= len(got) + workers
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == list(range(n))
+        assert sorted(started) == list(range(n))
+        assert threading.active_count() == threads_before
+
+    def test_triples_take_consecutive_streams(self, monkeypatch):
+        def fake_sample(obj, sys_, twin, dz, rng, grid=None):
+            return dz, rng.stream_index
+
+        use_threads(monkeypatch, 2)
+        monkeypatch.setattr(twinbeam, "sample_twin_frame", fake_sample)
+        triples = list(sample_triples(None, None, None, [0.5, 2.0], 2, RngStream(1)))
+        assert triples == [
+            ((-0.5, 0), (0.0, 1), (0.5, 2)),
+            ((-0.5, 3), (0.0, 4), (0.5, 5)),
+            ((-2.0, 6), (0.0, 7), (2.0, 8)),
+            ((-2.0, 9), (0.0, 10), (2.0, 11)),
+        ]
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, tmp_path):
+        raised_in = []
+
+        def fake_sample(obj, sys_, twin, dz, rng, grid=None):
+            time.sleep(0.05)  # so the second thread claims a frame
+            if threading.current_thread() is not threading.main_thread():
+                raised_in.append(rng.stream_index)
+                raise FloatingPointError("overflow in a worker")
+            return sample_twin_frame(obj, sys_, twin, dz, rng, grid=grid)
+
+        use_threads(monkeypatch, 2)
+        monkeypatch.setattr(twinbeam, "sample_twin_frame", fake_sample)
+        threads_before = threading.active_count()
+        code = main(["scan", "nrf", "--frames", "4", "--out", str(tmp_path / "nrf")])
+        assert raised_in
+        assert code == EXIT_NUMERICAL
+        assert threading.active_count() == threads_before
 
 
 class TestMeasureNrf:
