@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .core import (
-    ComplexField2D,
     ConfigError,
     GridError,
     ObjectSpec,
@@ -18,7 +17,6 @@ from .core import (
 from .qpf import read_qpf, write_qpf
 
 __all__ = [
-    "ComplexField2D",
     "ConfigError",
     "GridError",
     "ObjectSpec",

@@ -33,7 +33,7 @@ if os.environ.get("QPI_THREADS"):
 
 import numpy as np
 
-from . import __version__, metrics, optics, qpf, retrieval, twinbeam
+from . import __version__, metrics, qpf, retrieval, twinbeam
 from .core import (
     ConfigError,
     GridError,
@@ -171,17 +171,8 @@ def write_manifest(out_dir, config_snapshot, seed, outputs):
 
 
 def _config_snapshot(sys_cfg, twin_cfg, extra=None):
-    snap = {
-        "wavelength": sys_cfg.wavelength,
-        "magnification": sys_cfg.magnification,
-        "camera_pixel": sys_cfg.camera_pixel,
-        "blur_fwhm": sys_cfg.blur_fwhm,
-        "l_cff": twin_cfg.l_cff,
-        "eta0": twin_cfg.eta0,
-        "epsilon": twin_cfg.epsilon,
-        "mean_photons_per_pixel": twin_cfg.mean_photons_per_pixel,
-        "beam_profile": twin_cfg.beam_profile,
-    }
+    snap = {key: getattr(sys_cfg, key) for key in _OPTICAL_KEYS}
+    snap.update({key: getattr(twin_cfg, key) for key in _TWIN_KEYS})
     if extra:
         snap.update(extra)
     return snap
@@ -271,28 +262,33 @@ def cmd_simulate(args):
 
 
 def _read_manifest(frames_dir):
+    """The manifest of a frame set; OSError when it is missing, corrupt or
+    lacks a configuration key."""
     path = os.path.join(frames_dir, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
+        missing = {*_OPTICAL_KEYS, *_TWIN_KEYS} - set(manifest["config"])
     except OSError as exc:
         raise OSError(f"missing manifest in {frames_dir}: {exc}")
+    except (ValueError, LookupError, TypeError) as exc:
+        raise OSError(f"corrupt manifest {path}: {exc!r}")
+    if missing:
+        raise OSError(f"manifest {path} lacks keys: {', '.join(sorted(missing))}")
+    return manifest
 
 
 def cmd_retrieve(args):
     manifest = _read_manifest(args.frames)
     conf = manifest["config"]
-    sys_cfg = OpticalSystem(
-        wavelength=conf["wavelength"],
-        magnification=conf["magnification"],
-        camera_pixel=conf["camera_pixel"],
-        blur_fwhm=conf["blur_fwhm"],
-    )
+    sys_cfg = OpticalSystem(**{key: conf[key] for key in _OPTICAL_KEYS})
+    twin_cfg = TwinBeamConfig(**{key: conf[key] for key in _TWIN_KEYS})
+    validate_config(sys_cfg, twin_cfg)
     dz_list = conf.get("dz_list", [])
     n_frames = conf.get("frames", 0)
     if not dz_list or not n_frames:
         raise ConfigError("frame set contains no frames to retrieve")
-    dz = float(args.dz) if args.dz else dz_list[0]
+    dz = dz_list[0] if args.dz is None else args.dz
     if dz not in dz_list:
         raise ConfigError(f"dz = {dz} not present in frame set {dz_list}")
 
@@ -305,9 +301,9 @@ def cmd_retrieve(args):
         bin_px=args.bin,
         reference_mean=calib_s,
         reference_mean_idler=calib_i,
-        eta0=conf["eta0"],
-        epsilon=conf["epsilon"],
-        l_cff=conf["l_cff"],
+        eta0=twin_cfg.eta0,
+        epsilon=twin_cfg.epsilon,
+        l_cff=twin_cfg.l_cff,
     )
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -386,6 +382,8 @@ def cmd_retrieve(args):
 
 
 def _scan_nrf(args, sys_cfg, twin_cfg):
+    if args.frames < 2:
+        raise ConfigError("scan nrf needs --frames >= 2 (a variance over frames)")
     pitch = sys_cfg.object_pixel
     size = 220
     grid = ScalarField2D(size, size, pitch, np.zeros((size, size)))
@@ -410,6 +408,8 @@ def _scan_nrf(args, sys_cfg, twin_cfg):
 
 
 def _scan_advantage(args, sys_cfg, twin_cfg):
+    if args.frames < 1:
+        raise ConfigError("scan advantage needs --frames >= 1")
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(220, 220, pitch)
     dz_list = _parse_dz_list(args.dz)
@@ -514,15 +514,16 @@ def cmd_scan(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _seed(text):
-    """argparse type of --seed: a non-negative integer (numpy seeds are unsigned)."""
+def _unsigned(text):
+    """argparse type of --seed and --frames: a non-negative integer (numpy
+    seeds are unsigned)."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
-    return seed
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser():
@@ -535,7 +536,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=_seed, default=0, help="master seed (u64)")
+        p.add_argument("--seed", type=_unsigned, default=0, help="master seed (u64)")
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("target", help="render the engineered test object")
@@ -546,14 +547,14 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="sample twin-beam frame sets")
     common(p)
-    p.add_argument("--frames", type=int, default=10)
+    p.add_argument("--frames", type=_unsigned, default=10)
     p.add_argument("--dz", default="0.025", help="defocus list, mm (comma separated)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("retrieve", help="reconstruct phase and transmittance")
     common(p)
     p.add_argument("--frames", dest="frames", required=True, help="simulate output dir")
-    p.add_argument("--dz", default=None, help="defocus to retrieve, mm")
+    p.add_argument("--dz", type=float, default=None, help="defocus to retrieve, mm")
     p.add_argument("--bin", type=int, default=1, help="binning in pixels")
     p.add_argument(
         "--k-mode", default="classical", help="classical | tau | tie | numeric value"
@@ -565,7 +566,7 @@ def build_parser():
     p.add_argument(
         "scan_type", choices=("nrf", "advantage", "resolution", "noise")
     )
-    p.add_argument("--frames", type=int, default=100)
+    p.add_argument("--frames", type=_unsigned, default=100)
     p.add_argument("--dz", default="0.0125,0.025,0.05,0.1")
     p.set_defaults(func=cmd_scan)
     return parser

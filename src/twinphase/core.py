@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,11 @@ def _frozen_array(values, dtype):
 
 @dataclass(frozen=True)
 class ScalarField2D:
-    """Real 2D map with a physical pixel pitch (micrometers per pixel)."""
+    """2D map with a physical pixel pitch (micrometers per pixel).
+
+    Real maps are stored as float64 and complex ones (a wavefront) as
+    complex128: in scalar diffraction theory both are scalar fields.
+    """
 
     width: int
     height: int
@@ -45,7 +49,8 @@ class ScalarField2D:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, np.float64)
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        arr = _frozen_array(self.values, dtype)
         object.__setattr__(self, "values", arr)
         if arr.shape != (self.height, self.width):
             raise GridError(
@@ -63,6 +68,10 @@ class ScalarField2D:
         """Same grid metadata, new values."""
         return ScalarField2D(self.width, self.height, self.pitch, values)
 
+    def intensity(self) -> "ScalarField2D":
+        """|values|^2 on the same grid."""
+        return self.with_values(np.abs(self.values) ** 2)
+
     def same_grid(self, other) -> bool:
         return (
             self.width == other.width
@@ -76,50 +85,6 @@ class ScalarField2D:
                 f"grid mismatch: ({self.height}x{self.width}, pitch {self.pitch}) vs "
                 f"({other.height}x{other.width}, pitch {other.pitch})"
             )
-
-
-@dataclass(frozen=True)
-class ComplexField2D:
-    """Complex 2D map (wavefront carrier) with the same grid metadata."""
-
-    width: int
-    height: int
-    pitch: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.values, np.complex128)
-        object.__setattr__(self, "values", arr)
-        if arr.shape != (self.height, self.width):
-            raise GridError(
-                f"values shape {arr.shape} != (height, width) = "
-                f"({self.height}, {self.width})"
-            )
-        if self.width < MIN_GRID or self.height < MIN_GRID:
-            raise GridError(f"grid must be at least {MIN_GRID}x{MIN_GRID}")
-        if not self.pitch > 0:
-            raise GridError("pitch must be positive")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field contains non-finite values")
-
-    def with_values(self, values) -> "ComplexField2D":
-        return ComplexField2D(self.width, self.height, self.pitch, values)
-
-    def same_grid(self, other) -> bool:
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and math.isclose(self.pitch, other.pitch, rel_tol=1e-12)
-        )
-
-    def require_same_grid(self, other):
-        if not self.same_grid(other):
-            raise GridError("grid mismatch")
-
-    def intensity(self) -> ScalarField2D:
-        return ScalarField2D(
-            self.width, self.height, self.pitch, np.abs(self.values) ** 2
-        )
 
 
 @dataclass(frozen=True)
@@ -168,11 +133,11 @@ class TwinBeamConfig:
     epsilon: float = 0.2  # misalignment Delta / l_cff, equal on both axes
     mean_photons_per_pixel: float = 600.0
     beam_profile: object = "uniform"  # "uniform" or Gaussian 1/e^2 radius in um
-    sigma: float = field(default=None)  # um; derived from l_cff unless given
 
-    def __post_init__(self):
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", self.l_cff * FWHM_TO_SIGMA)
+    @property
+    def sigma(self) -> float:
+        """Pair-correlation standard deviation in micrometers."""
+        return self.l_cff * FWHM_TO_SIGMA
 
     @property
     def delta(self) -> float:
@@ -215,13 +180,6 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
         problems.append("epsilon must be non-negative")
     if not twin.mean_photons_per_pixel > 0:
         problems.append("mean_photons_per_pixel must be positive")
-    if twin.l_cff > 0:
-        expected_sigma = twin.l_cff * FWHM_TO_SIGMA
-        if abs(twin.sigma - expected_sigma) > 1e-9 * expected_sigma:
-            problems.append(
-                f"FWHM relation violated: sigma = {twin.sigma}, "
-                f"l_cff/(2 sqrt(2 ln 2)) = {expected_sigma}"
-            )
     if not isinstance(twin.beam_profile, str):
         if not float(twin.beam_profile) > 0:
             problems.append("Gaussian beam_profile radius must be positive")

@@ -6,14 +6,15 @@ against the correlation length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.ndimage import binary_erosion
 from scipy.optimize import brentq, curve_fit
 from scipy.special import erf, ndtr
 
-from .core import FWHM_TO_SIGMA, ObjectSpec, OpticalSystem, ScalarField2D, TwinBeamConfig
-from .optics import imaging_blur
+from .core import ObjectSpec, OpticalSystem, ScalarField2D, TwinBeamConfig, target_masks
+from .optics import defocus_stack, imaging_blur, uniform_illumination
 from .retrieval import (
     PhaseImage,
     RetrievalConfig,
@@ -22,7 +23,7 @@ from .retrieval import (
     poisson_solve_dirichlet,
     tie_retrieve,
 )
-from .twinbeam import d_factor_for_bin, expected_counts
+from .twinbeam import bin_counts, d_factor_for_bin, expected_counts
 
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -144,25 +145,6 @@ def _failed_fit(message):
     )
 
 
-def edge_profile(phase: ScalarField2D, row_center_um, col_range_um, n_rows: int = 5):
-    """Horizontal phase profile across a vertical edge.
-
-    Rows are indexed in physical micrometers from the top-left pixel
-    center of the unbinned frame; ``n_rows`` adjacent rows are averaged
-    to reduce noise.  Returns the averaged profile (left to right).
-    """
-    pitch = phase.pitch
-    r = int(round(row_center_um / pitch))
-    half = n_rows // 2
-    r0 = max(r - half, 0)
-    r1 = min(r + half + 1, phase.height)
-    c0 = max(int(math.floor(col_range_um[0] / pitch)), 0)
-    c1 = min(int(math.ceil(col_range_um[1] / pitch)) + 1, phase.width)
-    if c1 - c0 < 2:
-        raise ValueError("profile window is empty")
-    return phase.values[r0:r1, c0:c1].mean(axis=0)
-
-
 def step_heights(
     phase: ScalarField2D,
     erode: int = 4,
@@ -178,11 +160,6 @@ def step_heights(
     binning factor and the fine ``(width, height)`` so the masks are
     binned with the same centered crop.
     """
-    from scipy.ndimage import binary_erosion
-
-    from .core import target_masks
-    from .twinbeam import bin_counts
-
     if fine_shape is None:
         fw, fh = phase.width * bin_px, phase.height * bin_px
     else:
@@ -231,8 +208,6 @@ def quantum_advantage(
     shot-noise-free reference are averaged over frames before taking
     the ratio.
     """
-    from dataclasses import replace
-
     classical_cfg = replace(config, k_mode="classical")
     c_q, c_c = [], []
     for fm, f0, fp in frame_triples:
@@ -283,8 +258,6 @@ def reference_phase(
     Runs the classical pipeline on the exact expected photon counts,
     the infinite-frame limit of averaging acquisitions.
     """
-    from dataclasses import replace
-
     mean_m, _ = expected_counts(obj, sys, twin, -config.dz)
     mean_0, _ = expected_counts(obj, sys, twin, 0.0)
     mean_p, _ = expected_counts(obj, sys, twin, +config.dz)
@@ -320,8 +293,6 @@ def resolution_scan(
     pixel size of the delivered image.  Returns rows of
     (dz, d_factor, r_phase_um, se_r_um, ok).
     """
-    from .optics import defocus_stack, uniform_illumination
-
     rows = []
     pitch = target.phi.pitch
     ill = uniform_illumination(target.phi.width, target.phi.height, pitch)
@@ -393,8 +364,6 @@ def _interleaved_edge_samples(stack, config, bin_px, edge_row_um, edge_window_um
     alignments is the box-convolved edge response of the binned system,
     which an error-function fit can sample below the effective pixel.
     """
-    from .twinbeam import bin_counts
-
     pitch = stack.i_zero.pitch
     n_cols = stack.i_zero.width
     edge_row_px = edge_row_um / pitch
@@ -473,14 +442,3 @@ def noise_suppression_scan(
             removed.append(100.0 * (1.0 - var_corr / var_clas))
         rows.append({"l_cff_um": float(l_cff), "suppression_pct": float(np.mean(removed))})
     return rows
-
-
-def render_pgm(field: ScalarField2D, path) -> None:
-    """8-bit portable graymap of a field with linear min-max scaling."""
-    v = field.values
-    lo, hi = float(v.min()), float(v.max())
-    scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    img = np.round((v - lo) * scale).astype(np.uint8)
-    header = f"P5\n{field.width} {field.height}\n255\n".encode()
-    with open(path, "wb") as fh:
-        fh.write(header + img.tobytes())

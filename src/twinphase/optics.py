@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FWHM_TO_SIGMA,
-    ComplexField2D,
-    GridError,
-    ObjectSpec,
-    OpticalSystem,
-    ScalarField2D,
-)
+from .core import FWHM_TO_SIGMA, ObjectSpec, OpticalSystem, ScalarField2D
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,8 @@ def fresnel_aliased(wavelength_nm: float, distance_mm: float, pitch: float, n: i
 
 
 def angular_spectrum_propagate(
-    u: ComplexField2D, distance: float, wavelength: float
-) -> ComplexField2D:
+    u: ScalarField2D, distance: float, wavelength: float
+) -> ScalarField2D:
     """Propagate a complex field by ``distance`` millimeters.
 
     Uses the paraxial transfer function H(q) = exp(-i pi lambda z |q|^2)
@@ -75,7 +68,7 @@ def angular_spectrum_propagate(
     return u.with_values(out[r0 : r0 + h, c0 : c0 + w])
 
 
-def apply_object(u: ComplexField2D, obj: ObjectSpec) -> ComplexField2D:
+def apply_object(u: ScalarField2D, obj: ObjectSpec) -> ScalarField2D:
     """Pointwise u * sqrt(tau) * exp(i phi)."""
     u.require_same_grid(obj.tau)
     t = np.sqrt(obj.tau.values) * np.exp(1j * obj.phi.values)
@@ -101,27 +94,13 @@ def imaging_blur(i: ScalarField2D, fwhm: float) -> ScalarField2D:
     return i.with_values(np.maximum(out, 0.0))
 
 
-def gaussian_illumination(
-    width: int, height: int, pitch: float, radius: float = 1200.0
-) -> ComplexField2D:
-    """Unit-amplitude Gaussian envelope, 1/e^2 intensity radius in um.
-
-    The default radius keeps the intensity flat to better than 10% over
-    a centered 220x220 window at the default pitch.
-    """
-    x = (np.arange(width) - (width - 1) / 2.0) * pitch
-    y = (np.arange(height) - (height - 1) / 2.0) * pitch
-    r2 = x[np.newaxis, :] ** 2 + y[:, np.newaxis] ** 2
-    return ComplexField2D(width, height, pitch, np.exp(-r2 / radius**2))
-
-
-def uniform_illumination(width: int, height: int, pitch: float) -> ComplexField2D:
-    return ComplexField2D(width, height, pitch, np.ones((height, width)))
+def uniform_illumination(width: int, height: int, pitch: float) -> ScalarField2D:
+    return ScalarField2D(width, height, pitch, np.ones((height, width), dtype=complex))
 
 
 def defocus_stack(
     obj: ObjectSpec,
-    illumination: ComplexField2D,
+    illumination: ScalarField2D,
     dz: float,
     sys: OpticalSystem,
     mean_photons: float = None,

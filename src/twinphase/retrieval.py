@@ -12,8 +12,8 @@ from typing import Optional, Union
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .core import ScalarField2D
-from .twinbeam import bin_counts, eta_c, register_idler
+from .core import MIN_GRID, ConfigError, ScalarField2D
+from .twinbeam import bin_counts, d_factor_for_bin, eta_c, register_idler
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,25 @@ class RetrievalConfig:
 
     def __post_init__(self):
         if not self.dz > 0:
-            raise ValueError("dz must be positive")
+            raise ConfigError("dz must be positive")
         if not self.intensity_floor > 0:
-            raise ValueError("intensity_floor must be positive")
+            raise ConfigError("intensity_floor must be positive")
         if self.bin_px < 1:
-            raise ValueError("bin_px must be >= 1")
+            raise ConfigError("bin_px must be >= 1")
+        if self.reference_mean is not None:
+            side = min(self.reference_mean.width, self.reference_mean.height)
+            if side // self.bin_px < MIN_GRID:
+                raise ConfigError(
+                    f"bin_px {self.bin_px} leaves fewer than {MIN_GRID} bins "
+                    f"across the {side}-pixel grid"
+                )
+        if self.k_mode not in ("classical", "tau", "tie"):
+            try:
+                float(self.k_mode)
+            except ValueError:
+                raise ConfigError(
+                    f"k_mode must be classical, tau, tie or a number, got {self.k_mode!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -73,15 +87,13 @@ def k_tie_opt(eta0: float) -> float:
 def resolve_k(config: RetrievalConfig, pitch: float) -> float:
     """Numeric subtraction weight implied by the configured k_mode."""
     mode = config.k_mode
-    if isinstance(mode, str):
-        if mode == "classical":
-            return 0.0
-        if mode == "tau":
-            d = config.bin_px * pitch / config.l_cff
-            return k_tau_opt(config.eta0, d, config.epsilon)
-        if mode == "tie":
-            return k_tie_opt(config.eta0)
-        return float(mode)
+    if mode == "classical":
+        return 0.0
+    if mode == "tau":
+        d = d_factor_for_bin(config.bin_px, pitch, config.l_cff)
+        return k_tau_opt(config.eta0, d, config.epsilon)
+    if mode == "tie":
+        return k_tie_opt(config.eta0)
     return float(mode)
 
 
@@ -129,14 +141,15 @@ def estimate_transmittance(
     return TransmittanceEstimate(tau=s.with_values(tau_hat), valid=valid, k_value=k)
 
 
-def axial_derivative(
-    i_plus: ScalarField2D, i_minus: ScalarField2D, dz: float
-) -> ScalarField2D:
-    """Centered finite difference (i_plus - i_minus) / (2 dz), counts per mm."""
-    i_plus.require_same_grid(i_minus)
-    if not dz > 0:
-        raise ValueError("dz must be positive")
-    return i_plus.with_values((i_plus.values - i_minus.values) / (2.0 * dz))
+def _dirichlet_eigenvalues(f: ScalarField2D) -> np.ndarray:
+    """Continuum Laplacian eigenvalues -pi^2 (n^2 / Ly^2 + m^2 / Lx^2) of
+    the sine modes on the interior nodes of ``f``'s grid."""
+    ny, nx = f.height - 2, f.width - 2
+    ly = (f.height - 1) * f.pitch
+    lx = (f.width - 1) * f.pitch
+    ky = (np.arange(1, ny + 1) * math.pi / ly) ** 2
+    kx = (np.arange(1, nx + 1) * math.pi / lx) ** 2
+    return -(ky[:, np.newaxis] + kx[np.newaxis, :])
 
 
 def poisson_solve_dirichlet(rhs: ScalarField2D) -> ScalarField2D:
@@ -146,36 +159,17 @@ def poisson_solve_dirichlet(rhs: ScalarField2D) -> ScalarField2D:
     -pi^2 (n^2 + m^2) / L^2 on the interior nodes; the zero boundary is
     enforced by the odd extension, with no zero-frequency singularity.
     """
-    h, w = rhs.height, rhs.width
-    pitch = rhs.pitch
-    interior = rhs.values[1:-1, 1:-1]
-    coeffs = dstn(interior, type=1)
-    ny, nx = interior.shape
-    ly = (h - 1) * pitch
-    lx = (w - 1) * pitch
-    ky = (np.arange(1, ny + 1) * math.pi / ly) ** 2
-    kx = (np.arange(1, nx + 1) * math.pi / lx) ** 2
-    eig = -(ky[:, np.newaxis] + kx[np.newaxis, :])
-    u_int = idstn(coeffs / eig, type=1)
-    u = np.zeros((h, w))
-    u[1:-1, 1:-1] = u_int
+    coeffs = dstn(rhs.values[1:-1, 1:-1], type=1)
+    u = np.zeros((rhs.height, rhs.width))
+    u[1:-1, 1:-1] = idstn(coeffs / _dirichlet_eigenvalues(rhs), type=1)
     return rhs.with_values(u)
 
 
 def laplacian_dirichlet(u: ScalarField2D) -> ScalarField2D:
     """Spectral sine-basis Laplacian, the exact inverse of the solver."""
-    h, w = u.height, u.width
-    pitch = u.pitch
-    interior = u.values[1:-1, 1:-1]
-    coeffs = dstn(interior, type=1)
-    ny, nx = interior.shape
-    ly = (h - 1) * pitch
-    lx = (w - 1) * pitch
-    ky = (np.arange(1, ny + 1) * math.pi / ly) ** 2
-    kx = (np.arange(1, nx + 1) * math.pi / lx) ** 2
-    eig = -(ky[:, np.newaxis] + kx[np.newaxis, :])
-    out = np.zeros((h, w))
-    out[1:-1, 1:-1] = idstn(coeffs * eig, type=1)
+    coeffs = dstn(u.values[1:-1, 1:-1], type=1)
+    out = np.zeros((u.height, u.width))
+    out[1:-1, 1:-1] = idstn(coeffs * _dirichlet_eigenvalues(u), type=1)
     return u.with_values(out)
 
 

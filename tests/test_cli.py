@@ -101,32 +101,44 @@ class TestExitCodes:
         )
         assert code == EXIT_IO
 
-    def test_corrupt_field_file_exits_3(self, tmp_path):
+    def write_manifest(self, tmp_path, **changes):
         frames = tmp_path / "frames"
         frames.mkdir()
-        (frames / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "master_seed": 0,
-                    "config": {
-                        "wavelength": 810.0,
-                        "magnification": 8.0,
-                        "camera_pixel": 13.0,
-                        "blur_fwhm": 1.5,
-                        "l_cff": 5.0,
-                        "eta0": 0.7,
-                        "epsilon": 0.2,
-                        "mean_photons_per_pixel": 600.0,
-                        "beam_profile": "uniform",
-                        "grid_size": 220,
-                        "dz_list": [0.025],
-                        "frames": 1,
-                    },
-                    "files": {},
-                }
-            )
-        )
+        config = {
+            "wavelength": 810.0,
+            "magnification": 8.0,
+            "camera_pixel": 13.0,
+            "blur_fwhm": 1.5,
+            "l_cff": 5.0,
+            "eta0": 0.7,
+            "epsilon": 0.2,
+            "mean_photons_per_pixel": 600.0,
+            "beam_profile": "uniform",
+            "grid_size": 220,
+            "dz_list": [0.025],
+            "frames": 1,
+        }
+        config.update(changes)
+        manifest = {"master_seed": 0, "config": config, "files": {}}
+        (frames / "manifest.json").write_text(json.dumps(manifest))
+        return frames
+
+    def test_corrupt_field_file_exits_3(self, tmp_path):
+        frames = self.write_manifest(tmp_path)
         (frames / "calib_mean_signal.qpf").write_bytes(b"JUNKDATA")
+        code = main(["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")])
+        assert code == EXIT_IO
+
+    def test_invalid_manifest_config_exits_2(self, tmp_path):
+        frames = self.write_manifest(tmp_path, eta0=5.0)
+        code = main(["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text", ["{bad", "{}"], ids=["not_json", "no_config"])
+    def test_corrupt_manifest_exits_3(self, tmp_path, text):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "manifest.json").write_text(text)
         code = main(["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
 
@@ -217,3 +229,51 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
         main(command + ["--seed", "-1", "--frames", "2", "--out", str(tmp_path / "o")])
     assert exc.value.code == EXIT_CONFIG
     assert "--seed: must be non-negative" in capsys.readouterr().err
+
+
+def exit_code(argv):
+    """Exit status of a CLI call, whether main returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def frame_set(tmp_path_factory):
+    out = tmp_path_factory.mktemp("frames")
+    argv = ["simulate", "--frames", "1", "--dz", "0.025", "--seed", "2", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--k-mode", "bogus"],
+        ["--bin", "0"],
+        ["--bin", "-2"],
+        ["--bin", "500"],  # larger than the 220-pixel grid
+        ["--dz", "abc"],
+    ],
+)
+def test_bad_retrieve_arguments_exit_2(frame_set, tmp_path, extra):
+    out = tmp_path / "o"
+    argv = ["retrieve", "--frames", str(frame_set), "--out", str(out)] + extra
+    assert exit_code(argv) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "nrf", "--frames", "1"],
+        ["scan", "nrf", "--frames", "0"],
+        ["scan", "advantage", "--frames", "0"],
+        ["simulate", "--frames", "-1"],
+    ],
+)
+def test_bad_frame_count_exits_2(tmp_path, argv):
+    out = tmp_path / "o"
+    assert exit_code(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()

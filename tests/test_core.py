@@ -57,6 +57,15 @@ class TestScalarField2D:
         assert g.same_grid(f)
         assert g.values[0, 0] == 1.0
 
+    def test_dtype_follows_values(self):
+        real = field(np.ones((8, 8)))
+        wave = real.with_values(np.full((8, 8), 3.0 + 4.0j))
+        assert real.values.dtype == np.float64
+        assert wave.values.dtype == np.complex128
+        intensity = wave.intensity()
+        assert intensity.values.dtype == np.float64
+        assert np.all(intensity.values == 25.0) and intensity.same_grid(real)
+
     def test_require_same_grid(self):
         a = field(np.zeros((8, 8)), pitch=1.0)
         b = field(np.zeros((8, 8)), pitch=2.0)
@@ -103,10 +112,6 @@ class TestValidateConfig:
     def test_efficiency_out_of_range(self):
         with pytest.raises(ConfigError, match="efficiency out of range"):
             validate_config(OpticalSystem(), TwinBeamConfig(eta0=1.3))
-
-    def test_fwhm_relation_violated(self):
-        with pytest.raises(ConfigError, match="FWHM relation violated"):
-            validate_config(OpticalSystem(), TwinBeamConfig(l_cff=5.0, sigma=5.0))
 
     def test_all_problems_reported(self):
         with pytest.raises(ConfigError) as exc:

@@ -14,13 +14,11 @@ from twinphase.core import (
 )
 from twinphase.metrics import (
     FWHM_FACTOR,
-    edge_profile,
     esf_fit,
     lsf_fwhm_with_aperture,
     noise_suppression_scan,
     pearson,
     quantum_advantage,
-    render_pgm,
     step_heights,
 )
 from twinphase.retrieval import RetrievalConfig
@@ -150,19 +148,6 @@ class TestStepHeights:
         assert steps["null"] == pytest.approx(0.345, abs=0.01)
 
 
-class TestEdgeProfile:
-    def test_row_averaging_and_window(self):
-        v = np.tile(np.arange(20.0), (20, 1))
-        phase = field(v, pitch=2.0)
-        prof = edge_profile(phase, row_center_um=20.0, col_range_um=(4.0, 12.0))
-        assert np.array_equal(prof, np.arange(2.0, 7.0))
-
-    def test_empty_window_rejected(self):
-        phase = field(np.zeros((20, 20)), pitch=2.0)
-        with pytest.raises(ValueError):
-            edge_profile(phase, 20.0, (4.0, 4.0))
-
-
 class TestQuantumAdvantage:
     def test_identical_k_gives_ratio_one(self):
         # a numeric k_mode of 0 runs the identical pipeline in both
@@ -214,14 +199,3 @@ class TestNoiseSuppressionScan:
         # near-delta kernel: almost perfect pixelwise correlation
         assert rows[0]["suppression_pct"] > 95.0
         assert rows[0]["suppression_pct"] >= rows[1]["suppression_pct"]
-
-
-def test_render_pgm(tmp_path):
-    f = field(np.arange(64, dtype=float).reshape(8, 8))
-    path = tmp_path / "map.pgm"
-    render_pgm(f, path)
-    raw = path.read_bytes()
-    assert raw.startswith(b"P5\n8 8\n255\n")
-    body = raw.split(b"255\n", 1)[1]
-    assert len(body) == 64
-    assert body[0] == 0 and body[-1] == 255

@@ -8,7 +8,6 @@ import pytest
 from twinphase.core import OpticalSystem, ScalarField2D, TwinBeamConfig, generate_test_target
 from twinphase.retrieval import (
     RetrievalConfig,
-    axial_derivative,
     estimate_transmittance,
     k_tau_opt,
     k_tie_opt,
@@ -166,12 +165,6 @@ class TestTransmittance:
 
 
 class TestTie:
-    def test_axial_derivative(self):
-        a = ScalarField2D(8, 8, 1.0, np.full((8, 8), 10.0))
-        b = ScalarField2D(8, 8, 1.0, np.full((8, 8), 4.0))
-        out = axial_derivative(a, b, 0.05)
-        assert np.allclose(out.values, 60.0)
-
     def test_eigenmode_retrieved_exactly(self):
         # For phi a Dirichlet eigenmode and uniform I0, the planes
         # I(+-dz) = I0 -+ dz (I0 / k) laplacian(phi) make the TIE exact;
