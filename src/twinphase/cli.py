@@ -65,13 +65,7 @@ _TWIN_KEYS = {
     "mean_photons_per_pixel": float,
     "beam_profile": str,
 }
-_RUN_KEYS = {
-    "dz": float,
-    "bin_px": int,
-    "k_mode": str,
-    "grid_size": int,
-    "intensity_floor": float,
-}
+_RUN_KEYS = {"grid_size": int}
 
 
 class NumericalError(RuntimeError):
@@ -263,12 +257,14 @@ def cmd_simulate(args):
 
 def _read_manifest(frames_dir):
     """The manifest of a frame set; OSError when it is missing, corrupt or
-    lacks a configuration key."""
+    lacks a configuration key or the file checksums."""
     path = os.path.join(frames_dir, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         missing = {*_OPTICAL_KEYS, *_TWIN_KEYS} - set(manifest["config"])
+        if not isinstance(manifest["files"], dict):
+            raise TypeError("`files` is not a mapping")
     except OSError as exc:
         raise OSError(f"missing manifest in {frames_dir}: {exc}")
     except (ValueError, LookupError, TypeError) as exc:
@@ -292,8 +288,16 @@ def cmd_retrieve(args):
     if dz not in dz_list:
         raise ConfigError(f"dz = {dz} not present in frame set {dz_list}")
 
-    calib_s = qpf.read_qpf(os.path.join(args.frames, "calib_mean_signal.qpf"))
-    calib_i = qpf.read_qpf(os.path.join(args.frames, "calib_mean_idler.qpf"))
+    checksums = manifest["files"]
+
+    def read(name):
+        """A field of the frame set, checked against its manifest checksum."""
+        if name not in checksums:
+            raise OSError(f"{name} is not listed in the manifest of {args.frames}")
+        return qpf.read_qpf(os.path.join(args.frames, name), sha256=checksums[name])
+
+    calib_s = read("calib_mean_signal.qpf")
+    calib_i = read("calib_mean_idler.qpf")
     config = retrieval.RetrievalConfig(
         dz=dz,
         wavenumber=sys_cfg.wavenumber,
@@ -309,10 +313,9 @@ def cmd_retrieve(args):
     outputs = []
 
     def load(frame, tag, arm):
-        stem = f"dz{fmt(dz)}_f{frame:04d}_{tag}_{arm}.qpf"
-        return qpf.read_qpf(os.path.join(args.frames, stem))
+        return read(f"dz{fmt(dz)}_f{frame:04d}_{tag}_{arm}.qpf")
 
-    sum_m = sum_0 = sum_p = None
+    sums = {}  # per tag, the sum of the signal counts over frames
     tag_dz = {"m": -dz, "0": 0.0, "p": +dz}
     phase_rows = []
     for frame in range(n_frames):
@@ -330,14 +333,11 @@ def cmd_retrieve(args):
         qpf.write_qpf(out_path, phase.values)
         outputs.append(out_path)
         phase_rows.append((frame, phase.k_value, phase.provenance))
-        if sum_m is None:
-            sum_m = tf["m"].n_s.values.copy()
-            sum_0 = tf["0"].n_s.values.copy()
-            sum_p = tf["p"].n_s.values.copy()
-        else:
-            sum_m += tf["m"].n_s.values
-            sum_0 += tf["0"].n_s.values
-            sum_p += tf["p"].n_s.values
+        for tag, f in tf.items():
+            if tag in sums:
+                sums[tag] += f.n_s.values
+            else:
+                sums[tag] = f.n_s.values.copy()
         tau_est = retrieval.estimate_transmittance(tf["0"].n_s, tf["0"].n_i, config)
         if frame == 0:
             tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
@@ -348,9 +348,7 @@ def cmd_retrieve(args):
     grid = calib_s
     avg_cfg = replace(config, k_mode="classical")
     avg_phase = retrieval.phase_from_counts(
-        grid.with_values(sum_m / n_frames),
-        grid.with_values(sum_0 / n_frames),
-        grid.with_values(sum_p / n_frames),
+        *(grid.with_values(sums[tag] / n_frames) for tag in ("m", "0", "p")),
         avg_cfg,
         provenance="reference",
     )
@@ -534,8 +532,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="flat key=value config file")
+    def common(p, config=True):
+        if config:
+            p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=_unsigned, default=0, help="master seed (u64)")
         p.add_argument("--out", default="out", help="output directory")
 
@@ -552,7 +551,7 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("retrieve", help="reconstruct phase and transmittance")
-    common(p)
+    common(p, config=False)  # the configuration comes from the frame set's manifest
     p.add_argument("--frames", dest="frames", required=True, help="simulate output dir")
     p.add_argument("--dz", type=float, default=None, help="defocus to retrieve, mm")
     p.add_argument("--bin", type=int, default=1, help="binning in pixels")

@@ -5,6 +5,7 @@ solver with spectral Dirichlet Poisson solves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -173,17 +174,26 @@ def laplacian_dirichlet(u: ScalarField2D) -> ScalarField2D:
     return u.with_values(out)
 
 
+# One entry: consecutive solves share a grid, and old grids' bases are let go.
+@functools.lru_cache(maxsize=1)
 def _trig_bases(n: int, length: float):
     """Interior sine / cosine bases on an n-point grid of extent ``length``.
 
-    Returns (wavenumbers, S, C) where S[j, m] = sin(k_m x_j) and
-    C[j, m] = cos(k_m x_j) for the n - 2 interior Dirichlet modes
-    k_m = m pi / length.
+    Returns (wavenumbers, S, C, Cw) where S[j, m] = sin(k_m x_j),
+    C[j, m] = cos(k_m x_j) and Cw is C at half weight on the two boundary
+    nodes (cosine projections), for the n - 2 interior Dirichlet modes
+    k_m = m pi / length.  They are cached and shared, so read-only.
     """
     m = np.arange(1, n - 1)
     k = m * math.pi / length
     theta = np.pi * np.outer(np.arange(n), m) / (n - 1)
-    return k, np.sin(theta), np.cos(theta)
+    c = np.cos(theta)
+    cw = c.copy()
+    cw[[0, -1]] *= 0.5
+    bases = k, np.sin(theta), c, cw
+    for array in bases:
+        array.flags.writeable = False
+    return bases
 
 
 def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.ndarray:
@@ -195,8 +205,8 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
     """
     h, w = psi.shape
     ly, lx = (h - 1) * pitch, (w - 1) * pitch
-    ky, sy, cy = _trig_bases(h, ly)
-    kx, sx, cx = _trig_bases(w, lx)
+    ky, sy, cy, cyw = _trig_bases(h, ly)
+    kx, sx, cx, cxw = _trig_bases(w, lx)
 
     norm = 4.0 / ((h - 1) * (w - 1))
     coeffs = norm * (sy.T @ psi @ sx)
@@ -205,13 +215,6 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
 
     fy = gy / i0
     fx = gx / i0
-    # Cosine projections carry half weight at the two boundary rows/cols.
-    cyw = cy.copy()
-    cyw[0] *= 0.5
-    cyw[-1] *= 0.5
-    cxw = cx.copy()
-    cxw[0] *= 0.5
-    cxw[-1] *= 0.5
     a = norm * (cyw.T @ fy @ sx)
     b = norm * (sy.T @ fx @ cxw)
 

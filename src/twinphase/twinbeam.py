@@ -143,23 +143,18 @@ def d_factor_for_bin(bin_px: int, pitch: float, l_cff: float) -> float:
 # ---------------------------------------------------------------------------
 
 # The kernel arithmetic below works in place on arrays it owns (``t``,
-# ``z``), so a per-pixel kernel needs few frame-sized temporaries; each
-# operation keeps the operand order of the plain expression in its
-# docstring, so the results are bit-identical to it.
+# ``z``): a smooth object's shifts are nearly all distinct, so a kernel
+# table may be grid-sized.  Each operation keeps the operand order of the
+# plain expression in its docstring, so the results are bit-identical.
 
-def _norm_pdf(z):
-    """exp(-0.5 * z * z) / sqrt(2 pi), in a new array."""
+def _cdf_integral(z):
+    """Antiderivative of the standard normal CDF, z * Phi(z) + phi(z)
+    with phi(z) = exp(-0.5 * z * z) / sqrt(2 pi), computed in place of
+    the array ``z``."""
     pdf = np.multiply(-0.5, z, out=np.empty_like(z))
     pdf *= z
     np.exp(pdf, out=pdf)
     pdf /= _SQRT2PI
-    return pdf
-
-
-def _cdf_integral(z):
-    """Antiderivative of the standard normal CDF, z * Phi(z) + phi(z),
-    computed in place of the array ``z``."""
-    pdf = _norm_pdf(z)
     z *= ndtr(z)
     z += pdf
     return z
@@ -209,12 +204,13 @@ def _shift_axis(counts, shift, s, axis, rng):
     ``rng`` set the redistribution is a multinomial sample (iterated
     binomial over offsets); with ``rng=None`` it is the exact
     expectation, for deterministic mean-count computations.
-    Returns (out, spill).
+    Returns (out, spill).  The kernel tables are computed once per
+    distinct shift ``d`` and gathered onto the pixels through ``inv``;
+    a scalar shift is a one-entry table.
     """
-    # A scalar shift is a 0-d array, so the in-place arithmetic serves both.
-    d = np.asarray(shift, dtype=float)
-    jmin = int(math.floor(float(d.min()) - 6.0 * s))
-    jmax = int(math.ceil(float(d.max()) + 6.0 * s))
+    d, inv = np.unique(np.asarray(shift, dtype=float), return_inverse=True)
+    jmin = int(math.floor(float(d[0]) - 6.0 * s))
+    jmax = int(math.ceil(float(d[-1]) + 6.0 * s))
 
     sampled = rng is not None
     out = np.zeros_like(counts) if sampled else np.zeros(counts.shape)
@@ -222,9 +218,9 @@ def _shift_axis(counts, shift, s, axis, rng):
     rem_w = np.ones(d.shape)
     p = np.empty(d.shape)
     spill = 0
-    cdf_prev = _shift_cdf(np.subtract(jmin, d, out=np.empty(d.shape)), s)
+    cdf_prev = _shift_cdf(np.subtract(jmin, d), s)
     for j in range(jmin, jmax + 1):
-        cdf_next = _shift_cdf(np.subtract(j + 1, d, out=np.empty(d.shape)), s)
+        cdf_next = _shift_cdf(np.subtract(j + 1, d), s)
         # prob = cdf_next - cdf_prev, in the buffer of cdf_prev
         prob = np.subtract(cdf_next, cdf_prev, out=cdf_prev)
         cdf_prev = cdf_next
@@ -236,9 +232,9 @@ def _shift_axis(counts, shift, s, axis, rng):
         np.copyto(p, 0.0, where=rem_w <= 0.0)
         np.clip(p, 0.0, 1.0, out=p)
         if sampled:
-            take = rng.binomial(rem, p)
+            take = rng.binomial(rem, p[inv])
         else:
-            take = rem * p
+            take = rem * p[inv]
         rem -= take
         rem_w -= prob
         np.maximum(rem_w, 0.0, out=rem_w)
@@ -320,9 +316,7 @@ def _transport(obj, sys, twin, dz, grid):
     delta_px = twin.delta / pitch
     blur_px = sys.blur_fwhm * FWHM_TO_SIGMA / pitch
     disp_x, disp_y = _phase_displacement(obj, sys, dz, 0)
-    max_disp = 0.0
-    if not np.isscalar(disp_x):
-        max_disp = max(float(np.abs(disp_x).max()), float(np.abs(disp_y).max()))
+    max_disp = max(float(np.max(np.abs(disp_x))), float(np.max(np.abs(disp_y))))
     margin = int(math.ceil(6 * sigma_px + abs(delta_px) + 6 * blur_px + max_disp)) + 1
 
     rate = _pair_rate(twin, width, height, pitch, margin)

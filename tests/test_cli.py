@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -35,19 +36,29 @@ class TestConfigParsing:
             l_cff = 5.0   # trailing comment
             eta0 = 0.7
             mean_photons_per_pixel = 600
-            bin_px = 12
-            k_mode = tie
+            grid_size = 300
             """,
         )
         sys_cfg, twin_cfg, run = parse_config_file(path)
         assert sys_cfg.wavelength == 810.0
         assert twin_cfg.l_cff == 5.0
-        assert run == {"bin_px": 12, "k_mode": "tie"}
+        assert run == {"grid_size": 300}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = self.write(tmp_path, "volume = 11\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_file(path)
+
+    # No command reads these; retrieve takes them as flags.
+    @pytest.mark.parametrize(
+        "line", ["dz = 0.025", "bin_px = 12", "k_mode = tie", "intensity_floor = 0.01"]
+    )
+    def test_unread_run_key_exits_2(self, tmp_path, capsys, line):
+        path = self.write(tmp_path, line + "\n")
+        code = main(["target", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_value_rejected(self, tmp_path):
         path = self.write(tmp_path, "eta0 = loud\n")
@@ -101,7 +112,7 @@ class TestExitCodes:
         )
         assert code == EXIT_IO
 
-    def write_manifest(self, tmp_path, **changes):
+    def write_manifest(self, tmp_path, files=None, **changes):
         frames = tmp_path / "frames"
         frames.mkdir()
         config = {
@@ -119,13 +130,16 @@ class TestExitCodes:
             "frames": 1,
         }
         config.update(changes)
-        manifest = {"master_seed": 0, "config": config, "files": {}}
+        manifest = {"master_seed": 0, "config": config, "files": files or {}}
         (frames / "manifest.json").write_text(json.dumps(manifest))
         return frames
 
     def test_corrupt_field_file_exits_3(self, tmp_path):
-        frames = self.write_manifest(tmp_path)
-        (frames / "calib_mean_signal.qpf").write_bytes(b"JUNKDATA")
+        # the manifest lists the junk file's checksum, so the parser rejects it
+        junk = b"JUNKDATA"
+        files = {"calib_mean_signal.qpf": hashlib.sha256(junk).hexdigest()}
+        frames = self.write_manifest(tmp_path, files=files)
+        (frames / "calib_mean_signal.qpf").write_bytes(junk)
         code = main(["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
 
@@ -277,3 +291,50 @@ def test_bad_frame_count_exits_2(tmp_path, argv):
     out = tmp_path / "o"
     assert exit_code(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_retrieve_takes_no_config_flag(frame_set, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eta0 = 0.5\n")
+    argv = ["retrieve", "--frames", str(frame_set), "--config", str(cfg)]
+    argv += ["--out", str(tmp_path / "o")]
+    assert exit_code(argv) == EXIT_CONFIG
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def copy_frame_set(frame_set, tmp_path):
+    frames = tmp_path / "frames"
+    shutil.copytree(frame_set, frames)
+    return frames
+
+
+def test_changed_frame_byte_exits_3(frame_set, tmp_path, capsys):
+    frames = copy_frame_set(frame_set, tmp_path)
+    path = frames / "dz0.025_f0000_p_s.qpf"
+    raw = bytearray(path.read_bytes())
+    raw[qpf._HEADER.size + 8 * 1000 + 7] ^= 0x01  # one bit of one pixel's value
+    path.write_bytes(bytes(raw))
+    assert qpf.read_qpf(path).values.shape == (220, 220)  # still a well-formed QPF1
+    argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) == EXIT_IO
+    assert "dz0.025_f0000_p_s.qpf: SHA-256 does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["calib_mean_idler.qpf", "dz0.025_f0000_m_i.qpf"])
+def test_file_missing_from_manifest_exits_3(frame_set, tmp_path, capsys, entry):
+    frames = copy_frame_set(frame_set, tmp_path)
+    manifest = json.loads((frames / "manifest.json").read_text())
+    del manifest["files"][entry]
+    (frames / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) == EXIT_IO
+    assert f"{entry} is not listed in the manifest" in capsys.readouterr().err
+
+
+def test_manifest_files_not_a_mapping_exits_3(frame_set, tmp_path):
+    frames = copy_frame_set(frame_set, tmp_path)
+    manifest = json.loads((frames / "manifest.json").read_text())
+    manifest["files"] = sorted(manifest["files"])
+    (frames / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) == EXIT_IO

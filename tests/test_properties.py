@@ -1,9 +1,11 @@
-"""Property tests of model invariants: binning sums, QPF1 round trips and
-the Dirichlet solver / Laplacian pair.
+"""Property tests of model invariants: binning sums, QPF1 round trips,
+the Dirichlet solver / Laplacian pair and the sampler's count transport.
 
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and quick.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from twinphase.core import MIN_GRID, ScalarField2D
 from twinphase.qpf import read_qpf, write_qpf
 from twinphase.retrieval import laplacian_dirichlet, poisson_solve_dirichlet
-from twinphase.twinbeam import bin_counts
+from twinphase.twinbeam import _scatter_shift, _shift_axis, _shift_cdf, bin_counts
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -69,3 +71,84 @@ def test_laplacian_inverts_poisson_solve(h, w, pitch, seed):
     interior = f[1:-1, 1:-1]
     assert np.abs(back[1:-1, 1:-1] - interior).max() <= 1e-9 * np.abs(interior).max()
     assert not back[[0, -1], :].any() and not back[:, [0, -1]].any()
+
+
+def draw_transport(data, seed, reach):
+    """Counts, a per-pixel shift map and a kernel width for _shift_axis.
+
+    The map draws its values from a few levels (0.0 and -0.0 among them)
+    or from a continuum, so tables have few or as many entries as pixels.
+    """
+    h = data.draw(st.integers(1, 12), label="height")
+    w = data.draw(st.integers(1, 12), label="width")
+    s = data.draw(st.sampled_from([0.0, 0.05, 0.7, 2.5]), label="s")
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(30.0, size=(h, w))
+    if data.draw(st.booleans(), label="few levels"):
+        levels = np.concatenate([[0.0, -0.0], rng.uniform(-reach, reach, 3)])
+        shift = rng.choice(levels, size=(h, w))
+    else:
+        shift = rng.uniform(-reach, reach, size=(h, w))
+    return counts, shift, s
+
+
+def shift_axis_expectation_oracle(counts, shift, s, axis):
+    """_shift_axis(counts, shift, s, axis, None) with every kernel table
+    evaluated on the full per-pixel grid, one value per pixel."""
+    d = np.asarray(shift, dtype=float)
+    jmin = int(math.floor(float(d.min()) - 6.0 * s))
+    jmax = int(math.ceil(float(d.max()) + 6.0 * s))
+    out = np.zeros(counts.shape)
+    rem = np.array(counts, dtype=float)
+    rem_w = np.ones(d.shape)
+    spill = 0
+    cdf_prev = _shift_cdf(jmin - d, s)
+    for j in range(jmin, jmax + 1):
+        cdf_next = _shift_cdf(j + 1 - d, s)
+        prob = cdf_next - cdf_prev
+        cdf_prev = cdf_next
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.clip(np.where(rem_w > 0, prob / np.maximum(rem_w, 1e-300), 0.0), 0.0, 1.0)
+        take = rem * p
+        rem -= take
+        rem_w = np.maximum(rem_w - prob, 0.0)
+        spill += _scatter_shift(out, take, j, axis)
+    return out, spill + float(np.sum(rem))
+
+
+@PROPERTY
+@given(data=st.data(), seed=SEEDS, axis=st.sampled_from([0, 1]))
+def test_shift_axis_conserves_photons_with_spill(data, seed, axis):
+    # shifts up to twice the largest grid side, so photons also leave it
+    counts, shift, s = draw_transport(data, seed, reach=24.0)
+    for sh in (shift, float(shift.flat[0])):
+        out, spill = _shift_axis(counts, sh, s, axis, np.random.default_rng(seed))
+        assert out.dtype == counts.dtype and (out >= 0).all() and spill >= 0
+        assert out.sum() + spill == counts.sum()
+
+
+@PROPERTY
+@given(data=st.data(), seed=SEEDS, axis=st.sampled_from([0, 1]))
+def test_constant_shift_map_matches_scalar_shift(data, seed, axis):
+    counts, shift, s = draw_transport(data, seed, reach=3.0)
+    c = float(shift.flat[0])
+    uniform = np.full(counts.shape, c)
+    (out_c, spill_c), (out_u, spill_u) = (
+        _shift_axis(counts, sh, s, axis, np.random.default_rng(seed)) for sh in (c, uniform)
+    )
+    assert np.array_equal(out_c, out_u) and spill_c == spill_u
+    (mean_c, spill_c), (mean_u, spill_u) = (
+        _shift_axis(counts, sh, s, axis, None) for sh in (c, uniform)
+    )
+    assert np.array_equal(mean_c.view(np.uint64), mean_u.view(np.uint64))
+    assert spill_c == spill_u
+
+
+@PROPERTY
+@given(data=st.data(), seed=SEEDS, axis=st.sampled_from([0, 1]))
+def test_shift_axis_expectation_matches_per_pixel_tables(data, seed, axis):
+    counts, shift, s = draw_transport(data, seed, reach=3.0)
+    mean, spill = _shift_axis(counts, shift, s, axis, None)
+    want, want_spill = shift_axis_expectation_oracle(counts, shift, s, axis)
+    assert np.array_equal(mean.view(np.uint64), want.view(np.uint64))
+    assert spill == want_spill
