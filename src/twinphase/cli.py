@@ -257,14 +257,12 @@ def cmd_simulate(args):
 
 def _read_manifest(frames_dir):
     """The manifest of a frame set; OSError when it is missing, corrupt or
-    lacks a configuration key or the file checksums."""
+    lacks a configuration key."""
     path = os.path.join(frames_dir, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         missing = {*_OPTICAL_KEYS, *_TWIN_KEYS} - set(manifest["config"])
-        if not isinstance(manifest["files"], dict):
-            raise TypeError("`files` is not a mapping")
     except OSError as exc:
         raise OSError(f"missing manifest in {frames_dir}: {exc}")
     except (ValueError, LookupError, TypeError) as exc:
@@ -288,16 +286,8 @@ def cmd_retrieve(args):
     if dz not in dz_list:
         raise ConfigError(f"dz = {dz} not present in frame set {dz_list}")
 
-    checksums = manifest["files"]
-
-    def read(name):
-        """A field of the frame set, checked against its manifest checksum."""
-        if name not in checksums:
-            raise OSError(f"{name} is not listed in the manifest of {args.frames}")
-        return qpf.read_qpf(os.path.join(args.frames, name), sha256=checksums[name])
-
-    calib_s = read("calib_mean_signal.qpf")
-    calib_i = read("calib_mean_idler.qpf")
+    calib_s = qpf.read_qpf(os.path.join(args.frames, "calib_mean_signal.qpf"))
+    calib_i = qpf.read_qpf(os.path.join(args.frames, "calib_mean_idler.qpf"))
     config = retrieval.RetrievalConfig(
         dz=dz,
         wavenumber=sys_cfg.wavenumber,
@@ -313,9 +303,10 @@ def cmd_retrieve(args):
     outputs = []
 
     def load(frame, tag, arm):
-        return read(f"dz{fmt(dz)}_f{frame:04d}_{tag}_{arm}.qpf")
+        stem = f"dz{fmt(dz)}_f{frame:04d}_{tag}_{arm}.qpf"
+        return qpf.read_qpf(os.path.join(args.frames, stem))
 
-    sums = {}  # per tag, the sum of the signal counts over frames
+    sum_m = sum_0 = sum_p = None
     tag_dz = {"m": -dz, "0": 0.0, "p": +dz}
     phase_rows = []
     for frame in range(n_frames):
@@ -333,11 +324,14 @@ def cmd_retrieve(args):
         qpf.write_qpf(out_path, phase.values)
         outputs.append(out_path)
         phase_rows.append((frame, phase.k_value, phase.provenance))
-        for tag, f in tf.items():
-            if tag in sums:
-                sums[tag] += f.n_s.values
-            else:
-                sums[tag] = f.n_s.values.copy()
+        if sum_m is None:
+            sum_m = tf["m"].n_s.values.copy()
+            sum_0 = tf["0"].n_s.values.copy()
+            sum_p = tf["p"].n_s.values.copy()
+        else:
+            sum_m += tf["m"].n_s.values
+            sum_0 += tf["0"].n_s.values
+            sum_p += tf["p"].n_s.values
         tau_est = retrieval.estimate_transmittance(tf["0"].n_s, tf["0"].n_i, config)
         if frame == 0:
             tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
@@ -348,7 +342,9 @@ def cmd_retrieve(args):
     grid = calib_s
     avg_cfg = replace(config, k_mode="classical")
     avg_phase = retrieval.phase_from_counts(
-        *(grid.with_values(sums[tag] / n_frames) for tag in ("m", "0", "p")),
+        grid.with_values(sum_m / n_frames),
+        grid.with_values(sum_0 / n_frames),
+        grid.with_values(sum_p / n_frames),
         avg_cfg,
         provenance="reference",
     )

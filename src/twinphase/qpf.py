@@ -8,7 +8,6 @@ with integral values.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from pathlib import Path
 
@@ -31,11 +30,8 @@ def write_qpf(path, f: ScalarField2D) -> None:
     path.write_bytes(header + body)
 
 
-def read_qpf(path, sha256=None) -> ScalarField2D:
-    """Read a QPF1 file; with ``sha256`` set, its bytes must have that digest."""
+def read_qpf(path) -> ScalarField2D:
     raw = Path(path).read_bytes()
-    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
-        raise QpfFormatError(f"{path}: SHA-256 does not match the recorded checksum")
     if len(raw) < _HEADER.size:
         raise QpfFormatError(f"{path}: truncated header")
     magic, width, height, pitch = _HEADER.unpack_from(raw)

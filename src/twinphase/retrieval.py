@@ -5,7 +5,6 @@ solver with spectral Dirichlet Poisson solves.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -174,15 +173,13 @@ def laplacian_dirichlet(u: ScalarField2D) -> ScalarField2D:
     return u.with_values(out)
 
 
-# One entry: consecutive solves share a grid, and old grids' bases are let go.
-@functools.lru_cache(maxsize=1)
 def _trig_bases(n: int, length: float):
     """Interior sine / cosine bases on an n-point grid of extent ``length``.
 
     Returns (wavenumbers, S, C, Cw) where S[j, m] = sin(k_m x_j),
     C[j, m] = cos(k_m x_j) and Cw is C at half weight on the two boundary
     nodes (cosine projections), for the n - 2 interior Dirichlet modes
-    k_m = m pi / length.  They are cached and shared, so read-only.
+    k_m = m pi / length.
     """
     m = np.arange(1, n - 1)
     k = m * math.pi / length
@@ -190,10 +187,7 @@ def _trig_bases(n: int, length: float):
     c = np.cos(theta)
     cw = c.copy()
     cw[[0, -1]] *= 0.5
-    bases = k, np.sin(theta), c, cw
-    for array in bases:
-        array.flags.writeable = False
-    return bases
+    return k, np.sin(theta), c, cw
 
 
 def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.ndarray:
@@ -205,8 +199,9 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
     """
     h, w = psi.shape
     ly, lx = (h - 1) * pitch, (w - 1) * pitch
-    ky, sy, cy, cyw = _trig_bases(h, ly)
-    kx, sx, cx, cxw = _trig_bases(w, lx)
+    ky, sy, cy, cyw = bases = _trig_bases(h, ly)
+    # a square grid has one basis for both axes
+    kx, sx, cx, cxw = bases if (w, lx) == (h, ly) else _trig_bases(w, lx)
 
     norm = 4.0 / ((h - 1) * (w - 1))
     coeffs = norm * (sy.T @ psi @ sx)

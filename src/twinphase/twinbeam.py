@@ -209,6 +209,7 @@ def _shift_axis(counts, shift, s, axis, rng):
     a scalar shift is a one-entry table.
     """
     d, inv = np.unique(np.asarray(shift, dtype=float), return_inverse=True)
+    inv = inv.reshape(np.shape(shift))  # NumPy < 2 returns it flattened
     jmin = int(math.floor(float(d[0]) - 6.0 * s))
     jmax = int(math.ceil(float(d[-1]) + 6.0 * s))
 

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-import shutil
 
 import numpy as np
 import pytest
@@ -112,7 +111,7 @@ class TestExitCodes:
         )
         assert code == EXIT_IO
 
-    def write_manifest(self, tmp_path, files=None, **changes):
+    def write_manifest(self, tmp_path, **changes):
         frames = tmp_path / "frames"
         frames.mkdir()
         config = {
@@ -130,16 +129,13 @@ class TestExitCodes:
             "frames": 1,
         }
         config.update(changes)
-        manifest = {"master_seed": 0, "config": config, "files": files or {}}
+        manifest = {"master_seed": 0, "config": config, "files": {}}
         (frames / "manifest.json").write_text(json.dumps(manifest))
         return frames
 
     def test_corrupt_field_file_exits_3(self, tmp_path):
-        # the manifest lists the junk file's checksum, so the parser rejects it
-        junk = b"JUNKDATA"
-        files = {"calib_mean_signal.qpf": hashlib.sha256(junk).hexdigest()}
-        frames = self.write_manifest(tmp_path, files=files)
-        (frames / "calib_mean_signal.qpf").write_bytes(junk)
+        frames = self.write_manifest(tmp_path)
+        (frames / "calib_mean_signal.qpf").write_bytes(b"JUNKDATA")
         code = main(["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
 
@@ -300,41 +296,3 @@ def test_retrieve_takes_no_config_flag(frame_set, tmp_path, capsys):
     argv += ["--out", str(tmp_path / "o")]
     assert exit_code(argv) == EXIT_CONFIG
     assert "unrecognized arguments: --config" in capsys.readouterr().err
-
-
-def copy_frame_set(frame_set, tmp_path):
-    frames = tmp_path / "frames"
-    shutil.copytree(frame_set, frames)
-    return frames
-
-
-def test_changed_frame_byte_exits_3(frame_set, tmp_path, capsys):
-    frames = copy_frame_set(frame_set, tmp_path)
-    path = frames / "dz0.025_f0000_p_s.qpf"
-    raw = bytearray(path.read_bytes())
-    raw[qpf._HEADER.size + 8 * 1000 + 7] ^= 0x01  # one bit of one pixel's value
-    path.write_bytes(bytes(raw))
-    assert qpf.read_qpf(path).values.shape == (220, 220)  # still a well-formed QPF1
-    argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
-    assert exit_code(argv) == EXIT_IO
-    assert "dz0.025_f0000_p_s.qpf: SHA-256 does not match" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("entry", ["calib_mean_idler.qpf", "dz0.025_f0000_m_i.qpf"])
-def test_file_missing_from_manifest_exits_3(frame_set, tmp_path, capsys, entry):
-    frames = copy_frame_set(frame_set, tmp_path)
-    manifest = json.loads((frames / "manifest.json").read_text())
-    del manifest["files"][entry]
-    (frames / "manifest.json").write_text(json.dumps(manifest))
-    argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
-    assert exit_code(argv) == EXIT_IO
-    assert f"{entry} is not listed in the manifest" in capsys.readouterr().err
-
-
-def test_manifest_files_not_a_mapping_exits_3(frame_set, tmp_path):
-    frames = copy_frame_set(frame_set, tmp_path)
-    manifest = json.loads((frames / "manifest.json").read_text())
-    manifest["files"] = sorted(manifest["files"])
-    (frames / "manifest.json").write_text(json.dumps(manifest))
-    argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
-    assert exit_code(argv) == EXIT_IO

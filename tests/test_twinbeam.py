@@ -220,6 +220,30 @@ class TestExpectedCounts:
         assert not mean_s.values.any() and not mean_i.values.any()
 
 
+def test_defocused_object_with_a_flat_unique_inverse(monkeypatch):
+    # NumPy < 2 returns np.unique's inverse flattened, not in the input's shape
+    sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=200.0)
+    obj = generate_test_target(220, 220, sys_.object_pixel)
+
+    def draw():
+        frame = sample_twin_frame(obj, sys_, twin, 0.0125, RngStream(5, 2))
+        mean_s, mean_i = expected_counts(obj, sys_, twin, 0.0125)
+        return frame.n_s.values, frame.n_i.values, mean_s.values, mean_i.values
+
+    want = draw()
+    unique, flattened = np.unique, []
+
+    def flat_unique(a, **kwargs):
+        d, inv = unique(a, **kwargs)
+        flattened.append(inv.ndim > 1)
+        return d, inv.ravel()
+
+    monkeypatch.setattr(np, "unique", flat_unique)
+    got = draw()
+    assert any(flattened)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def use_threads(monkeypatch, threads, cpus=4):
     """Let sample_frames see ``cpus`` CPUs and cap it at ``threads``."""
     monkeypatch.setattr(
