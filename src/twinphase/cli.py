@@ -66,6 +66,9 @@ _TWIN_KEYS = {
     "beam_profile": str,
 }
 _RUN_KEYS = {"grid_size": int}
+# Grid side of `target` and `simulate` when the config sets no grid_size,
+# and of every scan.
+GRID_SIZE = 220
 
 
 class NumericalError(RuntimeError):
@@ -197,7 +200,7 @@ def _parse_dz_list(text):
 
 def cmd_target(args):
     sys_cfg, twin_cfg, run = _load_configs(args)
-    size = args.size or run.get("grid_size", 220)
+    size = args.size or run.get("grid_size", GRID_SIZE)
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
     if args.pure_phase:
@@ -217,7 +220,7 @@ def cmd_target(args):
 
 def cmd_simulate(args):
     sys_cfg, twin_cfg, run = _load_configs(args)
-    size = run.get("grid_size", 220)
+    size = run.get("grid_size", GRID_SIZE)
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
     dz_list = _parse_dz_list(args.dz)
@@ -290,53 +293,48 @@ def cmd_retrieve(args):
     calib_i = qpf.read_qpf(os.path.join(args.frames, "calib_mean_idler.qpf"))
     config = retrieval.RetrievalConfig(
         dz=dz,
-        wavenumber=sys_cfg.wavenumber,
         k_mode=args.k_mode,
         bin_px=args.bin,
         reference_mean=calib_s,
         reference_mean_idler=calib_i,
-        eta0=twin_cfg.eta0,
-        epsilon=twin_cfg.epsilon,
-        l_cff=twin_cfg.l_cff,
+        sys=sys_cfg,
+        twin=twin_cfg,
     )
     os.makedirs(args.out, exist_ok=True)
     outputs = []
 
-    def load(frame, tag, arm):
-        stem = f"dz{fmt(dz)}_f{frame:04d}_{tag}_{arm}.qpf"
-        return qpf.read_qpf(os.path.join(args.frames, stem))
-
-    sum_m = sum_0 = sum_p = None
     tag_dz = {"m": -dz, "0": 0.0, "p": +dz}
+
+    def load(frame, tag):
+        stem = os.path.join(args.frames, f"dz{fmt(dz)}_f{frame:04d}_{tag}")
+        n_s, n_i = (qpf.read_qpf(f"{stem}_{arm}.qpf") for arm in ("s", "i"))
+        try:
+            return twinbeam.TwinBeamFrame(n_s, n_i, dz=tag_dz[tag], stream_index=frame)
+        except ValueError as exc:
+            # counts that are not non-negative integers, or arms on
+            # different grids: the frame files are corrupt
+            raise OSError(f"{stem}_s.qpf, {stem}_i.qpf: {exc}")
+
     phase_rows = []
     for frame in range(n_frames):
-        tf = {
-            tag: twinbeam.TwinBeamFrame(
-                n_s=load(frame, tag, "s"),
-                n_i=load(frame, tag, "i"),
-                dz=tag_dz[tag],
-                stream_index=frame,
-            )
-            for tag in ("m", "0", "p")
-        }
+        tf = {tag: load(frame, tag) for tag in ("m", "0", "p")}
         phase = retrieval.phase_from_twin_frames(tf["m"], tf["0"], tf["p"], config)
         out_path = os.path.join(args.out, f"phase_f{frame:04d}.qpf")
         qpf.write_qpf(out_path, phase.values)
         outputs.append(out_path)
         phase_rows.append((frame, phase.k_value, phase.provenance))
-        if sum_m is None:
+        if frame == 0:
             sum_m = tf["m"].n_s.values.copy()
             sum_0 = tf["0"].n_s.values.copy()
             sum_p = tf["p"].n_s.values.copy()
+            tau_est = retrieval.estimate_transmittance(tf["0"].n_s, tf["0"].n_i, config)
+            tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
+            qpf.write_qpf(tau_path, tau_est.tau)
+            outputs.append(tau_path)
         else:
             sum_m += tf["m"].n_s.values
             sum_0 += tf["0"].n_s.values
             sum_p += tf["p"].n_s.values
-        tau_est = retrieval.estimate_transmittance(tf["0"].n_s, tf["0"].n_i, config)
-        if frame == 0:
-            tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
-            qpf.write_qpf(tau_path, tau_est.tau)
-            outputs.append(tau_path)
 
     # all-frame averaged classical reference reconstruction
     grid = calib_s
@@ -378,9 +376,9 @@ def cmd_retrieve(args):
 def _scan_nrf(args, sys_cfg, twin_cfg):
     if args.frames < 2:
         raise ConfigError("scan nrf needs --frames >= 2 (a variance over frames)")
-    pitch = sys_cfg.object_pixel
-    size = 220
-    grid = ScalarField2D(size, size, pitch, np.zeros((size, size)))
+    grid = ScalarField2D(
+        GRID_SIZE, GRID_SIZE, sys_cfg.object_pixel, np.zeros((GRID_SIZE, GRID_SIZE))
+    )
     frames = list(
         twinbeam.sample_frames(
             None, sys_cfg, twin_cfg, [0.0] * args.frames, RngStream(args.seed), grid=grid
@@ -404,8 +402,7 @@ def _scan_nrf(args, sys_cfg, twin_cfg):
 def _scan_advantage(args, sys_cfg, twin_cfg):
     if args.frames < 1:
         raise ConfigError("scan advantage needs --frames >= 1")
-    pitch = sys_cfg.object_pixel
-    obj = generate_test_target(220, 220, pitch)
+    obj = generate_test_target(GRID_SIZE, GRID_SIZE, sys_cfg.object_pixel)
     dz_list = _parse_dz_list(args.dz)
     mean_s, mean_i = twinbeam.expected_counts(None, sys_cfg, twin_cfg, 0.0, grid=obj.tau)
     rows = []
@@ -419,15 +416,13 @@ def _scan_advantage(args, sys_cfg, twin_cfg):
             for bin_px in (1, 3):
                 config = retrieval.RetrievalConfig(
                     dz=dz,
-                    wavenumber=sys_cfg.wavenumber,
                     bin_px=bin_px,
                     reference_mean=mean_s,
                     reference_mean_idler=mean_i,
-                    eta0=twin_cfg.eta0,
-                    epsilon=twin_cfg.epsilon,
-                    l_cff=twin_cfg.l_cff,
+                    sys=sys_cfg,
+                    twin=twin_cfg,
                 )
-                phi_ref = metrics.reference_phase(obj, sys_cfg, twin_cfg, config)
+                phi_ref = metrics.reference_phase(obj, config)
                 for mode in ("tie", "tau"):
                     adv = metrics.quantum_advantage(
                         triples, replace(config, k_mode=mode), phi_ref
@@ -448,7 +443,7 @@ def _scan_advantage(args, sys_cfg, twin_cfg):
 
 def _scan_resolution(args, sys_cfg, twin_cfg):
     pitch = sys_cfg.object_pixel
-    target = generate_edge_target(220, 220, pitch)
+    target = generate_edge_target(GRID_SIZE, GRID_SIZE, pitch)
     dz_list = _parse_dz_list(args.dz)
     rows_raw = metrics.resolution_scan(
         target,
@@ -473,8 +468,8 @@ def _scan_noise(args, sys_cfg, twin_cfg):
     l_values = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
     rows = metrics.noise_suppression_scan(
         l_values,
-        220,
-        220,
+        GRID_SIZE,
+        GRID_SIZE,
         pitch,
         dz=0.025,
         i0=twin_cfg.mean_photons_per_pixel,
@@ -487,7 +482,12 @@ def _scan_noise(args, sys_cfg, twin_cfg):
 
 
 def cmd_scan(args):
-    sys_cfg, twin_cfg, _ = _load_configs(args)
+    sys_cfg, twin_cfg, run = _load_configs(args)
+    if run:
+        raise ConfigError(
+            f"scan does not read `{'`, `'.join(sorted(run))}`: "
+            f"every scan runs on a {GRID_SIZE}x{GRID_SIZE} grid"
+        )
     runner = {
         "nrf": _scan_nrf,
         "advantage": _scan_advantage,
@@ -528,9 +528,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", default=None, help="flat key=value config file")
+    def common(p):
+        p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=_unsigned, default=0, help="master seed (u64)")
         p.add_argument("--out", default="out", help="output directory")
 
@@ -547,7 +546,8 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("retrieve", help="reconstruct phase and transmittance")
-    common(p, config=False)  # the configuration comes from the frame set's manifest
+    # the configuration and the seed come from the frame set's manifest
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--frames", dest="frames", required=True, help="simulate output dir")
     p.add_argument("--dz", type=float, default=None, help="defocus to retrieve, mm")
     p.add_argument("--bin", type=int, default=1, help="binning in pixels")

@@ -39,9 +39,7 @@ class AdvantageResult:
     d_factor: float
     n_frames: int
     ratio_stderr: float = float("nan")
-    reference_converged: bool = True
     c_quant_frames: tuple = ()
-    c_clas_frames: tuple = ()
 
     def __post_init__(self):
         for c in (self.c_quant, self.c_clas):
@@ -59,7 +57,6 @@ class ESFFit:
     w: float
     w_ci: tuple  # 95% interval [w_sub, w_sup]
     r_phase: float  # 2 sqrt(2 ln 2) w
-    se_r: float
     ok: bool = True
     message: str = ""
 
@@ -124,11 +121,7 @@ def esf_fit(profile, pitch: float = None, x=None) -> ESFFit:
     a, b, x0, w = (float(v) for v in popt)
     se_w = float(math.sqrt(max(pcov[3, 3], 0.0)))
     w_sub, w_sup = w - 1.96 * se_w, w + 1.96 * se_w
-    r_phase = FWHM_FACTOR * w
-    se_r = math.sqrt(2.0 * math.log(2.0)) * (w_sup - w_sub) / 1.96
-    return ESFFit(
-        a=a, b=b, x0=x0, w=w, w_ci=(w_sub, w_sup), r_phase=r_phase, se_r=se_r
-    )
+    return ESFFit(a=a, b=b, x0=x0, w=w, w_ci=(w_sub, w_sup), r_phase=FWHM_FACTOR * w)
 
 
 def _failed_fit(message):
@@ -139,7 +132,6 @@ def _failed_fit(message):
         w=float("nan"),
         w_ci=(float("nan"), float("nan")),
         r_phase=float("nan"),
-        se_r=float("nan"),
         ok=False,
         message=message,
     )
@@ -199,7 +191,6 @@ def quantum_advantage(
     frame_triples,
     config: RetrievalConfig,
     phi_ref: PhaseImage,
-    reference_converged: bool = True,
 ) -> AdvantageResult:
     """Single-frame Pearson-ratio advantage of the configured k over k = 0.
 
@@ -238,26 +229,21 @@ def quantum_advantage(
         c_clas=float(c_c.mean()),
         ratio=ratio,
         dz=config.dz,
-        d_factor=d_factor_for_bin(config.bin_px, pitch, config.l_cff),
+        d_factor=d_factor_for_bin(config.bin_px, pitch, config.twin.l_cff),
         n_frames=n,
         ratio_stderr=stderr,
-        reference_converged=reference_converged,
         c_quant_frames=tuple(float(v) for v in c_q),
-        c_clas_frames=tuple(float(v) for v in c_c),
     )
 
 
-def reference_phase(
-    obj: ObjectSpec,
-    sys: OpticalSystem,
-    twin: TwinBeamConfig,
-    config: RetrievalConfig,
-) -> PhaseImage:
+def reference_phase(obj: ObjectSpec, config: RetrievalConfig) -> PhaseImage:
     """Shot-noise-free reference reconstruction.
 
-    Runs the classical pipeline on the exact expected photon counts,
-    the infinite-frame limit of averaging acquisitions.
+    Runs the classical pipeline on the exact expected photon counts of
+    the configured system, the infinite-frame limit of averaging
+    acquisitions.
     """
+    sys, twin = config.sys, config.twin
     mean_m, _ = expected_counts(obj, sys, twin, -config.dz)
     mean_0, _ = expected_counts(obj, sys, twin, 0.0)
     mean_p, _ = expected_counts(obj, sys, twin, +config.dz)
@@ -300,16 +286,9 @@ def resolution_scan(
         stack = defocus_stack(
             target, ill, dz, sys, mean_photons=twin.mean_photons_per_pixel
         )
+        cfg = RetrievalConfig(dz=dz, sys=sys, twin=twin)
         for bin_px in bin_list:
             bin_px = int(bin_px)
-            cfg = RetrievalConfig(
-                dz=dz,
-                wavenumber=sys.wavenumber,
-                bin_px=1,
-                l_cff=twin.l_cff,
-                eta0=twin.eta0,
-                epsilon=twin.epsilon,
-            )
             xs, vals = _interleaved_edge_samples(
                 stack, cfg, bin_px, edge_row_um, edge_window_um
             )

@@ -45,4 +45,8 @@ def read_qpf(path) -> ScalarField2D:
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(
         height, width
     )
-    return ScalarField2D(width, height, pitch, values)
+    try:
+        return ScalarField2D(width, height, pitch, values)
+    except ValueError as exc:
+        # non-finite values, or a grid no field may have
+        raise QpfFormatError(f"{path}: {exc}")

@@ -12,8 +12,13 @@ from typing import Optional, Union
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .core import MIN_GRID, ConfigError, ScalarField2D
+from .core import MIN_GRID, ConfigError, OpticalSystem, ScalarField2D, TwinBeamConfig
 from .twinbeam import bin_counts, d_factor_for_bin, eta_c, register_idler
+
+
+# Intensities below this fraction of the mean are clamped (TIE) or
+# masked (transmittance) as too dark to divide by.
+INTENSITY_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -24,25 +29,22 @@ class RetrievalConfig:
     "tau" (eta0*eta_c at the working binning), "tie" (eta0), or an
     explicit numeric value.  ``reference_mean`` / ``reference_mean_idler``
     are object-free calibration means of the signal and idler arms at
-    bin_px = 1.
+    bin_px = 1.  ``sys`` and ``twin`` are the configurations the frames
+    were made with: the TIE solve reads the wavenumber, the weights
+    read eta0, epsilon and l_cff.
     """
 
     dz: float  # mm
-    wavenumber: float  # rad / um
     k_mode: Union[str, float] = "classical"
     bin_px: int = 1
-    intensity_floor: float = 1e-3
     reference_mean: Optional[ScalarField2D] = None
     reference_mean_idler: Optional[ScalarField2D] = None
-    eta0: float = 0.7
-    epsilon: float = 0.2
-    l_cff: float = 5.0  # um
+    sys: OpticalSystem = OpticalSystem()
+    twin: TwinBeamConfig = TwinBeamConfig()
 
     def __post_init__(self):
         if not self.dz > 0:
             raise ConfigError("dz must be positive")
-        if not self.intensity_floor > 0:
-            raise ConfigError("intensity_floor must be positive")
         if self.bin_px < 1:
             raise ConfigError("bin_px must be >= 1")
         if self.reference_mean is not None:
@@ -89,11 +91,12 @@ def resolve_k(config: RetrievalConfig, pitch: float) -> float:
     mode = config.k_mode
     if mode == "classical":
         return 0.0
+    twin = config.twin
     if mode == "tau":
-        d = d_factor_for_bin(config.bin_px, pitch, config.l_cff)
-        return k_tau_opt(config.eta0, d, config.epsilon)
+        d = d_factor_for_bin(config.bin_px, pitch, twin.l_cff)
+        return k_tau_opt(twin.eta0, d, twin.epsilon)
     if mode == "tie":
-        return k_tie_opt(config.eta0)
+        return k_tie_opt(twin.eta0)
     return float(mode)
 
 
@@ -134,7 +137,7 @@ def estimate_transmittance(
     mean_i = bin_counts(config.reference_mean_idler, b)
     k = resolve_k(config, n_s_obj.pitch)
     corrected = quantum_correct(s, i, mean_i, k)
-    floor = config.intensity_floor * float(mean_s.values.mean())
+    floor = INTENSITY_FLOOR * float(mean_s.values.mean())
     valid = mean_s.values >= floor
     denom = np.where(valid, mean_s.values, 1.0)
     tau_hat = np.where(valid, corrected.values / denom, 1.0)
@@ -230,7 +233,7 @@ def tie_retrieve(
 
     First Poisson solve: laplacian(psi) = -k_wave * dI/dz.  Second:
     laplacian(phi) = div(grad(psi) / I0) with I0 clamped below at
-    intensity_floor * mean(I0).  Dirichlet (zero-border) conditions on
+    INTENSITY_FLOOR * mean(I0).  Dirichlet (zero-border) conditions on
     both solves, with spectrally consistent gradient and divergence
     operators in the second step.
     """
@@ -241,10 +244,10 @@ def tie_retrieve(
         raise ValueError("i_zero must have positive mean")
     dz_um = config.dz * 1e3
     didz = (i_plus.values - i_minus.values) / (2.0 * dz_um)
-    rhs1 = i_zero.with_values(-config.wavenumber * didz)
+    rhs1 = i_zero.with_values(-config.sys.wavenumber * didz)
     psi = poisson_solve_dirichlet(rhs1)
 
-    floor = config.intensity_floor * mean_i0
+    floor = INTENSITY_FLOOR * mean_i0
     i0 = np.maximum(i_zero.values, floor)
     phi = _teague_second_step(psi.values, i0, i_zero.pitch)
     return PhaseImage(

@@ -56,10 +56,10 @@ class TwinBeamFrame:
 
     def __post_init__(self):
         self.n_s.require_same_grid(self.n_i)
-        for f in (self.n_s, self.n_i):
+        for arm, f in (("signal", self.n_s), ("idler", self.n_i)):
             v = f.values
             if np.any(v < 0) or np.any(v != np.round(v)):
-                raise ValueError("counts must be non-negative integers")
+                raise ValueError(f"{arm} counts must be non-negative integers")
 
 
 @dataclass(frozen=True)

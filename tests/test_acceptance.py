@@ -97,19 +97,6 @@ def calib_means():
     return expected_counts(None, SYS, TWIN, 0.0, grid=grid)
 
 
-def base_config(dz, mean_s, mean_i, **kw):
-    return RetrievalConfig(
-        dz=dz,
-        wavenumber=SYS.wavenumber,
-        reference_mean=mean_s,
-        reference_mean_idler=mean_i,
-        eta0=TWIN.eta0,
-        epsilon=TWIN.epsilon,
-        l_cff=TWIN.l_cff,
-        **kw,
-    )
-
-
 def test_criterion_01_nrf_curve(nrf_curve):
     """Measured NRF(D) matches the closed-form model within 0.03; the
     D = 3.9 point lies at 0.45 +- 0.05."""
@@ -198,7 +185,7 @@ def test_criterion_05_tie_correctness():
     ill = uniform_illumination(n, n, PITCH)
     dz = 0.0125
     stack = defocus_stack(obj_bump, ill, dz, SYS, mean_photons=600.0)
-    cfg = RetrievalConfig(dz=dz, wavenumber=SYS.wavenumber)
+    cfg = RetrievalConfig(dz=dz, sys=SYS)
     phi = phase_from_counts(stack.i_minus, stack.i_zero, stack.i_plus, cfg)
     c = pearson(phi.values, phi_true)
     peak_err = abs(float(phi.values.values.max()) - 0.3) / 0.3
@@ -221,7 +208,9 @@ def test_criterion_06_step_heights():
     dz = 0.025
     [(fm, f0, fp)] = sample_triples(obj, SYS, hi, [dz], 1, RngStream(777))
     mean_s, mean_i = expected_counts(None, SYS, hi, 0.0, grid=obj.tau)
-    cfg = base_config(dz, mean_s, mean_i)
+    cfg = RetrievalConfig(
+        dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=SYS, twin=hi
+    )
     phase = phase_from_twin_frames(fm, f0, fp, cfg)
     steps = step_heights(phase.values)
 
@@ -265,7 +254,15 @@ def test_criterion_07_amplitude_advantage(object_triples, calib_means):
     """
     obj, dz, triples = object_triples
     mean_s, mean_i = calib_means
-    cfg_q = base_config(dz, mean_s, mean_i, bin_px=12, k_mode="tau")
+    cfg_q = RetrievalConfig(
+        dz=dz,
+        k_mode="tau",
+        bin_px=12,
+        reference_mean=mean_s,
+        reference_mean_idler=mean_i,
+        sys=SYS,
+        twin=TWIN,
+    )
     cfg_c = replace(cfg_q, k_mode="classical")
     taus_q, taus_c = [], []
     for _, f0, _ in triples:
@@ -298,8 +295,15 @@ def test_criterion_08_phase_advantage(object_triples, calib_means):
     ok = True
     tie_ratio_d032 = None
     for bin_px in (1, 3):
-        cfg = base_config(dz, mean_s, mean_i, bin_px=bin_px)
-        phi_ref = reference_phase(obj, SYS, TWIN, cfg)
+        cfg = RetrievalConfig(
+            dz=dz,
+            bin_px=bin_px,
+            reference_mean=mean_s,
+            reference_mean_idler=mean_i,
+            sys=SYS,
+            twin=TWIN,
+        )
+        phi_ref = reference_phase(obj, cfg)
         adv_tie = quantum_advantage(triples, replace(cfg, k_mode="tie"), phi_ref)
         adv_tau = quantum_advantage(triples, replace(cfg, k_mode="tau"), phi_ref)
         diffs = np.array(adv_tie.c_quant_frames) - np.array(adv_tau.c_quant_frames)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -290,9 +291,44 @@ def test_bad_frame_count_exits_2(tmp_path, argv):
 
 
 def test_retrieve_takes_no_config_flag(frame_set, tmp_path, capsys):
+    # the configuration and the seed are the frame set's
     cfg = tmp_path / "run.cfg"
     cfg.write_text("eta0 = 0.5\n")
-    argv = ["retrieve", "--frames", str(frame_set), "--config", str(cfg)]
-    argv += ["--out", str(tmp_path / "o")]
+    for flag, value in (("--config", str(cfg)), ("--seed", "99")):
+        argv = ["retrieve", "--frames", str(frame_set), flag, value]
+        assert exit_code(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scan", ["nrf", "advantage", "resolution", "noise"])
+def test_scan_rejects_grid_size(tmp_path, capsys, scan):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_size = 300\n")
+    out = tmp_path / "o"
+    argv = ["scan", scan, "--config", str(cfg), "--frames", "2", "--out", str(out)]
     assert exit_code(argv) == EXIT_CONFIG
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert "grid_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("dz0.025_f0000_0_s.qpf", float("nan")),
+        ("dz0.025_f0000_p_s.qpf", 0.5),
+        ("dz0.025_f0000_m_s.qpf", -3.0),
+        ("calib_mean_signal.qpf", float("inf")),
+    ],
+    ids=["nan", "fraction", "negative", "inf_calibration"],
+)
+def test_bad_value_in_field_file_exits_3(frame_set, tmp_path, capsys, name, value):
+    frames = tmp_path / "frames"
+    shutil.copytree(frame_set, frames)
+    raw = (frames / name).read_bytes()
+    values = np.frombuffer(raw, dtype="<f8", offset=20).copy()
+    values[values.size // 2] = value
+    (frames / name).write_bytes(raw[:20] + values.tobytes())
+    argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) == EXIT_IO
+    assert name in capsys.readouterr().err

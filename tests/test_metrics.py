@@ -165,10 +165,11 @@ class TestQuantumAdvantage:
             triples.append((fm, f0, fp))
         cfg = RetrievalConfig(
             dz=0.025,
-            wavenumber=sys_.wavenumber,
             k_mode=0.0,
             reference_mean=mean_s,
             reference_mean_idler=mean_i,
+            sys=sys_,
+            twin=twin,
         )
         rng = np.random.default_rng(18)
         ref_vals = ScalarField2D(32, 32, sys_.object_pixel, rng.standard_normal((32, 32)))

@@ -85,21 +85,22 @@ class TestCorrectionWeights:
 
     def test_resolve_k_modes(self):
         pitch = 13.0 / 8.0
-        base = dict(dz=0.025, wavenumber=7.757, eta0=0.7, epsilon=0.2, l_cff=5.0)
+        base = dict(dz=0.025, twin=TwinBeamConfig(l_cff=5.0, eta0=0.7, epsilon=0.2))
         assert resolve_k(RetrievalConfig(k_mode="classical", **base), pitch) == 0.0
         assert resolve_k(RetrievalConfig(k_mode="tie", **base), pitch) == 0.7
         tau_k = resolve_k(RetrievalConfig(k_mode="tau", bin_px=12, **base), pitch)
         assert tau_k == pytest.approx(0.7 * eta_c(3.9, 0.2))
         assert resolve_k(RetrievalConfig(k_mode="0.3", **base), pitch) == 0.3
         assert resolve_k(RetrievalConfig(k_mode=0.45, **base), pitch) == 0.45
+        # the weights follow the twin-beam configuration the config holds
+        dim = RetrievalConfig(dz=0.025, k_mode="tie", twin=TwinBeamConfig(eta0=0.5))
+        assert resolve_k(dim, pitch) == 0.5
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RetrievalConfig(dz=0.0, wavenumber=7.757)
+            RetrievalConfig(dz=0.0)
         with pytest.raises(ValueError):
-            RetrievalConfig(dz=0.025, wavenumber=7.757, bin_px=0)
-        with pytest.raises(ValueError):
-            RetrievalConfig(dz=0.025, wavenumber=7.757, intensity_floor=0.0)
+            RetrievalConfig(dz=0.025, bin_px=0)
 
 
 class TestQuantumCorrect:
@@ -124,21 +125,9 @@ class TestTransmittance:
         self.sys = OpticalSystem()
         self.twin = TwinBeamConfig(mean_photons_per_pixel=600.0)
 
-    def config(self, mean_s, mean_i, **kw):
-        return RetrievalConfig(
-            dz=0.025,
-            wavenumber=self.sys.wavenumber,
-            reference_mean=mean_s,
-            reference_mean_idler=mean_i,
-            eta0=self.twin.eta0,
-            epsilon=self.twin.epsilon,
-            l_cff=self.twin.l_cff,
-            **kw,
-        )
-
     def test_requires_calibration(self):
         f = ScalarField2D(16, 16, 1.0, np.ones((16, 16)))
-        cfg = RetrievalConfig(dz=0.025, wavenumber=self.sys.wavenumber)
+        cfg = RetrievalConfig(dz=0.025)
         with pytest.raises(ValueError, match="calibration"):
             estimate_transmittance(f, f, cfg)
 
@@ -149,7 +138,13 @@ class TestTransmittance:
         obj = generate_test_target(220, 220, self.sys.object_pixel)
         mean_s_obj, _ = expected_counts(obj, self.sys, self.twin, 0.0)
         mean_s, mean_i = expected_counts(None, self.sys, self.twin, 0.0, grid=obj.tau)
-        cfg = self.config(mean_s, mean_i, k_mode="classical")
+        cfg = RetrievalConfig(
+            dz=0.025,
+            reference_mean=mean_s,
+            reference_mean_idler=mean_i,
+            sys=self.sys,
+            twin=self.twin,
+        )
         est = estimate_transmittance(mean_s_obj, mean_i, cfg)
         assert est.k_value == 0.0
         assert np.all(est.valid)
@@ -178,7 +173,7 @@ class TestTie:
         i_zero = ScalarField2D(n, n, pitch, np.full((n, n), i0))
         i_plus = i_zero.with_values(i0 - dz_um * (i0 / sys_.wavenumber) * lap)
         i_minus = i_zero.with_values(i0 + dz_um * (i0 / sys_.wavenumber) * lap)
-        cfg = RetrievalConfig(dz=dz_mm, wavenumber=sys_.wavenumber)
+        cfg = RetrievalConfig(dz=dz_mm, sys=sys_)
         out = tie_retrieve(i_zero, i_plus, i_minus, cfg)
         assert np.abs(out.values.values - mode.values).max() < 1e-10
 
@@ -187,7 +182,7 @@ class TestTie:
 
         a = ScalarField2D(16, 16, 1.0, np.ones((16, 16)))
         b = ScalarField2D(16, 16, 2.0, np.ones((16, 16)))
-        cfg = RetrievalConfig(dz=0.025, wavenumber=7.757)
+        cfg = RetrievalConfig(dz=0.025)
         with pytest.raises(GridError):
             tie_retrieve(a, b, a, cfg)
 
