@@ -23,9 +23,12 @@ from contextlib import closing
 from dataclasses import replace
 
 # QPI_THREADS caps BLAS/FFT worker pools, which must be set before numpy
-# loads, and the frame-sampling threads of twinbeam.sample_frames, which
-# read it when they start.  Frames are independent by stream index, so
-# the output does not depend on the number of threads.
+# loads, and the threads of twinbeam.ordered_map, which read it when they
+# start: those draw the frames of twinbeam.sample_frames and evaluate the
+# Poisson trials of `scan noise`.  Frames are independent by stream index
+# and the trials are drawn in order, so the output does not depend on the
+# number of threads.  Each thread holds one frame's working set, or about
+# 5 MB for a noise trial at 220^2.
 if os.environ.get("QPI_THREADS"):
     _t = os.environ["QPI_THREADS"]
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -454,8 +457,14 @@ def _scan_resolution(args, sys_cfg, twin_cfg):
         edge_row_um=110 * pitch,
         edge_window_um=(40 * pitch, 128 * pitch),
     )
-    if not all(r["ok"] for r in rows_raw):
-        raise NumericalError("edge-spread fit failed at one or more scan points")
+    failed = [r for r in rows_raw if not r["ok"]]
+    if failed:
+        raise NumericalError(
+            "edge-spread fit failed at "
+            + "; ".join(
+                f"dz={r['dz']:g} mm, bin {r['bin_px']}: {r['message']}" for r in failed
+            )
+        )
     rows = [
         (r["dz"], r["d_factor"], r["r_phase_um"], r["se_r_um"]) for r in rows_raw
     ]

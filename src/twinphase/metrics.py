@@ -14,7 +14,7 @@ from scipy.optimize import brentq, curve_fit
 from scipy.special import erf, ndtr
 
 from .core import ObjectSpec, OpticalSystem, ScalarField2D, TwinBeamConfig, target_masks
-from .optics import defocus_stack, imaging_blur, uniform_illumination
+from .optics import defocus_stack, exit_field, imaging_blur, uniform_illumination
 from .retrieval import (
     PhaseImage,
     RetrievalConfig,
@@ -23,7 +23,7 @@ from .retrieval import (
     poisson_solve_dirichlet,
     tie_retrieve,
 )
-from .twinbeam import bin_counts, d_factor_for_bin, expected_counts
+from .twinbeam import bin_counts, d_factor_for_bin, expected_counts, ordered_map
 
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -276,16 +276,17 @@ def resolution_scan(
     pre-sampling blur width below the detector pitch; the reported
     resolution is the FWHM of that fitted Gaussian line spread
     convolved with the bin aperture, so it includes the effective
-    pixel size of the delivered image.  Returns rows of
-    (dz, d_factor, r_phase_um, se_r_um, ok).
+    pixel size of the delivered image.  The exit field is built once
+    and propagated to every dz.  Returns rows of (dz, bin_px, d_factor,
+    r_phase_um, se_r_um, ok, message), where message is the fit's
+    reason for failing ("" when ok).
     """
     rows = []
     pitch = target.phi.pitch
     ill = uniform_illumination(target.phi.width, target.phi.height, pitch)
+    field = exit_field(target, ill, sys)
     for dz in dz_list:
-        stack = defocus_stack(
-            target, ill, dz, sys, mean_photons=twin.mean_photons_per_pixel
-        )
+        stack = defocus_stack(field, dz, sys, mean_photons=twin.mean_photons_per_pixel)
         cfg = RetrievalConfig(dz=dz, sys=sys, twin=twin)
         for bin_px in bin_list:
             bin_px = int(bin_px)
@@ -309,10 +310,12 @@ def resolution_scan(
             rows.append(
                 {
                     "dz": dz,
+                    "bin_px": bin_px,
                     "d_factor": d_factor_for_bin(bin_px, pitch, twin.l_cff),
                     "r_phase_um": r_um,
                     "se_r_um": se_um,
                     "ok": fit.ok,
+                    "message": fit.message,
                 }
             )
     return rows
@@ -395,29 +398,41 @@ def noise_suppression_scan(
     with a Gaussian kernel of FWHM l_cff; retrieve the phase noise of
     the corrected and of the classical noise maps through the TIE
     (uniform-intensity form, k_tie = eta0 = 1) and compare variances.
-    Returns rows of (l_cff_um, suppression_pct).
+    The trials are drawn from ``rng`` in order, l_cff by l_cff, and
+    evaluated on the threads of ``ordered_map``, each trial's maps on
+    one thread.  Returns rows of (l_cff_um, suppression_pct), the mean
+    over each l_cff's ``n_trials`` trials.
     """
+    l_cff_list = tuple(l_cff_list)
     dz_um = dz * 1e3
-    rows = []
+    scale = -wavenumber / (math.sqrt(2.0) * i0 * dz_um)
     gen = rng.generator()
-    for l_cff in l_cff_list:
-        removed = []
-        for _ in range(n_trials):
-            counts = gen.poisson(i0, size=(height, width)).astype(float)
-            sigma = ScalarField2D(width, height, pitch, counts - i0)
-            smeared = imaging_blur(
-                ScalarField2D(width, height, pitch, counts), l_cff
-            )
-            sigma_twin = smeared.values - i0
-            scale = -wavenumber / (math.sqrt(2.0) * i0 * dz_um)
 
-            def phase_var(noise):
-                rhs = ScalarField2D(width, height, pitch, scale * noise)
-                phi = poisson_solve_dirichlet(rhs)
-                return float(phi.values.var())
+    def trials():
+        for l_cff in l_cff_list:
+            for _ in range(n_trials):
+                yield l_cff, gen.poisson(i0, size=(height, width))
 
-            var_clas = phase_var(sigma.values)
-            var_corr = phase_var(sigma.values - sigma_twin)
-            removed.append(100.0 * (1.0 - var_corr / var_clas))
-        rows.append({"l_cff_um": float(l_cff), "suppression_pct": float(np.mean(removed))})
-    return rows
+    def phase_var(noise):
+        rhs = ScalarField2D(width, height, pitch, scale * noise)
+        phi = poisson_solve_dirichlet(rhs)
+        return float(phi.values.var())
+
+    def removed(trial):
+        l_cff, counts = trial
+        counts = counts.astype(float)
+        sigma = counts - i0
+        smeared = imaging_blur(ScalarField2D(width, height, pitch, counts), l_cff)
+        sigma_twin = smeared.values - i0
+        var_clas = phase_var(sigma)
+        var_corr = phase_var(sigma - sigma_twin)
+        return 100.0 * (1.0 - var_corr / var_clas)
+
+    pct = list(ordered_map(removed, trials()))
+    return [
+        {
+            "l_cff_um": float(l_cff),
+            "suppression_pct": float(np.mean(pct[j * n_trials : (j + 1) * n_trials])),
+        }
+        for j, l_cff in enumerate(l_cff_list)
+    ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,47 @@ def fresnel_aliased(wavelength_nm: float, distance_mm: float, pitch: float, n: i
     return lam * abs(distance_mm) * 1e3 > pitch * pitch * n
 
 
+class ExitField(NamedTuple):
+    """The parts of an object's defocus stacks that do not depend on dz."""
+
+    i_zero: ScalarField2D  # blurred in-focus intensity
+    spectrum: np.ndarray  # 2-D FFT of the exit field zero-padded to twice its size
+
+
+def _pad(values: np.ndarray) -> np.ndarray:
+    """``values`` centred in a zero frame of twice its height and width."""
+    h, w = values.shape
+    padded = np.zeros((2 * h, 2 * w), dtype=np.complex128)
+    padded[h // 2 : h // 2 + h, w // 2 : w // 2 + w] = values
+    return padded
+
+
+def _propagate_spectrum(spectrum, shape, pitch, distance, wavelength) -> np.ndarray:
+    """The field of ``shape`` whose padded spectrum is ``spectrum``,
+    propagated by ``distance`` millimeters (see angular_spectrum_propagate).
+
+    The transfer function is built in place, and the inverse transform
+    runs its second axis only on the columns kept by the crop: ``ifft2``
+    transforms the last axis first and each column alone, so the cropped
+    result has the same bits as ``ifft2`` followed by the crop.
+    """
+    lam = wavelength * 1e-3  # nm -> um
+    z = distance * 1e3  # mm -> um
+    h, w = shape
+    ph, pw = spectrum.shape
+    r0, c0 = (ph - h) // 2, (pw - w) // 2
+    fx = np.fft.fftfreq(pw, d=pitch)
+    fy = np.fft.fftfreq(ph, d=pitch)
+    transfer = np.empty((ph, pw), dtype=np.complex128)
+    np.add(fx[np.newaxis, :] ** 2, fy[:, np.newaxis] ** 2, out=transfer)  # |q|^2
+    np.multiply(-1j * math.pi * lam * z, transfer, out=transfer)
+    np.exp(transfer, out=transfer)
+    np.multiply(spectrum, transfer, out=transfer)
+    rows = np.fft.ifft(transfer, axis=-1)
+    del transfer
+    return np.fft.ifft(rows[:, c0 : c0 + w], axis=-2)[r0 : r0 + h]
+
+
 def angular_spectrum_propagate(
     u: ScalarField2D, distance: float, wavelength: float
 ) -> ScalarField2D:
@@ -52,20 +94,10 @@ def angular_spectrum_propagate(
     suppress wrap-around; energy over the padded frame is conserved
     exactly (the transfer function is unitary).
     """
-    lam = wavelength * 1e-3  # nm -> um
-    z = distance * 1e3  # mm -> um
-    h, w = u.values.shape
-    ph, pw = 2 * h, 2 * w
-    padded = np.zeros((ph, pw), dtype=np.complex128)
-    r0, c0 = (ph - h) // 2, (pw - w) // 2
-    padded[r0 : r0 + h, c0 : c0 + w] = u.values
-
-    fx = np.fft.fftfreq(pw, d=u.pitch)
-    fy = np.fft.fftfreq(ph, d=u.pitch)
-    q2 = fx[np.newaxis, :] ** 2 + fy[:, np.newaxis] ** 2
-    transfer = np.exp(-1j * math.pi * lam * z * q2)
-    out = np.fft.ifft2(np.fft.fft2(padded) * transfer)
-    return u.with_values(out[r0 : r0 + h, c0 : c0 + w])
+    spectrum = np.fft.fft2(_pad(u.values))
+    return u.with_values(
+        _propagate_spectrum(spectrum, u.values.shape, u.pitch, distance, wavelength)
+    )
 
 
 def apply_object(u: ScalarField2D, obj: ObjectSpec) -> ScalarField2D:
@@ -98,14 +130,26 @@ def uniform_illumination(width: int, height: int, pitch: float) -> ScalarField2D
     return ScalarField2D(width, height, pitch, np.ones((height, width), dtype=complex))
 
 
+def exit_field(
+    obj: ObjectSpec, illumination: ScalarField2D, sys: OpticalSystem
+) -> ExitField:
+    """The object's exit field under the given illumination, as the
+    blurred in-focus intensity and the padded spectrum that
+    ``defocus_stack`` propagates to each plane."""
+    u0 = apply_object(illumination, obj)
+    return ExitField(
+        i_zero=imaging_blur(u0.intensity(), sys.blur_fwhm),
+        spectrum=np.fft.fft2(_pad(u0.values)),
+    )
+
+
 def defocus_stack(
-    obj: ObjectSpec,
-    illumination: ScalarField2D,
+    field: ExitField,
     dz: float,
     sys: OpticalSystem,
     mean_photons: float = None,
 ) -> IntensityStack:
-    """Three-plane intensity stack of the object under the given illumination.
+    """Three-plane intensity stack of an exit field (see ``exit_field``).
 
     i_zero is the blurred in-focus intensity; i_plus / i_minus are the
     blurred intensities after propagating the exit field by +-dz mm.
@@ -114,23 +158,22 @@ def defocus_stack(
     edge fringes beyond the first zone average out, leaving a defocus
     blur on that transverse scale.  When ``mean_photons`` is given, all
     three planes are rescaled by one common factor so that i_zero
-    averages to it.
+    averages to it.  Each plane equals ``angular_spectrum_propagate``
+    followed by ``imaging_blur``, bit for bit.
     """
     if not dz > 0:
         raise ValueError("dz must be positive")
-    illumination.require_same_grid(obj.tau)
-    u0 = apply_object(illumination, obj)
+    i_zero = field.i_zero
     lam = sys.wavelength * 1e-3  # nm -> um
 
     def plane(z):
-        if z == 0:
-            return imaging_blur(u0.intensity(), sys.blur_fwhm)
-        field = angular_spectrum_propagate(u0, z, sys.wavelength)
+        u = _propagate_spectrum(
+            field.spectrum, i_zero.values.shape, i_zero.pitch, z, sys.wavelength
+        )
         coherence_fwhm = math.sqrt(lam * abs(z) * 1e3)
         fwhm = math.hypot(sys.blur_fwhm, coherence_fwhm)
-        return imaging_blur(field.intensity(), fwhm)
+        return imaging_blur(i_zero.with_values(np.abs(u) ** 2), fwhm)
 
-    i_zero = plane(0.0)
     i_plus = plane(+dz)
     i_minus = plane(-dz)
     if mean_photons is not None:
@@ -139,7 +182,7 @@ def defocus_stack(
         i_plus = i_plus.with_values(i_plus.values * scale)
         i_minus = i_minus.with_values(i_minus.values * scale)
     warn = fresnel_aliased(
-        sys.wavelength, dz, illumination.pitch, 2 * max(obj.tau.width, obj.tau.height)
+        sys.wavelength, dz, i_zero.pitch, 2 * max(i_zero.width, i_zero.height)
     )
     return IntensityStack(
         i_minus=i_minus, i_zero=i_zero, i_plus=i_plus, dz=dz, aliasing_warning=warn

@@ -16,6 +16,7 @@ requested region, so border pixels keep their correlation partners.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -422,7 +423,7 @@ def expected_counts(
 
 
 def _frame_workers() -> int:
-    """Threads that draw frames: the CPUs this process may run on,
+    """Threads of ``ordered_map``: the CPUs this process may run on,
     capped by the QPI_THREADS environment variable when it is set."""
     try:
         workers = len(os.sched_getaffinity(0))
@@ -433,6 +434,97 @@ def _frame_workers() -> int:
     except ValueError:
         pass
     return max(workers, 1)
+
+
+def ordered_map(func, items):
+    """Yield ``func(item)`` for each item of the iterable ``items``, in order.
+
+    The calls run on one thread per CPU this process may use, capped by
+    the QPI_THREADS environment variable.  The calling thread is one of
+    the workers, so one worker starts no thread.  Items are pulled in
+    index order under one lock, so an iterator that draws random numbers
+    draws them in the same order for any thread count; when ``func``'s
+    result depends on its item alone, so does the output.  numpy's random
+    draws, FFTs and ufuncs release the GIL.  No item is pulled more than
+    ``workers`` places beyond the last result yielded, so a slow consumer
+    does not make results pile up; memory therefore grows with the thread
+    count.  An exception raised by ``func`` on item i, or by the iterator
+    while pulling item i, reaches the consumer when it asks for result i.
+    Exhaust or close the generator to stop its threads.
+    """
+    items = iter(items)
+    workers = _frame_workers()
+    cells = []  # per item pulled: [done event, result, exception]
+    lock = threading.Lock()
+    ahead = threading.Semaphore(workers)  # one slot per item pulled, not yet yielded
+    ended = False  # the items ran out or the consumer left
+
+    def run_next():
+        """Pull the next item and run func on it; False when none is left."""
+        nonlocal ended
+        with lock:
+            if ended:
+                return False
+            cell = [threading.Event(), None, None]
+            try:
+                item = next(items)
+            except StopIteration:
+                ended = True
+                return False
+            except Exception as exc:  # raised to the consumer at this index
+                ended = True
+                cell[2] = exc
+            cells.append(cell)
+        if cell[2] is None:
+            try:
+                cell[1] = func(item)
+            except Exception as exc:  # raised to the consumer at this index
+                cell[2] = exc
+        cell[0].set()
+        return True
+
+    def worker():
+        while ahead.acquire() and run_next():
+            pass
+
+    def take(i):
+        """Cell i, run here while it is not ready and a slot is free; None
+        when the items ended before item i."""
+        while not (i < len(cells) and cells[i][0].is_set()):
+            if not ahead.acquire(blocking=False):
+                break
+            run_next()
+        # Cell i is ready, or every slot is held.  Until the items end, only
+        # items pulled and not yet yielded, and the other threads between
+        # their acquire and their pull, hold slots; so item i was pulled or
+        # the items ended.
+        with lock:
+            cell = cells[i] if i < len(cells) else None
+        if cell is not None:
+            cell[0].wait()
+        return cell
+
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        for i in itertools.count():
+            cell = take(i)
+            if cell is None:
+                return
+            cells[i] = None
+            _, result, error = cell
+            if error is not None:
+                raise error
+            ahead.release()
+            yield result
+    finally:
+        with lock:
+            ended = True
+        for thread in threads:
+            ahead.release()
+        for thread in threads:
+            thread.join()
 
 
 def sample_frames(
@@ -446,70 +538,22 @@ def sample_frames(
     """Yield ``sample_twin_frame(obj, sys, twin, dzs[i], base.child(i))``
     for i = 0, 1, ... in order.
 
-    Frames are independent by stream index, so they are drawn on one
-    thread per CPU this process may use, capped by the QPI_THREADS
+    Frames are independent by stream index, so ``ordered_map`` draws them
+    on one thread per CPU this process may use, capped by the QPI_THREADS
     environment variable, and the output does not depend on the thread
-    count.  The calling thread is one of the workers, so one worker
-    starts no thread.  numpy's random draws and ufuncs release the GIL,
-    and each frame owns its own Generator.  No frame is started more
-    than ``workers`` places beyond the last one yielded, so a slow
-    consumer does not make frames pile up; memory therefore grows with
-    the thread count.  An exception raised while drawing frame i
-    reaches the consumer when it asks for frame i.  Exhaust or close
-    the generator to stop its threads.
+    count.  Each frame owns its own Generator.  Each thread holds one
+    frame's working set, and up to one finished frame per thread waits
+    for the consumer.  The same threads, under the same cap, evaluate
+    the Poisson trials of ``metrics.noise_suppression_scan``, about 5 MB
+    per thread at 220².  An exception raised while drawing frame i
+    reaches the consumer when it asks for frame i.  Exhaust or close the
+    generator to stop its threads.
     """
-    dzs = list(dzs)
-    workers = min(_frame_workers(), len(dzs))
-    done = [threading.Event() for _ in dzs]
-    results = [None] * len(dzs)  # (frame, exception)
-    unclaimed = iter(range(len(dzs)))  # frames are claimed in index order
-    lock = threading.Lock()
-    ahead = threading.Semaphore(workers)  # one slot per frame claimed, not yet yielded
-    closed = False
+    def draw(i_dz):
+        i, dz = i_dz
+        return sample_twin_frame(obj, sys, twin, dz, base.child(i), grid=grid)
 
-    def draw_next():
-        """Claim the next frame and draw it; False when none is left."""
-        with lock:
-            i = None if closed else next(unclaimed, None)
-        if i is None:
-            return False
-        try:
-            frame = sample_twin_frame(obj, sys, twin, dzs[i], base.child(i), grid=grid)
-            results[i] = (frame, None)
-        except Exception as exc:  # raised to the consumer at frame i
-            results[i] = (None, exc)
-        done[i].set()
-        return True
-
-    def worker():
-        while ahead.acquire() and draw_next():
-            pass
-
-    def take(i):
-        """Frame i, drawn here while it is not ready and a slot is free."""
-        while not done[i].is_set() and ahead.acquire(blocking=False):
-            draw_next()
-        done[i].wait()
-        frame, error = results[i]
-        results[i] = None
-        if error is not None:
-            raise error
-        ahead.release()
-        return frame
-
-    threads = [threading.Thread(target=worker, daemon=True) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        for i in range(len(dzs)):
-            yield take(i)
-    finally:
-        with lock:
-            closed = True
-        for thread in threads:
-            ahead.release()
-        for thread in threads:
-            thread.join()
+    return ordered_map(draw, enumerate(dzs))
 
 
 def sample_triples(

@@ -35,7 +35,7 @@ from twinphase.metrics import (
     resolution_scan,
     step_heights,
 )
-from twinphase.optics import defocus_stack, uniform_illumination
+from twinphase.optics import defocus_stack, exit_field, uniform_illumination
 from twinphase.retrieval import (
     RetrievalConfig,
     estimate_transmittance,
@@ -184,7 +184,7 @@ def test_criterion_05_tie_correctness():
     obj_bump = ObjectSpec(tau=phi_true.with_values(np.ones((n, n))), phi=phi_true)
     ill = uniform_illumination(n, n, PITCH)
     dz = 0.0125
-    stack = defocus_stack(obj_bump, ill, dz, SYS, mean_photons=600.0)
+    stack = defocus_stack(exit_field(obj_bump, ill, SYS), dz, SYS, mean_photons=600.0)
     cfg = RetrievalConfig(dz=dz, sys=SYS)
     phi = phase_from_counts(stack.i_minus, stack.i_zero, stack.i_plus, cfg)
     c = pearson(phi.values, phi_true)

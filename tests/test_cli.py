@@ -8,10 +8,11 @@ import shutil
 import numpy as np
 import pytest
 
-from twinphase import qpf
+from twinphase import metrics, qpf
 from twinphase.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     fmt,
     main,
@@ -332,3 +333,21 @@ def test_bad_value_in_field_file_exits_3(frame_set, tmp_path, capsys, name, valu
     argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
     assert exit_code(argv) == EXIT_IO
     assert name in capsys.readouterr().err
+
+
+def test_failed_resolution_fit_names_its_point(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_fit = metrics.esf_fit
+
+    def fit_failing_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 6:  # dz 0.025, the second binning (3 px)
+            return metrics._failed_fit("no edge contrast")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "esf_fit", fit_failing_once)
+    code = main(["scan", "resolution", "--dz", "0.0125,0.025", "--out", str(tmp_path / "r")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "dz=0.025 mm, bin 3: no edge contrast" in err
+    assert err.count("bin ") == 1  # only the failing point is named

@@ -4,9 +4,11 @@
 ``simulate --frames 2 --seed 3`` -> ``retrieve --k-mode tie --bin 3``
 and ``retrieve --k-mode tau --bin 3`` on that frame set -> ``scan nrf
 --frames 5 --seed 11`` -> ``scan advantage --frames 2 --dz 0.0125
---seed 5``.  The tau weight reads eta0, epsilon and l_cff from the
-frame set's configuration, and the advantage scan covers the reference
-phase and the scan's retrieval settings.  Criterion 12 compares two runs
+--seed 5`` -> ``scan resolution`` (default dz list) -> ``scan noise
+--seed 7``.  The tau weight reads eta0, epsilon and l_cff from the
+frame set's configuration, the advantage scan covers the reference
+phase and the scan's retrieval settings, and the last two scans cover
+the wave-optics stacks and the Poisson-trial noise maps.  Criterion 12 compares two runs
 of one build with each other; this test compares a run with the
 recorded bytes, so a refactor can show that it changes no output.
 
@@ -34,12 +36,15 @@ def run_pipeline(root):
     """Run the pinned commands under ``root``; return {relative path: sha256}."""
     sim, ret, ret_tau = root / "simulate", root / "retrieve", root / "retrieve_tau"
     scan, adv = root / "scan_nrf", root / "scan_advantage"
+    res, noise = root / "scan_resolution", root / "scan_noise"
     commands = [
         ["simulate", "--frames", "2", "--seed", "3", "--out", str(sim)],
         ["retrieve", "--frames", str(sim), "--k-mode", "tie", "--bin", "3", "--out", str(ret)],
         ["retrieve", "--frames", str(sim), "--k-mode", "tau", "--bin", "3", "--out", str(ret_tau)],
         ["scan", "nrf", "--frames", "5", "--seed", "11", "--out", str(scan)],
         ["scan", "advantage", "--frames", "2", "--dz", "0.0125", "--seed", "5", "--out", str(adv)],
+        ["scan", "resolution", "--out", str(res)],
+        ["scan", "noise", "--seed", "7", "--out", str(noise)],
     ]
     for argv in commands:
         code = cli_main(argv)
@@ -47,7 +52,7 @@ def run_pipeline(root):
             raise RuntimeError(f"{' '.join(argv[:2])} exited {code}")
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for out in (sim, ret, ret_tau, scan, adv)
+        for out in (sim, ret, ret_tau, scan, adv, res, noise)
         for path in sorted(out.iterdir())
         if path.suffix in (".qpf", ".csv")
     }

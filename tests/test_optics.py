@@ -16,6 +16,7 @@ from twinphase.optics import (
     angular_spectrum_propagate,
     apply_object,
     defocus_stack,
+    exit_field,
     fresnel_aliased,
     imaging_blur,
     uniform_illumination,
@@ -123,22 +124,65 @@ class TestDefocusStack:
         from twinphase.core import generate_test_target
 
         obj = generate_test_target(220, 220, 1.625)
-        ill = uniform_illumination(220, 220, 1.625)
-        raw = defocus_stack(obj, ill, 0.025, OpticalSystem())
-        stack = defocus_stack(obj, ill, 0.025, OpticalSystem(), mean_photons=600.0)
+        field = exit_field(obj, uniform_illumination(220, 220, 1.625), OpticalSystem())
+        raw = defocus_stack(field, 0.025, OpticalSystem())
+        stack = defocus_stack(field, 0.025, OpticalSystem(), mean_photons=600.0)
         assert float(stack.i_zero.values.mean()) == pytest.approx(600.0, rel=1e-12)
         # one common scale factor: the plane ratio is unchanged by scaling
         ratio_raw = raw.i_plus.values.sum() / raw.i_zero.values.sum()
         ratio_scaled = stack.i_plus.values.sum() / stack.i_zero.values.sum()
         assert ratio_scaled == pytest.approx(ratio_raw, rel=1e-12)
+        # the shared exit field is not rescaled in place
+        assert raw.i_zero is field.i_zero
 
     def test_dz_must_be_positive(self):
         from twinphase.core import generate_test_target
 
         obj = generate_test_target(220, 220, 1.625)
-        ill = uniform_illumination(220, 220, 1.625)
+        field = exit_field(obj, uniform_illumination(220, 220, 1.625), OpticalSystem())
         with pytest.raises(ValueError):
-            defocus_stack(obj, ill, 0.0, OpticalSystem())
+            defocus_stack(field, 0.0, OpticalSystem())
+
+    def test_shared_exit_field_matches_per_plane_propagation(self):
+        """Every plane of a stack built from one exit field has the bits of
+        angular_spectrum_propagate followed by imaging_blur on that plane."""
+        rng = np.random.default_rng(3)
+        width, height, pitch = 46, 38, 1.625  # odd half-sizes, not square
+        grid = ScalarField2D(width, height, pitch, np.zeros((height, width)))
+        obj = ObjectSpec(
+            tau=grid.with_values(rng.uniform(0.5, 1.0, (height, width))),
+            phi=grid.with_values(rng.uniform(-1.0, 1.0, (height, width))),
+        )
+        sys_ = OpticalSystem()
+        ill = uniform_illumination(width, height, pitch)
+        field = exit_field(obj, ill, sys_)
+        u0 = apply_object(ill, obj)
+        lam = sys_.wavelength * 1e-3
+
+        def bits(f):
+            return f.values.tobytes()
+
+        def padded_ifft2(u, z):
+            """The propagation as one ifft2 of the whole padded frame."""
+            h, w = u.values.shape
+            padded = np.zeros((2 * h, 2 * w), dtype=complex)
+            padded[h // 2 : h // 2 + h, w // 2 : w // 2 + w] = u.values
+            fx = np.fft.fftfreq(2 * w, d=u.pitch)
+            fy = np.fft.fftfreq(2 * h, d=u.pitch)
+            q2 = fx[np.newaxis, :] ** 2 + fy[:, np.newaxis] ** 2
+            transfer = np.exp(-1j * math.pi * lam * (z * 1e3) * q2)
+            out = np.fft.ifft2(np.fft.fft2(padded) * transfer)
+            return u.with_values(out[h // 2 : h // 2 + h, w // 2 : w // 2 + w])
+
+        assert bits(field.i_zero) == bits(imaging_blur(u0.intensity(), sys_.blur_fwhm))
+        for dz in (0.0125, 0.1, 2.0):
+            stack = defocus_stack(field, dz, sys_)
+            for z, plane in ((+dz, stack.i_plus), (-dz, stack.i_minus)):
+                fwhm = math.hypot(sys_.blur_fwhm, math.sqrt(lam * dz * 1e3))
+                propagated = angular_spectrum_propagate(u0, z, sys_.wavelength)
+                assert bits(propagated) == bits(padded_ifft2(u0, z))
+                assert bits(plane) == bits(imaging_blur(propagated.intensity(), fwhm))
+            assert stack.i_zero is field.i_zero
 
     def test_stack_invariants(self):
         f = ScalarField2D(8, 8, 1.0, np.ones((8, 8)))

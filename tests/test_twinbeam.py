@@ -25,13 +25,17 @@ from twinphase.twinbeam import (
     fit_efficiencies,
     measure_nrf,
     nrf_predicted,
+    ordered_map,
     register_idler,
     sample_frames,
     sample_triples,
     sample_twin_frame,
 )
-from twinphase import twinbeam
+from twinphase import metrics, twinbeam
 from twinphase.cli import EXIT_NUMERICAL, main
+from twinphase.metrics import noise_suppression_scan
+from twinphase.optics import imaging_blur
+from twinphase.retrieval import poisson_solve_dirichlet
 
 # Frozen oracle values of the pair-collection efficiency, computed with
 # an independent 2D double integral of the Gaussian pair correlation
@@ -245,7 +249,8 @@ def test_defocused_object_with_a_flat_unique_inverse(monkeypatch):
 
 
 def use_threads(monkeypatch, threads, cpus=4):
-    """Let sample_frames see ``cpus`` CPUs and cap it at ``threads``."""
+    """Let ordered_map, and so sample_frames and the noise scan, see
+    ``cpus`` CPUs and cap it at ``threads``."""
     monkeypatch.setattr(
         twinbeam.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
     )
@@ -335,6 +340,105 @@ class TestSampleFrames:
         assert raised_in
         assert code == EXIT_NUMERICAL
         assert threading.active_count() == threads_before
+
+    def test_pulls_items_in_order_at_most_workers_ahead(self, monkeypatch):
+        workers, n = 3, 40
+        pulled = []
+
+        def items():
+            for i in range(n):
+                pulled.append(i)
+                yield i
+
+        def slow_square(i):
+            time.sleep(0.001)
+            return i * i
+
+        use_threads(monkeypatch, workers, cpus=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads_before = threading.active_count()
+            got = []
+            for value in ordered_map(slow_square, items()):
+                got.append(value)
+                assert len(pulled) <= len(got) + workers
+                time.sleep(0.005)  # a slow reader: the threads run ahead if they can
+                assert len(pulled) <= len(got) + workers
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in range(n)]
+        assert pulled == list(range(n))
+        assert threading.active_count() == threads_before
+
+    def test_iterator_exception_reaches_the_consumer_at_its_index(self, monkeypatch):
+        def items():
+            yield from range(3)
+            raise FloatingPointError("overflow while drawing item 3")
+
+        def slow_identity(i):
+            time.sleep(0.02)  # so the second thread pulls ahead of the reader
+            return i
+
+        use_threads(monkeypatch, 2)
+        threads_before = threading.active_count()
+        got = []
+        with pytest.raises(FloatingPointError, match="item 3"):
+            for value in ordered_map(slow_identity, items()):
+                got.append(value)
+        assert got == [0, 1, 2]
+        assert threading.active_count() == threads_before
+
+    def test_noise_scan_rows_independent_of_thread_count(self, monkeypatch):
+        def serial_scan(l_cff_list, width, height, pitch, dz, i0, wavenumber, rng, n_trials):
+            """The scan as one loop on the calling thread."""
+            dz_um = dz * 1e3
+            rows = []
+            gen = rng.generator()
+            for l_cff in l_cff_list:
+                removed = []
+                for _ in range(n_trials):
+                    counts = gen.poisson(i0, size=(height, width)).astype(float)
+                    sigma = ScalarField2D(width, height, pitch, counts - i0)
+                    smeared = imaging_blur(ScalarField2D(width, height, pitch, counts), l_cff)
+                    sigma_twin = smeared.values - i0
+                    scale = -wavenumber / (math.sqrt(2.0) * i0 * dz_um)
+
+                    def phase_var(noise):
+                        rhs = ScalarField2D(width, height, pitch, scale * noise)
+                        return float(poisson_solve_dirichlet(rhs).values.var())
+
+                    var_clas = phase_var(sigma.values)
+                    var_corr = phase_var(sigma.values - sigma_twin)
+                    removed.append(100.0 * (1.0 - var_corr / var_clas))
+                rows.append({"l_cff_um": float(l_cff), "suppression_pct": float(np.mean(removed))})
+            return rows
+
+        args = dict(
+            l_cff_list=(1.0, 5.0, 20.0),
+            width=48,
+            height=40,
+            pitch=1.625,
+            dz=0.025,
+            i0=600.0,
+            wavenumber=OpticalSystem().wavenumber,
+            n_trials=3,
+        )
+        runs = []
+        for threads in (1, 2):
+            use_threads(monkeypatch, threads)
+            runs.append(noise_suppression_scan(rng=RngStream(7), **args))
+
+        def last_first_map(func, items):
+            """Evaluate the trials last to first: a trial's value may depend
+            on its place in the stream, not on when it is evaluated."""
+            results = [func(item) for item in reversed(list(items))]
+            return reversed(results)
+
+        monkeypatch.setattr(metrics, "ordered_map", last_first_map)
+        runs.append(noise_suppression_scan(rng=RngStream(7), **args))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == serial_scan(rng=RngStream(7), **args)
 
 
 class TestMeasureNrf:
