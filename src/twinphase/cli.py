@@ -1,11 +1,11 @@
 """Batch front-end: config parsing, subcommands, reproducible manifests.
 
-Subcommands:
+Subcommands, each registering only the flags it reads:
 
 * ``target``    render the engineered test object to QPF1 files
 * ``simulate``  Monte-Carlo twin-beam frame sets (three exposures per frame)
 * ``retrieve``  phase + transmittance reconstruction from a frame set
-* ``scan``      nrf / advantage / resolution / noise CSV curves
+* ``scan``      ``nrf``, ``advantage``, ``resolution`` or ``noise`` CSV curve
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.  Identical config + seed produce byte-identical outputs, for
@@ -154,15 +154,16 @@ def _sha256(path):
 
 
 def write_manifest(out_dir, config_snapshot, seed, outputs):
-    """Emit manifest.json with checksums of every data file in the run."""
+    """Emit manifest.json: every data file's checksum, and the seed unless None."""
     manifest = {
         "tool_version": __version__,
-        "master_seed": seed,
         "config": config_snapshot,
         "files": {
             os.path.basename(p): _sha256(p) for p in sorted(outputs)
         },
     }
+    if seed is not None:
+        manifest["master_seed"] = seed
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -187,14 +188,9 @@ def _load_configs(args):
     return sys_cfg, twin_cfg, run
 
 
-def _parse_dz_list(text):
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --dz list: `{text}`")
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError("--dz values must be positive")
-    return values
+def frame_path(frames_dir, dz, frame, tag, arm):
+    """Path of one arm ("s" or "i") of one exposure ("m", "0" or "p")."""
+    return os.path.join(frames_dir, f"dz{fmt(dz)}_f{frame:04d}_{tag}_{arm}.qpf")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +199,7 @@ def _parse_dz_list(text):
 
 def cmd_target(args):
     sys_cfg, twin_cfg, run = _load_configs(args)
-    size = args.size or run.get("grid_size", GRID_SIZE)
+    size = run.get("grid_size", GRID_SIZE) if args.size is None else args.size
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
     if args.pure_phase:
@@ -216,7 +212,7 @@ def cmd_target(args):
     qpf.write_qpf(tau_path, obj.tau)
     qpf.write_qpf(phi_path, obj.phi)
     snap = _config_snapshot(sys_cfg, twin_cfg, {"grid_size": size})
-    write_manifest(args.out, snap, args.seed, [tau_path, phi_path])
+    write_manifest(args.out, snap, None, [tau_path, phi_path])
     print(f"wrote target ({size}x{size}) to {args.out}")
     return EXIT_OK
 
@@ -226,7 +222,6 @@ def cmd_simulate(args):
     size = run.get("grid_size", GRID_SIZE)
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
-    dz_list = _parse_dz_list(args.dz)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
 
@@ -240,24 +235,23 @@ def cmd_simulate(args):
 
     with closing(
         twinbeam.sample_triples(
-            obj, sys_cfg, twin_cfg, dz_list, args.frames, RngStream(args.seed)
+            obj, sys_cfg, twin_cfg, args.dz, args.frames, RngStream(args.seed)
         )
     ) as triples:
-        for dz in dz_list:
+        for dz in args.dz:
             for frame in range(args.frames):
                 for tag, tf in zip(("m", "0", "p"), next(triples)):
-                    stem = f"dz{fmt(dz)}_f{frame:04d}_{tag}"
                     for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
-                        path = os.path.join(args.out, f"{stem}_{arm}.qpf")
+                        path = frame_path(args.out, dz, frame, tag, arm)
                         qpf.write_qpf(path, field)
                         outputs.append(path)
     snap = _config_snapshot(
         sys_cfg,
         twin_cfg,
-        {"grid_size": size, "dz_list": dz_list, "frames": args.frames},
+        {"grid_size": size, "dz_list": args.dz, "frames": args.frames},
     )
     write_manifest(args.out, snap, args.seed, outputs)
-    print(f"wrote {len(outputs)} files ({args.frames} frames x {len(dz_list)} dz)")
+    print(f"wrote {len(outputs)} files ({args.frames} frames x {len(args.dz)} dz)")
     return EXIT_OK
 
 
@@ -309,14 +303,14 @@ def cmd_retrieve(args):
     tag_dz = {"m": -dz, "0": 0.0, "p": +dz}
 
     def load(frame, tag):
-        stem = os.path.join(args.frames, f"dz{fmt(dz)}_f{frame:04d}_{tag}")
-        n_s, n_i = (qpf.read_qpf(f"{stem}_{arm}.qpf") for arm in ("s", "i"))
+        paths = [frame_path(args.frames, dz, frame, tag, arm) for arm in ("s", "i")]
+        n_s, n_i = (qpf.read_qpf(path) for path in paths)
         try:
             return twinbeam.TwinBeamFrame(n_s, n_i, dz=tag_dz[tag], stream_index=frame)
         except ValueError as exc:
             # counts that are not non-negative integers, or arms on
             # different grids: the frame files are corrupt
-            raise OSError(f"{stem}_s.qpf, {stem}_i.qpf: {exc}")
+            raise OSError(f"{', '.join(paths)}: {exc}")
 
     phase_rows = []
     for frame in range(n_frames):
@@ -377,8 +371,6 @@ def cmd_retrieve(args):
 
 
 def _scan_nrf(args, sys_cfg, twin_cfg):
-    if args.frames < 2:
-        raise ConfigError("scan nrf needs --frames >= 2 (a variance over frames)")
     grid = ScalarField2D(
         GRID_SIZE, GRID_SIZE, sys_cfg.object_pixel, np.zeros((GRID_SIZE, GRID_SIZE))
     )
@@ -403,18 +395,15 @@ def _scan_nrf(args, sys_cfg, twin_cfg):
 
 
 def _scan_advantage(args, sys_cfg, twin_cfg):
-    if args.frames < 1:
-        raise ConfigError("scan advantage needs --frames >= 1")
     obj = generate_test_target(GRID_SIZE, GRID_SIZE, sys_cfg.object_pixel)
-    dz_list = _parse_dz_list(args.dz)
     mean_s, mean_i = twinbeam.expected_counts(None, sys_cfg, twin_cfg, 0.0, grid=obj.tau)
     rows = []
     with closing(
         twinbeam.sample_triples(
-            obj, sys_cfg, twin_cfg, dz_list, args.frames, RngStream(args.seed)
+            obj, sys_cfg, twin_cfg, args.dz, args.frames, RngStream(args.seed)
         )
     ) as stream:
-        for dz in dz_list:
+        for dz in args.dz:
             triples = [next(stream) for _ in range(args.frames)]
             for bin_px in (1, 3):
                 config = retrieval.RetrievalConfig(
@@ -447,10 +436,9 @@ def _scan_advantage(args, sys_cfg, twin_cfg):
 def _scan_resolution(args, sys_cfg, twin_cfg):
     pitch = sys_cfg.object_pixel
     target = generate_edge_target(GRID_SIZE, GRID_SIZE, pitch)
-    dz_list = _parse_dz_list(args.dz)
     rows_raw = metrics.resolution_scan(
         target,
-        dz_list,
+        args.dz,
         (1, 3, 6, 12),
         sys_cfg,
         twin_cfg,
@@ -497,18 +485,12 @@ def cmd_scan(args):
             f"scan does not read `{'`, `'.join(sorted(run))}`: "
             f"every scan runs on a {GRID_SIZE}x{GRID_SIZE} grid"
         )
-    runner = {
-        "nrf": _scan_nrf,
-        "advantage": _scan_advantage,
-        "resolution": _scan_resolution,
-        "noise": _scan_noise,
-    }[args.scan_type]
-    header, rows = runner(args, sys_cfg, twin_cfg)
+    header, rows = args.runner(args, sys_cfg, twin_cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{args.scan_type}.csv")
     write_csv(csv_path, header, rows)
     snap = _config_snapshot(sys_cfg, twin_cfg, {"scan": args.scan_type})
-    write_manifest(args.out, snap, args.seed, [csv_path])
+    write_manifest(args.out, snap, getattr(args, "seed", None), [csv_path])
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -517,16 +499,30 @@ def cmd_scan(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _unsigned(text):
-    """argparse type of --seed and --frames: a non-negative integer (numpy
-    seeds are unsigned)."""
+def _at_least(minimum):
+    """argparse type of an integer no less than `minimum`."""
+
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < minimum:
+            bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return integer
+
+
+def _parse_dz_list(text):
+    """argparse type of --dz: positive finite values, distinct in frame names."""
     try:
-        value = int(text)
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}")
+    if not values or not all(0 < v < float("inf") for v in values):
+        raise argparse.ArgumentTypeError("values must be positive and finite")
+    if len({fmt(v) for v in values}) < len(values):
+        raise argparse.ArgumentTypeError(f"values repeat to 9 digits: {text!r}")
+    return values
 
 
 def build_parser():
@@ -536,28 +532,26 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # one-flag parent parsers for the flags that several commands share
+    config, seed, out, dz = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    config.add_argument("--config", default=None, help="flat key=value config file")
+    seed.add_argument("--seed", type=_at_least(0), default=0, help="master seed (u64)")
+    out.add_argument("--out", default="out", help="output directory")
+    dz.add_argument("--dz", type=_parse_dz_list, default="0.0125,0.025,0.05,0.1")
 
-    def common(p):
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=_unsigned, default=0, help="master seed (u64)")
-        p.add_argument("--out", default="out", help="output directory")
-
-    p = sub.add_parser("target", help="render the engineered test object")
-    common(p)
+    p = sub.add_parser("target", parents=[config, out], help="render the test object")
     p.add_argument("--size", type=int, default=None, help="grid size in pixels")
     p.add_argument("--pure-phase", action="store_true", help="force tau = 1")
     p.set_defaults(func=cmd_target)
 
-    p = sub.add_parser("simulate", help="sample twin-beam frame sets")
-    common(p)
-    p.add_argument("--frames", type=_unsigned, default=10)
-    p.add_argument("--dz", default="0.025", help="defocus list, mm (comma separated)")
+    p = sub.add_parser("simulate", parents=[config, seed, out], help="draw frame sets")
+    p.add_argument("--frames", type=_at_least(0), default=10)
+    p.add_argument("--dz", type=_parse_dz_list, default="0.025", help="dz list, mm")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("retrieve", help="reconstruct phase and transmittance")
     # the configuration and the seed come from the frame set's manifest
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--frames", dest="frames", required=True, help="simulate output dir")
+    p = sub.add_parser("retrieve", parents=[out], help="reconstruct phase and tau")
+    p.add_argument("--frames", required=True, help="simulate output dir")
     p.add_argument("--dz", type=float, default=None, help="defocus to retrieve, mm")
     p.add_argument("--bin", type=int, default=1, help="binning in pixels")
     p.add_argument(
@@ -566,13 +560,18 @@ def build_parser():
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("scan", help="characterization scans")
-    common(p)
-    p.add_argument(
-        "scan_type", choices=("nrf", "advantage", "resolution", "noise")
-    )
-    p.add_argument("--frames", type=_unsigned, default=100)
-    p.add_argument("--dz", default="0.0125,0.025,0.05,0.1")
     p.set_defaults(func=cmd_scan)
+    scan = p.add_subparsers(dest="scan_type", required=True)
+    p = scan.add_parser("nrf", parents=[config, seed, out])
+    p.add_argument("--frames", type=_at_least(2), default=100)
+    p.set_defaults(runner=_scan_nrf)
+    p = scan.add_parser("advantage", parents=[config, seed, out, dz])
+    p.add_argument("--frames", type=_at_least(1), default=100)
+    p.set_defaults(runner=_scan_advantage)
+    p = scan.add_parser("resolution", parents=[config, out, dz])
+    p.set_defaults(runner=_scan_resolution)
+    p = scan.add_parser("noise", parents=[config, seed, out])
+    p.set_defaults(runner=_scan_noise)
     return parser
 
 

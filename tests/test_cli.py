@@ -1,9 +1,12 @@
 """Tests of config parsing, CSV/manifest emission and CLI exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from twinphase.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
+    build_parser,
     fmt,
     main,
     parse_config_file,
@@ -166,11 +170,19 @@ class TestTargetCommand:
         for name, digest in manifest["files"].items():
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
+        assert "master_seed" not in manifest  # the target draws nothing
 
     def test_size_flag(self, tmp_path):
         out = tmp_path / "tgt"
         assert main(["target", "--out", str(out), "--size", "256"]) == EXIT_OK
         assert qpf.read_qpf(out / "target_tau.qpf").width == 256
+
+    @pytest.mark.parametrize("size", ["0", "100"])
+    def test_size_too_small_for_the_glyphs_exits_2(self, tmp_path, capsys, size):
+        out = tmp_path / "tgt"
+        assert main(["target", "--out", str(out), "--size", size]) == EXIT_CONFIG
+        assert f"got {size}x{size}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pure_phase_flag(self, tmp_path):
         out = tmp_path / "tgt"
@@ -222,8 +234,12 @@ class TestSimulateCommand:
         assert manifest["master_seed"] == 1
 
     def test_bad_dz_list_exits_2(self, tmp_path):
-        code = main(["simulate", "--out", str(tmp_path / "s"), "--dz", "0,-1"])
-        assert code == EXIT_CONFIG
+        # the last two would write both values' frames to the same files
+        bad = ("0,-1", "abc", "nan", "0.025,inf", "0.025,0.025", "0.0125,0.01250000001")
+        for dz in bad:
+            out = tmp_path / "s"
+            assert exit_code(["simulate", "--out", str(out), "--dz", dz]) == EXIT_CONFIG
+            assert not out.exists()
 
     def test_zero_efficiency_runs(self, tmp_path):
         cfg = tmp_path / "dark.cfg"
@@ -302,12 +318,33 @@ def test_retrieve_takes_no_config_flag(frame_set, tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["target", "--seed", "5"],
+        ["scan", "nrf", "--dz", "0.025"],
+        ["scan", "resolution", "--seed", "99"],
+        ["scan", "resolution", "--frames", "7"],
+        ["scan", "noise", "--frames", "3"],
+        ["scan", "noise", "--dz", "0.025"],
+    ],
+    ids=" ".join,
+)
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert exit_code(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scan", ["nrf", "advantage", "resolution", "noise"])
 def test_scan_rejects_grid_size(tmp_path, capsys, scan):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid_size = 300\n")
     out = tmp_path / "o"
-    argv = ["scan", scan, "--config", str(cfg), "--frames", "2", "--out", str(out)]
+    argv = ["scan", scan, "--config", str(cfg), "--out", str(out)]
+    if scan in ("nrf", "advantage"):
+        argv += ["--frames", "2"]
     assert exit_code(argv) == EXIT_CONFIG
     assert "grid_size" in capsys.readouterr().err
     assert not out.exists()
@@ -351,3 +388,135 @@ def test_failed_resolution_fit_names_its_point(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "dz=0.025 mm, bin 3: no edge contrast" in err
     assert err.count("bin ") == 1  # only the failing point is named
+
+
+def registered_options():
+    """{command: set of options} for every subcommand and scan of the CLI."""
+    found = {}
+
+    def walk(parser, command):
+        actions = parser._actions
+        subparsers = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        for action in subparsers:
+            for name, child in action.choices.items():
+                walk(child, f"{command} {name}".strip())
+        if not subparsers:
+            found[command] = {
+                a.option_strings[-1]
+                for a in actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction)
+            }
+
+    walk(build_parser(), "")
+    return found
+
+
+# command: (baseline argv, {option: arguments that change only that option}).
+# Every option a command registers needs a case; --out is checked on the
+# baseline run.  "{cfg}" is a config file, "{frames}" a frame set at two
+# defocus values and "{other_frames}" a second frame set.
+OPTION_CASES = {
+    "target": (
+        ["target"],
+        {
+            "--config": ["--config", "{cfg}"],
+            "--size": ["--size", "256"],
+            "--pure-phase": ["--pure-phase"],
+        },
+    ),
+    "simulate": (
+        ["simulate", "--frames", "1"],
+        {
+            "--config": ["--config", "{cfg}"],
+            "--seed": ["--seed", "1"],
+            "--frames": ["--frames", "0"],
+            "--dz": ["--dz", "0.05"],
+        },
+    ),
+    "retrieve": (
+        ["retrieve", "--frames", "{frames}"],
+        {
+            "--frames": ["--frames", "{other_frames}"],
+            "--dz": ["--dz", "0.05"],
+            "--bin": ["--bin", "3"],
+            "--k-mode": ["--k-mode", "tie"],
+        },
+    ),
+    "scan nrf": (
+        ["scan", "nrf", "--frames", "2"],
+        {
+            "--config": ["--config", "{cfg}"],
+            "--seed": ["--seed", "1"],
+            "--frames": ["--frames", "3"],
+        },
+    ),
+    "scan advantage": (
+        ["scan", "advantage", "--frames", "1", "--dz", "0.0125"],
+        {
+            "--config": ["--config", "{cfg}"],
+            "--seed": ["--seed", "1"],
+            "--frames": ["--frames", "2"],
+            "--dz": ["--dz", "0.025"],
+        },
+    ),
+    "scan resolution": (
+        ["scan", "resolution", "--dz", "0.0125"],
+        {"--config": ["--config", "{cfg}"], "--dz": ["--dz", "0.025"]},
+    ),
+    "scan noise": (
+        ["scan", "noise"],
+        {"--config": ["--config", "{cfg}"], "--seed": ["--seed", "1"]},
+    ),
+}
+
+
+def test_every_registered_option_has_a_case():
+    registered = registered_options()
+    cases = {command: {"--out", *case[1]} for command, case in OPTION_CASES.items()}
+    assert registered == cases
+
+
+@pytest.mark.parametrize("command", OPTION_CASES)
+def test_every_option_changes_an_output(command, frame_set, tmp_path):
+    """Two runs that differ only in one option write different data files,
+    the manifest aside: an option that is only recorded does nothing."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("magnification = 10\neta0 = 0.6\n")
+    places = {"cfg": cfg, "frames": tmp_path / "frames", "other_frames": frame_set}
+    if command == "retrieve":
+        argv = ["simulate", "--frames", "1", "--dz", "0.025,0.05", "--seed", "3"]
+        assert main(argv + ["--out", str(places["frames"])]) == EXIT_OK
+
+    def outputs(argv, out):
+        assert main([a.format(**places) for a in argv] + ["--out", str(out)]) == EXIT_OK
+        names = json.loads((out / "manifest.json").read_text())["files"]
+        assert sorted([*names, "manifest.json"]) == sorted(p.name for p in out.iterdir())
+        return {name: (out / name).read_bytes() for name in names}
+
+    base_argv, options = OPTION_CASES[command]
+    runs = tmp_path / "runs"
+    base = outputs(base_argv, runs / "base")  # --out: the files land there
+    assert base
+    # a run records the seed it draws from; retrieve copies its frame set's
+    manifest = json.loads((runs / "base" / "manifest.json").read_text())
+    assert ("master_seed" in manifest) == ("--seed" in options or command == "retrieve")
+    for option, extra in options.items():
+        changed = outputs(base_argv + extra, runs / option.strip("-"))
+        assert changed != base, f"{command} {option} changed no output"
+
+
+def test_readme_commands_parse():
+    """Every `twinphase` line of the README's shell blocks is a valid command."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [
+        line
+        for block in readme.split("```sh\n")[1:]
+        for line in block.split("```")[0].splitlines()
+        if line.startswith("twinphase ")
+    ]
+    assert len(lines) >= 7
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
