@@ -256,19 +256,40 @@ def cmd_simulate(args):
 
 
 def _read_manifest(frames_dir):
-    """The manifest of a frame set; OSError when it is missing, corrupt or
-    lacks a configuration key."""
+    """The manifest of a frame set; OSError when it is missing, corrupt,
+    lacks a configuration key or holds a value of the wrong JSON type.
+
+    The configuration values must be numbers (``beam_profile`` may also
+    be "uniform"), ``frames`` a non-negative integer and ``dz_list`` a
+    list of numbers; both of the last two may be absent.
+    """
     path = os.path.join(frames_dir, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        missing = {*_OPTICAL_KEYS, *_TWIN_KEYS} - set(manifest["config"])
+        conf = manifest["config"]
+        missing = {*_OPTICAL_KEYS, *_TWIN_KEYS} - conf.keys()
     except OSError as exc:
         raise OSError(f"missing manifest in {frames_dir}: {exc}")
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise OSError(f"corrupt manifest {path}: {exc!r}")
     if missing:
         raise OSError(f"manifest {path} lacks keys: {', '.join(sorted(missing))}")
+    number = (int, float)  # the types json gives a number; a bool is neither
+    bad = [
+        key
+        for key in sorted({*_OPTICAL_KEYS, *_TWIN_KEYS})
+        if type(conf[key]) not in number
+        and (key, conf[key]) != ("beam_profile", "uniform")
+    ]
+    frames = conf.get("frames", 0)
+    if not (type(frames) is int and frames >= 0):
+        bad.append("frames")
+    dz_list = conf.get("dz_list", [])
+    if not (type(dz_list) is list and all(type(dz) in number for dz in dz_list)):
+        bad.append("dz_list")
+    if bad:
+        raise OSError(f"manifest {path} has values of the wrong type: {', '.join(bad)}")
     return manifest
 
 
@@ -297,16 +318,18 @@ def cmd_retrieve(args):
         sys=sys_cfg,
         twin=twin_cfg,
     )
+    # quantum_correct holds every frame to the calibration grid, so one
+    # weight serves all frames
+    k = retrieval.resolve_k(config, calib_s.pitch)
+    provenance = "classical" if k == 0.0 else "quantum"
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-
-    tag_dz = {"m": -dz, "0": 0.0, "p": +dz}
 
     def load(frame, tag):
         paths = [frame_path(args.frames, dz, frame, tag, arm) for arm in ("s", "i")]
         n_s, n_i = (qpf.read_qpf(path) for path in paths)
         try:
-            return twinbeam.TwinBeamFrame(n_s, n_i, dz=tag_dz[tag], stream_index=frame)
+            return twinbeam.TwinBeamFrame(n_s, n_i)
         except ValueError as exc:
             # counts that are not non-negative integers, or arms on
             # different grids: the frame files are corrupt
@@ -319,14 +342,14 @@ def cmd_retrieve(args):
         out_path = os.path.join(args.out, f"phase_f{frame:04d}.qpf")
         qpf.write_qpf(out_path, phase.values)
         outputs.append(out_path)
-        phase_rows.append((frame, phase.k_value, phase.provenance))
+        phase_rows.append((frame, k, provenance))
         if frame == 0:
             sum_m = tf["m"].n_s.values.copy()
             sum_0 = tf["0"].n_s.values.copy()
             sum_p = tf["p"].n_s.values.copy()
-            tau_est = retrieval.estimate_transmittance(tf["0"].n_s, tf["0"].n_i, config)
+            tau = retrieval.estimate_transmittance(tf["0"].n_s, tf["0"].n_i, config)
             tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
-            qpf.write_qpf(tau_path, tau_est.tau)
+            qpf.write_qpf(tau_path, tau)
             outputs.append(tau_path)
         else:
             sum_m += tf["m"].n_s.values
@@ -341,7 +364,6 @@ def cmd_retrieve(args):
         grid.with_values(sum_0 / n_frames),
         grid.with_values(sum_p / n_frames),
         avg_cfg,
-        provenance="reference",
     )
     avg_path = os.path.join(args.out, "phase_average.qpf")
     qpf.write_qpf(avg_path, avg_phase.values)

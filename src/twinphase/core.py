@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -172,6 +172,11 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
     Every violated invariant is reported, not just the first one.
     """
     problems = []
+    for cfg in (optical, twin):
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            if not isinstance(value, str) and not math.isfinite(value):
+                problems.append(f"{f.name} must be finite, got {value}")
     if not 0.0 <= twin.eta0 <= 1.0:
         problems.append(f"efficiency out of range: eta0 = {twin.eta0}")
     if not twin.l_cff > 0:

@@ -35,9 +35,7 @@ class AdvantageResult:
     c_quant: float
     c_clas: float
     ratio: float
-    dz: float
     d_factor: float
-    n_frames: int
     ratio_stderr: float = float("nan")
     c_quant_frames: tuple = ()
 
@@ -56,7 +54,6 @@ class ESFFit:
     x0: float
     w: float
     w_ci: tuple  # 95% interval [w_sub, w_sup]
-    r_phase: float  # 2 sqrt(2 ln 2) w
     ok: bool = True
     message: str = ""
 
@@ -83,22 +80,18 @@ def _esf_model(x, a, b, x0, w):
     return 0.5 * a * erf((x - x0) / (math.sqrt(2.0) * w)) + b
 
 
-def esf_fit(profile, pitch: float = None, x=None) -> ESFFit:
+def esf_fit(profile, x) -> ESFFit:
     """Fit ESF(x) = (a/2) erf((x - x0)/(sqrt(2) w)) + b to a 1D profile.
 
-    Sample positions are ``arange(n) * pitch`` unless ``x`` is given
-    explicitly (micrometers, e.g. for shifted-bin supersampled
-    profiles).  The 95% interval on w comes from the linearized
-    covariance of the least-squares fit; r_phase is the FWHM of the
-    corresponding line spread function.
+    ``x`` holds the sample positions (micrometers, e.g. of a shifted-bin
+    supersampled profile).  The 95% interval on w comes from the
+    linearized covariance of the least-squares fit; the FWHM of the
+    corresponding line spread function is FWHM_FACTOR * w.
     """
     y = np.asarray(profile, dtype=float)
     if y.size < 8:
         return _failed_fit("profile too short")
-    if x is None:
-        x = np.arange(y.size) * pitch
-    else:
-        x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     a0 = y[-4:].mean() - y[:4].mean()
     if a0 == 0.0:
         return _failed_fit("no edge contrast")
@@ -121,7 +114,7 @@ def esf_fit(profile, pitch: float = None, x=None) -> ESFFit:
     a, b, x0, w = (float(v) for v in popt)
     se_w = float(math.sqrt(max(pcov[3, 3], 0.0)))
     w_sub, w_sup = w - 1.96 * se_w, w + 1.96 * se_w
-    return ESFFit(a=a, b=b, x0=x0, w=w, w_ci=(w_sub, w_sup), r_phase=FWHM_FACTOR * w)
+    return ESFFit(a=a, b=b, x0=x0, w=w, w_ci=(w_sub, w_sup))
 
 
 def _failed_fit(message):
@@ -131,7 +124,6 @@ def _failed_fit(message):
         x0=float("nan"),
         w=float("nan"),
         w_ci=(float("nan"), float("nan")),
-        r_phase=float("nan"),
         ok=False,
         message=message,
     )
@@ -139,13 +131,12 @@ def _failed_fit(message):
 
 def step_heights(
     phase: ScalarField2D,
-    erode: int = 4,
     bin_px: int = 1,
     fine_shape: tuple = None,
 ) -> dict:
     """Median step of each glyph relative to the background level.
 
-    The glyph interiors are eroded by ``erode`` pixels to avoid edge
+    The glyph interiors are eroded by 4 pixels to avoid edge
     roll-off; the background level is the median outside both glyphs.
     Requires the standard centered test-target geometry.  When the
     phase map was binned down from a finer acquisition grid, pass the
@@ -157,8 +148,8 @@ def step_heights(
     else:
         fw, fh = fine_shape
     pi_mask, null_mask = target_masks(fw, fh)
-    pi_in = binary_erosion(pi_mask, iterations=erode)
-    null_in = binary_erosion(null_mask, iterations=erode)
+    pi_in = binary_erosion(pi_mask, iterations=4)
+    null_in = binary_erosion(null_mask, iterations=4)
     background = ~(pi_mask | null_mask)
     if bin_px > 1:
         def coarse(mask, thresholds):
@@ -228,9 +219,7 @@ def quantum_advantage(
         c_quant=float(c_q.mean()),
         c_clas=float(c_c.mean()),
         ratio=ratio,
-        dz=config.dz,
         d_factor=d_factor_for_bin(config.bin_px, pitch, config.twin.l_cff),
-        n_frames=n,
         ratio_stderr=stderr,
         c_quant_frames=tuple(float(v) for v in c_q),
     )
@@ -248,9 +237,7 @@ def reference_phase(obj: ObjectSpec, config: RetrievalConfig) -> PhaseImage:
     mean_0, _ = expected_counts(obj, sys, twin, 0.0)
     mean_p, _ = expected_counts(obj, sys, twin, +config.dz)
     cfg = replace(config, k_mode="classical")
-    return phase_from_counts(
-        mean_m, mean_0, mean_p, cfg, provenance="reference", k_value=0.0
-    )
+    return phase_from_counts(mean_m, mean_0, mean_p, cfg)
 
 
 # ---------------------------------------------------------------------------

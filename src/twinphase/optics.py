@@ -18,19 +18,16 @@ from .core import FWHM_TO_SIGMA, ObjectSpec, OpticalSystem, ScalarField2D
 
 @dataclass(frozen=True)
 class IntensityStack:
-    """Blurred intensities at z = -dz, 0, +dz (dz in millimeters)."""
+    """Blurred intensities at z = -dz, 0, +dz."""
 
     i_minus: ScalarField2D
     i_zero: ScalarField2D
     i_plus: ScalarField2D
-    dz: float
     aliasing_warning: bool = False
 
     def __post_init__(self):
         self.i_zero.require_same_grid(self.i_minus)
         self.i_zero.require_same_grid(self.i_plus)
-        if not self.dz > 0:
-            raise ValueError("dz must be positive")
         for f in (self.i_minus, self.i_zero, self.i_plus):
             if np.any(f.values < 0):
                 raise ValueError("intensities must be non-negative")
@@ -185,5 +182,5 @@ def defocus_stack(
         sys.wavelength, dz, i_zero.pitch, 2 * max(i_zero.width, i_zero.height)
     )
     return IntensityStack(
-        i_minus=i_minus, i_zero=i_zero, i_plus=i_plus, dz=dz, aliasing_warning=warn
+        i_minus=i_minus, i_zero=i_zero, i_plus=i_plus, aliasing_warning=warn
     )

@@ -65,38 +65,32 @@ class RetrievalConfig:
 
 @dataclass(frozen=True)
 class PhaseImage:
-    """Retrieved phase map (radians), zero on the border by convention."""
+    """Retrieved phase map (radians), zero on the border by convention.
+
+    A record of one field because the benchmark's span tracer
+    (``bench/spans.py``) reads each ``tie_retrieve`` result's map as
+    ``phase.values``; every other caller could take the field itself.
+    """
 
     values: ScalarField2D
-    dz: float
-    k_value: float
-    provenance: str = "classical"
-
-
-def k_tau_opt(eta0: float, d_factor: float, epsilon: float) -> float:
-    """Variance-optimal subtraction weight for transmittance estimation."""
-    return eta0 * eta_c(d_factor, epsilon)
-
-
-def k_tie_opt(eta0: float) -> float:
-    """Subtraction weight for TIE phase retrieval: the large-area limit
-    of k_tau_opt, independent of the working resolution."""
-    if not 0.0 <= eta0 <= 1.0:
-        raise ValueError("eta0 must lie in [0, 1]")
-    return eta0
 
 
 def resolve_k(config: RetrievalConfig, pitch: float) -> float:
-    """Numeric subtraction weight implied by the configured k_mode."""
+    """Numeric subtraction weight implied by the configured k_mode.
+
+    "tau" is the variance-optimal weight for transmittance estimation,
+    eta0 * eta_c(D) at the working binning; "tie" is its large-area
+    limit eta0, independent of the working resolution.
+    """
     mode = config.k_mode
     if mode == "classical":
         return 0.0
     twin = config.twin
     if mode == "tau":
         d = d_factor_for_bin(config.bin_px, pitch, twin.l_cff)
-        return k_tau_opt(twin.eta0, d, twin.epsilon)
+        return twin.eta0 * eta_c(d, twin.epsilon)
     if mode == "tie":
-        return k_tie_opt(twin.eta0)
+        return twin.eta0
     return float(mode)
 
 
@@ -113,20 +107,14 @@ def quantum_correct(
     return n_s.with_values(n_s.values - k * (n_i.values - mean_i.values))
 
 
-@dataclass(frozen=True)
-class TransmittanceEstimate:
-    tau: ScalarField2D
-    valid: np.ndarray  # False where the reference mean is below the floor
-    k_value: float
-
-
 def estimate_transmittance(
     n_s_obj: ScalarField2D, n_i: ScalarField2D, config: RetrievalConfig
-) -> TransmittanceEstimate:
+) -> ScalarField2D:
     """Unbiased transmittance estimator from an in-focus frame.
 
     tau_hat = (n_s' - k * delta n_i) / <n_s>, evaluated at the working
-    binning.  ``n_i`` is the raw (unregistered) idler image.
+    binning, and 1.0 where <n_s> is below INTENSITY_FLOOR times its
+    mean.  ``n_i`` is the raw (unregistered) idler image.
     """
     if config.reference_mean is None or config.reference_mean_idler is None:
         raise ValueError("calibration reference means are required")
@@ -140,8 +128,7 @@ def estimate_transmittance(
     floor = INTENSITY_FLOOR * float(mean_s.values.mean())
     valid = mean_s.values >= floor
     denom = np.where(valid, mean_s.values, 1.0)
-    tau_hat = np.where(valid, corrected.values / denom, 1.0)
-    return TransmittanceEstimate(tau=s.with_values(tau_hat), valid=valid, k_value=k)
+    return s.with_values(np.where(valid, corrected.values / denom, 1.0))
 
 
 def _dirichlet_eigenvalues(f: ScalarField2D) -> np.ndarray:
@@ -226,8 +213,6 @@ def tie_retrieve(
     i_plus: ScalarField2D,
     i_minus: ScalarField2D,
     config: RetrievalConfig,
-    provenance: str = "classical",
-    k_value: float = 0.0,
 ) -> PhaseImage:
     """Two-step Teague TIE solve of the transverse phase.
 
@@ -250,12 +235,7 @@ def tie_retrieve(
     floor = INTENSITY_FLOOR * mean_i0
     i0 = np.maximum(i_zero.values, floor)
     phi = _teague_second_step(psi.values, i0, i_zero.pitch)
-    return PhaseImage(
-        values=i_zero.with_values(phi),
-        dz=config.dz,
-        k_value=k_value,
-        provenance=provenance,
-    )
+    return PhaseImage(i_zero.with_values(phi))
 
 
 def phase_from_counts(
@@ -263,8 +243,6 @@ def phase_from_counts(
     stack_zero: ScalarField2D,
     stack_plus: ScalarField2D,
     config: RetrievalConfig,
-    provenance: str = "classical",
-    k_value: float = 0.0,
 ) -> PhaseImage:
     """tie_retrieve after binning the three planes to config.bin_px."""
     b = config.bin_px
@@ -273,8 +251,6 @@ def phase_from_counts(
         bin_counts(stack_plus, b),
         bin_counts(stack_minus, b),
         config,
-        provenance=provenance,
-        k_value=k_value,
     )
 
 
@@ -299,14 +275,8 @@ def phase_from_twin_frames(
     def corrected(frame):
         return quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, k)
 
-    provenance = "classical" if k == 0.0 else "quantum"
     return phase_from_counts(
-        corrected(frame_minus),
-        corrected(frame_zero),
-        corrected(frame_plus),
-        config,
-        provenance=provenance,
-        k_value=k,
+        corrected(frame_minus), corrected(frame_zero), corrected(frame_plus), config
     )
 
 

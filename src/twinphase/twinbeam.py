@@ -44,15 +44,13 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 class TwinBeamFrame:
     """One acquisition: signal and idler photon-count images.
 
-    ``n_s`` is taken at defocus ``dz`` (mm, signed); the idler is always
+    ``n_s`` is taken at the frame's defocus; the idler is always
     object-free at z = 0.  ``spill`` is the fraction of detected photons
     that left the simulation grid and were dropped.
     """
 
     n_s: ScalarField2D
     n_i: ScalarField2D
-    dz: float
-    stream_index: int
     spill: float = 0.0
 
     def __post_init__(self):
@@ -70,7 +68,6 @@ class NrfPoint:
     d_factor: float
     nrf: float
     fano: float
-    n_frames: int
     nrf_stderr: float = float("nan")
 
     def __post_init__(self):
@@ -392,13 +389,7 @@ def sample_twin_frame(
     n_s, spill_s = _redistribute(s_births, *signal, gen)
     del s_births
     spill = (spill_i + spill_s) / max(total_detected, 1)
-    return TwinBeamFrame(
-        n_s=template.with_values(n_s[crop]),
-        n_i=n_i,
-        dz=dz,
-        stream_index=rng.stream_index,
-        spill=spill,
-    )
+    return TwinBeamFrame(n_s=template.with_values(n_s[crop]), n_i=n_i, spill=spill)
 
 
 def expected_counts(
@@ -617,12 +608,12 @@ def bin_counts(img: ScalarField2D, bin_px: int, origin=None) -> ScalarField2D:
     return ScalarField2D(nw, nh, img.pitch * bin_px, summed)
 
 
-def measure_nrf(frames, bin_px: int, l_cff: float = None) -> NrfPoint:
+def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
     """Noise reduction factor and signal-arm Fano factor of a frame set.
 
     Variances are per-pixel temporal variances over frames, averaged
     over pixels, normalized by the mean photon sum.  ``l_cff`` (um)
-    fixes the reported resolution factor D; it defaults to nan.
+    fixes the reported resolution factor D.
     """
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
@@ -636,11 +627,8 @@ def measure_nrf(frames, bin_px: int, l_cff: float = None) -> NrfPoint:
     nrf = float(var_d.mean() / mean_sum)
     stderr = float(var_d.std(ddof=1) / math.sqrt(var_d.size) / mean_sum)
     fano = float(s_stack.var(axis=0, ddof=1).mean() / s_stack.mean())
-    pitch = frames[0].n_s.pitch
-    d = d_factor_for_bin(bin_px, pitch, l_cff) if l_cff else float("nan")
-    return NrfPoint(
-        d_factor=d, nrf=nrf, fano=fano, n_frames=len(frames), nrf_stderr=stderr
-    )
+    d = d_factor_for_bin(bin_px, frames[0].n_s.pitch, l_cff)
+    return NrfPoint(d_factor=d, nrf=nrf, fano=fano, nrf_stderr=stderr)
 
 
 def fit_efficiencies(curve) -> EfficiencyFit:

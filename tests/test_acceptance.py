@@ -220,7 +220,7 @@ def test_criterion_06_step_heights():
     mask = ScalarField2D(220, 220, PITCH, null_mask.astype(float))
     coverage = bin_counts(mask, 12).values / 144.0
     inside = coverage >= 1.0
-    tau_null = float(est.tau.values[inside].mean())
+    tau_null = float(est.values[inside].mean())
 
     pi_ok = abs(steps["pi"] - (-0.226)) <= 0.15 * 0.226
     null_ok = abs(steps["null"] - 0.345) <= 0.15 * 0.345
@@ -266,8 +266,8 @@ def test_criterion_07_amplitude_advantage(object_triples, calib_means):
     cfg_c = replace(cfg_q, k_mode="classical")
     taus_q, taus_c = [], []
     for _, f0, _ in triples:
-        taus_q.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_q).tau.values)
-        taus_c.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_c).tau.values)
+        taus_q.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_q).values)
+        taus_c.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_c).values)
     std_q = np.stack(taus_q).std(axis=0, ddof=1).mean()
     std_c = np.stack(taus_c).std(axis=0, ddof=1).mean()
     reduction = 100.0 * (1.0 - std_q / std_c)

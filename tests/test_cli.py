@@ -104,6 +104,30 @@ class TestFormatting:
         assert raw == b"a,b\n1.5,x\n2,y\n"
 
 
+# The configuration `simulate` records for a one-frame set at dz = 0.025.
+MANIFEST_CONFIG = {
+    "wavelength": 810.0,
+    "magnification": 8.0,
+    "camera_pixel": 13.0,
+    "blur_fwhm": 1.5,
+    "l_cff": 5.0,
+    "eta0": 0.7,
+    "epsilon": 0.2,
+    "mean_photons_per_pixel": 600.0,
+    "beam_profile": "uniform",
+    "grid_size": 220,
+    "dz_list": [0.025],
+    "frames": 1,
+}
+NUMERIC_KEYS = [k for k in MANIFEST_CONFIG if k not in ("grid_size", "dz_list", "frames")]
+
+
+def manifest_text(**changes):
+    """A frame-set manifest whose configuration has ``changes`` applied."""
+    config = {**MANIFEST_CONFIG, **changes}
+    return json.dumps({"master_seed": 0, "config": config, "files": {}})
+
+
 class TestExitCodes:
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -120,23 +144,7 @@ class TestExitCodes:
     def write_manifest(self, tmp_path, **changes):
         frames = tmp_path / "frames"
         frames.mkdir()
-        config = {
-            "wavelength": 810.0,
-            "magnification": 8.0,
-            "camera_pixel": 13.0,
-            "blur_fwhm": 1.5,
-            "l_cff": 5.0,
-            "eta0": 0.7,
-            "epsilon": 0.2,
-            "mean_photons_per_pixel": 600.0,
-            "beam_profile": "uniform",
-            "grid_size": 220,
-            "dz_list": [0.025],
-            "frames": 1,
-        }
-        config.update(changes)
-        manifest = {"master_seed": 0, "config": config, "files": {}}
-        (frames / "manifest.json").write_text(json.dumps(manifest))
+        (frames / "manifest.json").write_text(manifest_text(**changes))
         return frames
 
     def test_corrupt_field_file_exits_3(self, tmp_path):
@@ -150,13 +158,53 @@ class TestExitCodes:
         code = main(["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("text", ["{bad", "{}"], ids=["not_json", "no_config"])
-    def test_corrupt_manifest_exits_3(self, tmp_path, text):
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_manifest_value_exits_2(self, tmp_path, capsys, key, value):
+        # json writes these as Infinity and NaN, and reads them back as floats
+        frames = self.write_manifest(tmp_path, **{key: value})
+        code = main(["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{bad",
+            "{}",
+            manifest_text(frames="1"),
+            manifest_text(frames=2.5),
+            manifest_text(frames=-1),
+            manifest_text(frames=True),
+            manifest_text(dz_list="0.025"),
+            manifest_text(dz_list=[None]),
+            manifest_text(eta0="x"),
+            manifest_text(l_cff=None),
+            manifest_text(beam_profile="gaussian"),
+            json.dumps({"config": []}),
+        ],
+        ids=[
+            "not_json",
+            "no_config",
+            "frames_string",
+            "frames_fraction",
+            "frames_negative",
+            "frames_bool",
+            "dz_list_string",
+            "dz_list_null",
+            "eta0_string",
+            "l_cff_null",
+            "beam_profile_unknown",
+            "config_not_object",
+        ],
+    )
+    def test_corrupt_manifest_exits_3(self, tmp_path, capsys, text):
         frames = tmp_path / "frames"
         frames.mkdir()
         (frames / "manifest.json").write_text(text)
         code = main(["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
+        assert str(frames / "manifest.json") in capsys.readouterr().err
 
 
 class TestTargetCommand:
@@ -289,6 +337,37 @@ def test_bad_retrieve_arguments_exit_2(frame_set, tmp_path, extra):
     out = tmp_path / "o"
     argv = ["retrieve", "--frames", str(frame_set), "--out", str(out)] + extra
     assert exit_code(argv) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
+    """An infinite l_cff, epsilon or blur_fwhm overflowed in the sampler's
+    set-up, and an infinite camera_pixel wrote frames of infinite pitch."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(cfg), "--frames", "0", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["target"],
+        ["simulate"],
+        *(["scan", scan] for scan in ("nrf", "advantage", "resolution", "noise")),
+    ],
+    ids=" ".join,
+)
+def test_infinite_wavelength_exits_2_on_every_command(tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("wavelength = inf\n")
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
 
 

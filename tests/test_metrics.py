@@ -67,20 +67,19 @@ class TestEsfFit:
 
     def test_exact_recovery(self):
         a, b, x0, w = 1.0, 0.2, 16.0, 1.0  # w = 2 px at pitch 0.5
-        _, y = self.synth(a, b, x0, w)
-        fit = esf_fit(y, pitch=0.5)
+        x, y = self.synth(a, b, x0, w)
+        fit = esf_fit(y, x=x)
         assert fit.ok
         assert fit.a == pytest.approx(a, rel=1e-6)
         assert fit.b == pytest.approx(b, rel=1e-6)
         assert fit.x0 == pytest.approx(x0, rel=1e-6)
         assert fit.w == pytest.approx(w, rel=1e-6)
-        assert fit.r_phase == pytest.approx(FWHM_FACTOR * w, rel=1e-9)
 
     def test_fwhm_numerology(self):
         # w = 2 px -> LSF FWHM = 2 sqrt(2 ln 2) * 2 = 4.71 px
-        _, y = self.synth(1.0, 0.0, 16.0, 2.0, pitch=1.0)
-        fit = esf_fit(y, pitch=1.0)
-        assert fit.r_phase == pytest.approx(4.71, abs=0.01)
+        x, y = self.synth(1.0, 0.0, 16.0, 2.0, pitch=1.0)
+        fit = esf_fit(y, x=x)
+        assert FWHM_FACTOR * fit.w == pytest.approx(4.71, abs=0.01)
 
     def test_explicit_sample_positions(self):
         x, y = self.synth(1.0, 0.0, 16.0, 1.5)
@@ -88,12 +87,12 @@ class TestEsfFit:
         assert fit.ok and fit.w == pytest.approx(1.5, rel=1e-6)
 
     def test_short_profile_flagged(self):
-        fit = esf_fit(np.arange(5.0), pitch=1.0)
+        fit = esf_fit(np.arange(5.0), x=np.arange(5.0))
         assert not fit.ok
-        assert math.isnan(fit.r_phase)
+        assert math.isnan(fit.w)
 
     def test_flat_profile_flagged(self):
-        fit = esf_fit(np.zeros(32), pitch=1.0)
+        fit = esf_fit(np.zeros(32), x=np.arange(32.0))
         assert not fit.ok
 
     def test_noisy_ci_coverage(self):
@@ -104,7 +103,7 @@ class TestEsfFit:
         hits = 0
         for _ in range(100):
             y = clean + rng.normal(0.0, 0.01 * a, size=clean.size)
-            fit = esf_fit(y, pitch=0.5)
+            fit = esf_fit(y, x=x)
             if fit.ok and fit.w_ci[0] <= w <= fit.w_ci[1]:
                 hits += 1
         assert hits >= 90
@@ -175,11 +174,11 @@ class TestQuantumAdvantage:
         ref_vals = ScalarField2D(32, 32, sys_.object_pixel, rng.standard_normal((32, 32)))
         from twinphase.retrieval import PhaseImage
 
-        ref = PhaseImage(values=ref_vals, dz=0.025, k_value=0.0)
+        ref = PhaseImage(values=ref_vals)
         adv = quantum_advantage(triples, cfg, ref)
         assert adv.ratio == 1.0
         assert adv.c_quant == adv.c_clas
-        assert adv.n_frames == 2
+        assert len(adv.c_quant_frames) == 2
 
 
 class TestNoiseSuppressionScan:

@@ -7,6 +7,7 @@ import pytest
 
 from twinphase.core import (
     FWHM_TO_SIGMA,
+    GridError,
     ObjectSpec,
     OpticalSystem,
     ScalarField2D,
@@ -186,11 +187,12 @@ class TestDefocusStack:
 
     def test_stack_invariants(self):
         f = ScalarField2D(8, 8, 1.0, np.ones((8, 8)))
-        with pytest.raises(ValueError):
-            IntensityStack(i_minus=f, i_zero=f, i_plus=f, dz=-0.1)
+        coarse = ScalarField2D(8, 8, 2.0, np.ones((8, 8)))
+        with pytest.raises(GridError):
+            IntensityStack(i_minus=f, i_zero=f, i_plus=coarse)
         neg = f.with_values(-np.ones((8, 8)))
         with pytest.raises(ValueError):
-            IntensityStack(i_minus=neg, i_zero=f, i_plus=f, dz=0.1)
+            IntensityStack(i_minus=neg, i_zero=f, i_plus=f)
 
 
 def test_fresnel_aliased_threshold():

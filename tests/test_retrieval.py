@@ -5,12 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from twinphase.core import OpticalSystem, ScalarField2D, TwinBeamConfig, generate_test_target
+from twinphase.core import (
+    ConfigError,
+    OpticalSystem,
+    ScalarField2D,
+    TwinBeamConfig,
+    generate_test_target,
+    validate_config,
+)
 from twinphase.retrieval import (
+    INTENSITY_FLOOR,
     RetrievalConfig,
     estimate_transmittance,
-    k_tau_opt,
-    k_tie_opt,
     laplacian_dirichlet,
     phase_noise_spectrum,
     poisson_solve_dirichlet,
@@ -71,17 +77,25 @@ class TestPoissonSolver:
         assert np.abs(back - interior).max() < 1e-9 * np.abs(interior).max()
 
 
+def weight(k_mode, d_factor=1.0):
+    """resolve_k at resolution factor D = ``d_factor``: one bin of
+    5 * d_factor um against l_cff = 5 um."""
+    twin = TwinBeamConfig(l_cff=5.0, eta0=0.7, epsilon=0.2)
+    return resolve_k(RetrievalConfig(dz=0.025, k_mode=k_mode, twin=twin), 5.0 * d_factor)
+
+
 class TestCorrectionWeights:
     def test_k_tie_is_eta0(self):
-        assert k_tie_opt(0.7) == 0.7
-        with pytest.raises(ValueError):
-            k_tie_opt(1.3)
+        assert weight("tie") == 0.7
+        # an eta0 outside [0, 1] never reaches the weights
+        with pytest.raises(ConfigError, match="efficiency out of range"):
+            validate_config(OpticalSystem(), TwinBeamConfig(eta0=1.3))
 
     def test_k_tau_formula(self):
-        assert k_tau_opt(0.7, 3.9, 0.2) == pytest.approx(0.7 * eta_c(3.9, 0.2))
+        assert weight("tau", 3.9) == pytest.approx(0.7 * eta_c(3.9, 0.2))
 
     def test_k_tau_approaches_k_tie_at_large_d(self):
-        assert k_tau_opt(0.7, 500.0, 0.2) == pytest.approx(0.7, abs=0.01)
+        assert weight("tau", 500.0) == pytest.approx(weight("tie"), abs=0.01)
 
     def test_resolve_k_modes(self):
         pitch = 13.0 / 8.0
@@ -146,9 +160,7 @@ class TestTransmittance:
             twin=self.twin,
         )
         est = estimate_transmittance(mean_s_obj, mean_i, cfg)
-        assert est.k_value == 0.0
-        assert np.all(est.valid)
-        corner = est.tau.values[:30, :30]
+        corner = est.values[:30, :30]
         assert np.allclose(corner, 1.0, atol=1e-9)
         from scipy.ndimage import binary_erosion
 
@@ -156,7 +168,31 @@ class TestTransmittance:
 
         _, null_mask = target_masks(220, 220)
         inner = binary_erosion(null_mask, iterations=4)
-        assert est.tau.values[inner].mean() == pytest.approx(0.94, abs=0.005)
+        assert est.values[inner].mean() == pytest.approx(0.94, abs=0.005)
+
+    def test_dark_reference_pixels_read_one(self):
+        # where the reference mean is below INTENSITY_FLOOR times its mean
+        # the estimate is exactly 1.0; elsewhere it is corrected / mean
+        rng = np.random.default_rng(10)
+        mean = np.full((16, 16), 400.0)
+        mean[2:6, 3:9] = 0.5 * INTENSITY_FLOOR * 400.0
+        dark = mean < INTENSITY_FLOOR * mean.mean()
+        assert dark.sum() == 24
+        n_s = rng.poisson(300.0, (16, 16)).astype(float)
+        n_i = rng.poisson(300.0, (16, 16)).astype(float)
+        mean_i = np.full((16, 16), 310.0)
+        cfg = RetrievalConfig(
+            dz=0.025,
+            k_mode=0.5,
+            reference_mean=ScalarField2D(16, 16, 1.0, mean),
+            reference_mean_idler=ScalarField2D(16, 16, 1.0, mean_i),
+        )
+        est = estimate_transmittance(
+            ScalarField2D(16, 16, 1.0, n_s), ScalarField2D(16, 16, 1.0, n_i), cfg
+        )
+        corrected = n_s - 0.5 * (n_i[::-1, ::-1] - mean_i)
+        assert np.all(est.values[dark] == 1.0)
+        assert np.array_equal(est.values[~dark], corrected[~dark] / mean[~dark])
 
 
 class TestTie:

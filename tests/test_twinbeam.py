@@ -177,7 +177,7 @@ class TestSampler:
         good = self.grid.with_values(np.zeros((64, 64)))
         bad = self.grid.with_values(np.full((64, 64), 0.5))
         with pytest.raises(ValueError):
-            TwinBeamFrame(n_s=bad, n_i=good, dz=0.0, stream_index=0)
+            TwinBeamFrame(n_s=bad, n_i=good)
 
     def test_flux_calibration(self):
         # detected signal flux averages mean_photons_per_pixel
@@ -260,7 +260,7 @@ def use_threads(monkeypatch, threads, cpus=4):
 class TestSampleFrames:
     def frame_bytes(self, frames):
         return [
-            (f.n_s.values.tobytes(), f.n_i.values.tobytes(), f.dz, f.stream_index, f.spill)
+            (f.n_s.values.tobytes(), f.n_i.values.tobytes(), f.spill)
             for f in frames
         ]
 
@@ -446,29 +446,27 @@ class TestMeasureNrf:
         # idler images exactly the point-reflection of the signal
         rng = np.random.default_rng(5)
         frames = []
-        for i in range(4):
+        for _ in range(4):
             s = rng.poisson(50.0, size=(16, 16)).astype(float)
             f_s = ScalarField2D(16, 16, 1.0, s)
             f_i = ScalarField2D(16, 16, 1.0, s[::-1, ::-1])
-            frames.append(TwinBeamFrame(n_s=f_s, n_i=f_i, dz=0.0, stream_index=i))
-        point = measure_nrf(frames, 1)
+            frames.append(TwinBeamFrame(n_s=f_s, n_i=f_i))
+        point = measure_nrf(frames, 1, l_cff=5.0)
         assert point.nrf == 0.0
 
     def test_independent_arms_give_nrf_near_one(self):
         rng = np.random.default_rng(6)
         frames = []
-        for i in range(60):
+        for _ in range(60):
             s = rng.poisson(80.0, size=(24, 24)).astype(float)
             idl = rng.poisson(80.0, size=(24, 24)).astype(float)
             frames.append(
                 TwinBeamFrame(
                     n_s=ScalarField2D(24, 24, 1.0, s),
                     n_i=ScalarField2D(24, 24, 1.0, idl),
-                    dz=0.0,
-                    stream_index=i,
                 )
             )
-        point = measure_nrf(frames, 1)
+        point = measure_nrf(frames, 1, l_cff=5.0)
         assert point.nrf == pytest.approx(1.0, abs=0.08)
         assert point.fano == pytest.approx(1.0, abs=0.08)
 
@@ -476,11 +474,9 @@ class TestMeasureNrf:
         f = TwinBeamFrame(
             n_s=ScalarField2D(8, 8, 1.0, np.ones((8, 8))),
             n_i=ScalarField2D(8, 8, 1.0, np.ones((8, 8))),
-            dz=0.0,
-            stream_index=0,
         )
         with pytest.raises(ValueError):
-            measure_nrf([f], 1)
+            measure_nrf([f], 1, l_cff=5.0)
 
     def test_sampled_nrf_matches_model(self):
         # statistical check at D = 1.95 on a small grid
@@ -502,7 +498,7 @@ class TestEfficiencyFit:
         points = []
         for d in (0.3, 0.6, 1.0, 2.0, 4.0, 8.0):
             points.append(
-                NrfPoint(d_factor=d, nrf=nrf_predicted(eta0, d, eps), fano=1.0, n_frames=1)
+                NrfPoint(d_factor=d, nrf=nrf_predicted(eta0, d, eps), fano=1.0)
             )
         return points
 
@@ -519,7 +515,7 @@ class TestEfficiencyFit:
 
     def test_needs_d_span(self):
         points = [
-            NrfPoint(d_factor=d, nrf=nrf_predicted(0.7, d, 0.2), fano=1.0, n_frames=1)
+            NrfPoint(d_factor=d, nrf=nrf_predicted(0.7, d, 0.2), fano=1.0)
             for d in (1.5, 2.0, 2.5, 3.0)
         ]
         with pytest.raises(ValueError):
