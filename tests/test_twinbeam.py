@@ -1,5 +1,6 @@
 """Tests of the twin-beam sampler, correlation model and metrology."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from twinphase.core import (
+    ObjectSpec,
     OpticalSystem,
     RngStream,
     ScalarField2D,
@@ -246,6 +248,47 @@ def test_defocused_object_with_a_flat_unique_inverse(monkeypatch):
     got = draw()
     assert any(flattened)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def smooth_object(n, pitch):
+    """An off-centre Gaussian phase bump (peak 4 rad) over a smooth
+    transmittance: every pixel of its displacement map is distinct."""
+    y, x = np.mgrid[0:n, 0:n] * pitch
+    r2 = (x - 0.43 * n * pitch) ** 2 + (y - 0.58 * n * pitch) ** 2
+    phi = 4.0 * np.exp(-r2 / (2.0 * (7.0 * pitch) ** 2))
+    tau = 0.55 + 0.4 * np.exp(-r2 / (2.0 * (11.0 * pitch) ** 2))
+    return ObjectSpec(tau=ScalarField2D(n, n, pitch, tau), phi=ScalarField2D(n, n, pitch, phi))
+
+
+# SHA-256 of the float64 bytes of one defocused frame of smooth_object(40)
+# and of its expected counts, recorded with this numpy version (its binomial
+# and Poisson streams fix the frame).  The golden target has 5 distinct
+# displacements per axis; here each arm's kernel tables have an entry per
+# pixel, so this pins the per-pixel path of the count transport.
+SMOOTH_FRAME_NUMPY = "2.4.6"
+SMOOTH_FRAME_SHA256 = {
+    "n_s": "92d981db90f7fcc3ddd155c38725b2289de3c62bafc77ece44f53c30535bf13c",
+    "n_i": "985f72b823c57e0282b92efb2623df57a941f3e3ea7233c28abc415b3e68b29b",
+    "mean_s": "2f0baf9fa3eaf242e092bddcc18315b1c952f975064f203d546f6a9d9b4afdac",
+    "mean_i": "b116ebfd9bbbb3371c82f99fb70ae53041ea9b45338f160609d2b6587e8d271b",
+}
+
+
+def test_defocused_smooth_object_frame_bytes_are_pinned():
+    if np.__version__ != SMOOTH_FRAME_NUMPY:
+        pytest.fail(
+            f"the smooth-object frame was recorded with numpy {SMOOTH_FRAME_NUMPY}, "
+            f"this is numpy {np.__version__}: the random streams may differ"
+        )
+    sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=300.0)
+    obj, dz = smooth_object(40, sys_.object_pixel), 0.1
+    disp_x, disp_y = twinbeam._phase_displacement(obj, sys_, dz, 0)
+    assert len(np.unique(disp_x)) == len(np.unique(disp_y)) == 40 * 40
+    frame = sample_twin_frame(obj, sys_, twin, dz, RngStream(8, 1))
+    mean_s, mean_i = expected_counts(obj, sys_, twin, dz)
+    maps = {"n_s": frame.n_s, "n_i": frame.n_i, "mean_s": mean_s, "mean_i": mean_i}
+    digests = {k: hashlib.sha256(f.values.tobytes()).hexdigest() for k, f in maps.items()}
+    assert digests == SMOOTH_FRAME_SHA256
 
 
 def use_threads(monkeypatch, threads, cpus=4):
