@@ -9,7 +9,17 @@ Subcommands, each registering only the flags it reads:
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.  Identical config + seed produce byte-identical outputs, for
-any thread count.
+any thread count of ``twinbeam.ordered_map``.
+
+``simulate``, ``scan nrf`` and ``scan advantage`` draw their frames, and
+``scan noise`` evaluates its Poisson trials, on the threads of
+``twinbeam.ordered_map``: one per CPU this process may use, capped by
+the QPI_THREADS environment variable.  QPI_THREADS caps those threads
+only; numpy's and scipy's BLAS pools keep the sizes their libraries
+chose.  Frames are independent by stream index and the trials are drawn
+in order, so their output does not depend on the number of threads.  A
+matrix product may differ in its last bits with the BLAS pool size, so
+the golden output hashes hold for the pool size they were recorded with.
 """
 
 from __future__ import annotations
@@ -21,18 +31,6 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import replace
-
-# QPI_THREADS caps BLAS/FFT worker pools, which must be set before numpy
-# loads, and the threads of twinbeam.ordered_map, which read it when they
-# start: those draw the frames of twinbeam.sample_frames and evaluate the
-# Poisson trials of `scan noise`.  Frames are independent by stream index
-# and the trials are drawn in order, so the output does not depend on the
-# number of threads.  Each thread holds one frame's working set, or about
-# 5 MB for a noise trial at 220^2.
-if os.environ.get("QPI_THREADS"):
-    _t = os.environ["QPI_THREADS"]
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _t)
 
 import numpy as np
 
@@ -222,12 +220,11 @@ def cmd_simulate(args):
     size = run.get("grid_size", GRID_SIZE)
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-
     calib_s, calib_i = twinbeam.expected_counts(
         None, sys_cfg, twin_cfg, 0.0, grid=obj.tau
     )
+    os.makedirs(args.out, exist_ok=True)
+    outputs = []
     for name, field in (("calib_mean_signal", calib_s), ("calib_mean_idler", calib_i)):
         path = os.path.join(args.out, name + ".qpf")
         qpf.write_qpf(path, field)
@@ -341,30 +338,28 @@ def cmd_retrieve(args):
         phase = retrieval.phase_from_twin_frames(tf["m"], tf["0"], tf["p"], config)
         out_path = os.path.join(args.out, f"phase_f{frame:04d}.qpf")
         qpf.write_qpf(out_path, phase.values)
+        del phase
         outputs.append(out_path)
         phase_rows.append((frame, k, provenance))
         if frame == 0:
-            sum_m = tf["m"].n_s.values.copy()
-            sum_0 = tf["0"].n_s.values.copy()
-            sum_p = tf["p"].n_s.values.copy()
+            sums = [tf[tag].n_s.values.copy() for tag in ("m", "0", "p")]
             tau = retrieval.estimate_transmittance(tf["0"].n_s, tf["0"].n_i, config)
             tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
             qpf.write_qpf(tau_path, tau)
+            del tau
             outputs.append(tau_path)
         else:
-            sum_m += tf["m"].n_s.values
-            sum_0 += tf["0"].n_s.values
-            sum_p += tf["p"].n_s.values
+            for total, tag in zip(sums, ("m", "0", "p")):
+                total += tf[tag].n_s.values
+        # the averaged solve below needs no frame
+        del tf
 
     # all-frame averaged classical reference reconstruction
-    grid = calib_s
     avg_cfg = replace(config, k_mode="classical")
-    avg_phase = retrieval.phase_from_counts(
-        grid.with_values(sum_m / n_frames),
-        grid.with_values(sum_0 / n_frames),
-        grid.with_values(sum_p / n_frames),
-        avg_cfg,
-    )
+    means = [calib_s.with_values(total / n_frames) for total in sums]
+    del sums
+    avg_phase = retrieval.phase_from_counts(*means, avg_cfg)
+    del means
     avg_path = os.path.join(args.out, "phase_average.qpf")
     qpf.write_qpf(avg_path, avg_phase.values)
     outputs.append(avg_path)

@@ -104,7 +104,10 @@ def quantum_correct(
     """
     n_s.require_same_grid(n_i)
     n_s.require_same_grid(mean_i)
-    return n_s.with_values(n_s.values - k * (n_i.values - mean_i.values))
+    corrected = np.subtract(n_i.values, mean_i.values)
+    np.multiply(k, corrected, out=corrected)
+    np.subtract(n_s.values, corrected, out=corrected)
+    return n_s.with_values(corrected)
 
 
 def estimate_transmittance(
@@ -150,8 +153,10 @@ def poisson_solve_dirichlet(rhs: ScalarField2D) -> ScalarField2D:
     enforced by the odd extension, with no zero-frequency singularity.
     """
     coeffs = dstn(rhs.values[1:-1, 1:-1], type=1)
+    coeffs /= _dirichlet_eigenvalues(rhs)
     u = np.zeros((rhs.height, rhs.width))
-    u[1:-1, 1:-1] = idstn(coeffs / _dirichlet_eigenvalues(rhs), type=1)
+    u[1:-1, 1:-1] = idstn(coeffs, type=1, overwrite_x=True)
+    del coeffs
     return rhs.with_values(u)
 
 
@@ -173,11 +178,15 @@ def _trig_bases(n: int, length: float):
     """
     m = np.arange(1, n - 1)
     k = m * math.pi / length
-    theta = np.pi * np.outer(np.arange(n), m) / (n - 1)
-    c = np.cos(theta)
+    # theta = pi * outer(j, m) / (n - 1); its buffer then holds C
+    theta = np.outer(np.arange(n, dtype=float), m)
+    theta *= np.pi
+    theta /= n - 1
+    s = np.sin(theta)
+    c = np.cos(theta, out=theta)
     cw = c.copy()
     cw[[0, -1]] *= 0.5
-    return k, np.sin(theta), c, cw
+    return k, s, c, cw
 
 
 def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.ndarray:
@@ -185,27 +194,46 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
 
     Gradients, divergence and the Poisson inverse all act in the same
     sine/cosine spectral basis, so for uniform I0 the step reduces
-    exactly to phi = psi / I0 with no numerical smoothing.
+    exactly to phi = psi / I0 with no numerical smoothing.  The matrix
+    products are those of the plain expressions in the comments, in the
+    same order; the elementwise steps run in place, with the operands in
+    the same order, and each array is dropped at its last use.
     """
     h, w = psi.shape
     ly, lx = (h - 1) * pitch, (w - 1) * pitch
     ky, sy, cy, cyw = bases = _trig_bases(h, ly)
     # a square grid has one basis for both axes
     kx, sx, cx, cxw = bases if (w, lx) == (h, ly) else _trig_bases(w, lx)
+    ky, kx = ky[:, np.newaxis], kx[np.newaxis, :]
 
+    # coeffs = norm * (sy.T @ psi @ sx)
     norm = 4.0 / ((h - 1) * (w - 1))
-    coeffs = norm * (sy.T @ psi @ sx)
-    gy = cy @ (ky[:, np.newaxis] * coeffs) @ sx.T
-    gx = sy @ (coeffs * kx[np.newaxis, :]) @ cx.T
+    coeffs = sy.T @ psi @ sx
+    coeffs *= norm
+    # fy = gy / i0 with gy = cy @ (ky * coeffs) @ sx.T, then
+    # a = norm * (cyw.T @ fy @ sx)
+    f = cy @ (ky * coeffs) @ sx.T
+    f /= i0
+    a = cyw.T @ f @ sx
+    del f
+    a *= norm
+    # fx = gx / i0 with gx = sy @ (coeffs * kx) @ cx.T, then
+    # b = norm * (sy.T @ fx @ cxw)
+    coeffs *= kx
+    f = sy @ coeffs @ cx.T
+    del coeffs
+    f /= i0
+    b = sy.T @ f @ cxw
+    del f
+    b *= norm
 
-    fy = gy / i0
-    fx = gx / i0
-    a = norm * (cyw.T @ fy @ sx)
-    b = norm * (sy.T @ fx @ cxw)
-
-    eig = ky[:, np.newaxis] ** 2 + kx[np.newaxis, :] ** 2
-    phi_coeffs = (ky[:, np.newaxis] * a + b * kx[np.newaxis, :]) / eig
-    return sy @ phi_coeffs @ sx.T
+    # phi_coeffs = (ky * a + b * kx) / (ky**2 + kx**2)
+    a *= ky
+    b *= kx
+    a += b
+    del b
+    a /= ky**2 + kx**2
+    return sy @ a @ sx.T
 
 
 def tie_retrieve(
@@ -228,13 +256,18 @@ def tie_retrieve(
     if mean_i0 <= 0:
         raise ValueError("i_zero must have positive mean")
     dz_um = config.dz * 1e3
-    didz = (i_plus.values - i_minus.values) / (2.0 * dz_um)
-    rhs1 = i_zero.with_values(-config.sys.wavenumber * didz)
-    psi = poisson_solve_dirichlet(rhs1)
+    # rhs = -k_wave * ((i_plus - i_minus) / (2 dz))
+    rhs = np.subtract(i_plus.values, i_minus.values)
+    rhs /= 2.0 * dz_um
+    rhs *= -config.sys.wavenumber
+    rhs = i_zero.with_values(rhs)
+    psi = poisson_solve_dirichlet(rhs).values
+    del rhs
 
     floor = INTENSITY_FLOOR * mean_i0
     i0 = np.maximum(i_zero.values, floor)
-    phi = _teague_second_step(psi.values, i0, i_zero.pitch)
+    phi = _teague_second_step(psi, i0, i_zero.pitch)
+    del psi, i0
     return PhaseImage(i_zero.with_values(phi))
 
 
@@ -271,13 +304,12 @@ def phase_from_twin_frames(
     pitch = frame_zero.n_s.pitch
     k = resolve_k(config, pitch)
     mean_i = register_idler(config.reference_mean_idler)
-
-    def corrected(frame):
-        return quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, k)
-
-    return phase_from_counts(
-        corrected(frame_minus), corrected(frame_zero), corrected(frame_plus), config
-    )
+    planes = [
+        quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, k)
+        for frame in (frame_minus, frame_zero, frame_plus)
+    ]
+    del mean_i  # the solve does not need it
+    return phase_from_counts(*planes, config)
 
 
 def phase_noise_spectrum(

@@ -30,6 +30,7 @@ from scipy.special import ndtr
 
 from .core import (
     FWHM_TO_SIGMA,
+    ConfigError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
@@ -38,6 +39,9 @@ from .core import (
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# The largest rate numpy's Generator.poisson draws ("lam value too large"
+# above it).
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass(frozen=True)
@@ -195,25 +199,31 @@ def _scatter_shift(out, take, j, axis):
     return int(take[tuple(lost)].sum())
 
 
-def _shift_axis(counts, shift, s, axis, rng):
+def _shift_axis(counts, shift, s, axis, rng, out=None):
     """Redistribute counts along one axis by ``uniform + shift + N(0, s)``.
 
     ``shift`` may be a scalar or a per-pixel array (pixels).  With
     ``rng`` set the redistribution is a multinomial sample (iterated
     binomial over offsets); with ``rng=None`` it is the exact
     expectation, for deterministic mean-count computations.
-    Returns (out, spill).  The kernel tables are computed once per
-    distinct shift ``d`` and gathered onto the pixels through ``inv``;
-    a scalar shift is a one-entry table.
+    Returns (out, spill): the result goes to ``out`` when it is given,
+    which may be ``counts`` itself, and to a new array otherwise.  The
+    kernel tables are computed once per distinct shift ``d`` and
+    gathered onto the pixels through ``inv``; a scalar shift is a
+    one-entry table.
     """
-    d, inv = np.unique(np.asarray(shift, dtype=float), return_inverse=True)
-    inv = inv.reshape(np.shape(shift))  # NumPy < 2 returns it flattened
+    shift = np.asarray(shift, dtype=float)
+    d = np.unique(shift)
+    inv = np.searchsorted(d, shift)  # the index in d of each pixel's shift
     jmin = int(math.floor(float(d[0]) - 6.0 * s))
     jmax = int(math.ceil(float(d[-1]) + 6.0 * s))
 
     sampled = rng is not None
-    out = np.zeros_like(counts) if sampled else np.zeros(counts.shape)
     rem = counts.copy() if sampled else np.array(counts, dtype=float)
+    if out is None:
+        out = np.zeros_like(rem)
+    else:
+        out[...] = 0
     rem_w = np.ones(d.shape)
     p = np.empty(d.shape)
     spill = 0
@@ -245,9 +255,11 @@ def _shift_axis(counts, shift, s, axis, rng):
 
 
 def _redistribute(counts, shift_x, shift_y, s, rng):
-    out, spill_y = _shift_axis(counts, shift_y, s, 0, rng)
-    out, spill_x = _shift_axis(out, shift_x, s, 1, rng)
-    return out, spill_y + spill_x
+    """Both axes of ``_shift_axis``, in the buffer of ``counts``, which is
+    overwritten; returns (counts, spill)."""
+    _, spill_y = _shift_axis(counts, shift_y, s, 0, rng, out=counts)
+    _, spill_x = _shift_axis(counts, shift_x, s, 1, rng, out=counts)
+    return counts, spill_y + spill_x
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +275,9 @@ def _pair_rate(twin: TwinBeamConfig, width, height, pitch, margin):
     The illumination weight is normalized to unit mean over the
     requested region, so the detected signal marginal averages
     mean_photons_per_pixel there.  With eta0 = 0 nothing is ever
-    detected, and the rate is zero.
+    detected, and the rate is zero.  A rate that is not finite (a beam
+    too narrow to light any pixel of the region) or that numpy cannot
+    draw raises ConfigError.
     """
     pw, ph = width + 4 * margin, height + 4 * margin
     if twin.beam_profile == "uniform":
@@ -274,13 +288,20 @@ def _pair_rate(twin: TwinBeamConfig, width, height, pitch, margin):
         y = (np.arange(ph) - (ph - 1) / 2.0) * pitch
         weight = np.exp(-2.0 * (x[np.newaxis, :] ** 2 + y[:, np.newaxis] ** 2) / radius**2)
         roi = weight[2 * margin : 2 * margin + height, 2 * margin : 2 * margin + width]
-        weight = weight / roi.mean()
+        with np.errstate(invalid="ignore", divide="ignore"):  # checked below
+            weight = weight / roi.mean()
     # no births in the outermost reach ring
     weight[:margin, :] = 0.0
     weight[-margin:, :] = 0.0
     weight[:, :margin] = 0.0
     weight[:, -margin:] = 0.0
     weight *= twin.mean_photons_per_pixel / twin.eta0 if twin.eta0 > 0 else 0.0
+    peak = weight.max()
+    if not peak <= _POISSON_LAM_MAX:  # also false for nan
+        raise ConfigError(
+            f"pair-birth rate {peak:.3g} per pixel is not a finite rate of at most "
+            f"{_POISSON_LAM_MAX:.3g}: check mean_photons_per_pixel, eta0 and beam_profile"
+        )
     return weight
 
 
@@ -291,8 +312,13 @@ def _phase_displacement(obj: Optional[ObjectSpec], sys: OpticalSystem, dz, margi
     phi = np.pad(obj.phi.values, margin, mode="edge")
     pitch = obj.phi.pitch
     gy, gx = np.gradient(phi, pitch)
+    del phi
     scale = (dz * 1e3) / sys.wavenumber  # um^2
-    return scale * gx / pitch, scale * gy / pitch
+    # scale * g / pitch, in the buffer of each gradient g
+    for g in (gx, gy):
+        np.multiply(scale, g, out=g)
+        g /= pitch
+    return gx, gy
 
 
 def _transport(obj, sys, twin, dz, grid):
@@ -300,9 +326,9 @@ def _transport(obj, sys, twin, dz, grid):
 
     Returns ``(template, crop, rate, tau, idler, signal)``: the output
     grid, the slices that crop the padded grid to it, the pair birth
-    rate and the transmittance on the padded grid (tau is 1.0 without
-    an object), and each arm's ``(shift_x, shift_y, s)`` arguments of
-    ``_redistribute``.
+    rate and the transmittance on the padded grid (a 0-d array of 1.0
+    without an object), and each arm's ``(shift_x, shift_y, s)``
+    arguments of ``_redistribute``.
     """
     if obj is not None:
         template = obj.tau
@@ -323,9 +349,37 @@ def _transport(obj, sys, twin, dz, grid):
         tau = np.pad(obj.tau.values, 2 * margin, mode="edge")
         disp_x, disp_y = _phase_displacement(obj, sys, dz, 2 * margin)
     else:
-        tau = 1.0
+        tau = np.ones(())
     crop = (slice(2 * margin, 2 * margin + height), slice(2 * margin, 2 * margin + width))
     return template, crop, rate, tau, (delta_px, delta_px, sigma_px), (disp_x, disp_y, blur_px)
+
+
+def _thinning(eta0, tau):
+    """Detection probabilities of one pair, in the buffer of the array
+    ``tau``: ``(p_both, p1, p2)``.
+
+    p_both = eta0^2 tau is the chance that both photons are detected;
+    p1 = p_s_only / (1 - p_both) that the signal alone is, given not
+    both; p2 = p_i_only / (1 - p_both - p_s_only) that the idler alone
+    is, given neither of those; with p_s_only = eta0 tau (1 - eta0) and
+    p_i_only = eta0 (1 - eta0 tau).  The denominators are floored at
+    1e-300 and p1, p2 clipped to [0, 1].
+    """
+    p_both = np.multiply(eta0 * eta0, tau, out=np.empty_like(tau))
+    eta_tau = np.multiply(eta0, tau, out=tau)
+    p_i_only = np.subtract(1.0, eta_tau, out=np.empty_like(tau))
+    p_i_only *= eta0
+    p_s_only = np.multiply(eta_tau, 1.0 - eta0, out=eta_tau)
+    not_both = np.subtract(1.0, p_both, out=np.empty_like(tau))
+    p1 = np.maximum(not_both, 1e-300, out=np.empty_like(tau))
+    p2 = np.subtract(not_both, p_s_only, out=not_both)
+    np.maximum(p2, 1e-300, out=p2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(p_s_only, p1, out=p1)
+        np.divide(p_i_only, p2, out=p2)
+    np.clip(p1, 0.0, 1.0, out=p1)
+    np.clip(p2, 0.0, 1.0, out=p2)
+    return p_both, p1, p2
 
 
 def sample_twin_frame(
@@ -349,47 +403,41 @@ def sample_twin_frame(
     template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz, grid)
     gen = rng.generator()
     rem = gen.poisson(rate)
+    # Two frames may be in flight at once (see sample_frames), so each
+    # padded array is dropped at its last use.
+    del rate
 
     # Correlated thinning: per pair the signal survives the object with
     # probability tau and is detected with eta0; the idler is detected
     # with eta0; outcomes share the same birth.
-    eta0 = twin.eta0
-    p_both = eta0 * eta0 * tau
-    p_s_only = eta0 * tau * (1.0 - eta0)
-    p_i_only = eta0 * (1.0 - eta0 * tau)
+    p_both, p1, p2 = _thinning(twin.eta0, tau)
+    del tau
     k_both = gen.binomial(rem, p_both)
+    del p_both
     rem -= k_both
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = np.clip(p_s_only / np.maximum(1.0 - p_both, 1e-300), 0.0, 1.0)
-    k_s_only = gen.binomial(rem, np.broadcast_to(p1, rem.shape))
-    rem -= k_s_only
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p2 = np.clip(
-            p_i_only / np.maximum(1.0 - p_both - p_s_only, 1e-300), 0.0, 1.0
-        )
-    k_i_only = gen.binomial(rem, np.broadcast_to(p2, rem.shape))
-
-    s_births = k_s_only
+    s_births = gen.binomial(rem, np.broadcast_to(p1, rem.shape))
+    del p1
+    rem -= s_births
+    i_births = gen.binomial(rem, np.broadcast_to(p2, rem.shape))
+    del p2, rem
     s_births += k_both
-    i_births = k_i_only
     i_births += k_both
+    del k_both
     total_detected = int(s_births.sum() + i_births.sum())
-    # Two frames may be in flight at once (see sample_frames): drop the
-    # padded set-up arrays before the redistribution, the peak of a frame.
-    del rate, tau, rem, p_both, p_s_only, p_i_only, p1, p2, k_both, k_s_only, k_i_only
 
     # Idler arm: point-reflect about the grid center, then spread by the
     # pair correlation with the misalignment offset.  It is cropped
     # before the signal arm runs.
     n_i, spill_i = _redistribute(i_births[::-1, ::-1], *idler, gen)
-    del i_births
     n_i = template.with_values(n_i[crop])
+    del i_births
 
     # Signal arm: phase-gradient displacement plus imaging blur.
     n_s, spill_s = _redistribute(s_births, *signal, gen)
+    n_s = template.with_values(n_s[crop])
     del s_births
     spill = (spill_i + spill_s) / max(total_detected, 1)
-    return TwinBeamFrame(n_s=template.with_values(n_s[crop]), n_i=n_i, spill=spill)
+    return TwinBeamFrame(n_s=n_s, n_i=n_i, spill=spill)
 
 
 def expected_counts(
@@ -406,11 +454,14 @@ def expected_counts(
     large frame sets.  With eta0 = 0 both means are zero.
     """
     template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz, grid)
-    mean_s_births = rate * twin.eta0 * tau
-    mean_i_births = rate * twin.eta0
+    mean_i_births = np.multiply(rate, twin.eta0, out=rate)
+    mean_s_births = mean_i_births * tau
+    del rate, tau
     mean_i, _ = _redistribute(mean_i_births[::-1, ::-1], *idler, None)
+    mean_i = template.with_values(mean_i[crop])
+    del mean_i_births
     mean_s, _ = _redistribute(mean_s_births, *signal, None)
-    return template.with_values(mean_s[crop]), template.with_values(mean_i[crop])
+    return template.with_values(mean_s[crop]), mean_i
 
 
 def _frame_workers() -> int:

@@ -323,6 +323,17 @@ def frame_set(tmp_path_factory):
     return out
 
 
+def test_retrieve_memory_peak_in_grid_arrays(frame_set, tmp_path, traced_peak):
+    """20.4 float64 arrays of the 220-pixel grid: no frame outlives its
+    solve; 34.2 when the last frame's six count maps and its phase were
+    held through the averaged solve."""
+    argv = ["retrieve", "--frames", str(frame_set), "--k-mode", "tie", "--bin", "1"]
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv + ["--out", str(tmp_path / "o")])))
+    assert codes == [EXIT_OK]
+    assert peak / (220 * 220 * 8) <= 21.5
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -351,6 +362,28 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
     code = main(["simulate", "--config", str(cfg), "--frames", "0", "--out", str(out)])
     assert code == EXIT_CONFIG
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["mean_photons_per_pixel = 1e300", "eta0 = 1e-30", "beam_profile = 0.001"],
+    ids=["photons", "eta0", "beam"],
+)
+@pytest.mark.parametrize(
+    "command", [["simulate", "--frames", "1"], ["scan", "nrf", "--frames", "2"]], ids=" ".join
+)
+def test_pair_rate_numpy_cannot_draw_exits_2(tmp_path, capsys, line, command):
+    """Finite values that pass validation can still give a pair-birth rate
+    above numpy's Poisson limit ("lam value too large"), or a beam too
+    narrow to light any pixel, whose normalized weights are 0 / 0."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert exit_code(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "pair-birth rate" in err
+    assert "mean_photons_per_pixel, eta0 and beam_profile" in err
     assert not out.exists()
 
 
