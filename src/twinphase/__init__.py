@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .core import (
     ConfigError,
     GridError,
+    NoPhotonError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
@@ -19,6 +20,7 @@ from .qpf import read_qpf, write_qpf
 __all__ = [
     "ConfigError",
     "GridError",
+    "NoPhotonError",
     "ObjectSpec",
     "OpticalSystem",
     "RngStream",

@@ -38,6 +38,7 @@ from . import __version__, metrics, qpf, retrieval, twinbeam
 from .core import (
     ConfigError,
     GridError,
+    NoPhotonError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
@@ -604,7 +605,7 @@ def main(argv=None):
         # includes QpfFormatError: a malformed field file is an I/O error
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, NoPhotonError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

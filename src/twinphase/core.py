@@ -29,6 +29,11 @@ class GridError(ValueError):
     """Grid metadata of two fields is incompatible."""
 
 
+class NoPhotonError(ValueError):
+    """A measurement that divides by a mean photon count was given
+    counts with no detected photon."""
+
+
 def _frozen_array(values, dtype):
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)

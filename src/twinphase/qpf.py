@@ -24,10 +24,13 @@ class QpfFormatError(IOError):
 
 
 def write_qpf(path, f: ScalarField2D) -> None:
-    path = Path(path)
+    """Write ``f`` to ``path``: the header, then the values straight from
+    the array, with no byte copy of them on a little-endian host."""
     header = _HEADER.pack(MAGIC, f.width, f.height, f.pitch)
-    body = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-    path.write_bytes(header + body)
+    body = np.ascontiguousarray(f.values, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
 
 
 def read_qpf(path) -> ScalarField2D:

@@ -12,7 +12,14 @@ from typing import Optional, Union
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .core import MIN_GRID, ConfigError, OpticalSystem, ScalarField2D, TwinBeamConfig
+from .core import (
+    MIN_GRID,
+    ConfigError,
+    NoPhotonError,
+    OpticalSystem,
+    ScalarField2D,
+    TwinBeamConfig,
+)
 from .twinbeam import bin_counts, d_factor_for_bin, eta_c, register_idler
 
 
@@ -248,13 +255,18 @@ def tie_retrieve(
     laplacian(phi) = div(grad(psi) / I0) with I0 clamped below at
     INTENSITY_FLOOR * mean(I0).  Dirichlet (zero-border) conditions on
     both solves, with spectrally consistent gradient and divergence
-    operators in the second step.
+    operators in the second step.  An ``i_zero`` whose mean is not
+    positive, as that of counts with no detected photon, raises
+    NoPhotonError.
     """
     i_zero.require_same_grid(i_plus)
     i_zero.require_same_grid(i_minus)
     mean_i0 = float(i_zero.values.mean())
     if mean_i0 <= 0:
-        raise ValueError("i_zero must have positive mean")
+        raise NoPhotonError(
+            f"i_zero must have positive mean, not {mean_i0:g}: "
+            "no photon was detected in the in-focus plane"
+        )
     dz_um = config.dz * 1e3
     # rhs = -k_wave * ((i_plus - i_minus) / (2 dz))
     rhs = np.subtract(i_plus.values, i_minus.values)

@@ -31,6 +31,8 @@ from scipy.special import ndtr
 from .core import (
     FWHM_TO_SIGMA,
     ConfigError,
+    GridError,
+    NoPhotonError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
@@ -664,21 +666,82 @@ def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
 
     Variances are per-pixel temporal variances over frames, averaged
     over pixels, normalized by the mean photon sum.  ``l_cff`` (um)
-    fixes the reported resolution factor D.
+    fixes the reported resolution factor D.  Every frame's arms must be
+    on frame 0's grid (GridError names the first that is not); a set
+    whose binned signal arm holds no photon raises NoPhotonError.
+
+    ``frames`` is a sequence, read twice and never stacked.  The first
+    pass sums the binned signal s and the difference d = s - i (idler
+    registered) per pixel; the second sums the squared deviations from
+    their means.  Both add the frames in index order, as numpy's
+    ``var(axis=0, ddof=1)`` does along the first axis of a C-ordered
+    (frames, rows, cols) stack, so every field equals that of the
+    stacked expressions bit for bit.  The mean photon sums come from
+    whole-frame totals: sums of integer counts are exact in any order
+    while they stay below 2**53, about 9e15 photons per frame set.
     """
-    if len(frames) < 2:
+    n = len(frames)
+    if n < 2:
         raise ValueError("need at least 2 frames")
-    s_stack = np.stack([bin_counts(f.n_s, bin_px).values for f in frames])
-    i_stack = np.stack(
-        [bin_counts(register_idler(f.n_i), bin_px).values for f in frames]
-    )
-    diff = s_stack - i_stack
-    var_d = diff.var(axis=0, ddof=1)
-    mean_sum = (s_stack + i_stack).mean()
+    grid = frames[0].n_s
+    for index, frame in enumerate(frames):
+        for arm in (frame.n_s, frame.n_i):
+            if not arm.same_grid(grid):
+                raise GridError(
+                    f"frame {index} is not on frame 0's grid: "
+                    f"{arm.height}x{arm.width}, pitch {arm.pitch} vs "
+                    f"{grid.height}x{grid.width}, pitch {grid.pitch}"
+                )
+
+    def binned(frame):
+        """The frame's binned signal and registered idler counts."""
+        s = bin_counts(frame.n_s, bin_px).values
+        i = bin_counts(register_idler(frame.n_i), bin_px).values
+        return s, i
+
+    # Each sum starts at 0.0: its first += makes a new array, and the
+    # rest add in place, frame by frame; 0.0 + x is x.
+    # pass 1: per-pixel sums of s and d, divided by n into their means
+    mean_s = mean_d = 0.0
+    total_s = total_i = 0.0
+    for frame in frames:
+        s, i = binned(frame)
+        d = np.subtract(s, i)
+        mean_s += s
+        mean_d += d
+        total_s += s.sum()
+        total_i += i.sum()
+        del s, i, d
+    if not total_s > 0:
+        raise NoPhotonError(
+            f"no photon was detected in the signal arm of {n} frames "
+            f"binned to {bin_px} px: check eta0 and mean_photons_per_pixel"
+        )
+    mean_s /= n
+    mean_d /= n
+
+    # pass 2: per-pixel sums of squared deviations from those means,
+    # divided by n - 1 into the variances
+    var_s = var_d = 0.0
+    for frame in frames:
+        s, i = binned(frame)
+        dev_d = np.subtract(s, i)
+        dev_d -= mean_d
+        dev_d *= dev_d
+        dev_s = np.subtract(s, mean_s)
+        dev_s *= dev_s
+        var_s += dev_s
+        var_d += dev_d
+        del s, i, dev_s, dev_d
+    var_s /= n - 1
+    var_d /= n - 1
+
+    count = n * var_d.size
+    mean_sum = (total_s + total_i) / count
     nrf = float(var_d.mean() / mean_sum)
     stderr = float(var_d.std(ddof=1) / math.sqrt(var_d.size) / mean_sum)
-    fano = float(s_stack.var(axis=0, ddof=1).mean() / s_stack.mean())
-    d = d_factor_for_bin(bin_px, frames[0].n_s.pitch, l_cff)
+    fano = float(var_s.mean() / (total_s / count))
+    d = d_factor_for_bin(bin_px, grid.pitch, l_cff)
     return NrfPoint(d_factor=d, nrf=nrf, fano=fano, nrf_stderr=stderr)
 
 

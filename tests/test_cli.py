@@ -388,6 +388,33 @@ def test_pair_rate_numpy_cannot_draw_exits_2(tmp_path, capsys, line, command):
 
 
 @pytest.mark.parametrize(
+    "line, command",
+    [
+        ("eta0 = 0", ["scan", "nrf", "--frames", "2"]),
+        ("mean_photons_per_pixel = 1e-9", ["scan", "nrf", "--frames", "2"]),
+        ("eta0 = 0", ["scan", "advantage", "--frames", "1", "--dz", "0.0125"]),
+        ("eta0 = 0", ["retrieve"]),
+    ],
+    ids=["nrf_dark", "nrf_faint", "advantage_dark", "retrieve_dark"],
+)
+def test_no_detected_photon_exits_4(tmp_path, capsys, line, command):
+    """A frame set with no detected photon has no mean count to divide by."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    if command == ["retrieve"]:
+        frames = tmp_path / "frames"
+        argv = ["simulate", "--config", str(cfg), "--frames", "1", "--out", str(frames)]
+        assert main(argv) == EXIT_OK
+        command = ["retrieve", "--frames", str(frames)]
+    else:
+        command = command + ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert main(command + ["--out", str(out)]) == EXIT_NUMERICAL
+    assert "no photon was detected" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["target"],

@@ -1,5 +1,6 @@
 """Property tests of model invariants: binning sums, QPF1 round trips,
-the Dirichlet solver / Laplacian pair and the sampler's count transport.
+the Dirichlet solver / Laplacian pair, the sampler's count transport and
+the streamed NRF statistics.
 
 Hypothesis runs derandomized with few examples, so the suite stays
 deterministic and quick.
@@ -14,7 +15,16 @@ from hypothesis import strategies as st
 from twinphase.core import MIN_GRID, ScalarField2D
 from twinphase.qpf import read_qpf, write_qpf
 from twinphase.retrieval import laplacian_dirichlet, poisson_solve_dirichlet
-from twinphase.twinbeam import _scatter_shift, _shift_axis, _shift_cdf, bin_counts
+from twinphase.twinbeam import (
+    TwinBeamFrame,
+    _scatter_shift,
+    _shift_axis,
+    _shift_cdf,
+    bin_counts,
+    d_factor_for_bin,
+    measure_nrf,
+    register_idler,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -152,3 +162,39 @@ def test_shift_axis_expectation_matches_per_pixel_tables(data, seed, axis):
     want, want_spill = shift_axis_expectation_oracle(counts, shift, s, axis)
     assert np.array_equal(mean.view(np.uint64), want.view(np.uint64))
     assert spill == want_spill
+
+
+def nrf_stacked_oracle(frames, bin_px, l_cff):
+    """measure_nrf's four fields from the (frames, rows, cols) stacks of
+    the binned signal and registered idler, as numpy's reductions give
+    them."""
+    s_stack = np.stack([bin_counts(f.n_s, bin_px).values for f in frames])
+    i_stack = np.stack([bin_counts(register_idler(f.n_i), bin_px).values for f in frames])
+    var_d = (s_stack - i_stack).var(axis=0, ddof=1)
+    mean_sum = (s_stack + i_stack).mean()
+    return (
+        d_factor_for_bin(bin_px, frames[0].n_s.pitch, l_cff),
+        float(var_d.mean() / mean_sum),
+        float(s_stack.var(axis=0, ddof=1).mean() / s_stack.mean()),
+        float(var_d.std(ddof=1) / math.sqrt(var_d.size) / mean_sum),
+    )
+
+
+@PROPERTY
+@given(data=st.data(), seed=SEEDS)
+def test_streamed_nrf_equals_stacked_statistics(data, seed):
+    bin_px = data.draw(st.integers(1, 4), label="bin_px")
+    h = data.draw(st.integers(MIN_GRID * bin_px, 40), label="height")
+    w = data.draw(st.integers(MIN_GRID * bin_px, 40), label="width")
+    n_frames = data.draw(st.integers(2, 30), label="frames")
+    level = data.draw(st.floats(0.5, 5000.0), label="mean count")
+    mirrored = data.draw(st.booleans(), label="idler registers onto the signal")
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(n_frames):
+        s = rng.poisson(level, size=(h, w)).astype(float)
+        i = s[::-1, ::-1] if mirrored else rng.poisson(level, size=(h, w)).astype(float)
+        frames.append(TwinBeamFrame(ScalarField2D(w, h, 1.625, s), ScalarField2D(w, h, 1.625, i)))
+    point = measure_nrf(frames, bin_px, l_cff=5.0)
+    got = (point.d_factor, point.nrf, point.fano, point.nrf_stderr)
+    assert got == nrf_stacked_oracle(frames, bin_px, 5.0)

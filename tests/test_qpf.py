@@ -40,6 +40,19 @@ def test_header_layout(tmp_path):
     assert len(raw) == 20 + 8 * 64
 
 
+def test_write_holds_no_copy_of_the_values(tmp_path, traced_peak):
+    """The header and then the array go to the file: 0.0 field sizes
+    allocated on a little-endian host, 2.0 when the body was copied to
+    bytes and joined to the header."""
+    values = np.random.default_rng(2).standard_normal((513, 513))
+    f = ScalarField2D(513, 513, 1.625, values)
+    path = tmp_path / "f.qpf"
+    peak = traced_peak(lambda: write_qpf(path, f))
+    assert peak / values.nbytes <= 0.1
+    header = struct.pack("<4sIId", MAGIC, 513, 513, 1.625)
+    assert path.read_bytes() == header + values.astype("<f8").tobytes()
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.qpf"
     path.write_bytes(b"NOPE" + b"\x00" * 100)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from twinphase.core import (
+    GridError,
+    NoPhotonError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
@@ -508,6 +510,42 @@ class TestMeasureNrf:
         )
         with pytest.raises(ValueError):
             measure_nrf([f], 1, l_cff=5.0)
+
+    def test_frame_off_frame_0_grid_rejected(self):
+        # equal shapes, so only the pitch tells frame 2 apart
+        counts = np.ones((16, 16))
+        frames = [
+            TwinBeamFrame(
+                n_s=ScalarField2D(16, 16, pitch, counts),
+                n_i=ScalarField2D(16, 16, pitch, counts),
+            )
+            for pitch in (1.0, 1.0, 1.5)
+        ]
+        with pytest.raises(GridError, match="frame 2 is not on frame 0's grid"):
+            measure_nrf(frames, 1, l_cff=5.0)
+
+    def test_no_detected_photon_rejected(self):
+        dark = ScalarField2D(16, 16, 1.0, np.zeros((16, 16)))
+        frames = [TwinBeamFrame(n_s=dark, n_i=dark)] * 3
+        with pytest.raises(NoPhotonError, match="no photon was detected"):
+            measure_nrf(frames, 1, l_cff=5.0)
+
+    @pytest.mark.parametrize("n_frames", [20, 60])
+    def test_memory_peak_in_grid_arrays(self, traced_peak, n_frames):
+        """Two passes over the frames at bin 1 hold 7.0 arrays of the
+        220-pixel grid, for any frame count; stacking them held 4F + 3
+        (83 for 20 frames, 243 for 60)."""
+        rng = np.random.default_rng(4)
+        arms = [
+            ScalarField2D(220, 220, 1.625, rng.poisson(600.0, (220, 220)).astype(float))
+            for _ in range(5)
+        ]
+        frames = [
+            TwinBeamFrame(n_s=arms[k % 5], n_i=arms[(2 * k + 1) % 5])
+            for k in range(n_frames)
+        ]
+        peak = traced_peak(lambda: measure_nrf(frames, 1, l_cff=5.0))
+        assert peak / (220 * 220 * 8) <= 12
 
     def test_sampled_nrf_matches_model(self):
         # statistical check at D = 1.95 on a small grid
