@@ -14,7 +14,11 @@ any thread count of ``twinbeam.ordered_map``.
 ``simulate``, ``scan nrf`` and ``scan advantage`` draw their frames, and
 ``scan noise`` evaluates its Poisson trials, on the threads of
 ``twinbeam.ordered_map``: one per CPU this process may use, capped by
-the QPI_THREADS environment variable.  QPI_THREADS caps those threads
+the QPI_THREADS environment variable, the calling thread among them.
+No thread waits for another to read its result.  ``simulate`` writes
+both arms of each exposure on the thread that drew it and then drops
+the frame, so it holds one frame per thread; ``scan nrf`` holds all its
+frames and ``scan advantage`` one dz's.  QPI_THREADS caps those threads
 only; numpy's and scipy's BLAS pools keep the sizes their libraries
 chose.  Frames are independent by stream index and the trials are drawn
 in order, so their output does not depend on the number of threads.  A
@@ -29,7 +33,6 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -231,18 +234,27 @@ def cmd_simulate(args):
         qpf.write_qpf(path, field)
         outputs.append(path)
 
-    with closing(
-        twinbeam.sample_triples(
-            obj, sys_cfg, twin_cfg, args.dz, args.frames, RngStream(args.seed)
-        )
-    ) as triples:
-        for dz in args.dz:
-            for frame in range(args.frames):
-                for tag, tf in zip(("m", "0", "p"), next(triples)):
-                    for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
-                        path = frame_path(args.out, dz, frame, tag, arm)
-                        qpf.write_qpf(path, field)
-                        outputs.append(path)
+    # The exposures in stream order (the order of twinbeam.sample_triples);
+    # each is drawn and written on one thread, and dropped after.
+    exposures = [
+        (dz, frame, tag, signed)
+        for dz in args.dz
+        for frame in range(args.frames)
+        for tag, signed in (("m", -dz), ("0", 0.0), ("p", +dz))
+    ]
+    base = RngStream(args.seed)
+
+    def draw_and_write(indexed):
+        index, (dz, frame, tag, signed) = indexed
+        tf = twinbeam.sample_twin_frame(obj, sys_cfg, twin_cfg, signed, base.child(index))
+        paths = []
+        for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
+            paths.append(frame_path(args.out, dz, frame, tag, arm))
+            qpf.write_qpf(paths[-1], field)
+        return paths
+
+    for paths in twinbeam.ordered_map(draw_and_write, enumerate(exposures)):
+        outputs += paths
     snap = _config_snapshot(
         sys_cfg,
         twin_cfg,
@@ -416,38 +428,36 @@ def _scan_advantage(args, sys_cfg, twin_cfg):
     obj = generate_test_target(GRID_SIZE, GRID_SIZE, sys_cfg.object_pixel)
     mean_s, mean_i = twinbeam.expected_counts(None, sys_cfg, twin_cfg, 0.0, grid=obj.tau)
     rows = []
-    with closing(
-        twinbeam.sample_triples(
-            obj, sys_cfg, twin_cfg, args.dz, args.frames, RngStream(args.seed)
-        )
-    ) as stream:
-        for dz in args.dz:
-            triples = [next(stream) for _ in range(args.frames)]
-            for bin_px in (1, 3):
-                config = retrieval.RetrievalConfig(
-                    dz=dz,
-                    bin_px=bin_px,
-                    reference_mean=mean_s,
-                    reference_mean_idler=mean_i,
-                    sys=sys_cfg,
-                    twin=twin_cfg,
+    stream = twinbeam.sample_triples(
+        obj, sys_cfg, twin_cfg, args.dz, args.frames, RngStream(args.seed)
+    )
+    for dz in args.dz:
+        triples = [next(stream) for _ in range(args.frames)]
+        for bin_px in (1, 3):
+            config = retrieval.RetrievalConfig(
+                dz=dz,
+                bin_px=bin_px,
+                reference_mean=mean_s,
+                reference_mean_idler=mean_i,
+                sys=sys_cfg,
+                twin=twin_cfg,
+            )
+            phi_ref = metrics.reference_phase(obj, config)
+            for mode in ("tie", "tau"):
+                adv = metrics.quantum_advantage(
+                    triples, replace(config, k_mode=mode), phi_ref
                 )
-                phi_ref = metrics.reference_phase(obj, config)
-                for mode in ("tie", "tau"):
-                    adv = metrics.quantum_advantage(
-                        triples, replace(config, k_mode=mode), phi_ref
+                rows.append(
+                    (
+                        dz,
+                        adv.d_factor,
+                        mode,
+                        adv.c_quant,
+                        adv.c_clas,
+                        adv.ratio,
+                        adv.ratio_stderr,
                     )
-                    rows.append(
-                        (
-                            dz,
-                            adv.d_factor,
-                            mode,
-                            adv.c_quant,
-                            adv.c_clas,
-                            adv.ratio,
-                            adv.ratio_stderr,
-                        )
-                    )
+                )
     return ["dz", "D", "k_mode", "C_quant", "C_clas", "ratio", "stderr"], rows
 
 

@@ -16,11 +16,9 @@ requested region, so border pixels keep their correlation partners.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
-from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -481,94 +479,65 @@ def _frame_workers() -> int:
 
 
 def ordered_map(func, items):
-    """Yield ``func(item)`` for each item of the iterable ``items``, in order.
+    """Return ``[func(item) for item in items]``.
 
     The calls run on one thread per CPU this process may use, capped by
     the QPI_THREADS environment variable.  The calling thread is one of
-    the workers, so one worker starts no thread.  Items are pulled in
-    index order under one lock, so an iterator that draws random numbers
-    draws them in the same order for any thread count; when ``func``'s
-    result depends on its item alone, so does the output.  numpy's random
-    draws, FFTs and ufuncs release the GIL.  No item is pulled more than
-    ``workers`` places beyond the last result yielded, so a slow consumer
-    does not make results pile up; memory therefore grows with the thread
-    count.  An exception raised by ``func`` on item i, or by the iterator
-    while pulling item i, reaches the consumer when it asks for result i.
-    Exhaust or close the generator to stop its threads.
+    them, so one worker starts no thread.  Each thread pulls the next
+    item in index order under one lock, runs ``func`` on it outside the
+    lock and stores the result at the item's index; so an iterator that
+    draws random numbers draws them in the same order for any thread
+    count, and when ``func``'s result depends on its item alone, so does
+    the list.  numpy's random draws, FFTs and ufuncs release the GIL.
+    At most one item per thread is in flight, and no thread waits for
+    another to finish.  Once ``func`` or the iterator raises, no item is
+    pulled; after the threads end, the exception of the lowest failing
+    index is raised, as the list comprehension would raise it.
     """
     items = iter(items)
-    workers = _frame_workers()
-    cells = []  # per item pulled: [done event, result, exception]
+    results = []
+    errors = {}  # index -> the exception of func, or of the iterator pulling it
     lock = threading.Lock()
-    ahead = threading.Semaphore(workers)  # one slot per item pulled, not yet yielded
-    ended = False  # the items ran out or the consumer left
-
-    def run_next():
-        """Pull the next item and run func on it; False when none is left."""
-        nonlocal ended
-        with lock:
-            if ended:
-                return False
-            cell = [threading.Event(), None, None]
-            try:
-                item = next(items)
-            except StopIteration:
-                ended = True
-                return False
-            except Exception as exc:  # raised to the consumer at this index
-                ended = True
-                cell[2] = exc
-            cells.append(cell)
-        if cell[2] is None:
-            try:
-                cell[1] = func(item)
-            except Exception as exc:  # raised to the consumer at this index
-                cell[2] = exc
-        cell[0].set()
-        return True
+    stopped = False  # the items ran out, one failed, or the caller left
 
     def worker():
-        while ahead.acquire() and run_next():
-            pass
+        nonlocal stopped
+        while True:
+            with lock:
+                if stopped:
+                    return
+                index = len(results)
+                try:
+                    item = next(items)
+                except StopIteration:
+                    stopped = True
+                    return
+                except Exception as exc:
+                    stopped = True
+                    errors[index] = exc
+                    return
+                results.append(None)
+            try:
+                results[index] = func(item)
+            except Exception as exc:
+                with lock:
+                    stopped = True
+                    errors[index] = exc
+                return
 
-    def take(i):
-        """Cell i, run here while it is not ready and a slot is free; None
-        when the items ended before item i."""
-        while not (i < len(cells) and cells[i][0].is_set()):
-            if not ahead.acquire(blocking=False):
-                break
-            run_next()
-        # Cell i is ready, or every slot is held.  Until the items end, only
-        # items pulled and not yet yielded, and the other threads between
-        # their acquire and their pull, hold slots; so item i was pulled or
-        # the items ended.
-        with lock:
-            cell = cells[i] if i < len(cells) else None
-        if cell is not None:
-            cell[0].wait()
-        return cell
-
-    threads = [threading.Thread(target=worker, daemon=True) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(_frame_workers() - 1)]
     for thread in threads:
         thread.start()
     try:
-        for i in itertools.count():
-            cell = take(i)
-            if cell is None:
-                return
-            cells[i] = None
-            _, result, error = cell
-            if error is not None:
-                raise error
-            ahead.release()
-            yield result
+        worker()
     finally:
         with lock:
-            ended = True
-        for thread in threads:
-            ahead.release()
+            stopped = True
         for thread in threads:
             thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def sample_frames(
@@ -578,26 +547,25 @@ def sample_frames(
     dzs,
     base: RngStream,
     grid: Optional[ScalarField2D] = None,
+    first: int = 0,
 ):
-    """Yield ``sample_twin_frame(obj, sys, twin, dzs[i], base.child(i))``
-    for i = 0, 1, ... in order.
+    """Return ``[sample_twin_frame(obj, sys, twin, dz, base.child(i))
+    for i, dz in enumerate(dzs, first)]``.
 
     Frames are independent by stream index, so ``ordered_map`` draws them
     on one thread per CPU this process may use, capped by the QPI_THREADS
-    environment variable, and the output does not depend on the thread
-    count.  Each frame owns its own Generator.  Each thread holds one
-    frame's working set, and up to one finished frame per thread waits
-    for the consumer.  The same threads, under the same cap, evaluate
-    the Poisson trials of ``metrics.noise_suppression_scan``, about 5 MB
-    per thread at 220².  An exception raised while drawing frame i
-    reaches the consumer when it asks for frame i.  Exhaust or close the
-    generator to stop its threads.
+    environment variable, and the list does not depend on the thread
+    count.  Each frame owns its own Generator, and each thread holds one
+    frame's working set at a time.  The same threads, under the same
+    cap, evaluate the Poisson trials of ``metrics.noise_suppression_scan``,
+    about 5 MB per thread at 220².  When drawing frames raises, the
+    exception of the frame first in ``dzs`` is raised here.
     """
     def draw(i_dz):
         i, dz = i_dz
         return sample_twin_frame(obj, sys, twin, dz, base.child(i), grid=grid)
 
-    return ordered_map(draw, enumerate(dzs))
+    return ordered_map(draw, enumerate(dzs, first))
 
 
 def sample_triples(
@@ -611,11 +579,13 @@ def sample_triples(
     """Yield ``(f_minus, f_0, f_plus)`` defocus triples: ``frames``
     triples at -dz, 0, +dz for each dz of ``dzs`` in turn.
 
-    The exposures are the frames of ``sample_frames`` in that order, so
-    triple t is drawn from streams 3t, 3t + 1 and 3t + 2 of ``base``.
+    Triple t is drawn from streams 3t, 3t + 1 and 3t + 2 of ``base``.
+    Each dz's triples are drawn in one ``sample_frames`` call, so the
+    generator holds one dz's frames at a time.
     """
-    signed = [s for dz in dzs for _ in range(frames) for s in (-dz, 0.0, +dz)]
-    with closing(sample_frames(obj, sys, twin, signed, base)) as exposures:
+    for k, dz in enumerate(dzs):
+        signed = [s for _ in range(frames) for s in (-dz, 0.0, +dz)]
+        exposures = iter(sample_frames(obj, sys, twin, signed, base, first=3 * frames * k))
         yield from zip(exposures, exposures, exposures)
 
 
@@ -632,20 +602,15 @@ def register_idler(field: ScalarField2D) -> ScalarField2D:
     return field.with_values(field.values[::-1, ::-1])
 
 
-def bin_counts(img: ScalarField2D, bin_px: int, origin=None) -> ScalarField2D:
-    """Non-overlapping bin_px x bin_px sums; pitch scales by bin_px.
-
-    When bin_px does not divide the image size the largest centered
-    region that bins evenly is used and the remainder is cropped.
-    ``origin`` overrides the (row, col) crop start, e.g. for the
-    shifted-bin edge metrology.
-    """
+def _bin_sums(values, bin_px: int, origin=None):
+    """The array of ``bin_counts``, from and to plain arrays; ``values``
+    itself at bin 1 without an origin."""
     if bin_px < 1 or bin_px != int(bin_px):
         raise ValueError("bin_px must be a positive integer")
     bin_px = int(bin_px)
     if bin_px == 1 and origin is None:
-        return img
-    h, w = img.height, img.width
+        return values
+    h, w = values.shape
     if origin is None:
         nh, nw = h // bin_px, w // bin_px
         r0 = (h - nh * bin_px) // 2
@@ -656,9 +621,24 @@ def bin_counts(img: ScalarField2D, bin_px: int, origin=None) -> ScalarField2D:
         nw = (w - c0) // bin_px
     if nh <= 0 or nw <= 0:
         raise ValueError(f"bin_px {bin_px} larger than image {h}x{w}")
-    block = img.values[r0 : r0 + nh * bin_px, c0 : c0 + nw * bin_px]
-    summed = block.reshape(nh, bin_px, nw, bin_px).sum(axis=(1, 3))
-    return ScalarField2D(nw, nh, img.pitch * bin_px, summed)
+    block = values[r0 : r0 + nh * bin_px, c0 : c0 + nw * bin_px]
+    return block.reshape(nh, bin_px, nw, bin_px).sum(axis=(1, 3))
+
+
+def bin_counts(img: ScalarField2D, bin_px: int, origin=None) -> ScalarField2D:
+    """Non-overlapping bin_px x bin_px sums; pitch scales by bin_px.
+
+    When bin_px does not divide the image size the largest centered
+    region that bins evenly is used and the remainder is cropped.
+    ``origin`` overrides the (row, col) crop start, e.g. for the
+    shifted-bin edge metrology.  At bin 1 without an origin the image
+    itself is returned.
+    """
+    summed = _bin_sums(img.values, bin_px, origin)
+    if summed is img.values:
+        return img
+    nh, nw = summed.shape
+    return ScalarField2D(nw, nh, img.pitch * int(bin_px), summed)
 
 
 def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
@@ -694,9 +674,12 @@ def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
                 )
 
     def binned(frame):
-        """The frame's binned signal and registered idler counts."""
-        s = bin_counts(frame.n_s, bin_px).values
-        i = bin_counts(register_idler(frame.n_i), bin_px).values
+        """The frame's binned signal and registered idler counts, binned
+        from the arms' arrays (the idler through a flipped view) with no
+        field made: each bin is a sum of integer counts, exact in any
+        order."""
+        s = _bin_sums(frame.n_s.values, bin_px)
+        i = _bin_sums(frame.n_i.values[::-1, ::-1], bin_px)
         return s, i
 
     # Each sum starts at 0.0: its first += makes a new array, and the

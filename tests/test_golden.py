@@ -13,7 +13,10 @@ provenance column of ``frames.csv`` ("classical" for a zero weight,
 phase and the scan's retrieval settings, and the last two scans cover
 the wave-optics stacks and the Poisson-trial noise maps.  Criterion 12 compares two runs
 of one build with each other; this test compares a run with the
-recorded bytes, so a refactor can show that it changes no output.
+recorded bytes, so a refactor can show that it changes no output.  It
+runs with one frame thread, where every call runs on the calling
+thread, and with two, where frames are drawn, and ``simulate``'s files
+written, on both threads.
 
 The frames come from numpy's binomial and Poisson streams, which are
 only fixed for one numpy version, so the fixture records that version
@@ -31,6 +34,7 @@ import numpy as np
 import pytest
 
 from twinphase.cli import main as cli_main
+from test_twinbeam import use_threads
 
 FIXTURE = Path(__file__).with_name("golden_hashes.json")
 
@@ -64,7 +68,9 @@ def run_pipeline(root):
     }
 
 
-def test_outputs_match_golden_hashes(tmp_path):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_outputs_match_golden_hashes(tmp_path, monkeypatch, threads):
+    use_threads(monkeypatch, threads)
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     if np.__version__ != golden["numpy"]:
         pytest.fail(

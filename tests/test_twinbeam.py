@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from twinphase.twinbeam import (
     sample_twin_frame,
 )
 from twinphase import metrics, twinbeam
-from twinphase.cli import EXIT_NUMERICAL, main
+from twinphase.cli import EXIT_NUMERICAL, EXIT_OK, main
 from twinphase.metrics import noise_suppression_scan
 from twinphase.optics import imaging_blur
 from twinphase.retrieval import poisson_solve_dirichlet
@@ -315,33 +316,6 @@ class TestSampleFrames:
         assert runs[0] == runs[1]
         assert runs[0] == direct
 
-    def test_draws_at_most_workers_ahead_of_reader(self, monkeypatch):
-        workers, n = 3, 40
-        started = []
-
-        def fake_sample(obj, sys_, twin, dz, rng, grid=None):
-            started.append(rng.stream_index)
-            time.sleep(0.001)
-            return rng.stream_index
-
-        use_threads(monkeypatch, workers, cpus=8)
-        monkeypatch.setattr(twinbeam, "sample_twin_frame", fake_sample)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads_before = threading.active_count()
-            got = []
-            for index in sample_frames(None, None, None, [0.0] * n, RngStream(1)):
-                got.append(index)
-                assert len(started) <= len(got) + workers
-                time.sleep(0.005)  # a slow reader: the threads run ahead if they can
-                assert len(started) <= len(got) + workers
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == list(range(n))
-        assert sorted(started) == list(range(n))
-        assert threading.active_count() == threads_before
-
     def test_triples_take_consecutive_streams(self, monkeypatch):
         def fake_sample(obj, sys_, twin, dz, rng, grid=None):
             return dz, rng.stream_index
@@ -374,9 +348,29 @@ class TestSampleFrames:
         assert code == EXIT_NUMERICAL
         assert threading.active_count() == threads_before
 
-    def test_pulls_items_in_order_at_most_workers_ahead(self, monkeypatch):
+    def test_no_thread_waits_for_a_reader(self, monkeypatch):
+        # item 1 runs until item 3 starts: with 2 threads the other one
+        # must run items 0, 2 and 3 while item 1 is unread
+        started = [threading.Event() for _ in range(6)]
+        waited = []
+
+        def func(i):
+            started[i].set()
+            if i == 1:
+                waited.append(started[3].wait(timeout=2.0))
+            return i * i
+
+        use_threads(monkeypatch, 2)
+        threads_before = threading.active_count()
+        assert ordered_map(func, range(6)) == [i * i for i in range(6)]
+        assert waited == [True]
+        assert threading.active_count() == threads_before
+
+    def test_pulls_items_in_order_with_at_most_workers_in_flight(self, monkeypatch):
         workers, n = 3, 40
         pulled = []
+        lock = threading.Lock()
+        running = peak = 0
 
         def items():
             for i in range(n):
@@ -384,7 +378,13 @@ class TestSampleFrames:
                 yield i
 
         def slow_square(i):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
             time.sleep(0.001)
+            with lock:
+                running -= 1
             return i * i
 
         use_threads(monkeypatch, workers, cpus=8)
@@ -392,35 +392,85 @@ class TestSampleFrames:
         sys.setswitchinterval(1e-6)
         try:
             threads_before = threading.active_count()
-            got = []
-            for value in ordered_map(slow_square, items()):
-                got.append(value)
-                assert len(pulled) <= len(got) + workers
-                time.sleep(0.005)  # a slow reader: the threads run ahead if they can
-                assert len(pulled) <= len(got) + workers
+            got = ordered_map(slow_square, items())
         finally:
             sys.setswitchinterval(interval)
         assert got == [i * i for i in range(n)]
         assert pulled == list(range(n))
+        assert 1 <= peak <= workers
         assert threading.active_count() == threads_before
 
-    def test_iterator_exception_reaches_the_consumer_at_its_index(self, monkeypatch):
+    def test_raises_the_exception_of_the_lowest_failing_item(self, monkeypatch):
+        workers = 3
+        pulled = []
+
         def items():
-            yield from range(3)
+            for i in range(40):
+                pulled.append(i)
+                yield i
+
+        def func(i):
+            if i == 3:
+                time.sleep(0.1)  # item 5 fails first
+                raise FloatingPointError("overflow in item 3")
+            if i == 5:
+                raise FloatingPointError("overflow in item 5")
+            time.sleep(0.01)
+            return i
+
+        use_threads(monkeypatch, workers)
+        threads_before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="item 3"):
+            ordered_map(func, items())
+        assert pulled == list(range(len(pulled)))
+        assert max(pulled) <= 3 + workers
+        assert threading.active_count() == threads_before
+
+    def test_iterator_exception_is_raised_after_the_items_before_it(self, monkeypatch):
+        workers = 2
+        pulled, ran = [], []
+
+        def items():
+            for i in range(3):
+                pulled.append(i)
+                yield i
             raise FloatingPointError("overflow while drawing item 3")
 
         def slow_identity(i):
-            time.sleep(0.02)  # so the second thread pulls ahead of the reader
+            time.sleep(0.02)
+            ran.append(i)
             return i
 
-        use_threads(monkeypatch, 2)
+        use_threads(monkeypatch, workers)
         threads_before = threading.active_count()
-        got = []
         with pytest.raises(FloatingPointError, match="item 3"):
-            for value in ordered_map(slow_identity, items()):
-                got.append(value)
-        assert got == [0, 1, 2]
+            ordered_map(slow_identity, items())
+        assert sorted(ran) == [0, 1, 2]
+        assert pulled == [0, 1, 2]
         assert threading.active_count() == threads_before
+
+    def test_simulate_holds_no_more_frames_than_threads(self, monkeypatch, tmp_path):
+        live = weakref.WeakValueDictionary()  # frames hash by value: key them by id
+        lock = threading.Lock()
+        peak = 0
+
+        def fake_sample(obj, sys_, twin, dz, rng, grid=None):
+            nonlocal peak
+            counts = ScalarField2D(16, 16, 1.0, np.full((16, 16), float(rng.stream_index)))
+            frame = TwinBeamFrame(n_s=counts, n_i=counts)
+            with lock:
+                live[id(frame)] = frame
+                peak = max(peak, len(live))
+            time.sleep(0.02)
+            return frame
+
+        use_threads(monkeypatch, 2)
+        monkeypatch.setattr(twinbeam, "sample_twin_frame", fake_sample)
+        out = tmp_path / "sim"
+        code = main(["simulate", "--frames", "2", "--dz", "0.0125", "--out", str(out)])
+        assert code == EXIT_OK
+        assert len(list(out.glob("dz*.qpf"))) == 12  # 6 exposures, 2 arms each
+        assert 1 <= peak <= 2
 
     def test_noise_scan_rows_independent_of_thread_count(self, monkeypatch):
         def serial_scan(l_cff_list, width, height, pitch, dz, i0, wavenumber, rng, n_trials):
@@ -529,6 +579,39 @@ class TestMeasureNrf:
         frames = [TwinBeamFrame(n_s=dark, n_i=dark)] * 3
         with pytest.raises(NoPhotonError, match="no photon was detected"):
             measure_nrf(frames, 1, l_cff=5.0)
+
+    def test_builds_no_field_per_frame(self, monkeypatch):
+        """The arms are binned as arrays: the number of fields built does
+        not grow with the frame count (binning them as fields built 40 at
+        bin 1 and 120 at bin 3 on 20 frames)."""
+        rng = np.random.default_rng(9)
+
+        def frames(n):
+            return [
+                TwinBeamFrame(
+                    n_s=ScalarField2D(24, 24, 1.0, rng.poisson(50.0, (24, 24)).astype(float)),
+                    n_i=ScalarField2D(24, 24, 1.0, rng.poisson(50.0, (24, 24)).astype(float)),
+                )
+                for _ in range(n)
+            ]
+
+        sets = {n: frames(n) for n in (4, 20)}
+        built = 0
+        post_init = ScalarField2D.__post_init__
+
+        def counting_post_init(field):
+            nonlocal built
+            built += 1
+            post_init(field)
+
+        monkeypatch.setattr(ScalarField2D, "__post_init__", counting_post_init)
+        for bin_px in (1, 3):
+            counts = {}
+            for n, frame_set in sets.items():
+                before = built
+                measure_nrf(frame_set, bin_px, l_cff=5.0)
+                counts[n] = built - before
+            assert counts[20] == counts[4], f"bin {bin_px}: {counts}"
 
     @pytest.mark.parametrize("n_frames", [20, 60])
     def test_memory_peak_in_grid_arrays(self, traced_peak, n_frames):
