@@ -11,31 +11,29 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.  Identical config + seed produce byte-identical outputs, for
 any thread count of ``twinbeam.ordered_map``.
 
-``simulate``, ``scan nrf`` and ``scan advantage`` draw their frames, and
-``scan noise`` evaluates its Poisson trials, on the threads of
-``twinbeam.ordered_map``: one per CPU this process may use, capped by
-the QPI_THREADS environment variable, the calling thread among them.
-No thread waits for another to read its result.  ``simulate`` writes
-both arms of each exposure on the thread that drew it and then drops
-the frame, so it holds one frame per thread; ``scan nrf`` holds all its
-frames and ``scan advantage`` one dz's.  QPI_THREADS caps those threads
-only; numpy's and scipy's BLAS pools keep the sizes their libraries
-chose.  Frames are independent by stream index and the trials are drawn
-in order, so their output does not depend on the number of threads.  A
+``simulate``, ``scan nrf`` and ``scan advantage`` draw their frames,
+``scan noise`` evaluates its Poisson trials and ``scan resolution`` its
+dz points on the threads of ``twinbeam.ordered_map``: one per CPU this
+process may use, capped by the QPI_THREADS environment variable.  A
 matrix product may differ in its last bits with the BLAS pool size, so
-the golden output hashes hold for the pool size they were recorded with.
+``main`` runs every command with numpy's and scipy's OpenBLAS pools at
+one thread, and gives each pool back its size after.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, metrics, qpf, retrieval, twinbeam
 from .core import (
@@ -603,11 +601,44 @@ def build_parser():
     return parser
 
 
+def _openblas_pools():
+    """(getter, setter) of the thread pool of each OpenBLAS that numpy and
+    scipy bundle and have loaded; none for a missing library or symbol."""
+    pools = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                names = (f"scipy_openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
+                get, set_threads = (getattr(lib, name) for name in names)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            pools.append((get, set_threads))
+    return pools
+
+
+@contextlib.contextmanager
+def _blas_threads(n):
+    """Run the block with each pool of ``_openblas_pools`` at ``n`` threads, then restore it."""
+    pools = [(set_threads, get()) for get, set_threads in _openblas_pools()]
+    for set_threads, _ in pools:
+        set_threads(n)
+    try:
+        yield
+    finally:
+        for set_threads, size in pools:
+            set_threads(size)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _blas_threads(1):
+            return args.func(args)
     except (ConfigError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -118,15 +118,8 @@ def esf_fit(profile, x) -> ESFFit:
 
 
 def _failed_fit(message):
-    return ESFFit(
-        a=float("nan"),
-        b=float("nan"),
-        x0=float("nan"),
-        w=float("nan"),
-        w_ci=(float("nan"), float("nan")),
-        ok=False,
-        message=message,
-    )
+    nan = float("nan")
+    return ESFFit(a=nan, b=nan, x0=nan, w=nan, w_ci=(nan, nan), ok=False, message=message)
 
 
 def step_heights(
@@ -263,16 +256,17 @@ def resolution_scan(
     pre-sampling blur width below the detector pitch; the reported
     resolution is the FWHM of that fitted Gaussian line spread
     convolved with the bin aperture, so it includes the effective
-    pixel size of the delivered image.  The exit field is built once
-    and propagated to every dz.  Returns rows of (dz, bin_px, d_factor,
-    r_phase_um, se_r_um, ok, message), where message is the fit's
-    reason for failing ("" when ok).
+    pixel size of the delivered image.  The exit field is built once;
+    each dz point runs on one thread of ``ordered_map``.  Returns rows of
+    (dz, bin_px, d_factor, r_phase_um, se_r_um, ok, message) in dz order,
+    where message is the fit's reason for failing ("" when ok).
     """
-    rows = []
     pitch = target.phi.pitch
     ill = uniform_illumination(target.phi.width, target.phi.height, pitch)
     field = exit_field(target, ill, sys)
-    for dz in dz_list:
+
+    def point(dz):
+        rows = []
         stack = defocus_stack(field, dz, sys, mean_photons=twin.mean_photons_per_pixel)
         cfg = RetrievalConfig(dz=dz, sys=sys, twin=twin)
         for bin_px in bin_list:
@@ -305,7 +299,9 @@ def resolution_scan(
                     "message": fit.message,
                 }
             )
-    return rows
+        return rows
+
+    return [row for rows in ordered_map(point, dz_list) for row in rows]
 
 
 def lsf_fwhm_with_aperture(aperture: float, w: float) -> float:

@@ -167,14 +167,6 @@ def poisson_solve_dirichlet(rhs: ScalarField2D) -> ScalarField2D:
     return rhs.with_values(u)
 
 
-def laplacian_dirichlet(u: ScalarField2D) -> ScalarField2D:
-    """Spectral sine-basis Laplacian, the exact inverse of the solver."""
-    coeffs = dstn(u.values[1:-1, 1:-1], type=1)
-    out = np.zeros((u.height, u.width))
-    out[1:-1, 1:-1] = idstn(coeffs * _dirichlet_eigenvalues(u), type=1)
-    return u.with_values(out)
-
-
 def _trig_bases(n: int, length: float):
     """Interior sine / cosine bases on an n-point grid of extent ``length``.
 
@@ -323,24 +315,3 @@ def phase_from_twin_frames(
     del mean_i  # the solve does not need it
     return phase_from_counts(*planes, config)
 
-
-def phase_noise_spectrum(
-    sigma_field: ScalarField2D, i0: float, dz: float, wavenumber: float
-):
-    """Phase-noise spectrum implied by an intensity-noise map.
-
-    Returns k * sigma_tilde(q) / (4 pi^2 sqrt(2) I0 dz |q|^2) on the
-    FFT frequency grid (cycles per um), with the q = 0 element set to
-    zero as the gauge choice.  ``dz`` in mm.
-    """
-    if not i0 > 0 or not dz > 0:
-        raise ValueError("i0 and dz must be positive")
-    dz_um = dz * 1e3
-    st = np.fft.fft2(sigma_field.values)
-    fx = np.fft.fftfreq(sigma_field.width, d=sigma_field.pitch)
-    fy = np.fft.fftfreq(sigma_field.height, d=sigma_field.pitch)
-    q2 = fx[np.newaxis, :] ** 2 + fy[:, np.newaxis] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spec = wavenumber * st / (4.0 * math.pi**2 * math.sqrt(2.0) * i0 * dz_um * q2)
-    spec[0, 0] = 0.0
-    return spec

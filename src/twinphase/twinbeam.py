@@ -488,11 +488,12 @@ def ordered_map(func, items):
     lock and stores the result at the item's index; so an iterator that
     draws random numbers draws them in the same order for any thread
     count, and when ``func``'s result depends on its item alone, so does
-    the list.  numpy's random draws, FFTs and ufuncs release the GIL.
-    At most one item per thread is in flight, and no thread waits for
-    another to finish.  Once ``func`` or the iterator raises, no item is
-    pulled; after the threads end, the exception of the lowest failing
-    index is raised, as the list comprehension would raise it.
+    the list.  numpy's random draws, FFTs and ufuncs release the GIL, and
+    ``cli.main`` runs BLAS on one thread.  At most one item per thread is
+    in flight, and no thread waits for another to finish.  Once ``func``
+    or the iterator raises, no item is pulled; after the threads end, the
+    exception of the lowest failing index is raised, as the list
+    comprehension would raise it.
     """
     items = iter(items)
     results = []
@@ -557,9 +558,10 @@ def sample_frames(
     environment variable, and the list does not depend on the thread
     count.  Each frame owns its own Generator, and each thread holds one
     frame's working set at a time.  The same threads, under the same
-    cap, evaluate the Poisson trials of ``metrics.noise_suppression_scan``,
-    about 5 MB per thread at 220².  When drawing frames raises, the
-    exception of the frame first in ``dzs`` is raised here.
+    cap, evaluate the trials of ``metrics.noise_suppression_scan`` and
+    the dz points of ``metrics.resolution_scan``, about 5 MB per thread
+    at 220².  When drawing frames raises, the exception of the frame
+    first in ``dzs`` is raised here.
     """
     def draw(i_dz):
         i, dz = i_dz

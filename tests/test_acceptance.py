@@ -41,7 +41,6 @@ from twinphase.retrieval import (
     estimate_transmittance,
     phase_from_counts,
     phase_from_twin_frames,
-    phase_noise_spectrum,
     poisson_solve_dirichlet,
 )
 from twinphase.twinbeam import (
@@ -54,6 +53,7 @@ from twinphase.twinbeam import (
     sample_frames,
     sample_triples,
 )
+from test_retrieval import phase_noise_spectrum
 
 SYS = OpticalSystem()
 TWIN = TwinBeamConfig()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinphase import metrics, qpf
+from twinphase import cli, metrics, qpf
 from twinphase.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -24,6 +24,7 @@ from twinphase.cli import (
     write_csv,
 )
 from twinphase.core import ConfigError
+from test_twinbeam import use_threads
 
 
 class TestConfigParsing:
@@ -512,21 +513,67 @@ def test_bad_value_in_field_file_exits_3(frame_set, tmp_path, capsys, name, valu
 
 
 def test_failed_resolution_fit_names_its_point(tmp_path, capsys, monkeypatch):
-    calls = []
-    real_fit = metrics.esf_fit
+    """The point is chosen by its (dz, bin), not by the order of the
+    fits, which the dz points' threads leave arbitrary."""
+    real_samples = metrics._interleaved_edge_samples
 
-    def fit_failing_once(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 6:  # dz 0.025, the second binning (3 px)
-            return metrics._failed_fit("no edge contrast")
-        return real_fit(*args, **kwargs)
+    def flat_at_one_point(stack, config, bin_px, *args):
+        xs, vals = real_samples(stack, config, bin_px, *args)
+        if (config.dz, bin_px) == (0.025, 3):
+            vals = np.zeros_like(vals)  # no edge contrast to fit
+        return xs, vals
 
-    monkeypatch.setattr(metrics, "esf_fit", fit_failing_once)
-    code = main(["scan", "resolution", "--dz", "0.0125,0.025", "--out", str(tmp_path / "r")])
-    assert code == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "dz=0.025 mm, bin 3: no edge contrast" in err
-    assert err.count("bin ") == 1  # only the failing point is named
+    monkeypatch.setattr(metrics, "_interleaved_edge_samples", flat_at_one_point)
+    for threads in (1, 2):
+        use_threads(monkeypatch, threads)
+        out = tmp_path / f"r{threads}"
+        code = main(["scan", "resolution", "--dz", "0.0125,0.025", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "dz=0.025 mm, bin 3: no edge contrast" in err
+        assert err.count("bin ") == 1  # only the failing point is named
+
+
+def test_blas_pools_run_one_thread_inside_a_command(tmp_path, monkeypatch):
+    real_stack = metrics.defocus_stack
+    seen = []
+
+    def stack_reading_pools(*args, **kwargs):
+        seen.append([get() for get, _ in cli._openblas_pools()])
+        return real_stack(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "defocus_stack", stack_reading_pools)
+    use_threads(monkeypatch, 2)
+    with cli._blas_threads(2):
+        code = main(["scan", "resolution", "--dz", "0.0125,0.025", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert len(seen) == 2 and all(size == 1 for sizes in seen for size in sizes)
+
+
+def raise_in_command(*args):
+    raise RuntimeError("raised in a command")
+
+
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "exception"])
+def test_blas_pool_sizes_restored_after_a_command(tmp_path, monkeypatch, outcome):
+    argv = ["target", "--out", str(tmp_path / "t")]
+    if outcome == "exit 2":
+        (tmp_path / "bad.cfg").write_text("volume = 11\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "bad.cfg")]
+    if outcome == "exception":
+        monkeypatch.setattr(cli, "generate_test_target", raise_in_command)
+    with cli._blas_threads(2):
+        if outcome == "exception":
+            with pytest.raises(RuntimeError, match="raised in a command"):
+                main(argv)
+        else:
+            assert main(argv) == {"exit 0": EXIT_OK, "exit 2": EXIT_CONFIG}[outcome]
+        assert all(get() == 2 for get, _ in cli._openblas_pools())
+
+
+def test_command_runs_without_an_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_openblas_pools", lambda: [])
+    assert main(["target", "--out", str(tmp_path)]) == EXIT_OK
 
 
 def registered_options():

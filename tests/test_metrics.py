@@ -1,15 +1,18 @@
 """Tests of similarity metrics, edge-spread metrology and the scans."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from twinphase import metrics
 from twinphase.core import (
     OpticalSystem,
     RngStream,
     ScalarField2D,
     TwinBeamConfig,
+    generate_edge_target,
     generate_test_target,
 )
 from twinphase.metrics import (
@@ -19,10 +22,12 @@ from twinphase.metrics import (
     noise_suppression_scan,
     pearson,
     quantum_advantage,
+    resolution_scan,
     step_heights,
 )
 from twinphase.retrieval import RetrievalConfig
 from twinphase.twinbeam import expected_counts, sample_twin_frame
+from test_twinbeam import use_threads
 
 
 def field(values, pitch=1.0):
@@ -199,3 +204,58 @@ class TestNoiseSuppressionScan:
         # near-delta kernel: almost perfect pixelwise correlation
         assert rows[0]["suppression_pct"] > 95.0
         assert rows[0]["suppression_pct"] >= rows[1]["suppression_pct"]
+
+
+class TestResolutionScan:
+    DZ = (0.0125, 0.025, 0.05, 0.1)
+
+    def scan(self, dz_list, bins=(1, 3)):
+        """The scan of ``scan resolution`` on its 220-pixel edge target."""
+        sys_ = OpticalSystem()
+        pitch = sys_.object_pixel
+        return resolution_scan(
+            generate_edge_target(220, 220, pitch),
+            dz_list,
+            bins,
+            sys_,
+            TwinBeamConfig(),
+            edge_row_um=110 * pitch,
+            edge_window_um=(40 * pitch, 128 * pitch),
+        )
+
+    def test_rows_independent_of_thread_count(self, monkeypatch):
+        runs = []
+        for threads in (1, 2):
+            use_threads(monkeypatch, threads)
+            runs.append(self.scan(self.DZ))
+        # the serial loop: one dz point per call, on the calling thread
+        use_threads(monkeypatch, 1)
+        runs.append([row for dz in self.DZ for row in self.scan([dz])])
+        assert all(row["ok"] for row in runs[0])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_failing_point_of_lowest_dz_index_raises(self, monkeypatch):
+        real_stack = metrics.defocus_stack
+
+        def stack_failing_at_two_points(field, dz, *args, **kwargs):
+            index = self.DZ.index(dz)
+            if index == 2:
+                time.sleep(0.05)  # index 3 fails first on a second thread
+            if index >= 2:
+                raise ValueError(f"no stack at dz index {index}")
+            return real_stack(field, dz, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "defocus_stack", stack_failing_at_two_points)
+        for threads in (1, 2):
+            use_threads(monkeypatch, threads)
+            with pytest.raises(ValueError, match="no stack at dz index 2"):
+                self.scan(self.DZ, bins=(1,))
+
+    def test_memory_peak_in_grid_arrays(self, monkeypatch, traced_peak):
+        """Two dz points in flight, on two threads, peak at 42-45 float64
+        arrays of the 220-pixel grid, against 29.0 on one thread: about
+        15 arrays, or 5 MB, per point.  Three points in flight read
+        56-60."""
+        use_threads(monkeypatch, 2)
+        peak = traced_peak(lambda: self.scan(self.DZ, bins=(1, 3, 6, 12)))
+        assert peak / (220 * 220 * 8) <= 50

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from twinphase.core import MIN_GRID, ScalarField2D
 from twinphase.qpf import read_qpf, write_qpf
-from twinphase.retrieval import laplacian_dirichlet, poisson_solve_dirichlet
+from twinphase.retrieval import poisson_solve_dirichlet
 from twinphase.twinbeam import (
     TwinBeamFrame,
     _scatter_shift,
@@ -25,6 +25,7 @@ from twinphase.twinbeam import (
     measure_nrf,
     register_idler,
 )
+from test_retrieval import laplacian_dirichlet
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)

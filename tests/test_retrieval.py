@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dstn, idstn
 
 from twinphase.core import (
     ConfigError,
@@ -16,15 +17,42 @@ from twinphase.core import (
 from twinphase.retrieval import (
     INTENSITY_FLOOR,
     RetrievalConfig,
+    _dirichlet_eigenvalues,
     estimate_transmittance,
-    laplacian_dirichlet,
-    phase_noise_spectrum,
     poisson_solve_dirichlet,
     quantum_correct,
     resolve_k,
     tie_retrieve,
 )
 from twinphase.twinbeam import eta_c, expected_counts
+
+
+def laplacian_dirichlet(u: ScalarField2D) -> ScalarField2D:
+    """Spectral sine-basis Laplacian, the exact inverse of the solver."""
+    coeffs = dstn(u.values[1:-1, 1:-1], type=1)
+    out = np.zeros((u.height, u.width))
+    out[1:-1, 1:-1] = idstn(coeffs * _dirichlet_eigenvalues(u), type=1)
+    return u.with_values(out)
+
+
+def phase_noise_spectrum(sigma_field: ScalarField2D, i0: float, dz: float, wavenumber: float):
+    """Phase-noise spectrum implied by an intensity-noise map.
+
+    Returns k * sigma_tilde(q) / (4 pi^2 sqrt(2) I0 dz |q|^2) on the
+    FFT frequency grid (cycles per um), with the q = 0 element set to
+    zero as the gauge choice.  ``dz`` in mm.
+    """
+    if not i0 > 0 or not dz > 0:
+        raise ValueError("i0 and dz must be positive")
+    dz_um = dz * 1e3
+    st = np.fft.fft2(sigma_field.values)
+    fx = np.fft.fftfreq(sigma_field.width, d=sigma_field.pitch)
+    fy = np.fft.fftfreq(sigma_field.height, d=sigma_field.pitch)
+    q2 = fx[np.newaxis, :] ** 2 + fy[:, np.newaxis] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spec = wavenumber * st / (4.0 * math.pi**2 * math.sqrt(2.0) * i0 * dz_um * q2)
+    spec[0, 0] = 0.0
+    return spec
 
 
 def sine_mode(n, pitch, my, mx, amplitude=1.0):
