@@ -29,7 +29,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,19 +55,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-_OPTICAL_KEYS = {
-    "wavelength": float,
-    "magnification": float,
-    "camera_pixel": float,
-    "blur_fwhm": float,
-}
-_TWIN_KEYS = {
-    "l_cff": float,
-    "eta0": float,
-    "epsilon": float,
-    "mean_photons_per_pixel": float,
-    "beam_profile": str,
-}
+# The configuration keys are the fields of the two config classes.
+_OPTICAL_KEYS = [f.name for f in fields(OpticalSystem)]
+_TWIN_KEYS = [f.name for f in fields(TwinBeamConfig)]
 _RUN_KEYS = {"grid_size": int}
 # Grid side of `target` and `simulate` when the config sets no grid_size,
 # and of every scan.
@@ -78,13 +68,22 @@ class NumericalError(RuntimeError):
     """A fit or solver failed to produce a usable result."""
 
 
+def _configs(values):
+    """The validated (OpticalSystem, TwinBeamConfig) of a flat mapping of
+    their fields: a missing key takes its default, other keys are ignored."""
+    return validate_config(
+        OpticalSystem(**{key: values[key] for key in _OPTICAL_KEYS if key in values}),
+        TwinBeamConfig(**{key: values[key] for key in _TWIN_KEYS if key in values}),
+    )
+
+
 def parse_config_file(path):
     """Parse the flat `key = value` config format (UTF-8, # comments).
 
     Returns (OpticalSystem, TwinBeamConfig, dict of run keys); unknown
     keys raise ConfigError.
     """
-    optical, twin, run = {}, {}, {}
+    values, run = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -99,33 +98,18 @@ def parse_config_file(path):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key not in (*_OPTICAL_KEYS, *_TWIN_KEYS, *_RUN_KEYS):
+            raise ConfigError(f"{path}:{lineno}: unknown key `{key}`")
         try:
-            if key in _OPTICAL_KEYS:
-                optical[key] = _OPTICAL_KEYS[key](value)
-            elif key in _TWIN_KEYS:
-                twin[key] = _TWIN_KEYS[key](value)
-            elif key in _RUN_KEYS:
+            if key in _RUN_KEYS:
                 run[key] = _RUN_KEYS[key](value)
+            elif (key, value) == ("beam_profile", "uniform"):
+                values[key] = value
             else:
-                raise ConfigError(f"{path}:{lineno}: unknown key `{key}`")
+                values[key] = float(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for `{key}`: {exc}")
-    if "beam_profile" in twin:
-        bp = twin["beam_profile"]
-        if bp != "uniform":
-            try:
-                twin["beam_profile"] = float(bp)
-            except ValueError:
-                raise ConfigError(
-                    f"beam_profile must be `uniform` or a radius, got `{bp}`"
-                )
-    try:
-        sys_cfg = OpticalSystem(**optical)
-        twin_cfg = TwinBeamConfig(**twin)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
-    validate_config(sys_cfg, twin_cfg)
-    return sys_cfg, twin_cfg, run
+    return (*_configs(values), run)
 
 
 def fmt(value) -> str:
@@ -171,21 +155,12 @@ def write_manifest(out_dir, config_snapshot, seed, outputs):
     return path
 
 
-def _config_snapshot(sys_cfg, twin_cfg, extra=None):
-    snap = {key: getattr(sys_cfg, key) for key in _OPTICAL_KEYS}
-    snap.update({key: getattr(twin_cfg, key) for key in _TWIN_KEYS})
-    if extra:
-        snap.update(extra)
-    return snap
+def _config_snapshot(sys_cfg, twin_cfg, extra):
+    return {**asdict(sys_cfg), **asdict(twin_cfg), **extra}
 
 
 def _load_configs(args):
-    if args.config:
-        sys_cfg, twin_cfg, run = parse_config_file(args.config)
-    else:
-        sys_cfg, twin_cfg, run = OpticalSystem(), TwinBeamConfig(), {}
-        validate_config(sys_cfg, twin_cfg)
-    return sys_cfg, twin_cfg, run
+    return parse_config_file(args.config) if args.config else (*_configs({}), {})
 
 
 def frame_path(frames_dir, dz, frame, tag, arm):
@@ -232,14 +207,7 @@ def cmd_simulate(args):
         qpf.write_qpf(path, field)
         outputs.append(path)
 
-    # The exposures in stream order (the order of twinbeam.sample_triples);
-    # each is drawn and written on one thread, and dropped after.
-    exposures = [
-        (dz, frame, tag, signed)
-        for dz in args.dz
-        for frame in range(args.frames)
-        for tag, signed in (("m", -dz), ("0", 0.0), ("p", +dz))
-    ]
+    # Each exposure is drawn and written on one thread, and dropped after.
     base = RngStream(args.seed)
 
     def draw_and_write(indexed):
@@ -251,6 +219,7 @@ def cmd_simulate(args):
             qpf.write_qpf(paths[-1], field)
         return paths
 
+    exposures = twinbeam.exposures(args.dz, args.frames)
     for paths in twinbeam.ordered_map(draw_and_write, enumerate(exposures)):
         outputs += paths
     snap = _config_snapshot(
@@ -304,9 +273,7 @@ def _read_manifest(frames_dir):
 def cmd_retrieve(args):
     manifest = _read_manifest(args.frames)
     conf = manifest["config"]
-    sys_cfg = OpticalSystem(**{key: conf[key] for key in _OPTICAL_KEYS})
-    twin_cfg = TwinBeamConfig(**{key: conf[key] for key in _TWIN_KEYS})
-    validate_config(sys_cfg, twin_cfg)
+    sys_cfg, twin_cfg = _configs(conf)
     dz_list = conf.get("dz_list", [])
     n_frames = conf.get("frames", 0)
     if not dz_list or not n_frames:
@@ -343,27 +310,28 @@ def cmd_retrieve(args):
             # different grids: the frame files are corrupt
             raise OSError(f"{', '.join(paths)}: {exc}")
 
+    tags = [tag for _, _, tag, _ in twinbeam.exposures([dz], 1)]  # -dz, 0, +dz
     phase_rows = []
     for frame in range(n_frames):
-        tf = {tag: load(frame, tag) for tag in ("m", "0", "p")}
-        phase = retrieval.phase_from_twin_frames(tf["m"], tf["0"], tf["p"], config)
+        triple = [load(frame, tag) for tag in tags]
+        phase = retrieval.phase_from_twin_frames(*triple, config)
         out_path = os.path.join(args.out, f"phase_f{frame:04d}.qpf")
         qpf.write_qpf(out_path, phase.values)
         del phase
         outputs.append(out_path)
         phase_rows.append((frame, k, provenance))
         if frame == 0:
-            sums = [tf[tag].n_s.values.copy() for tag in ("m", "0", "p")]
-            tau = retrieval.estimate_transmittance(tf["0"].n_s, tf["0"].n_i, config)
+            sums = [tf.n_s.values.copy() for tf in triple]
+            tau = retrieval.estimate_transmittance(triple[1].n_s, triple[1].n_i, config)
             tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
             qpf.write_qpf(tau_path, tau)
             del tau
             outputs.append(tau_path)
         else:
-            for total, tag in zip(sums, ("m", "0", "p")):
-                total += tf[tag].n_s.values
+            for total, tf in zip(sums, triple):
+                total += tf.n_s.values
         # the averaged solve below needs no frame
-        del tf
+        del triple
 
     # all-frame averaged classical reference reconstruction
     avg_cfg = replace(config, k_mode="classical")

@@ -73,10 +73,6 @@ class ScalarField2D:
         """Same grid metadata, new values."""
         return ScalarField2D(self.width, self.height, self.pitch, values)
 
-    def intensity(self) -> "ScalarField2D":
-        """|values|^2 on the same grid."""
-        return self.with_values(np.abs(self.values) ** 2)
-
     def same_grid(self, other) -> bool:
         return (
             self.width == other.width

@@ -14,7 +14,7 @@ from scipy.optimize import brentq, curve_fit
 from scipy.special import erf, ndtr
 
 from .core import ObjectSpec, OpticalSystem, ScalarField2D, TwinBeamConfig, target_masks
-from .optics import defocus_stack, exit_field, imaging_blur, uniform_illumination
+from .optics import defocus_stack, exit_field, imaging_blur
 from .retrieval import (
     PhaseImage,
     RetrievalConfig,
@@ -262,8 +262,7 @@ def resolution_scan(
     where message is the fit's reason for failing ("" when ok).
     """
     pitch = target.phi.pitch
-    ill = uniform_illumination(target.phi.width, target.phi.height, pitch)
-    field = exit_field(target, ill, sys)
+    field = exit_field(target, sys)
 
     def point(dz):
         rows = []

@@ -97,13 +97,6 @@ def angular_spectrum_propagate(
     )
 
 
-def apply_object(u: ScalarField2D, obj: ObjectSpec) -> ScalarField2D:
-    """Pointwise u * sqrt(tau) * exp(i phi)."""
-    u.require_same_grid(obj.tau)
-    t = np.sqrt(obj.tau.values) * np.exp(1j * obj.phi.values)
-    return u.with_values(u.values * t)
-
-
 def imaging_blur(i: ScalarField2D, fwhm: float) -> ScalarField2D:
     """Convolve with a normalized Gaussian kernel of the given FWHM (um).
 
@@ -123,20 +116,14 @@ def imaging_blur(i: ScalarField2D, fwhm: float) -> ScalarField2D:
     return i.with_values(np.maximum(out, 0.0))
 
 
-def uniform_illumination(width: int, height: int, pitch: float) -> ScalarField2D:
-    return ScalarField2D(width, height, pitch, np.ones((height, width), dtype=complex))
-
-
-def exit_field(
-    obj: ObjectSpec, illumination: ScalarField2D, sys: OpticalSystem
-) -> ExitField:
-    """The object's exit field under the given illumination, as the
-    blurred in-focus intensity and the padded spectrum that
-    ``defocus_stack`` propagates to each plane."""
-    u0 = apply_object(illumination, obj)
+def exit_field(obj: ObjectSpec, sys: OpticalSystem) -> ExitField:
+    """The exit field u0 = sqrt(tau) exp(i phi) of the object under a unit
+    plane wave, as the blurred in-focus intensity and the padded spectrum
+    that ``defocus_stack`` propagates to each plane."""
+    u0 = np.sqrt(obj.tau.values) * np.exp(1j * obj.phi.values)
     return ExitField(
-        i_zero=imaging_blur(u0.intensity(), sys.blur_fwhm),
-        spectrum=np.fft.fft2(_pad(u0.values)),
+        i_zero=imaging_blur(obj.tau.with_values(np.abs(u0) ** 2), sys.blur_fwhm),
+        spectrum=np.fft.fft2(_pad(u0)),
     )
 
 

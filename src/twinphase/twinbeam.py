@@ -20,10 +20,10 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 from scipy.special import ndtr
 
 from .core import (
@@ -79,13 +79,6 @@ class NrfPoint:
             raise ValueError("nrf must be non-negative")
         if not self.fano > 0:
             raise ValueError("fano must be positive")
-
-
-class EfficiencyFit(NamedTuple):
-    eta0: float
-    epsilon: float
-    residual: float
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +563,19 @@ def sample_frames(
     return ordered_map(draw, enumerate(dzs, first))
 
 
+def exposures(dzs, frames: int):
+    """``(dz, frame, tag, signed dz)`` of every exposure in stream order:
+    for each dz of ``dzs`` in turn, ``frames`` triples of the exposures
+    at -dz (tag "m"), 0 ("0") and +dz ("p").  Exposure i is drawn from
+    stream i."""
+    return [
+        (dz, frame, tag, signed)
+        for dz in dzs
+        for frame in range(frames)
+        for tag, signed in (("m", -dz), ("0", 0.0), ("p", +dz))
+    ]
+
+
 def sample_triples(
     obj: Optional[ObjectSpec],
     sys: OpticalSystem,
@@ -581,14 +587,14 @@ def sample_triples(
     """Yield ``(f_minus, f_0, f_plus)`` defocus triples: ``frames``
     triples at -dz, 0, +dz for each dz of ``dzs`` in turn.
 
-    Triple t is drawn from streams 3t, 3t + 1 and 3t + 2 of ``base``.
-    Each dz's triples are drawn in one ``sample_frames`` call, so the
-    generator holds one dz's frames at a time.
+    Exposure i of ``exposures(dzs, frames)`` is drawn from stream i of
+    ``base``, and each dz's triples in one ``sample_frames`` call, so
+    the generator holds one dz's frames at a time.
     """
     for k, dz in enumerate(dzs):
-        signed = [s for _ in range(frames) for s in (-dz, 0.0, +dz)]
-        exposures = iter(sample_frames(obj, sys, twin, signed, base, first=3 * frames * k))
-        yield from zip(exposures, exposures, exposures)
+        signed = [s for _, _, _, s in exposures([dz], frames)]
+        drawn = iter(sample_frames(obj, sys, twin, signed, base, first=3 * frames * k))
+        yield from zip(drawn, drawn, drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -729,36 +735,3 @@ def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
     d = d_factor_for_bin(bin_px, grid.pitch, l_cff)
     return NrfPoint(d_factor=d, nrf=nrf, fano=fano, nrf_stderr=stderr)
 
-
-def fit_efficiencies(curve) -> EfficiencyFit:
-    """Least-squares fit of NRF(D) = 1 - eta0 * eta_c(D, epsilon).
-
-    Needs points on both sides of D = 1 to separate the two parameters.
-    """
-    points = sorted(curve, key=lambda p: p.d_factor)
-    if len(points) < 4:
-        raise ValueError("need at least 4 NRF points")
-    d = np.array([p.d_factor for p in points])
-    y = np.array([p.nrf for p in points])
-    if d.min() >= 1.0 or d.max() <= 3.0:
-        raise ValueError("curve must span D < 1 and D > 3")
-
-    def residuals(params):
-        e0, eps = params
-        return np.array([1.0 - e0 * eta_c(di, eps) for di in d]) - y
-
-    result = optimize.least_squares(
-        residuals,
-        x0=[0.5, 0.1],
-        bounds=([0.0, 0.0], [1.0, 2.0]),
-        xtol=1e-12,
-        ftol=1e-12,
-        max_nfev=400,
-    )
-    res_norm = float(np.linalg.norm(result.fun))
-    return EfficiencyFit(
-        eta0=float(result.x[0]),
-        epsilon=float(result.x[1]),
-        residual=res_norm,
-        converged=bool(result.success),
-    )

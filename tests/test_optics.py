@@ -15,12 +15,10 @@ from twinphase.core import (
 from twinphase.optics import (
     IntensityStack,
     angular_spectrum_propagate,
-    apply_object,
     defocus_stack,
     exit_field,
     fresnel_aliased,
     imaging_blur,
-    uniform_illumination,
 )
 
 
@@ -29,6 +27,11 @@ def gaussian_beam(width, pitch, w0):
     x = (np.arange(width) - (width - 1) / 2.0) * pitch
     r2 = x[np.newaxis, :] ** 2 + x[:, np.newaxis] ** 2
     return ScalarField2D(width, width, pitch, np.exp(-r2 / w0**2).astype(complex))
+
+
+def intensity(u: ScalarField2D) -> ScalarField2D:
+    """|values|^2 on the same grid."""
+    return u.with_values(np.abs(u.values) ** 2)
 
 
 def beam_radius(i: ScalarField2D):
@@ -58,7 +61,7 @@ class TestPropagation:
         out = angular_spectrum_propagate(u, z_mm, 810.0)
         zr = math.pi * w0**2 / lam_um
         w_expected = w0 * math.sqrt(1.0 + (z_mm * 1e3 / zr) ** 2)
-        w_measured = beam_radius(out.intensity())
+        w_measured = beam_radius(intensity(out))
         assert abs(w_measured - w_expected) / w_expected < 0.01
 
     def test_back_propagation_inverts(self):
@@ -70,27 +73,35 @@ class TestPropagation:
         assert np.max(np.abs(back.values - u.values)) < 1e-4
 
 
-class TestApplyObject:
+class TestExitField:
+    """Without blur the in-focus plane of the exit field is its intensity,
+    |sqrt(tau) exp(i phi)|^2 = tau."""
+
+    SYS = OpticalSystem(blur_fwhm=0.0)
+
     def make_obj(self, tau_val, phi_val, n=16):
         tau = ScalarField2D(n, n, 1.0, np.full((n, n), tau_val))
         phi = ScalarField2D(n, n, 1.0, np.full((n, n), phi_val))
         return ObjectSpec(tau=tau, phi=phi)
 
     def test_identity_object(self):
-        u = gaussian_beam(16, 1.0, 5.0)
-        out = apply_object(u, self.make_obj(1.0, 0.0))
-        assert np.array_equal(out.values, u.values)
+        field = exit_field(self.make_obj(1.0, 0.0), self.SYS)
+        assert np.all(field.i_zero.values == 1.0)
+        padded = np.zeros((32, 32), dtype=complex)
+        padded[8:24, 8:24] = 1.0
+        assert np.array_equal(field.spectrum, np.fft.fft2(padded))
 
     def test_transmittance_scales_intensity_exactly(self):
-        u = uniform_illumination(16, 16, 1.0)
-        out = apply_object(u, self.make_obj(0.94, 0.0))
-        assert np.allclose(out.intensity().values, 0.94, rtol=1e-12)
+        obj = self.make_obj(0.94, 0.0)
+        field = exit_field(obj, self.SYS)
+        assert np.array_equal(field.i_zero.values, obj.tau.values)
 
     def test_pure_phase_preserves_modulus(self):
-        u = gaussian_beam(16, 1.0, 5.0)
-        out = apply_object(u, self.make_obj(1.0, 0.7))
-        assert np.allclose(np.abs(out.values), np.abs(u.values), rtol=1e-12)
-        assert np.allclose(np.angle(out.values), 0.7, rtol=1e-12)
+        field = exit_field(self.make_obj(1.0, 0.7), self.SYS)
+        assert np.allclose(field.i_zero.values, 1.0, rtol=1e-12)
+        u0 = np.fft.ifft2(field.spectrum)[8:24, 8:24]  # back from the padded spectrum
+        assert np.allclose(np.abs(u0), 1.0, rtol=1e-12)
+        assert np.allclose(np.angle(u0), 0.7, rtol=1e-12)
 
 
 class TestImagingBlur:
@@ -125,7 +136,7 @@ class TestDefocusStack:
         from twinphase.core import generate_test_target
 
         obj = generate_test_target(220, 220, 1.625)
-        field = exit_field(obj, uniform_illumination(220, 220, 1.625), OpticalSystem())
+        field = exit_field(obj, OpticalSystem())
         raw = defocus_stack(field, 0.025, OpticalSystem())
         stack = defocus_stack(field, 0.025, OpticalSystem(), mean_photons=600.0)
         assert float(stack.i_zero.values.mean()) == pytest.approx(600.0, rel=1e-12)
@@ -140,7 +151,7 @@ class TestDefocusStack:
         from twinphase.core import generate_test_target
 
         obj = generate_test_target(220, 220, 1.625)
-        field = exit_field(obj, uniform_illumination(220, 220, 1.625), OpticalSystem())
+        field = exit_field(obj, OpticalSystem())
         with pytest.raises(ValueError):
             defocus_stack(field, 0.0, OpticalSystem())
 
@@ -155,9 +166,8 @@ class TestDefocusStack:
             phi=grid.with_values(rng.uniform(-1.0, 1.0, (height, width))),
         )
         sys_ = OpticalSystem()
-        ill = uniform_illumination(width, height, pitch)
-        field = exit_field(obj, ill, sys_)
-        u0 = apply_object(ill, obj)
+        field = exit_field(obj, sys_)
+        u0 = grid.with_values(np.sqrt(obj.tau.values) * np.exp(1j * obj.phi.values))
         lam = sys_.wavelength * 1e-3
 
         def bits(f):
@@ -175,14 +185,14 @@ class TestDefocusStack:
             out = np.fft.ifft2(np.fft.fft2(padded) * transfer)
             return u.with_values(out[h // 2 : h // 2 + h, w // 2 : w // 2 + w])
 
-        assert bits(field.i_zero) == bits(imaging_blur(u0.intensity(), sys_.blur_fwhm))
+        assert bits(field.i_zero) == bits(imaging_blur(intensity(u0), sys_.blur_fwhm))
         for dz in (0.0125, 0.1, 2.0):
             stack = defocus_stack(field, dz, sys_)
             for z, plane in ((+dz, stack.i_plus), (-dz, stack.i_minus)):
                 fwhm = math.hypot(sys_.blur_fwhm, math.sqrt(lam * dz * 1e3))
                 propagated = angular_spectrum_propagate(u0, z, sys_.wavelength)
                 assert bits(propagated) == bits(padded_ifft2(u0, z))
-                assert bits(plane) == bits(imaging_blur(propagated.intensity(), fwhm))
+                assert bits(plane) == bits(imaging_blur(intensity(propagated), fwhm))
             assert stack.i_zero is field.i_zero
 
     def test_stack_invariants(self):

