@@ -174,7 +174,7 @@ def frame_path(frames_dir, dz, frame, tag, arm):
 
 def cmd_target(args):
     sys_cfg, twin_cfg, run = _load_configs(args)
-    size = run.get("grid_size", GRID_SIZE) if args.size is None else args.size
+    size = run.get("grid_size", GRID_SIZE)
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
     if args.pure_phase:
@@ -334,10 +334,9 @@ def cmd_retrieve(args):
         del triple
 
     # all-frame averaged classical reference reconstruction
-    avg_cfg = replace(config, k_mode="classical")
     means = [calib_s.with_values(total / n_frames) for total in sums]
     del sums
-    avg_phase = retrieval.phase_from_counts(*means, avg_cfg)
+    avg_phase = retrieval.tie_retrieve(*means, config)
     del means
     avg_path = os.path.join(args.out, "phase_average.qpf")
     qpf.write_qpf(avg_path, avg_phase.values)
@@ -370,10 +369,8 @@ def _scan_nrf(args, sys_cfg, twin_cfg):
     grid = ScalarField2D(
         GRID_SIZE, GRID_SIZE, sys_cfg.object_pixel, np.zeros((GRID_SIZE, GRID_SIZE))
     )
-    frames = list(
-        twinbeam.sample_frames(
-            None, sys_cfg, twin_cfg, [0.0] * args.frames, RngStream(args.seed), grid=grid
-        )
+    frames = twinbeam.sample_frames(
+        None, sys_cfg, twin_cfg, [0.0] * args.frames, RngStream(args.seed), grid=grid
     )
     rows = []
     for bin_px in (1, 3, 6, 12, 25):
@@ -534,7 +531,6 @@ def build_parser():
     dz.add_argument("--dz", type=_parse_dz_list, default="0.0125,0.025,0.05,0.1")
 
     p = sub.add_parser("target", parents=[config, out], help="render the test object")
-    p.add_argument("--size", type=int, default=None, help="grid size in pixels")
     p.add_argument("--pure-phase", action="store_true", help="force tau = 1")
     p.set_defaults(func=cmd_target)
 

@@ -245,52 +245,36 @@ def target_masks(width, height):
     return pi_region, null_region
 
 
-def generate_test_target(
-    width: int,
-    height: int,
-    pitch: float,
-    phase_pi: float = -0.226,
-    phase_null: float = 0.345,
-    tau_null: float = 0.94,
-) -> ObjectSpec:
+def generate_test_target(width: int, height: int, pitch: float) -> ObjectSpec:
     """Render the engineered phase/transmittance test object.
 
-    The pi glyph is a pure phase structure at ``phase_pi``; the slashed
-    ring carries phase ``phase_null`` and transmittance ``tau_null``;
-    the background is phase 0, transmittance 1.  Deterministic:
-    identical inputs produce bit-identical output.
+    The pi glyph is a pure phase structure at -0.226 rad; the slashed
+    ring carries phase 0.345 rad and transmittance 0.94; the background
+    is phase 0, transmittance 1.  Deterministic: identical inputs
+    produce bit-identical output.
     """
     pi_region, null_region = target_masks(width, height)
     phi = np.zeros((height, width))
-    phi[pi_region] = phase_pi
-    phi[null_region] = phase_null
+    phi[pi_region] = -0.226
+    phi[null_region] = 0.345
     tau = np.ones((height, width))
-    tau[null_region] = tau_null
+    tau[null_region] = 0.94
     return ObjectSpec(
         tau=ScalarField2D(width, height, pitch, tau),
         phi=ScalarField2D(width, height, pitch, phi),
     )
 
 
-def generate_edge_target(
-    width: int,
-    height: int,
-    pitch: float,
-    phase_step: float = -0.3,
-    band: tuple = (90, 170),
-) -> ObjectSpec:
+def generate_edge_target(width: int, height: int, pitch: float) -> ObjectSpec:
     """Render the metrology target: a vertical pure-phase stripe.
 
-    Columns band[0] (inclusive) to band[1] (exclusive) carry
-    ``phase_step``; transmittance is 1 everywhere.  The left stripe
-    boundary provides a long straight edge with wide flat plateaus on
-    both sides, suitable for edge-spread resolution fits at any
-    binning.
+    Columns 90 (inclusive) to 170 (exclusive) carry phase -0.3 rad;
+    transmittance is 1 everywhere.  The left stripe boundary provides a
+    long straight edge with wide flat plateaus on both sides, suitable
+    for edge-spread resolution fits at any binning.
     """
-    if not 0 <= band[0] < band[1] <= width:
-        raise ValueError("band must satisfy 0 <= lo < hi <= width")
     phi = np.zeros((height, width))
-    phi[:, band[0] : band[1]] = phase_step
+    phi[:, 90:170] = -0.3
     tau = np.ones((height, width))
     return ObjectSpec(
         tau=ScalarField2D(width, height, pitch, tau),

@@ -18,7 +18,6 @@ from .optics import defocus_stack, exit_field, imaging_blur
 from .retrieval import (
     PhaseImage,
     RetrievalConfig,
-    phase_from_counts,
     phase_from_twin_frames,
     poisson_solve_dirichlet,
     tie_retrieve,
@@ -229,8 +228,7 @@ def reference_phase(obj: ObjectSpec, config: RetrievalConfig) -> PhaseImage:
     mean_m, _ = expected_counts(obj, sys, twin, -config.dz)
     mean_0, _ = expected_counts(obj, sys, twin, 0.0)
     mean_p, _ = expected_counts(obj, sys, twin, +config.dz)
-    cfg = replace(config, k_mode="classical")
-    return phase_from_counts(mean_m, mean_0, mean_p, cfg)
+    return tie_retrieve(mean_m, mean_0, mean_p, config)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +336,7 @@ def _interleaved_edge_samples(stack, config, bin_px, edge_row_um, edge_window_um
             return bin_counts(f, bin_px, origin=(0, c0))
 
         phi = tie_retrieve(
-            rebin(stack.i_zero), rebin(stack.i_plus), rebin(stack.i_minus), config
+            rebin(stack.i_minus), rebin(stack.i_zero), rebin(stack.i_plus), config
         )
         # average over the binned rows covering 5 adjacent fine rows
         rows = np.unique(

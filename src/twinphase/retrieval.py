@@ -124,7 +124,8 @@ def estimate_transmittance(
 
     tau_hat = (n_s' - k * delta n_i) / <n_s>, evaluated at the working
     binning, and 1.0 where <n_s> is below INTENSITY_FLOOR times its
-    mean.  ``n_i`` is the raw (unregistered) idler image.
+    mean.  ``n_i`` and the calibration idler mean are raw
+    (unregistered) idler images; both are registered here.
     """
     if config.reference_mean is None or config.reference_mean_idler is None:
         raise ValueError("calibration reference means are required")
@@ -132,7 +133,7 @@ def estimate_transmittance(
     s = bin_counts(n_s_obj, b)
     i = bin_counts(register_idler(n_i), b)
     mean_s = bin_counts(config.reference_mean, b)
-    mean_i = bin_counts(config.reference_mean_idler, b)
+    mean_i = bin_counts(register_idler(config.reference_mean_idler), b)
     k = resolve_k(config, n_s_obj.pitch)
     corrected = quantum_correct(s, i, mean_i, k)
     floor = INTENSITY_FLOOR * float(mean_s.values.mean())
@@ -236,12 +237,13 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
 
 
 def tie_retrieve(
+    i_minus: ScalarField2D,
     i_zero: ScalarField2D,
     i_plus: ScalarField2D,
-    i_minus: ScalarField2D,
     config: RetrievalConfig,
 ) -> PhaseImage:
-    """Two-step Teague TIE solve of the transverse phase.
+    """Two-step Teague TIE solve of the transverse phase from the
+    (-dz, 0, +dz) planes, each binned to config.bin_px first.
 
     First Poisson solve: laplacian(psi) = -k_wave * dI/dz.  Second:
     laplacian(phi) = div(grad(psi) / I0) with I0 clamped below at
@@ -251,6 +253,9 @@ def tie_retrieve(
     positive, as that of counts with no detected photon, raises
     NoPhotonError.
     """
+    i_minus, i_zero, i_plus = (
+        bin_counts(plane, config.bin_px) for plane in (i_minus, i_zero, i_plus)
+    )
     i_zero.require_same_grid(i_plus)
     i_zero.require_same_grid(i_minus)
     mean_i0 = float(i_zero.values.mean())
@@ -275,22 +280,6 @@ def tie_retrieve(
     return PhaseImage(i_zero.with_values(phi))
 
 
-def phase_from_counts(
-    stack_minus: ScalarField2D,
-    stack_zero: ScalarField2D,
-    stack_plus: ScalarField2D,
-    config: RetrievalConfig,
-) -> PhaseImage:
-    """tie_retrieve after binning the three planes to config.bin_px."""
-    b = config.bin_px
-    return tie_retrieve(
-        bin_counts(stack_zero, b),
-        bin_counts(stack_plus, b),
-        bin_counts(stack_minus, b),
-        config,
-    )
-
-
 def phase_from_twin_frames(
     frame_minus,
     frame_zero,
@@ -313,5 +302,5 @@ def phase_from_twin_frames(
         for frame in (frame_minus, frame_zero, frame_plus)
     ]
     del mean_i  # the solve does not need it
-    return phase_from_counts(*planes, config)
+    return tie_retrieve(*planes, config)
 

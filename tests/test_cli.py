@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shlex
 import shutil
 from dataclasses import asdict, fields
@@ -258,17 +259,20 @@ class TestTargetCommand:
             assert hashlib.sha256(data).hexdigest() == digest
         assert "master_seed" not in manifest  # the target draws nothing
 
-    def test_size_flag(self, tmp_path):
-        out = tmp_path / "tgt"
-        assert main(["target", "--out", str(out), "--size", "256"]) == EXIT_OK
-        assert qpf.read_qpf(out / "target_tau.qpf").width == 256
+    def run_with_grid_size(self, tmp_path, size):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid_size = {size}\n")
+        return main(["target", "--config", str(cfg), "--out", str(tmp_path / "tgt")])
+
+    def test_grid_size_key(self, tmp_path):
+        assert self.run_with_grid_size(tmp_path, 256) == EXIT_OK
+        assert qpf.read_qpf(tmp_path / "tgt" / "target_tau.qpf").width == 256
 
     @pytest.mark.parametrize("size", ["0", "100"])
     def test_size_too_small_for_the_glyphs_exits_2(self, tmp_path, capsys, size):
-        out = tmp_path / "tgt"
-        assert main(["target", "--out", str(out), "--size", size]) == EXIT_CONFIG
+        assert self.run_with_grid_size(tmp_path, size) == EXIT_CONFIG
         assert f"got {size}x{size}" in capsys.readouterr().err
-        assert not out.exists()
+        assert not (tmp_path / "tgt").exists()
 
     def test_pure_phase_flag(self, tmp_path):
         out = tmp_path / "tgt"
@@ -662,7 +666,6 @@ OPTION_CASES = {
         ["target"],
         {
             "--config": ["--config", "{cfg}"],
-            "--size": ["--size", "256"],
             "--pure-phase": ["--pure-phase"],
         },
     ),
@@ -762,3 +765,17 @@ def test_readme_commands_parse():
             build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_flag_table_matches_the_parser():
+    """The README's "Command-line usage" table lists exactly the flags
+    each command registers."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command-line usage\n")[1].split("\n## ")[0]
+    table = {}
+    for row in section.splitlines():
+        cells = row.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            command = cells[1].strip().strip("`")
+            table[command] = set(re.findall(r"`(--[a-z-]+)", cells[2]))
+    assert table == registered_options()

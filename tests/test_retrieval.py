@@ -1,6 +1,7 @@
 """Tests of the spectral Poisson solver, correction weights and the TIE chain."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from twinphase.retrieval import (
     resolve_k,
     tie_retrieve,
 )
-from twinphase.twinbeam import eta_c, expected_counts
+from twinphase.twinbeam import bin_counts, eta_c, expected_counts
 
 
 def laplacian_dirichlet(u: ScalarField2D) -> ScalarField2D:
@@ -223,6 +224,27 @@ class TestTransmittance:
         assert np.array_equal(est.values[~dark], corrected[~dark] / mean[~dark])
 
 
+    @pytest.mark.parametrize("bin_px", [1, 3])
+    def test_idler_at_its_mean_subtracts_nothing(self, bin_px):
+        # Under a Gaussian beam the idler mean is not point-symmetric, so
+        # the frame's idler and its calibration mean must both be
+        # registered before one is subtracted from the other.
+        twin = TwinBeamConfig(beam_profile=200.0)
+        grid = ScalarField2D(220, 220, self.sys.object_pixel, np.zeros((220, 220)))
+        mean_s, mean_i = expected_counts(None, self.sys, twin, 0.0, grid=grid)
+        cfg = RetrievalConfig(
+            dz=0.025,
+            bin_px=bin_px,
+            reference_mean=mean_s,
+            reference_mean_idler=mean_i,
+            sys=self.sys,
+            twin=twin,
+        )
+        classical = estimate_transmittance(mean_s, mean_i, cfg)
+        tie = estimate_transmittance(mean_s, mean_i, replace(cfg, k_mode="tie"))
+        assert np.array_equal(tie.values, classical.values)
+
+
 class TestTie:
     def test_eigenmode_retrieved_exactly(self):
         # For phi a Dirichlet eigenmode and uniform I0, the planes
@@ -238,8 +260,22 @@ class TestTie:
         i_plus = i_zero.with_values(i0 - dz_um * (i0 / sys_.wavenumber) * lap)
         i_minus = i_zero.with_values(i0 + dz_um * (i0 / sys_.wavenumber) * lap)
         cfg = RetrievalConfig(dz=dz_mm, sys=sys_)
-        out = tie_retrieve(i_zero, i_plus, i_minus, cfg)
+        out = tie_retrieve(i_minus, i_zero, i_plus, cfg)
         assert np.abs(out.values.values - mode.values).max() < 1e-10
+
+    def test_bins_the_planes_to_the_working_binning(self):
+        sys_ = OpticalSystem()
+        mean_s, _ = expected_counts(
+            generate_test_target(220, 220, sys_.object_pixel), sys_, TwinBeamConfig(), 0.0
+        )
+        rng = np.random.default_rng(2)
+        planes = [mean_s.with_values(rng.poisson(mean_s.values)) for _ in range(3)]
+        binned = [bin_counts(plane, 3) for plane in planes]
+        cfg = RetrievalConfig(dz=0.025, sys=sys_)
+        out = tie_retrieve(*planes, replace(cfg, bin_px=3))
+        expected = tie_retrieve(*binned, cfg)
+        assert out.values.pitch == expected.values.pitch
+        assert np.array_equal(out.values.values, expected.values.values)
 
     def test_memory_peak_in_grid_arrays(self, traced_peak):
         # 9.0 float64 arrays of the grid; 17.9 when every product and
