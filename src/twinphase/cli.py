@@ -40,12 +40,12 @@ from .core import (
     ConfigError,
     GridError,
     NoPhotonError,
+    NumericalError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
     ScalarField2D,
     TwinBeamConfig,
-    generate_edge_target,
     generate_test_target,
     validate_config,
 )
@@ -62,10 +62,6 @@ _RUN_KEYS = {"grid_size": int}
 # Grid side of `target` and `simulate` when the config sets no grid_size,
 # and of every scan.
 GRID_SIZE = 220
-
-
-class NumericalError(RuntimeError):
-    """A fit or solver failed to produce a usable result."""
 
 
 def _configs(values):
@@ -425,17 +421,7 @@ def _scan_advantage(args, sys_cfg, twin_cfg):
 
 
 def _scan_resolution(args, sys_cfg, twin_cfg):
-    pitch = sys_cfg.object_pixel
-    target = generate_edge_target(GRID_SIZE, GRID_SIZE, pitch)
-    rows_raw = metrics.resolution_scan(
-        target,
-        args.dz,
-        (1, 3, 6, 12),
-        sys_cfg,
-        twin_cfg,
-        edge_row_um=110 * pitch,
-        edge_window_um=(40 * pitch, 128 * pitch),
-    )
+    rows_raw = metrics.resolution_scan(args.dz, (1, 3, 6, 12), sys_cfg, twin_cfg)
     failed = [r for r in rows_raw if not r["ok"]]
     if failed:
         raise NumericalError(
@@ -451,18 +437,9 @@ def _scan_resolution(args, sys_cfg, twin_cfg):
 
 
 def _scan_noise(args, sys_cfg, twin_cfg):
-    pitch = sys_cfg.object_pixel
-    rng = RngStream(args.seed)
     l_values = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
     rows = metrics.noise_suppression_scan(
-        l_values,
-        GRID_SIZE,
-        GRID_SIZE,
-        pitch,
-        dz=0.025,
-        i0=twin_cfg.mean_photons_per_pixel,
-        wavenumber=sys_cfg.wavenumber,
-        rng=rng,
+        l_values, GRID_SIZE, GRID_SIZE, sys_cfg, twin_cfg, RngStream(args.seed)
     )
     return ["l_cff_um", "suppression_pct"], [
         (r["l_cff_um"], r["suppression_pct"]) for r in rows

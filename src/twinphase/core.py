@@ -34,6 +34,10 @@ class NoPhotonError(ValueError):
     counts with no detected photon."""
 
 
+class NumericalError(RuntimeError):
+    """A fit or solver failed to produce a usable result."""
+
+
 def _frozen_array(values, dtype):
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
@@ -265,18 +269,25 @@ def generate_test_target(width: int, height: int, pitch: float) -> ObjectSpec:
     )
 
 
-def generate_edge_target(width: int, height: int, pitch: float) -> ObjectSpec:
-    """Render the metrology target: a vertical pure-phase stripe.
+# The resolution scan's edge on the metrology target, in pixels: its
+# profile averages the 5 fine rows centred on EDGE_ROW, and its fit takes
+# the columns EDGE_WINDOW[0] <= column < EDGE_WINDOW[1].
+EDGE_ROW = 110
+EDGE_WINDOW = (40, 128)
+
+
+def generate_edge_target(pitch: float) -> ObjectSpec:
+    """Render the 220x220 metrology target: a vertical pure-phase stripe.
 
     Columns 90 (inclusive) to 170 (exclusive) carry phase -0.3 rad;
     transmittance is 1 everywhere.  The left stripe boundary provides a
     long straight edge with wide flat plateaus on both sides, suitable
     for edge-spread resolution fits at any binning.
     """
-    phi = np.zeros((height, width))
+    phi = np.zeros((220, 220))
     phi[:, 90:170] = -0.3
-    tau = np.ones((height, width))
+    tau = np.ones((220, 220))
     return ObjectSpec(
-        tau=ScalarField2D(width, height, pitch, tau),
-        phi=ScalarField2D(width, height, pitch, phi),
+        tau=ScalarField2D(220, 220, pitch, tau),
+        phi=ScalarField2D(220, 220, pitch, phi),
     )

@@ -13,7 +13,17 @@ from scipy.ndimage import binary_erosion
 from scipy.optimize import brentq, curve_fit
 from scipy.special import erf, ndtr
 
-from .core import ObjectSpec, OpticalSystem, ScalarField2D, TwinBeamConfig, target_masks
+from .core import (
+    EDGE_ROW,
+    EDGE_WINDOW,
+    NumericalError,
+    ObjectSpec,
+    OpticalSystem,
+    ScalarField2D,
+    TwinBeamConfig,
+    generate_edge_target,
+    target_masks,
+)
 from .optics import defocus_stack, exit_field, imaging_blur
 from .retrieval import (
     PhaseImage,
@@ -25,6 +35,7 @@ from .retrieval import (
 from .twinbeam import bin_counts, d_factor_for_bin, expected_counts, ordered_map
 
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
+NOISE_SCAN_DZ = 0.025  # mm, the defocus of the noise-suppression scan's TIE
 
 
 @dataclass(frozen=True)
@@ -33,15 +44,13 @@ class AdvantageResult:
 
     c_quant: float
     c_clas: float
-    ratio: float
     d_factor: float
     ratio_stderr: float = float("nan")
     c_quant_frames: tuple = ()
 
-    def __post_init__(self):
-        for c in (self.c_quant, self.c_clas):
-            if abs(c) > 1.0 + 1e-12:
-                raise ValueError("correlation coefficient out of [-1, 1]")
+    @property
+    def ratio(self) -> float:
+        return self.c_quant / self.c_clas
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,8 @@ class ESFFit:
 
 
 def pearson(phi: ScalarField2D, phi_ref: ScalarField2D) -> float:
-    """Pearson correlation of two images over the full pixel set."""
+    """Pearson correlation of two images over the full pixel set;
+    NumericalError when either image is constant."""
     phi.require_same_grid(phi_ref)
     a = phi.values.ravel()
     b = phi_ref.values.ravel()
@@ -67,7 +77,7 @@ def pearson(phi: ScalarField2D, phi_ref: ScalarField2D) -> float:
     va = float(da @ da)
     vb = float(db @ db)
     if va == 0.0 or vb == 0.0:
-        raise ValueError("pearson undefined for a constant image")
+        raise NumericalError("pearson undefined for a constant image")
     return float((da @ db) / math.sqrt(va * vb))
 
 
@@ -121,24 +131,17 @@ def _failed_fit(message):
     return ESFFit(a=nan, b=nan, x0=nan, w=nan, w_ci=(nan, nan), ok=False, message=message)
 
 
-def step_heights(
-    phase: ScalarField2D,
-    bin_px: int = 1,
-    fine_shape: tuple = None,
-) -> dict:
+def step_heights(phase: ScalarField2D, bin_px: int, fine_shape: tuple) -> dict:
     """Median step of each glyph relative to the background level.
 
     The glyph interiors are eroded by 4 pixels to avoid edge
     roll-off; the background level is the median outside both glyphs.
-    Requires the standard centered test-target geometry.  When the
-    phase map was binned down from a finer acquisition grid, pass the
-    binning factor and the fine ``(width, height)`` so the masks are
-    binned with the same centered crop.
+    Requires the standard centered test-target geometry.  ``phase`` is
+    binned by ``bin_px`` from an acquisition grid of ``fine_shape``
+    ``(width, height)``; the masks are binned with the same centered
+    crop.
     """
-    if fine_shape is None:
-        fw, fh = phase.width * bin_px, phase.height * bin_px
-    else:
-        fw, fh = fine_shape
+    fw, fh = fine_shape
     pi_mask, null_mask = target_masks(fw, fh)
     pi_in = binary_erosion(pi_mask, iterations=4)
     null_in = binary_erosion(null_mask, iterations=4)
@@ -192,7 +195,7 @@ def quantum_advantage(
     c_q = np.array(c_q)
     c_c = np.array(c_c)
     n = len(c_q)
-    ratio = float(c_q.mean() / c_c.mean())
+    c_quant, c_clas = float(c_q.mean()), float(c_c.mean())
     # first-order error propagation of the ratio of means; the two
     # coefficients come from the same frames, so the shared shot noise
     # cancels through the covariance term
@@ -203,14 +206,13 @@ def quantum_advantage(
             + c_c.var(ddof=1) / c_c.mean() ** 2
             - 2.0 * cov / (c_q.mean() * c_c.mean())
         ) / n
-        stderr = float(abs(ratio) * math.sqrt(max(var, 0.0)))
+        stderr = abs(c_quant / c_clas) * math.sqrt(max(var, 0.0))
     else:
         stderr = float("nan")
     pitch = frame_triples[0][1].n_s.pitch
     return AdvantageResult(
-        c_quant=float(c_q.mean()),
-        c_clas=float(c_c.mean()),
-        ratio=ratio,
+        c_quant=c_quant,
+        c_clas=c_clas,
         d_factor=d_factor_for_bin(config.bin_px, pitch, config.twin.l_cff),
         ratio_stderr=stderr,
         c_quant_frames=tuple(float(v) for v in c_q),
@@ -235,16 +237,9 @@ def reference_phase(obj: ObjectSpec, config: RetrievalConfig) -> PhaseImage:
 # Scans
 # ---------------------------------------------------------------------------
 
-def resolution_scan(
-    target: ObjectSpec,
-    dz_list,
-    bin_list,
-    sys: OpticalSystem,
-    twin: TwinBeamConfig,
-    edge_row_um: float,
-    edge_window_um,
-):
-    """Phase resolution r_phase(D, dz) from noise-free reconstructions.
+def resolution_scan(dz_list, bin_list, sys: OpticalSystem, twin: TwinBeamConfig):
+    """Phase resolution r_phase(D, dz) from noise-free reconstructions of
+    the edge target (``core.generate_edge_target`` at ``sys.object_pixel``).
 
     The shot-noise-free reference at each point is the wave-optics
     forward stack (the finite-dz resolution loss is a diffraction
@@ -259,8 +254,8 @@ def resolution_scan(
     (dz, bin_px, d_factor, r_phase_um, se_r_um, ok, message) in dz order,
     where message is the fit's reason for failing ("" when ok).
     """
-    pitch = target.phi.pitch
-    field = exit_field(target, sys)
+    pitch = sys.object_pixel
+    field = exit_field(generate_edge_target(pitch), sys)
 
     def point(dz):
         rows = []
@@ -268,9 +263,7 @@ def resolution_scan(
         cfg = RetrievalConfig(dz=dz, sys=sys, twin=twin)
         for bin_px in bin_list:
             bin_px = int(bin_px)
-            xs, vals = _interleaved_edge_samples(
-                stack, cfg, bin_px, edge_row_um, edge_window_um
-            )
+            xs, vals = _interleaved_edge_samples(stack, cfg, bin_px)
             fit = esf_fit(vals, x=xs)
             aperture = bin_px * pitch
             if fit.ok:
@@ -317,8 +310,9 @@ def lsf_fwhm_with_aperture(aperture: float, w: float) -> float:
     return 2.0 * brentq(lambda x: profile(x) - target_level, 0.0, half + 5.0 * w)
 
 
-def _interleaved_edge_samples(stack, config, bin_px, edge_row_um, edge_window_um):
-    """Sensor-shift-averaged edge profile through the working binning.
+def _interleaved_edge_samples(stack, config, bin_px):
+    """Sensor-shift-averaged edge profile through the working binning,
+    at the rows and columns of ``core.EDGE_ROW`` and ``core.EDGE_WINDOW``.
 
     Reconstructs the phase once per column bin phase, expands each
     coarse row back to the fine grid (each binned value covers its own
@@ -328,7 +322,6 @@ def _interleaved_edge_samples(stack, config, bin_px, edge_row_um, edge_window_um
     """
     pitch = stack.i_zero.pitch
     n_cols = stack.i_zero.width
-    edge_row_px = edge_row_um / pitch
     acc = np.zeros(n_cols)
     hits = np.zeros(n_cols)
     for c0 in range(bin_px):
@@ -341,51 +334,45 @@ def _interleaved_edge_samples(stack, config, bin_px, edge_row_um, edge_window_um
         # average over the binned rows covering 5 adjacent fine rows
         rows = np.unique(
             np.clip(
-                (edge_row_px + np.arange(-2, 3)) // bin_px,
-                0,
-                phi.values.height - 1,
-            ).astype(int)
+                (EDGE_ROW + np.arange(-2, 3)) // bin_px, 0, phi.values.height - 1
+            )
         )
         prof = phi.values.values[rows].mean(axis=0)
         fine = np.repeat(prof, bin_px)
         stop = min(c0 + fine.size, n_cols)
         acc[c0:stop] += fine[: stop - c0]
         hits[c0:stop] += 1.0
-    x_um = (np.arange(n_cols) + 0.5) * pitch
-    keep = (
-        (hits == bin_px)
-        & (x_um >= edge_window_um[0])
-        & (x_um <= edge_window_um[1])
-    )
-    return x_um[keep], acc[keep] / bin_px
+    cols = np.arange(*EDGE_WINDOW)
+    cols = cols[hits[cols] == bin_px]
+    return (cols + 0.5) * pitch, acc[cols] / bin_px
 
 
 def noise_suppression_scan(
     l_cff_list,
     width: int,
     height: int,
-    pitch: float,
-    dz: float,
-    i0: float,
-    wavenumber: float,
+    sys: OpticalSystem,
+    twin: TwinBeamConfig,
     rng,
     n_trials: int = 4,
 ):
     """Percentage of shot noise removed from the retrieved phase.
 
     For each correlation length: draw Poissonian counts around the flat
-    level i0; build the correlated copy by redistributing the counts
-    with a Gaussian kernel of FWHM l_cff; retrieve the phase noise of
-    the corrected and of the classical noise maps through the TIE
-    (uniform-intensity form, k_tie = eta0 = 1) and compare variances.
-    The trials are drawn from ``rng`` in order, l_cff by l_cff, and
+    level i0 = ``twin.mean_photons_per_pixel`` on a grid of pitch
+    ``sys.object_pixel``; build the correlated copy by redistributing
+    the counts with a Gaussian kernel of FWHM l_cff; retrieve the phase
+    noise of the corrected and of the classical noise maps through the
+    TIE (uniform-intensity form at dz = NOISE_SCAN_DZ, k_tie = eta0 = 1)
+    and compare variances.  The trials are drawn from ``rng`` in order, l_cff by l_cff, and
     evaluated on the threads of ``ordered_map``, each trial's maps on
     one thread.  Returns rows of (l_cff_um, suppression_pct), the mean
     over each l_cff's ``n_trials`` trials.
     """
     l_cff_list = tuple(l_cff_list)
-    dz_um = dz * 1e3
-    scale = -wavenumber / (math.sqrt(2.0) * i0 * dz_um)
+    pitch, i0 = sys.object_pixel, twin.mean_photons_per_pixel
+    dz_um = NOISE_SCAN_DZ * 1e3
+    scale = -sys.wavenumber / (math.sqrt(2.0) * i0 * dz_um)
     gen = rng.generator()
 
     def trials():

@@ -25,13 +25,6 @@ class IntensityStack:
     i_plus: ScalarField2D
     aliasing_warning: bool = False
 
-    def __post_init__(self):
-        self.i_zero.require_same_grid(self.i_minus)
-        self.i_zero.require_same_grid(self.i_plus)
-        for f in (self.i_minus, self.i_zero, self.i_plus):
-            if np.any(f.values < 0):
-                raise ValueError("intensities must be non-negative")
-
 
 def fresnel_aliased(wavelength_nm: float, distance_mm: float, pitch: float, n: int):
     """True when the Fresnel transfer function is under-sampled on this grid."""
@@ -131,7 +124,7 @@ def defocus_stack(
     field: ExitField,
     dz: float,
     sys: OpticalSystem,
-    mean_photons: float = None,
+    mean_photons: float,
 ) -> IntensityStack:
     """Three-plane intensity stack of an exit field (see ``exit_field``).
 
@@ -140,9 +133,9 @@ def defocus_stack(
     The defocused planes carry an extra Gaussian envelope of FWHM
     sqrt(lambda dz): under partially coherent illumination the Fresnel
     edge fringes beyond the first zone average out, leaving a defocus
-    blur on that transverse scale.  When ``mean_photons`` is given, all
-    three planes are rescaled by one common factor so that i_zero
-    averages to it.  Each plane equals ``angular_spectrum_propagate``
+    blur on that transverse scale.  All three planes are rescaled by one
+    common factor so that i_zero averages to ``mean_photons``.  Before
+    that scale, each plane equals ``angular_spectrum_propagate``
     followed by ``imaging_blur``, bit for bit.
     """
     if not dz > 0:
@@ -160,11 +153,10 @@ def defocus_stack(
 
     i_plus = plane(+dz)
     i_minus = plane(-dz)
-    if mean_photons is not None:
-        scale = mean_photons / float(np.mean(i_zero.values))
-        i_zero = i_zero.with_values(i_zero.values * scale)
-        i_plus = i_plus.with_values(i_plus.values * scale)
-        i_minus = i_minus.with_values(i_minus.values * scale)
+    scale = mean_photons / float(np.mean(i_zero.values))
+    i_zero = i_zero.with_values(i_zero.values * scale)
+    i_plus = i_plus.with_values(i_plus.values * scale)
+    i_minus = i_minus.with_values(i_minus.values * scale)
     warn = fresnel_aliased(
         sys.wavelength, dz, i_zero.pitch, 2 * max(i_zero.width, i_zero.height)
     )

@@ -74,12 +74,6 @@ class NrfPoint:
     fano: float
     nrf_stderr: float = float("nan")
 
-    def __post_init__(self):
-        if self.nrf < 0:
-            raise ValueError("nrf must be non-negative")
-        if not self.fano > 0:
-            raise ValueError("fano must be positive")
-
 
 # ---------------------------------------------------------------------------
 # Conditional collection efficiency and the NRF model

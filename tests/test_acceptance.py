@@ -23,7 +23,6 @@ from twinphase.core import (
     RngStream,
     ScalarField2D,
     TwinBeamConfig,
-    generate_edge_target,
     generate_test_target,
     target_masks,
 )
@@ -211,7 +210,7 @@ def test_criterion_06_step_heights():
         dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=SYS, twin=hi
     )
     phase = phase_from_twin_frames(fm, f0, fp, cfg)
-    steps = step_heights(phase.values)
+    steps = step_heights(phase.values, 1, (220, 220))
 
     cfg12 = replace(cfg, bin_px=12, k_mode="tau")
     est = estimate_transmittance(f0.n_s, f0.n_i, cfg12)
@@ -327,18 +326,8 @@ def test_criterion_09_resolution_behavior():
     """r_phase(D, dz) is non-decreasing in D and decreasing in dz, with a
     ~4 um minimum at (D = 0.325, dz = 0.0125) and an 18 um +- 20%
     large-D asymptote."""
-    target = generate_edge_target(220, 220, PITCH)
     dz_list = (0.0125, 0.025, 0.05, 0.1)
-    bins = (1, 3, 6, 12)
-    rows = resolution_scan(
-        target,
-        dz_list,
-        bins,
-        SYS,
-        TWIN,
-        edge_row_um=110 * PITCH,
-        edge_window_um=(40 * PITCH, 128 * PITCH),
-    )
+    rows = resolution_scan(dz_list, (1, 3, 6, 12), SYS, TWIN)
     assert all(r["ok"] for r in rows), "edge-spread fit failed at a scan point"
     table = {(r["dz"], round(r["d_factor"], 4)): r["r_phase_um"] for r in rows}
     d_vals = sorted({round(r["d_factor"], 4) for r in rows})
@@ -393,17 +382,7 @@ def test_criterion_11_noise_suppression_scan():
     """Shot-noise suppression >= 90% for l_CFF <= 5 um, monotone
     non-increasing, with a clear knee before 40 um."""
     l_values = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
-    rows = noise_suppression_scan(
-        l_values,
-        220,
-        220,
-        PITCH,
-        dz=0.025,
-        i0=TWIN.mean_photons_per_pixel,
-        wavenumber=SYS.wavenumber,
-        rng=RngStream(4242),
-        n_trials=6,
-    )
+    rows = noise_suppression_scan(l_values, 220, 220, SYS, TWIN, RngStream(4242), n_trials=6)
     supp = {r["l_cff_um"]: r["suppression_pct"] for r in rows}
     vals = [supp[l] for l in l_values]
     high_ok = all(supp[l] >= 90.0 for l in (1.0, 2.0, 5.0))

@@ -2,12 +2,13 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import re
 import shlex
 import shutil
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,31 @@ def test_no_detected_photon_exits_4(tmp_path, capsys, line, command):
     assert not (out / "manifest.json").exists()
 
 
+def test_faint_nrf_scan_measures_a_zero_fano_factor(tmp_path):
+    """Seed 23 at 2e-5 photons per pixel gives two frames whose 25-px bins
+    hold the same counts: their Fano factor of 0 is a measurement."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mean_photons_per_pixel = 2e-5\n")
+    out = tmp_path / "o"
+    argv = ["scan", "nrf", "--frames", "2", "--seed", "23", "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    last = (out / "nrf.csv").read_text().splitlines()[-1].split(",")
+    assert last[3] == "0"  # fano_signal at bin 25
+
+
+def test_constant_classical_phase_exits_4(tmp_path, capsys):
+    """Seed 20 at 2e-5 photons per pixel detects no photon in either
+    defocused plane, so the classical phase is constant and its Pearson
+    coefficient undefined."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mean_photons_per_pixel = 2e-5\n")
+    out = tmp_path / "o"
+    argv = ["scan", "advantage", "--frames", "1", "--dz", "0.025", "--seed", "20"]
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+    assert "pearson undefined for a constant image" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -779,3 +805,16 @@ def test_readme_flag_table_matches_the_parser():
             command = cells[1].strip().strip("`")
             table[command] = set(re.findall(r"`(--[a-z-]+)", cells[2]))
     assert table == registered_options()
+
+
+def test_readme_record_table_matches_the_records():
+    """The README's record table lists exactly each record's fields, in
+    order, and their count."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| (.*) \| (\d+) \|$", readme, re.MULTILINE)
+    assert len(rows) == 7
+    for module, name, cells, count in rows:
+        record = getattr(importlib.import_module(f"twinphase.{module}"), name)
+        names = [f.name for f in fields(record)] if is_dataclass(record) else list(record._fields)
+        assert re.findall(r"`(\w+)`", cells) == names, name
+        assert int(count) == len(names), name

@@ -166,7 +166,8 @@ class TestTestTarget:
 
 class TestEdgeTarget:
     def test_stripe_geometry(self):
-        obj = generate_edge_target(220, 220, 1.625)
+        obj = generate_edge_target(1.625)
+        assert obj.phi.values.shape == (220, 220)
         assert np.all(obj.tau.values == 1.0)
         assert np.all(obj.phi.values[:, 90:170] == -0.3)
         assert np.all(obj.phi.values[:, :90] == 0.0)

@@ -8,11 +8,11 @@ import pytest
 
 from twinphase import metrics
 from twinphase.core import (
+    NumericalError,
     OpticalSystem,
     RngStream,
     ScalarField2D,
     TwinBeamConfig,
-    generate_edge_target,
     generate_test_target,
 )
 from twinphase.metrics import (
@@ -25,7 +25,8 @@ from twinphase.metrics import (
     resolution_scan,
     step_heights,
 )
-from twinphase.retrieval import RetrievalConfig
+from twinphase.optics import IntensityStack
+from twinphase.retrieval import PhaseImage, RetrievalConfig
 from twinphase.twinbeam import expected_counts, sample_twin_frame
 from test_twinbeam import use_threads
 
@@ -59,7 +60,7 @@ class TestPearson:
     def test_constant_image_rejected(self):
         a = field(np.ones((16, 16)))
         b = field(np.random.default_rng(3).standard_normal((16, 16)))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             pearson(a, b)
 
 
@@ -135,7 +136,7 @@ class TestLsfAperture:
 class TestStepHeights:
     def test_exact_target(self):
         obj = generate_test_target(220, 220, 1.625)
-        steps = step_heights(obj.phi)
+        steps = step_heights(obj.phi, 1, (220, 220))
         assert steps["background"] == 0.0
         assert steps["pi"] == pytest.approx(-0.226)
         assert steps["null"] == pytest.approx(0.345)
@@ -189,15 +190,7 @@ class TestQuantumAdvantage:
 class TestNoiseSuppressionScan:
     def test_range_and_delta_kernel_limit(self):
         rows = noise_suppression_scan(
-            (0.5, 20.0),
-            64,
-            64,
-            1.625,
-            dz=0.025,
-            i0=600.0,
-            wavenumber=OpticalSystem().wavenumber,
-            rng=RngStream(77),
-            n_trials=2,
+            (0.5, 20.0), 64, 64, OpticalSystem(), TwinBeamConfig(), RngStream(77), n_trials=2
         )
         for row in rows:
             assert 0.0 <= row["suppression_pct"] <= 100.0
@@ -210,18 +203,8 @@ class TestResolutionScan:
     DZ = (0.0125, 0.025, 0.05, 0.1)
 
     def scan(self, dz_list, bins=(1, 3)):
-        """The scan of ``scan resolution`` on its 220-pixel edge target."""
-        sys_ = OpticalSystem()
-        pitch = sys_.object_pixel
-        return resolution_scan(
-            generate_edge_target(220, 220, pitch),
-            dz_list,
-            bins,
-            sys_,
-            TwinBeamConfig(),
-            edge_row_um=110 * pitch,
-            edge_window_um=(40 * pitch, 128 * pitch),
-        )
+        """The scan of ``scan resolution`` at the default configuration."""
+        return resolution_scan(dz_list, bins, OpticalSystem(), TwinBeamConfig())
 
     def test_rows_independent_of_thread_count(self, monkeypatch):
         runs = []
@@ -233,6 +216,21 @@ class TestResolutionScan:
         runs.append([row for dz in self.DZ for row in self.scan([dz])])
         assert all(row["ok"] for row in runs[0])
         assert runs[0] == runs[1] == runs[2]
+
+    def test_edge_rows_where_the_pitch_rounds(self, monkeypatch):
+        """The bin-1 profile averages the fine rows 108-112 around the
+        edge row 110, also at a pitch (camera_pixel 5 / magnification
+        3.25) at which 110 * pitch / pitch is not 110 in floating point."""
+        sys_ = OpticalSystem(camera_pixel=5.0, magnification=3.25)
+        rows = field(np.repeat(np.arange(220.0)[:, None], 220, axis=1), sys_.object_pixel)
+
+        def row_index_phase(i_minus, i_zero, i_plus, config):
+            return PhaseImage(values=rows)
+
+        monkeypatch.setattr(metrics, "tie_retrieve", row_index_phase)
+        cfg = RetrievalConfig(dz=0.025, sys=sys_)
+        _, vals = metrics._interleaved_edge_samples(IntensityStack(rows, rows, rows), cfg, 1)
+        assert vals.size == 88 and np.all(vals == 110.0)
 
     def test_failing_point_of_lowest_dz_index_raises(self, monkeypatch):
         real_stack = metrics.defocus_stack

@@ -515,9 +515,10 @@ class TestSampleFrames:
         assert 1 <= peak <= 2
 
     def test_noise_scan_rows_independent_of_thread_count(self, monkeypatch):
-        def serial_scan(l_cff_list, width, height, pitch, dz, i0, wavenumber, rng, n_trials):
-            """The scan as one loop on the calling thread."""
-            dz_um = dz * 1e3
+        def serial_scan(l_cff_list, width, height, sys, twin, rng, n_trials):
+            """The scan as one loop on the calling thread, its TIE at dz = 0.025 mm."""
+            pitch, i0, wavenumber = sys.object_pixel, twin.mean_photons_per_pixel, sys.wavenumber
+            dz_um = 0.025 * 1e3
             rows = []
             gen = rng.generator()
             for l_cff in l_cff_list:
@@ -543,10 +544,8 @@ class TestSampleFrames:
             l_cff_list=(1.0, 5.0, 20.0),
             width=48,
             height=40,
-            pitch=1.625,
-            dz=0.025,
-            i0=600.0,
-            wavenumber=OpticalSystem().wavenumber,
+            sys=OpticalSystem(),
+            twin=TwinBeamConfig(),
             n_trials=3,
         )
         runs = []
@@ -578,6 +577,15 @@ class TestMeasureNrf:
             frames.append(TwinBeamFrame(n_s=f_s, n_i=f_i))
         point = measure_nrf(frames, 1, l_cff=5.0)
         assert point.nrf == 0.0
+
+    def test_identical_frames_give_zero_nrf_and_fano(self):
+        """A bin that does not vary over time has a true Fano factor of 0."""
+        s = np.random.default_rng(4).poisson(50.0, size=(16, 16)).astype(float)
+        frame = TwinBeamFrame(
+            n_s=ScalarField2D(16, 16, 1.0, s), n_i=ScalarField2D(16, 16, 1.0, s[::-1, ::-1])
+        )
+        point = measure_nrf([frame, frame], 1, l_cff=5.0)
+        assert point.nrf == point.fano == 0.0
 
     def test_independent_arms_give_nrf_near_one(self):
         rng = np.random.default_rng(6)
