@@ -11,13 +11,14 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.  Identical config + seed produce byte-identical outputs, for
 any thread count of ``twinbeam.ordered_map``.
 
-``simulate``, ``scan nrf`` and ``scan advantage`` draw their frames,
-``scan noise`` evaluates its Poisson trials and ``scan resolution`` its
-dz points on the threads of ``twinbeam.ordered_map``: one per CPU this
-process may use, capped by the QPI_THREADS environment variable.  A
-matrix product may differ in its last bits with the BLAS pool size, so
-``main`` runs every command with numpy's and scipy's OpenBLAS pools at
-one thread, and gives each pool back its size after.
+``simulate`` and ``scan nrf`` draw their frames, ``scan advantage``
+draws and scores its frame triples, ``scan noise`` evaluates its Poisson
+trials and ``scan resolution`` its dz points on the threads of
+``twinbeam.ordered_map``: one per CPU this process may use, capped by
+the QPI_THREADS environment variable.  A matrix product may differ in
+its last bits with the BLAS pool size, so ``main`` runs every command
+with numpy's and scipy's OpenBLAS pools at one thread, and gives each
+pool back its size after.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ import scipy
 
 from . import __version__, metrics, qpf, retrieval, twinbeam
 from .core import (
+    TARGET_GRID,
     ConfigError,
     GridError,
     NoPhotonError,
@@ -59,9 +61,6 @@ EXIT_NUMERICAL = 4
 _OPTICAL_KEYS = [f.name for f in fields(OpticalSystem)]
 _TWIN_KEYS = [f.name for f in fields(TwinBeamConfig)]
 _RUN_KEYS = {"grid_size": int}
-# Grid side of `target` and `simulate` when the config sets no grid_size,
-# and of every scan.
-GRID_SIZE = 220
 
 
 def _configs(values):
@@ -170,7 +169,7 @@ def frame_path(frames_dir, dz, frame, tag, arm):
 
 def cmd_target(args):
     sys_cfg, twin_cfg, run = _load_configs(args)
-    size = run.get("grid_size", GRID_SIZE)
+    size = run.get("grid_size", TARGET_GRID)
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
     if args.pure_phase:
@@ -190,7 +189,7 @@ def cmd_target(args):
 
 def cmd_simulate(args):
     sys_cfg, twin_cfg, run = _load_configs(args)
-    size = run.get("grid_size", GRID_SIZE)
+    size = run.get("grid_size", TARGET_GRID)
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
     calib_s, calib_i = twinbeam.expected_counts(
@@ -362,9 +361,8 @@ def cmd_retrieve(args):
 
 
 def _scan_nrf(args, sys_cfg, twin_cfg):
-    grid = ScalarField2D(
-        GRID_SIZE, GRID_SIZE, sys_cfg.object_pixel, np.zeros((GRID_SIZE, GRID_SIZE))
-    )
+    n = TARGET_GRID
+    grid = ScalarField2D(n, n, sys_cfg.object_pixel, np.zeros((n, n)))
     frames = twinbeam.sample_frames(
         None, sys_cfg, twin_cfg, [0.0] * args.frames, RngStream(args.seed), grid=grid
     )
@@ -384,40 +382,14 @@ def _scan_nrf(args, sys_cfg, twin_cfg):
 
 
 def _scan_advantage(args, sys_cfg, twin_cfg):
-    obj = generate_test_target(GRID_SIZE, GRID_SIZE, sys_cfg.object_pixel)
-    mean_s, mean_i = twinbeam.expected_counts(None, sys_cfg, twin_cfg, 0.0, grid=obj.tau)
-    rows = []
-    stream = twinbeam.sample_triples(
-        obj, sys_cfg, twin_cfg, args.dz, args.frames, RngStream(args.seed)
+    rows = metrics.advantage_scan(
+        args.dz, args.frames, sys_cfg, twin_cfg, RngStream(args.seed)
     )
-    for dz in args.dz:
-        triples = [next(stream) for _ in range(args.frames)]
-        for bin_px in (1, 3):
-            config = retrieval.RetrievalConfig(
-                dz=dz,
-                bin_px=bin_px,
-                reference_mean=mean_s,
-                reference_mean_idler=mean_i,
-                sys=sys_cfg,
-                twin=twin_cfg,
-            )
-            phi_ref = metrics.reference_phase(obj, config)
-            for mode in ("tie", "tau"):
-                adv = metrics.quantum_advantage(
-                    triples, replace(config, k_mode=mode), phi_ref
-                )
-                rows.append(
-                    (
-                        dz,
-                        adv.d_factor,
-                        mode,
-                        adv.c_quant,
-                        adv.c_clas,
-                        adv.ratio,
-                        adv.ratio_stderr,
-                    )
-                )
-    return ["dz", "D", "k_mode", "C_quant", "C_clas", "ratio", "stderr"], rows
+    return ["dz", "D", "k_mode", "C_quant", "C_clas", "ratio", "stderr"], [
+        (r["dz"], r["d_factor"], r["k_mode"], r["c_quant"], r["c_clas"],
+         r["c_quant"] / r["c_clas"], r["ratio_stderr"])
+        for r in rows
+    ]
 
 
 def _scan_resolution(args, sys_cfg, twin_cfg):
@@ -439,7 +411,7 @@ def _scan_resolution(args, sys_cfg, twin_cfg):
 def _scan_noise(args, sys_cfg, twin_cfg):
     l_values = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0)
     rows = metrics.noise_suppression_scan(
-        l_values, GRID_SIZE, GRID_SIZE, sys_cfg, twin_cfg, RngStream(args.seed)
+        l_values, TARGET_GRID, TARGET_GRID, sys_cfg, twin_cfg, RngStream(args.seed)
     )
     return ["l_cff_um", "suppression_pct"], [
         (r["l_cff_um"], r["suppression_pct"]) for r in rows
@@ -451,7 +423,7 @@ def cmd_scan(args):
     if run:
         raise ConfigError(
             f"scan does not read `{'`, `'.join(sorted(run))}`: "
-            f"every scan runs on a {GRID_SIZE}x{GRID_SIZE} grid"
+            f"every scan runs on a {TARGET_GRID}x{TARGET_GRID} grid"
         )
     header, rows = args.runner(args, sys_cfg, twin_cfg)
     os.makedirs(args.out, exist_ok=True)

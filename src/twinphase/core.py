@@ -18,7 +18,9 @@ import numpy as np
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 MIN_GRID = 8
-MIN_TARGET_GRID = 220
+# The side of the targets' design box: the least grid that holds both
+# glyphs, the edge target's grid, and the grid of every scan.
+TARGET_GRID = 220
 
 
 class ConfigError(ValueError):
@@ -212,13 +214,13 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
 
 def _design_coords(width, height):
     """Pixel coordinates relative to a centered 220x220 design box."""
-    if width < MIN_TARGET_GRID or height < MIN_TARGET_GRID:
+    if width < TARGET_GRID or height < TARGET_GRID:
         raise GridError(
-            f"target grid must be at least {MIN_TARGET_GRID}x{MIN_TARGET_GRID} "
+            f"target grid must be at least {TARGET_GRID}x{TARGET_GRID} "
             f"to hold both glyphs, got {height}x{width}"
         )
-    x0 = (width - MIN_TARGET_GRID) // 2
-    y0 = (height - MIN_TARGET_GRID) // 2
+    x0 = (width - TARGET_GRID) // 2
+    y0 = (height - TARGET_GRID) // 2
     yy, xx = np.mgrid[0:height, 0:width]
     return xx - x0, yy - y0
 
@@ -284,10 +286,10 @@ def generate_edge_target(pitch: float) -> ObjectSpec:
     long straight edge with wide flat plateaus on both sides, suitable
     for edge-spread resolution fits at any binning.
     """
-    phi = np.zeros((220, 220))
+    n = TARGET_GRID
+    phi = np.zeros((n, n))
     phi[:, 90:170] = -0.3
-    tau = np.ones((220, 220))
     return ObjectSpec(
-        tau=ScalarField2D(220, 220, pitch, tau),
-        phi=ScalarField2D(220, 220, pitch, phi),
+        tau=ScalarField2D(n, n, pitch, np.ones((n, n))),
+        phi=ScalarField2D(n, n, pitch, phi),
     )

@@ -16,41 +16,33 @@ from scipy.special import erf, ndtr
 from .core import (
     EDGE_ROW,
     EDGE_WINDOW,
+    TARGET_GRID,
     NumericalError,
-    ObjectSpec,
     OpticalSystem,
     ScalarField2D,
     TwinBeamConfig,
     generate_edge_target,
+    generate_test_target,
     target_masks,
 )
 from .optics import defocus_stack, exit_field, imaging_blur
 from .retrieval import (
-    PhaseImage,
     RetrievalConfig,
     phase_from_twin_frames,
     poisson_solve_dirichlet,
     tie_retrieve,
 )
-from .twinbeam import bin_counts, d_factor_for_bin, expected_counts, ordered_map
+from .twinbeam import (
+    bin_counts,
+    d_factor_for_bin,
+    expected_counts,
+    exposures,
+    ordered_map,
+    sample_twin_frame,
+)
 
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 NOISE_SCAN_DZ = 0.025  # mm, the defocus of the noise-suppression scan's TIE
-
-
-@dataclass(frozen=True)
-class AdvantageResult:
-    """Pearson-ratio quantum advantage at one (dz, D) operating point."""
-
-    c_quant: float
-    c_clas: float
-    d_factor: float
-    ratio_stderr: float = float("nan")
-    c_quant_frames: tuple = ()
-
-    @property
-    def ratio(self) -> float:
-        return self.c_quant / self.c_clas
 
 
 @dataclass(frozen=True)
@@ -170,30 +162,18 @@ def step_heights(phase: ScalarField2D, bin_px: int, fine_shape: tuple) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Quantum-advantage ratio
+# Scans
 # ---------------------------------------------------------------------------
 
-def quantum_advantage(
-    frame_triples,
-    config: RetrievalConfig,
-    phi_ref: PhaseImage,
-) -> AdvantageResult:
-    """Single-frame Pearson-ratio advantage of the configured k over k = 0.
+def ratio_statistics(c_quant_frames, c_clas_frames) -> dict:
+    """Pearson-ratio advantage of paired per-frame coefficients.
 
-    ``frame_triples`` is a sequence of (frame_minus, frame_zero,
-    frame_plus) twin-beam frames; Pearson coefficients against the
-    shot-noise-free reference are averaged over frames before taking
-    the ratio.
+    The coefficients are averaged over frames before the ratio is taken.
+    Returns ``c_quant`` and ``c_clas`` (the means), ``ratio_stderr`` and
+    ``c_quant_frames`` (the quantum coefficients, in frame order).
     """
-    classical_cfg = replace(config, k_mode="classical")
-    c_q, c_c = [], []
-    for fm, f0, fp in frame_triples:
-        phi_q = phase_from_twin_frames(fm, f0, fp, config)
-        phi_c = phase_from_twin_frames(fm, f0, fp, classical_cfg)
-        c_q.append(pearson(phi_q.values, phi_ref.values))
-        c_c.append(pearson(phi_c.values, phi_ref.values))
-    c_q = np.array(c_q)
-    c_c = np.array(c_c)
+    c_q = np.array(c_quant_frames)
+    c_c = np.array(c_clas_frames)
     n = len(c_q)
     c_quant, c_clas = float(c_q.mean()), float(c_c.mean())
     # first-order error propagation of the ratio of means; the two
@@ -209,33 +189,72 @@ def quantum_advantage(
         stderr = abs(c_quant / c_clas) * math.sqrt(max(var, 0.0))
     else:
         stderr = float("nan")
-    pitch = frame_triples[0][1].n_s.pitch
-    return AdvantageResult(
-        c_quant=c_quant,
-        c_clas=c_clas,
-        d_factor=d_factor_for_bin(config.bin_px, pitch, config.twin.l_cff),
-        ratio_stderr=stderr,
-        c_quant_frames=tuple(float(v) for v in c_q),
-    )
+    return {
+        "c_quant": c_quant,
+        "c_clas": c_clas,
+        "ratio_stderr": stderr,
+        "c_quant_frames": tuple(float(v) for v in c_q),
+    }
 
 
-def reference_phase(obj: ObjectSpec, config: RetrievalConfig) -> PhaseImage:
-    """Shot-noise-free reference reconstruction.
+def advantage_scan(
+    dz_list, frames: int, sys: OpticalSystem, twin: TwinBeamConfig, rng
+):
+    """Single-frame Pearson-ratio advantage of the ``tie`` and ``tau``
+    weights over the classical k = 0, on the test target
+    (``core.generate_test_target`` on the ``core.TARGET_GRID`` grid at
+    ``sys.object_pixel``), at bins 1 and 3.
 
-    Runs the classical pipeline on the exact expected photon counts of
-    the configured system, the infinite-frame limit of averaging
-    acquisitions.
+    Each retrieved phase is compared with the shot-noise-free reference:
+    the classical TIE solve of the exact expected counts of the three
+    planes (``expected_counts``), the infinite-frame limit of averaging
+    acquisitions.  Exposure i of ``exposures(dz_list, frames)`` is drawn
+    from stream i of ``rng``: frame f at the k-th dz takes the streams
+    3 (k frames + f) + j, j = 0, 1, 2 for -dz, 0 and +dz.  Each frame is
+    drawn and scored on one thread of ``ordered_map``, so a thread holds
+    one triple and one solve at a time.  Returns rows in (dz, bin,
+    weight) order, each with ``dz``, ``k_mode``, ``d_factor`` and the
+    ``ratio_statistics`` of the frames' coefficients.  A constant phase
+    map raises NumericalError naming its dz, bin, weight and frame.
     """
-    sys, twin = config.sys, config.twin
-    mean_m, _ = expected_counts(obj, sys, twin, -config.dz)
-    mean_0, _ = expected_counts(obj, sys, twin, 0.0)
-    mean_p, _ = expected_counts(obj, sys, twin, +config.dz)
-    return tie_retrieve(mean_m, mean_0, mean_p, config)
+    obj = generate_test_target(TARGET_GRID, TARGET_GRID, sys.object_pixel)
+    mean_s, mean_i = expected_counts(None, sys, twin, 0.0, grid=obj.tau)
+    bins, modes = (1, 3), ("classical", "tie", "tau")
+    rows = []
+    for k, dz in enumerate(dz_list):
+        signed = [s for _, _, _, s in exposures([dz], 1)]
+        planes = [expected_counts(obj, sys, twin, s)[0] for s in signed]
+        base = RetrievalConfig(
+            dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=sys, twin=twin
+        )
+        configs = {(b, m): replace(base, bin_px=b, k_mode=m) for b in bins for m in modes}
+        refs = {b: tie_retrieve(*planes, configs[b, "classical"]).values for b in bins}
+        del planes
 
+        def coefficients(f):
+            triple = [
+                sample_twin_frame(obj, sys, twin, s, rng.child(3 * (k * frames + f) + j))
+                for j, s in enumerate(signed)
+            ]
+            out = {}
+            for (b, mode), cfg in configs.items():
+                phi = phase_from_twin_frames(*triple, cfg).values
+                try:
+                    out[b, mode] = pearson(phi, refs[b])
+                except NumericalError as exc:
+                    point = f"dz={dz:g} mm, bin {b}, {mode} weight, frame {f}"
+                    raise NumericalError(f"{exc} at {point}") from None
+            return out
 
-# ---------------------------------------------------------------------------
-# Scans
-# ---------------------------------------------------------------------------
+        coeffs = ordered_map(coefficients, range(frames))
+        for b in bins:
+            d_factor = d_factor_for_bin(b, obj.tau.pitch, twin.l_cff)
+            c_clas = [c[b, "classical"] for c in coeffs]
+            for mode in modes[1:]:
+                stats = ratio_statistics([c[b, mode] for c in coeffs], c_clas)
+                rows.append({"dz": dz, "k_mode": mode, "d_factor": d_factor, **stats})
+    return rows
+
 
 def resolution_scan(dz_list, bin_list, sys: OpticalSystem, twin: TwinBeamConfig):
     """Phase resolution r_phase(D, dz) from noise-free reconstructions of
@@ -296,9 +315,7 @@ def resolution_scan(dz_list, bin_list, sys: OpticalSystem, twin: TwinBeamConfig)
 
 def lsf_fwhm_with_aperture(aperture: float, w: float) -> float:
     """FWHM of a Gaussian line spread of width w seen through a box
-    aperture of the given width (both in micrometers)."""
-    if aperture <= 0.0:
-        return FWHM_FACTOR * w
+    aperture of the given positive width (both in micrometers)."""
     if w <= 1e-9 * max(aperture, 1.0):
         return aperture
     half = 0.5 * aperture

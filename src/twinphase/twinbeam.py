@@ -110,15 +110,11 @@ def eta_c(d_factor: float, epsilon: float) -> float:
     treated as symmetric along both transverse directions, with equal
     misalignment on both axes).
     """
-    if d_factor < 0 or epsilon < 0:
-        raise ValueError("d_factor and epsilon must be non-negative")
     return _eta_c_1d(d_factor, epsilon) ** 2
 
 
 def nrf_predicted(eta0: float, d_factor: float, epsilon: float) -> float:
     """Closed-form noise reduction factor 1 - eta0 * eta_c(D, epsilon)."""
-    if not 0.0 <= eta0 <= 1.0:
-        raise ValueError("eta0 must lie in [0, 1]")
     return 1.0 - eta0 * eta_c(d_factor, epsilon)
 
 
@@ -317,12 +313,7 @@ def _transport(obj, sys, twin, dz, grid):
     without an object), and each arm's ``(shift_x, shift_y, s)``
     arguments of ``_redistribute``.
     """
-    if obj is not None:
-        template = obj.tau
-    elif grid is not None:
-        template = grid
-    else:
-        raise ValueError("need an object or a grid template")
+    template = obj.tau if obj is not None else grid
     width, height, pitch = template.width, template.height, template.pitch
     sigma_px = twin.sigma / pitch
     delta_px = twin.delta / pitch
@@ -535,10 +526,9 @@ def sample_frames(
     dzs,
     base: RngStream,
     grid: Optional[ScalarField2D] = None,
-    first: int = 0,
 ):
     """Return ``[sample_twin_frame(obj, sys, twin, dz, base.child(i))
-    for i, dz in enumerate(dzs, first)]``.
+    for i, dz in enumerate(dzs)]``.
 
     Frames are independent by stream index, so ``ordered_map`` draws them
     on one thread per CPU this process may use, capped by the QPI_THREADS
@@ -547,14 +537,15 @@ def sample_frames(
     frame's working set at a time.  The same threads, under the same
     cap, evaluate the trials of ``metrics.noise_suppression_scan`` and
     the dz points of ``metrics.resolution_scan``, about 5 MB per thread
-    at 220².  When drawing frames raises, the exception of the frame
-    first in ``dzs`` is raised here.
+    at 220², and draw and score the frame triples of
+    ``metrics.advantage_scan``.  When drawing frames raises, the
+    exception of the frame first in ``dzs`` is raised here.
     """
     def draw(i_dz):
         i, dz = i_dz
         return sample_twin_frame(obj, sys, twin, dz, base.child(i), grid=grid)
 
-    return ordered_map(draw, enumerate(dzs, first))
+    return ordered_map(draw, enumerate(dzs))
 
 
 def exposures(dzs, frames: int):
@@ -568,27 +559,6 @@ def exposures(dzs, frames: int):
         for frame in range(frames)
         for tag, signed in (("m", -dz), ("0", 0.0), ("p", +dz))
     ]
-
-
-def sample_triples(
-    obj: Optional[ObjectSpec],
-    sys: OpticalSystem,
-    twin: TwinBeamConfig,
-    dzs,
-    frames: int,
-    base: RngStream,
-):
-    """Yield ``(f_minus, f_0, f_plus)`` defocus triples: ``frames``
-    triples at -dz, 0, +dz for each dz of ``dzs`` in turn.
-
-    Exposure i of ``exposures(dzs, frames)`` is drawn from stream i of
-    ``base``, and each dz's triples in one ``sample_frames`` call, so
-    the generator holds one dz's frames at a time.
-    """
-    for k, dz in enumerate(dzs):
-        signed = [s for _, _, _, s in exposures([dz], frames)]
-        drawn = iter(sample_frames(obj, sys, twin, signed, base, first=3 * frames * k))
-        yield from zip(drawn, drawn, drawn)
 
 
 # ---------------------------------------------------------------------------

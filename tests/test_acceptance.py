@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twinphase import qpf
+from twinphase import metrics
 from twinphase.cli import main as cli_main
 from twinphase.core import (
     ObjectSpec,
@@ -27,10 +27,9 @@ from twinphase.core import (
     target_masks,
 )
 from twinphase.metrics import (
+    advantage_scan,
     noise_suppression_scan,
     pearson,
-    quantum_advantage,
-    reference_phase,
     resolution_scan,
     step_heights,
 )
@@ -45,11 +44,13 @@ from twinphase.retrieval import (
 from twinphase.twinbeam import (
     bin_counts,
     expected_counts,
+    exposures,
     measure_nrf,
     nrf_predicted,
+    ordered_map,
     register_idler,
     sample_frames,
-    sample_triples,
+    sample_twin_frame,
 )
 from test_retrieval import phase_noise_spectrum
 from test_twinbeam import fit_efficiencies
@@ -81,13 +82,23 @@ def nrf_curve(object_free_frames):
     ]
 
 
+OBJECT_SEED = 20250823
+
+
 @pytest.fixture(scope="module")
-def object_triples():
-    """100 three-plane acquisitions of the test target at dz = 0.0125 mm
+def object_exposures():
+    """The 300 exposures of 100 three-plane acquisitions of the test
+    target at dz = 0.0125 mm, exposure i of ``exposures`` from stream i
     (criteria 7-8)."""
     obj = generate_test_target(220, 220, PITCH)
     dz = 0.0125
-    return obj, dz, list(sample_triples(obj, SYS, TWIN, [dz], N_FRAMES, RngStream(20250823)))
+    base = RngStream(OBJECT_SEED)
+
+    def draw(indexed):
+        i, (_, _, _, signed) = indexed
+        return sample_twin_frame(obj, SYS, TWIN, signed, base.child(i))
+
+    return dz, ordered_map(draw, enumerate(exposures([dz], N_FRAMES)))
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +215,10 @@ def test_criterion_06_step_heights():
     obj = generate_test_target(220, 220, PITCH)
     hi = replace(TWIN, mean_photons_per_pixel=TWIN.mean_photons_per_pixel * 1000.0)
     dz = 0.025
-    [(fm, f0, fp)] = sample_triples(obj, SYS, hi, [dz], 1, RngStream(777))
+    fm, f0, fp = (
+        sample_twin_frame(obj, SYS, hi, signed, RngStream(777).child(i))
+        for i, (_, _, _, signed) in enumerate(exposures([dz], 1))
+    )
     mean_s, mean_i = expected_counts(None, SYS, hi, 0.0, grid=obj.tau)
     cfg = RetrievalConfig(
         dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=SYS, twin=hi
@@ -234,7 +248,7 @@ def test_criterion_06_step_heights():
     )
 
 
-def test_criterion_07_amplitude_advantage(object_triples, calib_means):
+def test_criterion_07_amplitude_advantage(object_exposures, calib_means):
     """Single-frame transmittance noise with the variance-optimal
     subtraction weight at D = 3.9, compared with the classical estimator
     over 100 frames.  Target: >= 20% standard-deviation reduction.
@@ -250,7 +264,8 @@ def test_criterion_07_amplitude_advantage(object_triples, calib_means):
     contradicting those criteria, so the shortfall is reported honestly
     rather than tuned away.
     """
-    obj, dz, triples = object_triples
+    dz, frames = object_exposures
+    in_focus = frames[1::3]
     mean_s, mean_i = calib_means
     cfg_q = RetrievalConfig(
         dz=dz,
@@ -263,7 +278,7 @@ def test_criterion_07_amplitude_advantage(object_triples, calib_means):
     )
     cfg_c = replace(cfg_q, k_mode="classical")
     taus_q, taus_c = [], []
-    for _, f0, _ in triples:
+    for f0 in in_focus:
         taus_q.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_q).values)
         taus_c.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_c).values)
     std_q = np.stack(taus_q).std(axis=0, ddof=1).mean()
@@ -271,7 +286,7 @@ def test_criterion_07_amplitude_advantage(object_triples, calib_means):
     reduction = 100.0 * (1.0 - std_q / std_c)
     detail = (
         f"std reduction = {reduction:.1f}% (target >= 20%), "
-        f"{len(triples)} frames at D = 3.9"
+        f"{len(in_focus)} frames at D = 3.9"
     )
     if reduction >= 20.0:
         report(7, "amplitude quantum advantage", True, detail)
@@ -283,35 +298,34 @@ def test_criterion_07_amplitude_advantage(object_triples, calib_means):
         )
 
 
-def test_criterion_08_phase_advantage(object_triples, calib_means):
+def test_criterion_08_phase_advantage(object_exposures, monkeypatch):
     """Single-frame Pearson ratio with the resolution-independent weight
     is >= 1.15 at the finest binning, and beats the area-matched weight
-    at D <= 1 by at least two standard errors (paired over frames)."""
-    obj, dz, triples = object_triples
-    mean_s, mean_i = calib_means
+    at D <= 1 by at least two standard errors (paired over frames).
+    ``advantage_scan`` scores the shared exposures, which it would draw
+    from the same streams."""
+    dz, frames = object_exposures
+    monkeypatch.setattr(
+        metrics,
+        "sample_twin_frame",
+        lambda obj, sys, twin, signed, rng: frames[rng.stream_index],
+    )
+    rows = advantage_scan([dz], N_FRAMES, SYS, TWIN, RngStream(OBJECT_SEED))
     lines = []
     ok = True
     tie_ratio_d032 = None
-    for bin_px in (1, 3):
-        cfg = RetrievalConfig(
-            dz=dz,
-            bin_px=bin_px,
-            reference_mean=mean_s,
-            reference_mean_idler=mean_i,
-            sys=SYS,
-            twin=TWIN,
-        )
-        phi_ref = reference_phase(obj, cfg)
-        adv_tie = quantum_advantage(triples, replace(cfg, k_mode="tie"), phi_ref)
-        adv_tau = quantum_advantage(triples, replace(cfg, k_mode="tau"), phi_ref)
-        diffs = np.array(adv_tie.c_quant_frames) - np.array(adv_tau.c_quant_frames)
+    for tie, tau in zip(rows[::2], rows[1::2]):
+        assert (tie["k_mode"], tau["k_mode"]) == ("tie", "tau")
+        tie_ratio = tie["c_quant"] / tie["c_clas"]
+        tau_ratio = tau["c_quant"] / tau["c_clas"]
+        diffs = np.array(tie["c_quant_frames"]) - np.array(tau["c_quant_frames"])
         z = float(diffs.mean() / (diffs.std(ddof=1) / math.sqrt(diffs.size)))
-        if bin_px == 1:
-            tie_ratio_d032 = adv_tie.ratio
-        ok = ok and adv_tie.ratio > adv_tau.ratio and z >= 2.0
+        if tie_ratio_d032 is None:
+            tie_ratio_d032 = tie_ratio
+        ok = ok and tie_ratio > tau_ratio and z >= 2.0
         lines.append(
-            f"D={adv_tie.d_factor:.3g}: tie {adv_tie.ratio:.3f}+-{adv_tie.ratio_stderr:.3f}"
-            f" vs tau {adv_tau.ratio:.3f}, paired z = {z:.1f}"
+            f"D={tie['d_factor']:.3g}: tie {tie_ratio:.3f}+-{tie['ratio_stderr']:.3f}"
+            f" vs tau {tau_ratio:.3f}, paired z = {z:.1f}"
         )
     ok = ok and tie_ratio_d032 >= 1.15
     report(

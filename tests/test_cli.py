@@ -333,23 +333,26 @@ class TestSimulateCommand:
             assert not out.exists()
 
     def test_frames_are_those_of_sample_triples(self, tmp_path):
-        """simulate writes the exposures of sample_triples, arm for arm
-        and in order, on the streams of its seed."""
+        """simulate writes exposure i of ``exposures``, drawn by
+        ``sample_twin_frame`` at its signed dz from stream i of its seed,
+        arm for arm, and no other frame."""
         out = tmp_path / "sim"
         argv = ["simulate", "--frames", "2", "--dz", "0.025,0.05", "--seed", "9"]
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         sys_cfg, twin_cfg = OpticalSystem(), TwinBeamConfig()
         obj = generate_test_target(220, 220, sys_cfg.object_pixel)
-        triples = twinbeam.sample_triples(
-            obj, sys_cfg, twin_cfg, [0.025, 0.05], 2, RngStream(9)
-        )
-        for dz in (0.025, 0.05):
-            for frame in range(2):
-                for tag, tf in zip(("m", "0", "p"), next(triples)):
-                    for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
-                        written = qpf.read_qpf(cli.frame_path(out, dz, frame, tag, arm))
-                        assert np.array_equal(written.values, field.values)
-        assert next(triples, None) is None
+        listed = twinbeam.exposures([0.025, 0.05], 2)
+
+        def draw(indexed):
+            i, (_, _, _, signed) = indexed
+            return twinbeam.sample_twin_frame(obj, sys_cfg, twin_cfg, signed, RngStream(9, i))
+
+        frames = twinbeam.ordered_map(draw, enumerate(listed))
+        for (dz, frame, tag, _), tf in zip(listed, frames):
+            for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
+                written = qpf.read_qpf(cli.frame_path(out, dz, frame, tag, arm))
+                assert np.array_equal(written.values, field.values)
+        assert len(list(out.glob("dz*.qpf"))) == 2 * len(listed)
 
     def test_zero_efficiency_runs(self, tmp_path):
         cfg = tmp_path / "dark.cfg"
@@ -491,13 +494,15 @@ def test_faint_nrf_scan_measures_a_zero_fano_factor(tmp_path):
 def test_constant_classical_phase_exits_4(tmp_path, capsys):
     """Seed 20 at 2e-5 photons per pixel detects no photon in either
     defocused plane, so the classical phase is constant and its Pearson
-    coefficient undefined."""
+    coefficient undefined; the message names the failing point."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mean_photons_per_pixel = 2e-5\n")
     out = tmp_path / "o"
     argv = ["scan", "advantage", "--frames", "1", "--dz", "0.025", "--seed", "20"]
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
-    assert "pearson undefined for a constant image" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "pearson undefined for a constant image" in err
+    assert "dz=0.025 mm, bin 1, classical weight, frame 0" in err
     assert not (out / "manifest.json").exists()
 
 
@@ -812,7 +817,7 @@ def test_readme_record_table_matches_the_records():
     order, and their count."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)\.(\w+)` \| (.*) \| (\d+) \|$", readme, re.MULTILINE)
-    assert len(rows) == 7
+    assert len(rows) == 6
     for module, name, cells, count in rows:
         record = getattr(importlib.import_module(f"twinphase.{module}"), name)
         names = [f.name for f in fields(record)] if is_dataclass(record) else list(record._fields)

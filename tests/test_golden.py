@@ -16,7 +16,8 @@ of one build with each other; this test compares a run with the
 recorded bytes, so a refactor can show that it changes no output.  It
 runs with one frame thread, where every call runs on the calling
 thread, and with two, where frames are drawn, ``simulate``'s files
-written and the resolution scan's dz points evaluated on both threads;
+written, the advantage scan's frame triples scored and the resolution
+scan's dz points evaluated on both threads;
 each run starts from a different BLAS pool size, which ``cli.main``
 sets to one thread for every command, so the bytes hold for any pool
 size the host would pick.

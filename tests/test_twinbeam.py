@@ -29,12 +29,12 @@ from twinphase.twinbeam import (
     d_factor_for_bin,
     eta_c,
     expected_counts,
+    exposures,
     measure_nrf,
     nrf_predicted,
     ordered_map,
     register_idler,
     sample_frames,
-    sample_triples,
     sample_twin_frame,
 )
 from twinphase import metrics, twinbeam
@@ -115,12 +115,6 @@ class TestEtaC:
         assert 0.0 <= eta_c(100.0, 0.0) <= 1.0
         assert eta_c(100.0, 0.0) > 0.97
 
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            eta_c(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            eta_c(1.0, -0.1)
-
 
 class TestNrfModel:
     def test_formula(self):
@@ -128,10 +122,6 @@ class TestNrfModel:
         assert nrf_predicted(eta0, d, eps) == pytest.approx(
             1.0 - eta0 * ETA_C_ORACLE[(d, eps)], abs=1e-10
         )
-
-    def test_eta0_range_enforced(self):
-        with pytest.raises(ValueError):
-            nrf_predicted(1.2, 1.0, 0.0)
 
     def test_d_factor_arithmetic(self):
         assert d_factor_for_bin(12, 13.0 / 8.0, 5.0) == pytest.approx(3.9)
@@ -215,10 +205,6 @@ class TestSampler:
         f = sample_twin_frame(None, self.sys, dark, 0.0, RngStream(3), grid=self.grid)
         assert f.n_s.values.sum() == 0
         assert f.n_i.values.sum() == 0
-
-    def test_needs_object_or_grid(self):
-        with pytest.raises(ValueError):
-            sample_twin_frame(None, self.sys, self.twin, 0.0, RngStream(0))
 
     def test_frame_count_validation(self):
         good = self.grid.with_values(np.zeros((64, 64)))
@@ -359,17 +345,36 @@ class TestSampleFrames:
         assert runs[0] == direct
 
     def test_triples_take_consecutive_streams(self, monkeypatch):
-        def fake_sample(obj, sys_, twin, dz, rng, grid=None):
-            return dz, rng.stream_index
+        """``metrics.advantage_scan`` draws exposure i of
+        ``exposures(dz_list, frames)`` from stream i at its signed dz, on
+        one thread and on two.  The frames are flat Poisson counts,
+        cheaper than the sampler's."""
+        calls = []
 
-        use_threads(monkeypatch, 2)
-        monkeypatch.setattr(twinbeam, "sample_twin_frame", fake_sample)
-        triples = list(sample_triples(None, None, None, [0.5, 2.0], 2, RngStream(1)))
-        assert triples == [
-            ((-0.5, 0), (0.0, 1), (0.5, 2)),
-            ((-0.5, 3), (0.0, 4), (0.5, 5)),
-            ((-2.0, 6), (0.0, 7), (2.0, 8)),
-            ((-2.0, 9), (0.0, 10), (2.0, 11)),
+        def fake_sample(obj, sys_, twin, dz, rng):
+            calls.append((rng.stream_index, dz))
+            gen = rng.generator()
+            shape = obj.tau.values.shape
+            n_s = obj.tau.with_values(gen.poisson(600.0, shape))
+            n_i = obj.tau.with_values(gen.poisson(600.0, shape))
+            return TwinBeamFrame(n_s, n_i)
+
+        monkeypatch.setattr(metrics, "sample_twin_frame", fake_sample)
+        dz_list = [0.0125, 0.025]
+        expected = [(i, e[3]) for i, e in enumerate(exposures(dz_list, 2))]
+        runs = []
+        for threads in (1, 2):
+            use_threads(monkeypatch, threads)
+            calls.clear()
+            runs.append(
+                metrics.advantage_scan(
+                    dz_list, 2, OpticalSystem(), TwinBeamConfig(), RngStream(3)
+                )
+            )
+            assert sorted(calls) == expected
+        assert runs[0] == runs[1]
+        assert [(r["dz"], r["k_mode"]) for r in runs[0]] == [
+            (dz, mode) for dz in dz_list for _ in (1, 3) for mode in ("tie", "tau")
         ]
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch, tmp_path):
