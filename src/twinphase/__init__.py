@@ -11,6 +11,7 @@ from .core import (
     RngStream,
     ScalarField2D,
     TwinBeamConfig,
+    blank_object,
     generate_edge_target,
     generate_test_target,
     validate_config,
@@ -26,6 +27,7 @@ __all__ = [
     "RngStream",
     "ScalarField2D",
     "TwinBeamConfig",
+    "blank_object",
     "generate_edge_target",
     "generate_test_target",
     "validate_config",

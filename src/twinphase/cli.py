@@ -15,10 +15,11 @@ any thread count of ``twinbeam.ordered_map``.
 draws and scores its frame triples, ``scan noise`` evaluates its Poisson
 trials and ``scan resolution`` its dz points on the threads of
 ``twinbeam.ordered_map``: one per CPU this process may use, capped by
-the QPI_THREADS environment variable.  A matrix product may differ in
-its last bits with the BLAS pool size, so ``main`` runs every command
-with numpy's and scipy's OpenBLAS pools at one thread, and gives each
-pool back its size after.
+the QPI_THREADS environment variable.  Object-free frames and the
+calibration means are those of ``core.blank_object``.  A matrix product
+may differ in its last bits with the BLAS pool size, so ``main`` runs
+every command with numpy's and scipy's OpenBLAS pools at one thread,
+and gives each pool back its size after.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .core import (
     ObjectSpec,
     OpticalSystem,
     RngStream,
-    ScalarField2D,
     TwinBeamConfig,
+    blank_object,
     generate_test_target,
     validate_config,
 )
@@ -173,9 +174,7 @@ def cmd_target(args):
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
     if args.pure_phase:
-        obj = ObjectSpec(
-            tau=obj.tau.with_values(np.ones_like(obj.tau.values)), phi=obj.phi
-        )
+        obj = ObjectSpec(tau=blank_object(size, size, pitch).tau, phi=obj.phi)
     os.makedirs(args.out, exist_ok=True)
     tau_path = os.path.join(args.out, "target_tau.qpf")
     phi_path = os.path.join(args.out, "target_phi.qpf")
@@ -193,7 +192,7 @@ def cmd_simulate(args):
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
     calib_s, calib_i = twinbeam.expected_counts(
-        None, sys_cfg, twin_cfg, 0.0, grid=obj.tau
+        blank_object(size, size, pitch), sys_cfg, twin_cfg, 0.0
     )
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -361,10 +360,11 @@ def cmd_retrieve(args):
 
 
 def _scan_nrf(args, sys_cfg, twin_cfg):
-    n = TARGET_GRID
-    grid = ScalarField2D(n, n, sys_cfg.object_pixel, np.zeros((n, n)))
-    frames = twinbeam.sample_frames(
-        None, sys_cfg, twin_cfg, [0.0] * args.frames, RngStream(args.seed), grid=grid
+    blank = blank_object(TARGET_GRID, TARGET_GRID, sys_cfg.object_pixel)
+    base = RngStream(args.seed)
+    frames = twinbeam.ordered_map(
+        lambda i: twinbeam.sample_twin_frame(blank, sys_cfg, twin_cfg, 0.0, base.child(i)),
+        range(args.frames),
     )
     rows = []
     for bin_px in (1, 3, 6, 12, 25):

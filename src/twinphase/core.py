@@ -293,3 +293,11 @@ def generate_edge_target(pitch: float) -> ObjectSpec:
         tau=ScalarField2D(n, n, pitch, np.ones((n, n))),
         phi=ScalarField2D(n, n, pitch, phi),
     )
+
+
+def blank_object(width: int, height: int, pitch: float) -> ObjectSpec:
+    """The object-free scene: transmittance 1 and phase 0 everywhere."""
+    return ObjectSpec(
+        tau=ScalarField2D(width, height, pitch, np.ones((height, width))),
+        phi=ScalarField2D(width, height, pitch, np.zeros((height, width))),
+    )

@@ -17,10 +17,12 @@ from .core import (
     EDGE_ROW,
     EDGE_WINDOW,
     TARGET_GRID,
+    ConfigError,
     NumericalError,
     OpticalSystem,
     ScalarField2D,
     TwinBeamConfig,
+    blank_object,
     generate_edge_target,
     generate_test_target,
     target_masks,
@@ -33,6 +35,7 @@ from .retrieval import (
     tie_retrieve,
 )
 from .twinbeam import (
+    _POISSON_LAM_MAX,
     bin_counts,
     d_factor_for_bin,
     expected_counts,
@@ -41,7 +44,6 @@ from .twinbeam import (
     sample_twin_frame,
 )
 
-FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 NOISE_SCAN_DZ = 0.025  # mm, the defocus of the noise-suppression scan's TIE
 
 
@@ -87,7 +89,7 @@ def esf_fit(profile, x) -> ESFFit:
     ``x`` holds the sample positions (micrometers, e.g. of a shifted-bin
     supersampled profile).  The 95% interval on w comes from the
     linearized covariance of the least-squares fit; the FWHM of the
-    corresponding line spread function is FWHM_FACTOR * w.
+    corresponding line spread function is w / core.FWHM_TO_SIGMA.
     """
     y = np.asarray(profile, dtype=float)
     if y.size < 8:
@@ -218,7 +220,8 @@ def advantage_scan(
     map raises NumericalError naming its dz, bin, weight and frame.
     """
     obj = generate_test_target(TARGET_GRID, TARGET_GRID, sys.object_pixel)
-    mean_s, mean_i = expected_counts(None, sys, twin, 0.0, grid=obj.tau)
+    blank = blank_object(TARGET_GRID, TARGET_GRID, sys.object_pixel)
+    mean_s, mean_i = expected_counts(blank, sys, twin, 0.0)
     bins, modes = (1, 3), ("classical", "tie", "tau")
     rows = []
     for k, dz in enumerate(dz_list):
@@ -384,10 +387,13 @@ def noise_suppression_scan(
     and compare variances.  The trials are drawn from ``rng`` in order, l_cff by l_cff, and
     evaluated on the threads of ``ordered_map``, each trial's maps on
     one thread.  Returns rows of (l_cff_um, suppression_pct), the mean
-    over each l_cff's ``n_trials`` trials.
+    over each l_cff's ``n_trials`` trials.  A level numpy cannot draw
+    Poisson counts around raises ConfigError.
     """
     l_cff_list = tuple(l_cff_list)
     pitch, i0 = sys.object_pixel, twin.mean_photons_per_pixel
+    if not i0 <= _POISSON_LAM_MAX:
+        raise ConfigError(f"mean_photons_per_pixel {i0:.3g} is above numpy's Poisson limit")
     dz_um = NOISE_SCAN_DZ * 1e3
     scale = -sys.wavenumber / (math.sqrt(2.0) * i0 * dz_um)
     gen = rng.generator()

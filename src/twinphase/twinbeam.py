@@ -20,7 +20,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import integrate
@@ -29,7 +28,6 @@ from scipy.special import ndtr
 from .core import (
     FWHM_TO_SIGMA,
     ConfigError,
-    GridError,
     NoPhotonError,
     ObjectSpec,
     OpticalSystem,
@@ -182,18 +180,17 @@ def _scatter_shift(out, take, j, axis):
     return int(take[tuple(lost)].sum())
 
 
-def _shift_axis(counts, shift, s, axis, rng, out=None):
-    """Redistribute counts along one axis by ``uniform + shift + N(0, s)``.
+def _shift_axis(counts, shift, s, axis, rng):
+    """Redistribute counts along one axis by ``uniform + shift + N(0, s)``,
+    in the buffer of ``counts``, which is overwritten; return the spill.
 
     ``shift`` may be a scalar or a per-pixel array (pixels).  With
     ``rng`` set the redistribution is a multinomial sample (iterated
     binomial over offsets); with ``rng=None`` it is the exact
-    expectation, for deterministic mean-count computations.
-    Returns (out, spill): the result goes to ``out`` when it is given,
-    which may be ``counts`` itself, and to a new array otherwise.  The
-    kernel tables are computed once per distinct shift ``d`` and
-    gathered onto the pixels through ``inv``; a scalar shift is a
-    one-entry table.
+    expectation of float ``counts``, for deterministic mean-count
+    computations.  The kernel tables are computed once per distinct
+    shift ``d`` and gathered onto the pixels through ``inv``; a scalar
+    shift is a one-entry table.
     """
     shift = np.asarray(shift, dtype=float)
     d = np.unique(shift)
@@ -202,11 +199,8 @@ def _shift_axis(counts, shift, s, axis, rng, out=None):
     jmax = int(math.ceil(float(d[-1]) + 6.0 * s))
 
     sampled = rng is not None
-    rem = counts.copy() if sampled else np.array(counts, dtype=float)
-    if out is None:
-        out = np.zeros_like(rem)
-    else:
-        out[...] = 0
+    rem = counts.copy()
+    counts[...] = 0
     rem_w = np.ones(d.shape)
     p = np.empty(d.shape)
     spill = 0
@@ -230,18 +224,18 @@ def _shift_axis(counts, shift, s, axis, rng, out=None):
         rem -= take
         rem_w -= prob
         np.maximum(rem_w, 0.0, out=rem_w)
-        spill += _scatter_shift(out, take, j, axis)
+        spill += _scatter_shift(counts, take, j, axis)
         del take
     # kernel truncation tail (< 1e-8 of the mass)
     spill += int(np.sum(rem)) if sampled else float(np.sum(rem))
-    return out, spill
+    return spill
 
 
 def _redistribute(counts, shift_x, shift_y, s, rng):
     """Both axes of ``_shift_axis``, in the buffer of ``counts``, which is
     overwritten; returns (counts, spill)."""
-    _, spill_y = _shift_axis(counts, shift_y, s, 0, rng, out=counts)
-    _, spill_x = _shift_axis(counts, shift_x, s, 1, rng, out=counts)
+    spill_y = _shift_axis(counts, shift_y, s, 0, rng)
+    spill_x = _shift_axis(counts, shift_x, s, 1, rng)
     return counts, spill_y + spill_x
 
 
@@ -288,9 +282,9 @@ def _pair_rate(twin: TwinBeamConfig, width, height, pitch, margin):
     return weight
 
 
-def _phase_displacement(obj: Optional[ObjectSpec], sys: OpticalSystem, dz, margin):
+def _phase_displacement(obj: ObjectSpec, sys: OpticalSystem, dz, margin):
     """Geometric-optics transverse displacement (dz/k) grad phi, in pixels."""
-    if obj is None or dz == 0.0:
+    if dz == 0.0:
         return 0.0, 0.0
     phi = np.pad(obj.phi.values, margin, mode="edge")
     pitch = obj.phi.pitch
@@ -304,16 +298,15 @@ def _phase_displacement(obj: Optional[ObjectSpec], sys: OpticalSystem, dz, margi
     return gx, gy
 
 
-def _transport(obj, sys, twin, dz, grid):
+def _transport(obj, sys, twin, dz):
     """Set-up shared by the sampler and its expectation counterpart.
 
     Returns ``(template, crop, rate, tau, idler, signal)``: the output
     grid, the slices that crop the padded grid to it, the pair birth
-    rate and the transmittance on the padded grid (a 0-d array of 1.0
-    without an object), and each arm's ``(shift_x, shift_y, s)``
-    arguments of ``_redistribute``.
+    rate and the transmittance on the padded grid, and each arm's
+    ``(shift_x, shift_y, s)`` arguments of ``_redistribute``.
     """
-    template = obj.tau if obj is not None else grid
+    template = obj.tau
     width, height, pitch = template.width, template.height, template.pitch
     sigma_px = twin.sigma / pitch
     delta_px = twin.delta / pitch
@@ -323,11 +316,8 @@ def _transport(obj, sys, twin, dz, grid):
     margin = int(math.ceil(6 * sigma_px + abs(delta_px) + 6 * blur_px + max_disp)) + 1
 
     rate = _pair_rate(twin, width, height, pitch, margin)
-    if obj is not None:
-        tau = np.pad(obj.tau.values, 2 * margin, mode="edge")
-        disp_x, disp_y = _phase_displacement(obj, sys, dz, 2 * margin)
-    else:
-        tau = np.ones(())
+    tau = np.pad(obj.tau.values, 2 * margin, mode="edge")
+    disp_x, disp_y = _phase_displacement(obj, sys, dz, 2 * margin)
     crop = (slice(2 * margin, 2 * margin + height), slice(2 * margin, 2 * margin + width))
     return template, crop, rate, tau, (delta_px, delta_px, sigma_px), (disp_x, disp_y, blur_px)
 
@@ -361,12 +351,7 @@ def _thinning(eta0, tau):
 
 
 def sample_twin_frame(
-    obj: Optional[ObjectSpec],
-    sys: OpticalSystem,
-    twin: TwinBeamConfig,
-    dz: float,
-    rng: RngStream,
-    grid: Optional[ScalarField2D] = None,
+    obj: ObjectSpec, sys: OpticalSystem, twin: TwinBeamConfig, dz: float, rng: RngStream
 ) -> TwinBeamFrame:
     """Monte-Carlo sample one correlated signal/idler photon-count frame.
 
@@ -376,12 +361,12 @@ def sample_twin_frame(
     signal photon survives the object with probability tau, is detected
     with probability eta0, and lands at the birth position plus the
     phase-gradient displacement (dz/k) grad phi and the imaging blur.
-    ``dz`` is signed (mm); pass ``grid`` for object-free frames.
+    ``dz`` is signed (mm); ``core.blank_object`` gives object-free frames.
     """
-    template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz, grid)
+    template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz)
     gen = rng.generator()
     rem = gen.poisson(rate)
-    # Two frames may be in flight at once (see sample_frames), so each
+    # One frame may be in flight per thread (see ordered_map), so each
     # padded array is dropped at its last use.
     del rate
 
@@ -418,20 +403,14 @@ def sample_twin_frame(
     return TwinBeamFrame(n_s=n_s, n_i=n_i, spill=spill)
 
 
-def expected_counts(
-    obj: Optional[ObjectSpec],
-    sys: OpticalSystem,
-    twin: TwinBeamConfig,
-    dz: float,
-    grid: Optional[ScalarField2D] = None,
-):
+def expected_counts(obj: ObjectSpec, sys: OpticalSystem, twin: TwinBeamConfig, dz: float):
     """Exact per-pixel means of sample_twin_frame: (signal, idler).
 
     Deterministic counterpart of the sampler (same kernels applied as
     expectations); used for calibration references instead of averaging
     large frame sets.  With eta0 = 0 both means are zero.
     """
-    template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz, grid)
+    template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz)
     mean_i_births = np.multiply(rate, twin.eta0, out=rate)
     mean_s_births = mean_i_births * tau
     del rate, tau
@@ -468,7 +447,10 @@ def ordered_map(func, items):
     count, and when ``func``'s result depends on its item alone, so does
     the list.  numpy's random draws, FFTs and ufuncs release the GIL, and
     ``cli.main`` runs BLAS on one thread.  At most one item per thread is
-    in flight, and no thread waits for another to finish.  Once ``func``
+    in flight, and no thread waits for another to finish: a thread holds
+    one twin-beam frame's working set at a time, or one trial of
+    ``metrics.noise_suppression_scan`` or dz point of
+    ``metrics.resolution_scan``, about 5 MB at 220².  Once ``func``
     or the iterator raises, no item is pulled; after the threads end, the
     exception of the lowest failing index is raised, as the list
     comprehension would raise it.
@@ -517,35 +499,6 @@ def ordered_map(func, items):
     if errors:
         raise errors[min(errors)]
     return results
-
-
-def sample_frames(
-    obj: Optional[ObjectSpec],
-    sys: OpticalSystem,
-    twin: TwinBeamConfig,
-    dzs,
-    base: RngStream,
-    grid: Optional[ScalarField2D] = None,
-):
-    """Return ``[sample_twin_frame(obj, sys, twin, dz, base.child(i))
-    for i, dz in enumerate(dzs)]``.
-
-    Frames are independent by stream index, so ``ordered_map`` draws them
-    on one thread per CPU this process may use, capped by the QPI_THREADS
-    environment variable, and the list does not depend on the thread
-    count.  Each frame owns its own Generator, and each thread holds one
-    frame's working set at a time.  The same threads, under the same
-    cap, evaluate the trials of ``metrics.noise_suppression_scan`` and
-    the dz points of ``metrics.resolution_scan``, about 5 MB per thread
-    at 220², and draw and score the frame triples of
-    ``metrics.advantage_scan``.  When drawing frames raises, the
-    exception of the frame first in ``dzs`` is raised here.
-    """
-    def draw(i_dz):
-        i, dz = i_dz
-        return sample_twin_frame(obj, sys, twin, dz, base.child(i), grid=grid)
-
-    return ordered_map(draw, enumerate(dzs))
 
 
 def exposures(dzs, frames: int):
@@ -619,8 +572,8 @@ def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
     Variances are per-pixel temporal variances over frames, averaged
     over pixels, normalized by the mean photon sum.  ``l_cff`` (um)
     fixes the reported resolution factor D.  Every frame's arms must be
-    on frame 0's grid (GridError names the first that is not); a set
-    whose binned signal arm holds no photon raises NoPhotonError.
+    on one grid, and there must be at least two; a set whose binned
+    signal arm holds no photon raises NoPhotonError.
 
     ``frames`` is a sequence, read twice and never stacked.  The first
     pass sums the binned signal s and the difference d = s - i (idler
@@ -633,17 +586,6 @@ def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
     while they stay below 2**53, about 9e15 photons per frame set.
     """
     n = len(frames)
-    if n < 2:
-        raise ValueError("need at least 2 frames")
-    grid = frames[0].n_s
-    for index, frame in enumerate(frames):
-        for arm in (frame.n_s, frame.n_i):
-            if not arm.same_grid(grid):
-                raise GridError(
-                    f"frame {index} is not on frame 0's grid: "
-                    f"{arm.height}x{arm.width}, pitch {arm.pitch} vs "
-                    f"{grid.height}x{grid.width}, pitch {grid.pitch}"
-                )
 
     def binned(frame):
         """The frame's binned signal and registered idler counts, binned
@@ -696,6 +638,6 @@ def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
     nrf = float(var_d.mean() / mean_sum)
     stderr = float(var_d.std(ddof=1) / math.sqrt(var_d.size) / mean_sum)
     fano = float(var_s.mean() / (total_s / count))
-    d = d_factor_for_bin(bin_px, grid.pitch, l_cff)
+    d = d_factor_for_bin(bin_px, frames[0].n_s.pitch, l_cff)
     return NrfPoint(d_factor=d, nrf=nrf, fano=fano, nrf_stderr=stderr)
 

@@ -23,6 +23,7 @@ from twinphase.core import (
     RngStream,
     ScalarField2D,
     TwinBeamConfig,
+    blank_object,
     generate_test_target,
     target_masks,
 )
@@ -49,7 +50,6 @@ from twinphase.twinbeam import (
     nrf_predicted,
     ordered_map,
     register_idler,
-    sample_frames,
     sample_twin_frame,
 )
 from test_retrieval import phase_noise_spectrum
@@ -70,9 +70,12 @@ def report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def object_free_frames():
-    """100 object-free calibration frames at z = 0 (criteria 1-3)."""
-    grid = ScalarField2D(220, 220, PITCH, np.zeros((220, 220)))
-    return list(sample_frames(None, SYS, TWIN, [0.0] * N_FRAMES, RngStream(5150), grid=grid))
+    """100 object-free calibration frames at z = 0 (criteria 1-3), frame
+    i from stream i."""
+    blank, base = blank_object(220, 220, PITCH), RngStream(5150)
+    return ordered_map(
+        lambda i: sample_twin_frame(blank, SYS, TWIN, 0.0, base.child(i)), range(N_FRAMES)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +106,7 @@ def object_exposures():
 
 @pytest.fixture(scope="module")
 def calib_means():
-    grid = ScalarField2D(220, 220, PITCH, np.zeros((220, 220)))
-    return expected_counts(None, SYS, TWIN, 0.0, grid=grid)
+    return expected_counts(blank_object(220, 220, PITCH), SYS, TWIN, 0.0)
 
 
 def test_criterion_01_nrf_curve(nrf_curve):
@@ -219,7 +221,7 @@ def test_criterion_06_step_heights():
         sample_twin_frame(obj, SYS, hi, signed, RngStream(777).child(i))
         for i, (_, _, _, signed) in enumerate(exposures([dz], 1))
     )
-    mean_s, mean_i = expected_counts(None, SYS, hi, 0.0, grid=obj.tau)
+    mean_s, mean_i = expected_counts(blank_object(220, 220, PITCH), SYS, hi, 0.0)
     cfg = RetrievalConfig(
         dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=SYS, twin=hi
     )

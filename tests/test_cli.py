@@ -452,6 +452,17 @@ def test_pair_rate_numpy_cannot_draw_exits_2(tmp_path, capsys, line, command):
     assert not out.exists()
 
 
+def test_poisson_level_numpy_cannot_draw_exits_2_on_scan_noise(tmp_path, capsys):
+    """The noise scan draws Poisson counts around mean_photons_per_pixel
+    itself: 1e300 raised "lam value too large" from its first draw."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mean_photons_per_pixel = 1e300\n")
+    out = tmp_path / "o"
+    assert exit_code(["scan", "noise", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "mean_photons_per_pixel 1e+300 is above numpy's Poisson limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line, command",
     [

@@ -8,6 +8,7 @@ import pytest
 
 from twinphase import metrics
 from twinphase.core import (
+    FWHM_TO_SIGMA,
     NumericalError,
     OpticalSystem,
     RngStream,
@@ -16,7 +17,6 @@ from twinphase.core import (
     generate_test_target,
 )
 from twinphase.metrics import (
-    FWHM_FACTOR,
     esf_fit,
     lsf_fwhm_with_aperture,
     noise_suppression_scan,
@@ -83,7 +83,7 @@ class TestEsfFit:
         # w = 2 px -> LSF FWHM = 2 sqrt(2 ln 2) * 2 = 4.71 px
         x, y = self.synth(1.0, 0.0, 16.0, 2.0, pitch=1.0)
         fit = esf_fit(y, x=x)
-        assert FWHM_FACTOR * fit.w == pytest.approx(4.71, abs=0.01)
+        assert fit.w / FWHM_TO_SIGMA == pytest.approx(4.71, abs=0.01)
 
     def test_explicit_sample_positions(self):
         x, y = self.synth(1.0, 0.0, 16.0, 1.5)
@@ -119,7 +119,7 @@ class TestLsfAperture:
 
     def test_bounded_by_components(self):
         for aperture, w in [(1.0, 2.0), (10.0, 1.0), (5.0, 5.0)]:
-            g = FWHM_FACTOR * w
+            g = w / FWHM_TO_SIGMA
             r = lsf_fwhm_with_aperture(aperture, w)
             assert max(aperture, g) <= r <= aperture + g
 

@@ -103,8 +103,15 @@ def draw_transport(data, seed, reach):
     return counts, shift, s
 
 
+def shifted(counts, shift, s, axis, rng):
+    """(result, spill) of _shift_axis on a copy of ``counts``, a float
+    copy for the expectation (rng None)."""
+    out = counts.copy() if rng is not None else counts.astype(float)
+    return out, _shift_axis(out, shift, s, axis, rng)
+
+
 def shift_axis_expectation_oracle(counts, shift, s, axis):
-    """_shift_axis(counts, shift, s, axis, None) with every kernel table
+    """shifted(counts, shift, s, axis, None) with every kernel table
     evaluated on the full per-pixel grid, one value per pixel."""
     d = np.asarray(shift, dtype=float)
     jmin = int(math.floor(float(d.min()) - 6.0 * s))
@@ -133,7 +140,7 @@ def test_shift_axis_conserves_photons_with_spill(data, seed, axis):
     # shifts up to twice the largest grid side, so photons also leave it
     counts, shift, s = draw_transport(data, seed, reach=24.0)
     for sh in (shift, float(shift.flat[0])):
-        out, spill = _shift_axis(counts, sh, s, axis, np.random.default_rng(seed))
+        out, spill = shifted(counts, sh, s, axis, np.random.default_rng(seed))
         assert out.dtype == counts.dtype and (out >= 0).all() and spill >= 0
         assert out.sum() + spill == counts.sum()
 
@@ -145,11 +152,11 @@ def test_constant_shift_map_matches_scalar_shift(data, seed, axis):
     c = float(shift.flat[0])
     uniform = np.full(counts.shape, c)
     (out_c, spill_c), (out_u, spill_u) = (
-        _shift_axis(counts, sh, s, axis, np.random.default_rng(seed)) for sh in (c, uniform)
+        shifted(counts, sh, s, axis, np.random.default_rng(seed)) for sh in (c, uniform)
     )
     assert np.array_equal(out_c, out_u) and spill_c == spill_u
     (mean_c, spill_c), (mean_u, spill_u) = (
-        _shift_axis(counts, sh, s, axis, None) for sh in (c, uniform)
+        shifted(counts, sh, s, axis, None) for sh in (c, uniform)
     )
     assert np.array_equal(mean_c.view(np.uint64), mean_u.view(np.uint64))
     assert spill_c == spill_u
@@ -159,7 +166,7 @@ def test_constant_shift_map_matches_scalar_shift(data, seed, axis):
 @given(data=st.data(), seed=SEEDS, axis=st.sampled_from([0, 1]))
 def test_shift_axis_expectation_matches_per_pixel_tables(data, seed, axis):
     counts, shift, s = draw_transport(data, seed, reach=3.0)
-    mean, spill = _shift_axis(counts, shift, s, axis, None)
+    mean, spill = shifted(counts, shift, s, axis, None)
     want, want_spill = shift_axis_expectation_oracle(counts, shift, s, axis)
     assert np.array_equal(mean.view(np.uint64), want.view(np.uint64))
     assert spill == want_spill

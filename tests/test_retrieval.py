@@ -12,6 +12,7 @@ from twinphase.core import (
     OpticalSystem,
     ScalarField2D,
     TwinBeamConfig,
+    blank_object,
     generate_test_target,
     validate_config,
 )
@@ -174,7 +175,8 @@ class TestTransmittance:
         # object-free background and ~0.94 inside the ring interior
         obj = generate_test_target(220, 220, self.sys.object_pixel)
         mean_s_obj, _ = expected_counts(obj, self.sys, self.twin, 0.0)
-        mean_s, mean_i = expected_counts(None, self.sys, self.twin, 0.0, grid=obj.tau)
+        blank = blank_object(220, 220, self.sys.object_pixel)
+        mean_s, mean_i = expected_counts(blank, self.sys, self.twin, 0.0)
         cfg = RetrievalConfig(
             dz=0.025,
             reference_mean=mean_s,
@@ -224,8 +226,8 @@ class TestTransmittance:
         # the frame's idler and its calibration mean must both be
         # registered before one is subtracted from the other.
         twin = TwinBeamConfig(beam_profile=200.0)
-        grid = ScalarField2D(220, 220, self.sys.object_pixel, np.zeros((220, 220)))
-        mean_s, mean_i = expected_counts(None, self.sys, twin, 0.0, grid=grid)
+        blank = blank_object(220, 220, self.sys.object_pixel)
+        mean_s, mean_i = expected_counts(blank, self.sys, twin, 0.0)
         cfg = RetrievalConfig(
             dz=0.025,
             bin_px=bin_px,

@@ -13,13 +13,13 @@ import pytest
 from scipy import optimize
 
 from twinphase.core import (
-    GridError,
     NoPhotonError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
     ScalarField2D,
     TwinBeamConfig,
+    blank_object,
     generate_test_target,
 )
 from twinphase.twinbeam import (
@@ -34,7 +34,6 @@ from twinphase.twinbeam import (
     nrf_predicted,
     ordered_map,
     register_idler,
-    sample_frames,
     sample_twin_frame,
 )
 from twinphase import metrics, twinbeam
@@ -180,42 +179,41 @@ class TestSampler:
     def setup_method(self):
         self.sys = OpticalSystem()
         self.twin = TwinBeamConfig(mean_photons_per_pixel=200.0)
-        pitch = self.sys.object_pixel
-        self.grid = ScalarField2D(64, 64, pitch, np.zeros((64, 64)))
+        self.blank = blank_object(64, 64, self.sys.object_pixel)
 
     def test_deterministic_per_stream(self):
-        a = sample_twin_frame(None, self.sys, self.twin, 0.0, RngStream(9, 4), grid=self.grid)
-        b = sample_twin_frame(None, self.sys, self.twin, 0.0, RngStream(9, 4), grid=self.grid)
+        a = sample_twin_frame(self.blank, self.sys, self.twin, 0.0, RngStream(9, 4))
+        b = sample_twin_frame(self.blank, self.sys, self.twin, 0.0, RngStream(9, 4))
         assert np.array_equal(a.n_s.values, b.n_s.values)
         assert np.array_equal(a.n_i.values, b.n_i.values)
 
     def test_distinct_streams_differ(self):
-        a = sample_twin_frame(None, self.sys, self.twin, 0.0, RngStream(9, 0), grid=self.grid)
-        b = sample_twin_frame(None, self.sys, self.twin, 0.0, RngStream(9, 1), grid=self.grid)
+        a = sample_twin_frame(self.blank, self.sys, self.twin, 0.0, RngStream(9, 0))
+        b = sample_twin_frame(self.blank, self.sys, self.twin, 0.0, RngStream(9, 1))
         assert not np.array_equal(a.n_s.values, b.n_s.values)
 
     def test_counts_are_non_negative_integers(self):
-        f = sample_twin_frame(None, self.sys, self.twin, 0.0, RngStream(3), grid=self.grid)
+        f = sample_twin_frame(self.blank, self.sys, self.twin, 0.0, RngStream(3))
         for v in (f.n_s.values, f.n_i.values):
             assert np.all(v >= 0)
             assert np.all(v == np.round(v))
 
     def test_zero_efficiency_gives_empty_frames(self):
         dark = TwinBeamConfig(eta0=0.0, mean_photons_per_pixel=200.0)
-        f = sample_twin_frame(None, self.sys, dark, 0.0, RngStream(3), grid=self.grid)
+        f = sample_twin_frame(self.blank, self.sys, dark, 0.0, RngStream(3))
         assert f.n_s.values.sum() == 0
         assert f.n_i.values.sum() == 0
 
     def test_frame_count_validation(self):
-        good = self.grid.with_values(np.zeros((64, 64)))
-        bad = self.grid.with_values(np.full((64, 64), 0.5))
+        good = self.blank.phi
+        bad = good.with_values(np.full((64, 64), 0.5))
         with pytest.raises(ValueError):
             TwinBeamFrame(n_s=bad, n_i=good)
 
     def test_flux_calibration(self):
         # detected signal flux averages mean_photons_per_pixel
         frames = [
-            sample_twin_frame(None, self.sys, self.twin, 0.0, RngStream(11, i), grid=self.grid)
+            sample_twin_frame(self.blank, self.sys, self.twin, 0.0, RngStream(11, i))
             for i in range(8)
         ]
         mean = np.mean([f.n_s.values.mean() for f in frames])
@@ -226,8 +224,8 @@ class TestExpectedCounts:
     def test_object_free_uniform_means(self):
         sys_ = OpticalSystem()
         twin = TwinBeamConfig(mean_photons_per_pixel=600.0)
-        grid = ScalarField2D(64, 64, sys_.object_pixel, np.zeros((64, 64)))
-        mean_s, mean_i = expected_counts(None, sys_, twin, 0.0, grid=grid)
+        blank = blank_object(64, 64, sys_.object_pixel)
+        mean_s, mean_i = expected_counts(blank, sys_, twin, 0.0)
         assert np.allclose(mean_s.values, 600.0, rtol=1e-9)
         assert np.allclose(mean_i.values, 600.0, rtol=1e-9)
 
@@ -252,8 +250,8 @@ class TestExpectedCounts:
     def test_zero_efficiency_gives_zero_means(self):
         sys_ = OpticalSystem()
         dark = TwinBeamConfig(eta0=0.0, mean_photons_per_pixel=600.0)
-        grid = ScalarField2D(64, 64, sys_.object_pixel, np.zeros((64, 64)))
-        mean_s, mean_i = expected_counts(None, sys_, dark, 0.0, grid=grid)
+        blank = blank_object(64, 64, sys_.object_pixel)
+        mean_s, mean_i = expected_counts(blank, sys_, dark, 0.0)
         assert not mean_s.values.any() and not mean_i.values.any()
 
 
@@ -264,7 +262,7 @@ def test_frame_memory_peak_in_padded_arrays(traced_peak, dz, bound):
     thinning was alive at once)."""
     sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=600.0)
     obj = generate_test_target(220, 220, sys_.object_pixel)
-    rate = twinbeam._transport(obj, sys_, twin, dz, None)[2]
+    rate = twinbeam._transport(obj, sys_, twin, dz)[2]
     peak = traced_peak(lambda: sample_twin_frame(obj, sys_, twin, dz, RngStream(5, 2)))
     assert peak / rate.nbytes <= bound
 
@@ -311,8 +309,8 @@ def test_defocused_smooth_object_frame_bytes_are_pinned():
 
 
 def use_threads(monkeypatch, threads, cpus=4):
-    """Let ordered_map, and so sample_frames and the noise scan, see
-    ``cpus`` CPUs and cap it at ``threads``."""
+    """Let ordered_map, and so the commands and scans that draw on it,
+    see ``cpus`` CPUs and cap it at ``threads``."""
     monkeypatch.setattr(
         twinbeam.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
     )
@@ -330,10 +328,14 @@ class TestSampleFrames:
         sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=200.0)
         obj = generate_test_target(220, 220, sys_.object_pixel)
         dzs, base = [-0.05, 0.0, 0.05, 0.0], RngStream(8)
+
+        def draw(i):
+            return sample_twin_frame(obj, sys_, twin, dzs[i], base.child(i))
+
         runs = []
         for threads in (1, 2):
             use_threads(monkeypatch, threads)
-            runs.append(self.frame_bytes(sample_frames(obj, sys_, twin, dzs, base)))
+            runs.append(self.frame_bytes(ordered_map(draw, range(len(dzs)))))
         # the RngStream promise: a frame depends on its stream index only,
         # not on the order in which frames are drawn
         reverse = {
@@ -380,12 +382,12 @@ class TestSampleFrames:
     def test_worker_exception_reaches_the_caller(self, monkeypatch, tmp_path):
         raised_in = []
 
-        def fake_sample(obj, sys_, twin, dz, rng, grid=None):
+        def fake_sample(obj, sys_, twin, dz, rng):
             time.sleep(0.05)  # so the second thread claims a frame
             if threading.current_thread() is not threading.main_thread():
                 raised_in.append(rng.stream_index)
                 raise FloatingPointError("overflow in a worker")
-            return sample_twin_frame(obj, sys_, twin, dz, rng, grid=grid)
+            return sample_twin_frame(obj, sys_, twin, dz, rng)
 
         use_threads(monkeypatch, 2)
         monkeypatch.setattr(twinbeam, "sample_twin_frame", fake_sample)
@@ -501,7 +503,7 @@ class TestSampleFrames:
         lock = threading.Lock()
         peak = 0
 
-        def fake_sample(obj, sys_, twin, dz, rng, grid=None):
+        def fake_sample(obj, sys_, twin, dz, rng):
             nonlocal peak
             counts = ScalarField2D(16, 16, 1.0, np.full((16, 16), float(rng.stream_index)))
             frame = TwinBeamFrame(n_s=counts, n_i=counts)
@@ -608,27 +610,6 @@ class TestMeasureNrf:
         assert point.nrf == pytest.approx(1.0, abs=0.08)
         assert point.fano == pytest.approx(1.0, abs=0.08)
 
-    def test_needs_two_frames(self):
-        f = TwinBeamFrame(
-            n_s=ScalarField2D(8, 8, 1.0, np.ones((8, 8))),
-            n_i=ScalarField2D(8, 8, 1.0, np.ones((8, 8))),
-        )
-        with pytest.raises(ValueError):
-            measure_nrf([f], 1, l_cff=5.0)
-
-    def test_frame_off_frame_0_grid_rejected(self):
-        # equal shapes, so only the pitch tells frame 2 apart
-        counts = np.ones((16, 16))
-        frames = [
-            TwinBeamFrame(
-                n_s=ScalarField2D(16, 16, pitch, counts),
-                n_i=ScalarField2D(16, 16, pitch, counts),
-            )
-            for pitch in (1.0, 1.0, 1.5)
-        ]
-        with pytest.raises(GridError, match="frame 2 is not on frame 0's grid"):
-            measure_nrf(frames, 1, l_cff=5.0)
-
     def test_no_detected_photon_rejected(self):
         dark = ScalarField2D(16, 16, 1.0, np.zeros((16, 16)))
         frames = [TwinBeamFrame(n_s=dark, n_i=dark)] * 3
@@ -689,9 +670,9 @@ class TestMeasureNrf:
         # statistical check at D = 1.95 on a small grid
         sys_ = OpticalSystem()
         twin = TwinBeamConfig(mean_photons_per_pixel=300.0)
-        grid = ScalarField2D(72, 72, sys_.object_pixel, np.zeros((72, 72)))
+        blank = blank_object(72, 72, sys_.object_pixel)
         frames = [
-            sample_twin_frame(None, sys_, twin, 0.0, RngStream(31, i), grid=grid)
+            sample_twin_frame(blank, sys_, twin, 0.0, RngStream(31, i))
             for i in range(40)
         ]
         point = measure_nrf(frames, 6, l_cff=twin.l_cff)
