@@ -191,15 +191,14 @@ def cmd_simulate(args):
     size = run.get("grid_size", TARGET_GRID)
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
-    calib_s, calib_i = twinbeam.expected_counts(
-        blank_object(size, size, pitch), sys_cfg, twin_cfg, 0.0
-    )
+    calib = twinbeam.expected_counts(blank_object(size, size, pitch), sys_cfg, twin_cfg, 0.0)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    for name, field in (("calib_mean_signal", calib_s), ("calib_mean_idler", calib_i)):
+    for name, field in zip(("calib_mean_signal", "calib_mean_idler"), calib):
         path = os.path.join(args.out, name + ".qpf")
         qpf.write_qpf(path, field)
         outputs.append(path)
+    del calib, field  # no draw reads the means
 
     # Each exposure is drawn and written on one thread, and dropped after.
     base = RngStream(args.seed)
@@ -305,27 +304,35 @@ def cmd_retrieve(args):
             raise OSError(f"{', '.join(paths)}: {exc}")
 
     tags = [tag for _, _, tag, _ in twinbeam.exposures([dz], 1)]  # -dz, 0, +dz
+    sums = []  # each exposure's signal counts, summed over the frames
+
+    def streamed(frame):
+        """The frame's exposures, loaded one at a time.  Each is added
+        into its sum, and frame 0's in-focus one gives the transmittance,
+        before it is yielded; it is dropped before the next is loaded."""
+        for index, tag in enumerate(tags):
+            tf = load(frame, tag)
+            if frame == 0:
+                sums.append(tf.n_s.values.copy())
+            else:
+                sums[index] += tf.n_s.values
+            if (frame, tag) == (0, "0"):
+                tau = retrieval.estimate_transmittance(tf.n_s, tf.n_i, config)
+                tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
+                qpf.write_qpf(tau_path, tau)
+                del tau
+                outputs.append(tau_path)
+            yield tf
+            del tf
+
     phase_rows = []
     for frame in range(n_frames):
-        triple = [load(frame, tag) for tag in tags]
-        phase = retrieval.phase_from_twin_frames(*triple, config)
+        phase = retrieval.phase_from_twin_frames(streamed(frame), config)
         out_path = os.path.join(args.out, f"phase_f{frame:04d}.qpf")
         qpf.write_qpf(out_path, phase.values)
         del phase
         outputs.append(out_path)
         phase_rows.append((frame, k, provenance))
-        if frame == 0:
-            sums = [tf.n_s.values.copy() for tf in triple]
-            tau = retrieval.estimate_transmittance(triple[1].n_s, triple[1].n_i, config)
-            tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
-            qpf.write_qpf(tau_path, tau)
-            del tau
-            outputs.append(tau_path)
-        else:
-            for total, tf in zip(sums, triple):
-                total += tf.n_s.values
-        # the averaged solve below needs no frame
-        del triple
 
     # all-frame averaged classical reference reconstruction
     means = [calib_s.with_values(total / n_frames) for total in sums]

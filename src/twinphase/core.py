@@ -176,7 +176,9 @@ class RngStream:
 def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
     """Check all cross-field invariants; return the pair or raise ConfigError.
 
-    Every violated invariant is reported, not just the first one.
+    Every violated invariant is reported, not just the first one.  When
+    the keys pass, the values derived from them, ``object_pixel`` and
+    ``wavenumber``, must be finite and positive too.
     """
     problems = []
     for cfg in (optical, twin):
@@ -202,6 +204,17 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
             problems.append(f"{name} must be positive")
     if not optical.blur_fwhm >= 0:
         problems.append("blur_fwhm must be non-negative")
+    if not problems:
+        try:
+            wavenumber = optical.wavenumber
+        except ZeroDivisionError:  # the wavelength in um underflows to 0
+            wavenumber = math.inf
+        for name, value, keys in (
+            ("object_pixel", optical.object_pixel, "camera_pixel / magnification"),
+            ("wavenumber", wavenumber, "2 pi / wavelength"),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                problems.append(f"{name} = {keys} must be finite and positive, got {value}")
     if problems:
         raise ConfigError("; ".join(problems))
     return optical, twin

@@ -241,7 +241,7 @@ def advantage_scan(
             ]
             out = {}
             for (b, mode), cfg in configs.items():
-                phi = phase_from_twin_frames(*triple, cfg).values
+                phi = phase_from_twin_frames(triple, cfg).values
                 try:
                     out[b, mode] = pearson(phi, refs[b])
                 except NumericalError as exc:

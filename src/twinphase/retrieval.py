@@ -125,16 +125,23 @@ def estimate_transmittance(
     tau_hat = (n_s' - k * delta n_i) / <n_s>, evaluated at the working
     binning, and 1.0 where <n_s> is below INTENSITY_FLOOR times its
     mean.  ``n_i`` and the calibration idler mean are raw
-    (unregistered) idler images; both are registered here.
+    (unregistered) idler images; both are registered here.  A
+    calibration signal mean whose mean is not positive, as that of a
+    source with no detected photon, raises NoPhotonError.
     """
     b = config.bin_px
+    mean_s = bin_counts(config.reference_mean, b)
+    floor = INTENSITY_FLOOR * float(mean_s.values.mean())
+    if not floor > 0:
+        raise NoPhotonError(
+            "the calibration signal mean must have positive mean: "
+            "no photon was detected in the object-free signal arm"
+        )
     s = bin_counts(n_s_obj, b)
     i = bin_counts(register_idler(n_i), b)
-    mean_s = bin_counts(config.reference_mean, b)
     mean_i = bin_counts(register_idler(config.reference_mean_idler), b)
     k = resolve_k(config, n_s_obj.pitch)
     corrected = quantum_correct(s, i, mean_i, k)
-    floor = INTENSITY_FLOOR * float(mean_s.values.mean())
     valid = mean_s.values >= floor
     denom = np.where(valid, mean_s.values, 1.0)
     return s.with_values(np.where(valid, corrected.values / denom, 1.0))
@@ -278,25 +285,25 @@ def tie_retrieve(
     return PhaseImage(i_zero.with_values(phi))
 
 
-def phase_from_twin_frames(
-    frame_minus,
-    frame_zero,
-    frame_plus,
-    config: RetrievalConfig,
-) -> PhaseImage:
+def phase_from_twin_frames(frames, config: RetrievalConfig) -> PhaseImage:
     """Full quantum-corrected single-shot reconstruction.
 
-    Each plane's signal counts are corrected with its own idler frame
-    (zero-mean subtraction against the calibration idler mean), then
-    binned and fed to the TIE solver.
+    ``frames`` yields the (-dz, 0, +dz) exposures of one frame.  Each
+    plane's signal counts are corrected with its own idler frame
+    (zero-mean subtraction against the calibration idler mean) as the
+    exposure is pulled, then binned and fed to the TIE solver.  No
+    exposure is held here past its plane, so an iterator that loads
+    them keeps at most one exposure's count maps alive, and none during
+    the solve.
     """
-    pitch = frame_zero.n_s.pitch
-    k = resolve_k(config, pitch)
     mean_i = register_idler(config.reference_mean_idler)
-    planes = [
-        quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, k)
-        for frame in (frame_minus, frame_zero, frame_plus)
-    ]
+    # quantum_correct holds every plane to the calibration grid, so its
+    # pitch fixes the weight
+    k = resolve_k(config, mean_i.pitch)
+    planes = []
+    for frame in frames:
+        planes.append(quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, k))
+        del frame  # before the next exposure is pulled
     del mean_i  # the solve does not need it
     return tie_retrieve(*planes, config)
 

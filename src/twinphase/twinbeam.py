@@ -133,13 +133,17 @@ def d_factor_for_bin(bin_px: int, pitch: float, l_cff: float) -> float:
 def _cdf_integral(z):
     """Antiderivative of the standard normal CDF, z * Phi(z) + phi(z)
     with phi(z) = exp(-0.5 * z * z) / sqrt(2 pi), computed in place of
-    the array ``z``."""
-    pdf = np.multiply(-0.5, z, out=np.empty_like(z))
-    pdf *= z
-    np.exp(pdf, out=pdf)
-    pdf /= _SQRT2PI
-    z *= ndtr(z)
-    z += pdf
+    the array ``z`` with one temporary, z * Phi(z).  Scaling by -0.5 is
+    exact, so (z * z) * -0.5 rounds as (-0.5 * z) * z does, except where
+    it underflows or overflows and exp gives 1 or 0 either way; the sum
+    and product commute."""
+    z_cdf = ndtr(z)
+    z_cdf *= z
+    np.multiply(z, z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+    z /= _SQRT2PI
+    z += z_cdf
     return z
 
 
@@ -159,10 +163,11 @@ def _shift_cdf(t, s):
 
 
 def _scatter_shift(out, take, j, axis):
-    """Add ``take`` shifted by integer offset j along axis; return spill."""
+    """Add ``take`` shifted by integer offset j along axis; return the
+    spill, an int for integer counts and a float for float ones."""
     n = out.shape[axis]
     if abs(j) >= n:
-        return int(take.sum())
+        return take.sum().item()
     sl_all = [slice(None), slice(None)]
     if j == 0:
         out += take
@@ -177,24 +182,31 @@ def _scatter_shift(out, take, j, axis):
         src[axis] = slice(-j, None)
         lost[axis] = slice(None, -j)
     out[tuple(dst)] += take[tuple(src)]
-    return int(take[tuple(lost)].sum())
+    return take[tuple(lost)].sum().item()
 
 
-def _shift_axis(counts, shift, s, axis, rng):
+def _shift_table(shift):
+    """``(d, inv)`` of a scalar or per-pixel shift (pixels): its distinct
+    values in ascending order, and the index in ``d`` of each pixel's
+    shift (a scalar shift is a one-entry table)."""
+    shift = np.asarray(shift, dtype=float)
+    d = np.unique(shift)
+    return d, np.searchsorted(d, shift)
+
+
+def _shift_axis(counts, table, s, axis, rng):
     """Redistribute counts along one axis by ``uniform + shift + N(0, s)``,
     in the buffer of ``counts``, which is overwritten; return the spill.
 
-    ``shift`` may be a scalar or a per-pixel array (pixels).  With
-    ``rng`` set the redistribution is a multinomial sample (iterated
-    binomial over offsets); with ``rng=None`` it is the exact
-    expectation of float ``counts``, for deterministic mean-count
-    computations.  The kernel tables are computed once per distinct
-    shift ``d`` and gathered onto the pixels through ``inv``; a scalar
-    shift is a one-entry table.
+    ``table`` is the ``_shift_table`` of the shift, so the shift map
+    itself need not outlive it.  With ``rng`` set the redistribution is
+    a multinomial sample (iterated binomial over offsets) and the spill
+    an int; with ``rng=None`` it is the exact expectation of float
+    ``counts``, for deterministic mean-count computations, and the spill
+    a float.  The kernel tables are computed once per distinct shift
+    ``d`` and gathered onto the pixels through ``inv``.
     """
-    shift = np.asarray(shift, dtype=float)
-    d = np.unique(shift)
-    inv = np.searchsorted(d, shift)  # the index in d of each pixel's shift
+    d, inv = table
     jmin = int(math.floor(float(d[0]) - 6.0 * s))
     jmax = int(math.ceil(float(d[-1]) + 6.0 * s))
 
@@ -227,16 +239,21 @@ def _shift_axis(counts, shift, s, axis, rng):
         spill += _scatter_shift(counts, take, j, axis)
         del take
     # kernel truncation tail (< 1e-8 of the mass)
-    spill += int(np.sum(rem)) if sampled else float(np.sum(rem))
+    spill += np.sum(rem).item()
     return spill
 
 
-def _redistribute(counts, shift_x, shift_y, s, rng):
-    """Both axes of ``_shift_axis``, in the buffer of ``counts``, which is
-    overwritten; returns (counts, spill)."""
-    spill_y = _shift_axis(counts, shift_y, s, 0, rng)
-    spill_x = _shift_axis(counts, shift_x, s, 1, rng)
-    return counts, spill_y + spill_x
+def _redistribute(counts, shift, s, rng):
+    """``_shift_axis`` along axis 0, then axis 1, in the buffer of
+    ``counts``, which is overwritten; returns (counts, spill).
+
+    ``shift(axis)`` gives the shift along ``axis``.  A per-pixel map is
+    made just before its axis runs and dropped once its table exists.
+    """
+    spill = 0
+    for axis in (0, 1):
+        spill += _shift_axis(counts, _shift_table(shift(axis)), s, axis, rng)
+    return counts, spill
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +299,21 @@ def _pair_rate(twin: TwinBeamConfig, width, height, pitch, margin):
     return weight
 
 
-def _phase_displacement(obj: ObjectSpec, sys: OpticalSystem, dz, margin):
-    """Geometric-optics transverse displacement (dz/k) grad phi, in pixels."""
+def _phase_displacement(obj: ObjectSpec, sys: OpticalSystem, dz, margin, axis):
+    """Geometric-optics transverse displacement (dz/k) d(phi)/d(axis), in
+    pixels, on the phase grid padded by ``margin``; 0.0 at dz = 0.  The
+    gradient along one axis has the bits of that axis's map of the
+    gradient along both."""
     if dz == 0.0:
-        return 0.0, 0.0
+        return 0.0
     phi = np.pad(obj.phi.values, margin, mode="edge")
     pitch = obj.phi.pitch
-    gy, gx = np.gradient(phi, pitch)
+    g = np.gradient(phi, pitch, axis=axis)
     del phi
-    scale = (dz * 1e3) / sys.wavenumber  # um^2
-    # scale * g / pitch, in the buffer of each gradient g
-    for g in (gx, gy):
-        np.multiply(scale, g, out=g)
-        g /= pitch
-    return gx, gy
+    # scale * g / pitch, in the buffer of the gradient
+    np.multiply((dz * 1e3) / sys.wavenumber, g, out=g)  # scale in um^2
+    g /= pitch
+    return g
 
 
 def _transport(obj, sys, twin, dz):
@@ -304,22 +322,26 @@ def _transport(obj, sys, twin, dz):
     Returns ``(template, crop, rate, tau, idler, signal)``: the output
     grid, the slices that crop the padded grid to it, the pair birth
     rate and the transmittance on the padded grid, and each arm's
-    ``(shift_x, shift_y, s)`` arguments of ``_redistribute``.
+    ``(shift, s)`` arguments of ``_redistribute``.  The signal arm's
+    padded displacement maps are not made here: its ``shift`` makes
+    each one when ``_redistribute`` reaches its axis.
     """
     template = obj.tau
     width, height, pitch = template.width, template.height, template.pitch
     sigma_px = twin.sigma / pitch
     delta_px = twin.delta / pitch
     blur_px = sys.blur_fwhm * FWHM_TO_SIGMA / pitch
-    disp_x, disp_y = _phase_displacement(obj, sys, dz, 0)
-    max_disp = max(float(np.max(np.abs(disp_x))), float(np.max(np.abs(disp_y))))
+    max_disp = max(
+        float(np.max(np.abs(_phase_displacement(obj, sys, dz, 0, axis)))) for axis in (0, 1)
+    )
     margin = int(math.ceil(6 * sigma_px + abs(delta_px) + 6 * blur_px + max_disp)) + 1
 
     rate = _pair_rate(twin, width, height, pitch, margin)
     tau = np.pad(obj.tau.values, 2 * margin, mode="edge")
-    disp_x, disp_y = _phase_displacement(obj, sys, dz, 2 * margin)
     crop = (slice(2 * margin, 2 * margin + height), slice(2 * margin, 2 * margin + width))
-    return template, crop, rate, tau, (delta_px, delta_px, sigma_px), (disp_x, disp_y, blur_px)
+    idler = (lambda axis: delta_px, sigma_px)
+    signal = (lambda axis: _phase_displacement(obj, sys, dz, 2 * margin, axis), blur_px)
+    return template, crop, rate, tau, idler, signal
 
 
 def _thinning(eta0, tau):
@@ -367,7 +389,9 @@ def sample_twin_frame(
     gen = rng.generator()
     rem = gen.poisson(rate)
     # One frame may be in flight per thread (see ordered_map), so each
-    # padded array is dropped at its last use.
+    # padded array is dropped at its last use, and the signal arm's
+    # displacement maps are made one axis at a time when it runs: the
+    # peak, six padded arrays, is in the thinning.
     del rate
 
     # Correlated thinning: per pair the signal survives the object with
@@ -395,7 +419,8 @@ def sample_twin_frame(
     n_i = template.with_values(n_i[crop])
     del i_births
 
-    # Signal arm: phase-gradient displacement plus imaging blur.
+    # Signal arm: phase-gradient displacement plus imaging blur; each
+    # axis's displacement map lives until its shift table exists.
     n_s, spill_s = _redistribute(s_births, *signal, gen)
     n_s = template.with_values(n_s[crop])
     del s_births
@@ -448,7 +473,8 @@ def ordered_map(func, items):
     the list.  numpy's random draws, FFTs and ufuncs release the GIL, and
     ``cli.main`` runs BLAS on one thread.  At most one item per thread is
     in flight, and no thread waits for another to finish: a thread holds
-    one twin-beam frame's working set at a time, or one trial of
+    one twin-beam frame's working set at a time, at most six arrays of
+    its padded grid (3.6 MB for a defocused 220² frame), or one trial of
     ``metrics.noise_suppression_scan`` or dz point of
     ``metrics.resolution_scan``, about 5 MB at 220².  Once ``func``
     or the iterator raises, no item is pulled; after the threads end, the

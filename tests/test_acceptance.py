@@ -225,7 +225,7 @@ def test_criterion_06_step_heights():
     cfg = RetrievalConfig(
         dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=SYS, twin=hi
     )
-    phase = phase_from_twin_frames(fm, f0, fp, cfg)
+    phase = phase_from_twin_frames([fm, f0, fp], cfg)
     steps = step_heights(phase.values, 1, (220, 220))
 
     cfg12 = replace(cfg, bin_px=12, k_mode="tau")

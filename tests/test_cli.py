@@ -380,23 +380,73 @@ def exit_code(argv):
         return exc.code
 
 
-@pytest.fixture(scope="module")
-def frame_set(tmp_path_factory):
+def simulated(tmp_path_factory, frames):
+    """A frame set of ``frames`` frames at dz = 0.025 on the 220-pixel grid."""
     out = tmp_path_factory.mktemp("frames")
-    argv = ["simulate", "--frames", "1", "--dz", "0.025", "--seed", "2", "--out", str(out)]
+    argv = ["simulate", "--frames", str(frames), "--dz", "0.025", "--seed", "2", "--out", str(out)]
     assert main(argv) == EXIT_OK
     return out
 
 
-def test_retrieve_memory_peak_in_grid_arrays(frame_set, tmp_path, traced_peak):
-    """20.4 float64 arrays of the 220-pixel grid: no frame outlives its
-    solve; 34.2 when the last frame's six count maps and its phase were
-    held through the averaged solve."""
-    argv = ["retrieve", "--frames", str(frame_set), "--k-mode", "tie", "--bin", "1"]
+@pytest.fixture(scope="module")
+def frame_set(tmp_path_factory):
+    return simulated(tmp_path_factory, 1)
+
+
+@pytest.fixture(scope="module")
+def two_frame_set(tmp_path_factory):
+    return simulated(tmp_path_factory, 2)
+
+
+def retrieve_peak(frames, out, traced_peak, k_mode, bin_px):
+    """The allocation peak of a retrieve, in float64 arrays of the
+    220-pixel grid."""
+    argv = ["retrieve", "--frames", str(frames), "--k-mode", k_mode, "--bin", str(bin_px)]
     codes = []
-    peak = traced_peak(lambda: codes.append(main(argv + ["--out", str(tmp_path / "o")])))
+    peak = traced_peak(lambda: codes.append(main(argv + ["--out", str(out)])))
     assert codes == [EXIT_OK]
-    assert peak / (220 * 220 * 8) <= 21.5
+    return peak / (220 * 220 * 8)
+
+
+def test_retrieve_memory_peak_in_grid_arrays(frame_set, tmp_path, traced_peak):
+    """17.1 float64 arrays of the 220-pixel grid: each exposure is loaded,
+    added into the sums and corrected into its plane before the next, so
+    no count map is alive during a solve; 20.1 when each frame's six
+    count maps were held through its solve, and 34.2 when the last ones
+    were also held through the averaged solve."""
+    assert retrieve_peak(frame_set, tmp_path / "o", traced_peak, "tie", 1) <= 17.6
+
+
+@pytest.mark.parametrize(
+    "frames, k_mode, bin_px, bound",
+    [(2, "tie", 1, 17.6), (1, "tau", 3, 13.8), (2, "tau", 3, 13.8)],
+    ids=["tie_bin1_two_frames", "tau_bin3", "tau_bin3_two_frames"],
+)
+def test_retrieve_memory_peak_does_not_grow_with_frames(
+    frame_set, two_frame_set, tmp_path, traced_peak, frames, k_mode, bin_px, bound
+):
+    """17.1 arrays of the 220-pixel grid at tie/bin 1 and 13.3 at tau/bin
+    3, for one frame or two: the sums are three arrays however many frames
+    there are.  Holding a frame's six count maps through its solve, with
+    the sums alive from frame 1 on, gave 23.1 and 17.3 for two frames and
+    14.3 at tau/bin 3 for one."""
+    frame_sets = {1: frame_set, 2: two_frame_set}
+    peak = retrieve_peak(frame_sets[frames], tmp_path / "o", traced_peak, k_mode, bin_px)
+    assert peak <= bound
+
+
+def test_simulate_memory_peak_in_grid_arrays(tmp_path, monkeypatch, traced_peak):
+    """On one thread, simulate's peak is one defocused frame draw plus the
+    test target's two maps and 0.2 arrays of the 220-pixel grid more: the
+    two calibration means are dropped once written (held through the
+    draws, they added 2.0)."""
+    use_threads(monkeypatch, 1)
+    sys_, twin = OpticalSystem(), TwinBeamConfig()
+    obj = generate_test_target(220, 220, sys_.object_pixel)
+    draw = traced_peak(lambda: twinbeam.sample_twin_frame(obj, sys_, twin, 0.025, RngStream(2, 2)))
+    argv = ["simulate", "--frames", "1", "--dz", "0.025", "--seed", "2"]
+    peak = traced_peak(lambda: main(argv + ["--out", str(tmp_path / "o")]))
+    assert (peak - draw) / (220 * 220 * 8) <= 2.5
 
 
 @pytest.mark.parametrize(
@@ -427,6 +477,42 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
     code = main(["simulate", "--config", str(cfg), "--frames", "0", "--out", str(out)])
     assert code == EXIT_CONFIG
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+PITCH = "object_pixel = camera_pixel / magnification"
+WAVENUMBER = "wavenumber = 2 pi / wavelength"
+
+
+@pytest.mark.parametrize(
+    "lines, derived",
+    [
+        ("camera_pixel = 1e300\nmagnification = 1e-300", PITCH),
+        ("camera_pixel = 1e-300\nmagnification = 1e300", PITCH),
+        ("wavelength = 1e-320", WAVENUMBER),
+        ("wavelength = 1e-322", WAVENUMBER),
+    ],
+    ids=["pitch_inf", "pitch_zero", "wavenumber_inf", "wavelength_um_zero"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["target"],
+        ["simulate", "--frames", "0"],
+        ["scan", "resolution", "--dz", "0.1"],
+        ["scan", "noise"],
+    ],
+    ids=" ".join,
+)
+def test_derived_value_not_finite_and_positive_exits_2(tmp_path, capsys, lines, derived, command):
+    """Finite keys whose object pixel or wavenumber is infinite or 0: the
+    scans raised "field contains non-finite values", and target and
+    simulate wrote QPF files of infinite pitch."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines + "\n")
+    out = tmp_path / "o"
+    assert exit_code(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{derived} must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
 
 

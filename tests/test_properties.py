@@ -9,6 +9,7 @@ deterministic and quick.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from twinphase.twinbeam import (
     _scatter_shift,
     _shift_axis,
     _shift_cdf,
+    _shift_table,
     bin_counts,
     d_factor_for_bin,
     measure_nrf,
@@ -107,7 +109,7 @@ def shifted(counts, shift, s, axis, rng):
     """(result, spill) of _shift_axis on a copy of ``counts``, a float
     copy for the expectation (rng None)."""
     out = counts.copy() if rng is not None else counts.astype(float)
-    return out, _shift_axis(out, shift, s, axis, rng)
+    return out, _shift_axis(out, _shift_table(shift), s, axis, rng)
 
 
 def shift_axis_expectation_oracle(counts, shift, s, axis):
@@ -143,6 +145,21 @@ def test_shift_axis_conserves_photons_with_spill(data, seed, axis):
         out, spill = shifted(counts, sh, s, axis, np.random.default_rng(seed))
         assert out.dtype == counts.dtype and (out >= 0).all() and spill >= 0
         assert out.sum() + spill == counts.sum()
+
+
+@pytest.mark.parametrize(
+    "shift, s", [(2.3, 0.0), (10.0, 0.0), (2.3, 0.7)], ids=["near", "far", "both"]
+)
+def test_shift_axis_expectation_conserves_mass_with_spill(shift, s):
+    """A 4 x 6 grid of 2.7 counts shifted along its 6-pixel axis keeps,
+    with the spill, all 64.8 put in: the mass of offsets that leave part
+    of the grid (near) and of offsets beyond it (far) is spilled as a
+    float, not truncated to an integer (kept 39.958 and spilled 23 at
+    shift 2.3 and s = 0.7)."""
+    counts = np.full((4, 6), 2.7)
+    out, spill = shifted(counts, shift, s, 1, None)
+    assert isinstance(spill, float)
+    assert abs(out.sum() + spill - counts.sum()) <= 1e-12 * counts.sum()
 
 
 @PROPERTY

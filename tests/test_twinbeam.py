@@ -255,13 +255,22 @@ class TestExpectedCounts:
         assert not mean_s.values.any() and not mean_i.values.any()
 
 
-@pytest.mark.parametrize("dz, bound", [(0.0125, 8.5), (0.0, 6.5)], ids=["defocused", "in_focus"])
-def test_frame_memory_peak_in_padded_arrays(traced_peak, dz, bound):
-    """One frame's allocation peak, in float64 arrays of the padded grid
-    (8.0 defocused and 6.0 in focus; 13.0 and 11.0 when every map of the
-    thinning was alive at once)."""
+@pytest.mark.parametrize(
+    "smooth, dz, bound",
+    [(False, 0.0125, 6.5), (False, 0.0, 6.5), (True, 0.0125, 9.5)],
+    ids=["defocused", "in_focus", "smooth_defocused"],
+)
+def test_frame_memory_peak_in_padded_arrays(traced_peak, smooth, dz, bound):
+    """One frame's allocation peak, in float64 arrays of the padded grid:
+    6.0 for the test target, defocused or in focus, in the thinning, and
+    9.0 for a defocused smooth object, whose kernel tables have an entry
+    per pixel.  Both displacement maps made up front and alive through
+    the thinning gave 8.0 defocused and 11.6 for the smooth object (with
+    two temporaries in ``_cdf_integral``); every map of the thinning alive
+    at once gave 13.0 defocused and 11.0 in focus."""
     sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=600.0)
-    obj = generate_test_target(220, 220, sys_.object_pixel)
+    pitch = sys_.object_pixel
+    obj = smooth_object(220, pitch) if smooth else generate_test_target(220, 220, pitch)
     rate = twinbeam._transport(obj, sys_, twin, dz)[2]
     peak = traced_peak(lambda: sample_twin_frame(obj, sys_, twin, dz, RngStream(5, 2)))
     assert peak / rate.nbytes <= bound
@@ -299,8 +308,8 @@ def test_defocused_smooth_object_frame_bytes_are_pinned():
         )
     sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=300.0)
     obj, dz = smooth_object(40, sys_.object_pixel), 0.1
-    disp_x, disp_y = twinbeam._phase_displacement(obj, sys_, dz, 0)
-    assert len(np.unique(disp_x)) == len(np.unique(disp_y)) == 40 * 40
+    for axis in (0, 1):
+        assert len(np.unique(twinbeam._phase_displacement(obj, sys_, dz, 0, axis))) == 40 * 40
     frame = sample_twin_frame(obj, sys_, twin, dz, RngStream(8, 1))
     mean_s, mean_i = expected_counts(obj, sys_, twin, dz)
     maps = {"n_s": frame.n_s, "n_i": frame.n_i, "mean_s": mean_s, "mean_i": mean_i}
