@@ -277,18 +277,17 @@ def cmd_retrieve(args):
 
     calib_s = qpf.read_qpf(os.path.join(args.frames, "calib_mean_signal.qpf"))
     calib_i = qpf.read_qpf(os.path.join(args.frames, "calib_mean_idler.qpf"))
+    # quantum_correct holds every frame to the calibration grid, so one
+    # weight serves all frames
+    k = retrieval.resolve_k(args.k_mode, args.bin, calib_s.pitch, twin_cfg)
     config = retrieval.RetrievalConfig(
         dz=dz,
-        k_mode=args.k_mode,
+        k=k,
         bin_px=args.bin,
         reference_mean=calib_s,
         reference_mean_idler=calib_i,
         sys=sys_cfg,
-        twin=twin_cfg,
     )
-    # quantum_correct holds every frame to the calibration grid, so one
-    # weight serves all frames
-    k = retrieval.resolve_k(config, calib_s.pitch)
     provenance = "classical" if k == 0.0 else "quantum"
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -400,19 +399,10 @@ def _scan_advantage(args, sys_cfg, twin_cfg):
 
 
 def _scan_resolution(args, sys_cfg, twin_cfg):
-    rows_raw = metrics.resolution_scan(args.dz, (1, 3, 6, 12), sys_cfg, twin_cfg)
-    failed = [r for r in rows_raw if not r["ok"]]
-    if failed:
-        raise NumericalError(
-            "edge-spread fit failed at "
-            + "; ".join(
-                f"dz={r['dz']:g} mm, bin {r['bin_px']}: {r['message']}" for r in failed
-            )
-        )
-    rows = [
-        (r["dz"], r["d_factor"], r["r_phase_um"], r["se_r_um"]) for r in rows_raw
+    rows = metrics.resolution_scan(args.dz, (1, 3, 6, 12), sys_cfg, twin_cfg)
+    return ["dz", "D", "r_phase_um", "se_r_um"], [
+        (r["dz"], r["d_factor"], r["r_phase_um"], r["se_r_um"]) for r in rows
     ]
-    return ["dz", "D", "r_phase_um", "se_r_um"], rows
 
 
 def _scan_noise(args, sys_cfg, twin_cfg):
@@ -501,7 +491,7 @@ def build_parser():
     p.add_argument("--dz", type=float, default=None, help="defocus to retrieve, mm")
     p.add_argument("--bin", type=int, default=1, help="binning in pixels")
     p.add_argument(
-        "--k-mode", default="classical", help="classical | tau | tie | numeric value"
+        "--k-mode", default="classical", help="classical | tau | tie | finite number"
     )
     p.set_defaults(func=cmd_retrieve)
 

@@ -32,6 +32,7 @@ from .retrieval import (
     RetrievalConfig,
     phase_from_twin_frames,
     poisson_solve_dirichlet,
+    resolve_k,
     tie_retrieve,
 )
 from .twinbeam import (
@@ -227,10 +228,12 @@ def advantage_scan(
     for k, dz in enumerate(dz_list):
         signed = [s for _, _, _, s in exposures([dz], 1)]
         planes = [expected_counts(obj, sys, twin, s)[0] for s in signed]
-        base = RetrievalConfig(
-            dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=sys, twin=twin
-        )
-        configs = {(b, m): replace(base, bin_px=b, k_mode=m) for b in bins for m in modes}
+        base = RetrievalConfig(dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=sys)
+        configs = {
+            (b, m): replace(base, bin_px=b, k=resolve_k(m, b, mean_i.pitch, twin))
+            for b in bins
+            for m in modes
+        }
         refs = {b: tie_retrieve(*planes, configs[b, "classical"]).values for b in bins}
         del planes
 
@@ -273,47 +276,48 @@ def resolution_scan(dz_list, bin_list, sys: OpticalSystem, twin: TwinBeamConfig)
     convolved with the bin aperture, so it includes the effective
     pixel size of the delivered image.  The exit field is built once;
     each dz point runs on one thread of ``ordered_map``.  Returns rows of
-    (dz, bin_px, d_factor, r_phase_um, se_r_um, ok, message) in dz order,
-    where message is the fit's reason for failing ("" when ok).
+    (dz, bin_px, d_factor, r_phase_um, se_r_um) in dz order.  Once every
+    point has run, failed edge-spread fits raise NumericalError naming
+    each one's (dz, bin) and the fit's reason.
     """
     pitch = sys.object_pixel
     field = exit_field(generate_edge_target(pitch), sys)
 
     def point(dz):
-        rows = []
+        rows, failed = [], []
         stack = defocus_stack(field, dz, sys, mean_photons=twin.mean_photons_per_pixel)
-        cfg = RetrievalConfig(dz=dz, sys=sys, twin=twin)
+        cfg = RetrievalConfig(dz=dz, sys=sys)
         for bin_px in bin_list:
-            bin_px = int(bin_px)
             xs, vals = _interleaved_edge_samples(stack, cfg, bin_px)
             fit = esf_fit(vals, x=xs)
+            if not fit.ok:
+                failed.append(f"dz={dz:g} mm, bin {bin_px}: {fit.message}")
+                continue
             aperture = bin_px * pitch
-            if fit.ok:
-                r_um = lsf_fwhm_with_aperture(aperture, fit.w)
-                # Propagate the fit uncertainty through the aperture
-                # convolution via the local slope dr/dw.
-                h = max(1e-4, 1e-3 * fit.w)
-                slope = (
-                    lsf_fwhm_with_aperture(aperture, fit.w + h)
-                    - lsf_fwhm_with_aperture(aperture, max(fit.w - h, 0.0))
-                ) / (2.0 * h)
-                se_um = slope * (fit.w_ci[1] - fit.w_ci[0]) / 3.92
-            else:
-                r_um, se_um = float("nan"), float("nan")
+            r_um = lsf_fwhm_with_aperture(aperture, fit.w)
+            # Propagate the fit uncertainty through the aperture
+            # convolution via the local slope dr/dw.
+            h = max(1e-4, 1e-3 * fit.w)
+            slope = (
+                lsf_fwhm_with_aperture(aperture, fit.w + h)
+                - lsf_fwhm_with_aperture(aperture, max(fit.w - h, 0.0))
+            ) / (2.0 * h)
             rows.append(
                 {
                     "dz": dz,
                     "bin_px": bin_px,
                     "d_factor": d_factor_for_bin(bin_px, pitch, twin.l_cff),
                     "r_phase_um": r_um,
-                    "se_r_um": se_um,
-                    "ok": fit.ok,
-                    "message": fit.message,
+                    "se_r_um": slope * (fit.w_ci[1] - fit.w_ci[0]) / 3.92,
                 }
             )
-        return rows
+        return rows, failed
 
-    return [row for rows in ordered_map(point, dz_list) for row in rows]
+    points = list(ordered_map(point, dz_list))
+    failed = [message for _, messages in points for message in messages]
+    if failed:
+        raise NumericalError("edge-spread fit failed at " + "; ".join(failed))
+    return [row for rows, _ in points for row in rows]
 
 
 def lsf_fwhm_with_aperture(aperture: float, w: float) -> float:

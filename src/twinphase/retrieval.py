@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.fft import dstn, idstn
@@ -32,22 +32,19 @@ INTENSITY_FLOOR = 1e-3
 class RetrievalConfig:
     """Parameters of a reconstruction run.
 
-    ``k_mode`` selects the idler-subtraction weight: "classical" (k=0),
-    "tau" (eta0*eta_c at the working binning), "tie" (eta0), or an
-    explicit numeric value.  ``reference_mean`` / ``reference_mean_idler``
-    are object-free calibration means of the signal and idler arms at
-    bin_px = 1.  ``sys`` and ``twin`` are the configurations the frames
-    were made with: the TIE solve reads the wavenumber, the weights
-    read eta0, epsilon and l_cff.
+    ``k`` is the idler-subtraction weight, 0 for the classical image;
+    ``resolve_k`` gives the weight of a named mode.  ``reference_mean`` /
+    ``reference_mean_idler`` are object-free calibration means of the
+    signal and idler arms at bin_px = 1.  ``sys`` is the optical system
+    the frames were made with, whose wavenumber the TIE solve reads.
     """
 
     dz: float  # mm
-    k_mode: Union[str, float] = "classical"
+    k: float = 0.0
     bin_px: int = 1
     reference_mean: Optional[ScalarField2D] = None
     reference_mean_idler: Optional[ScalarField2D] = None
     sys: OpticalSystem = OpticalSystem()
-    twin: TwinBeamConfig = TwinBeamConfig()
 
     def __post_init__(self):
         if not self.dz > 0:
@@ -60,13 +57,6 @@ class RetrievalConfig:
                 raise ConfigError(
                     f"bin_px {self.bin_px} leaves fewer than {MIN_GRID} bins "
                     f"across the {side}-pixel grid"
-                )
-        if self.k_mode not in ("classical", "tau", "tie"):
-            try:
-                float(self.k_mode)
-            except ValueError:
-                raise ConfigError(
-                    f"k_mode must be classical, tau, tie or a number, got {self.k_mode!r}"
                 )
 
 
@@ -82,23 +72,29 @@ class PhaseImage:
     values: ScalarField2D
 
 
-def resolve_k(config: RetrievalConfig, pitch: float) -> float:
-    """Numeric subtraction weight implied by the configured k_mode.
+def resolve_k(mode, bin_px: int, pitch: float, twin: TwinBeamConfig) -> float:
+    """Subtraction weight of k mode ``mode`` at bins of ``bin_px``
+    pixels of ``pitch`` under the twin-beam configuration ``twin``.
 
-    "tau" is the variance-optimal weight for transmittance estimation,
-    eta0 * eta_c(D) at the working binning; "tie" is its large-area
-    limit eta0, independent of the working resolution.
+    "classical" is 0; "tau" is the variance-optimal weight for
+    transmittance estimation, eta0 * eta_c(D) at the working binning;
+    "tie" is its resolution-independent large-area limit eta0.  Any
+    other mode must be a finite number or its text, else ConfigError.
     """
-    mode = config.k_mode
     if mode == "classical":
         return 0.0
-    twin = config.twin
     if mode == "tau":
-        d = d_factor_for_bin(config.bin_px, pitch, twin.l_cff)
+        d = d_factor_for_bin(bin_px, pitch, twin.l_cff)
         return twin.eta0 * eta_c(d, twin.epsilon)
     if mode == "tie":
         return twin.eta0
-    return float(mode)
+    try:
+        k = float(mode)
+    except ValueError:
+        k = math.nan
+    if not math.isfinite(k):
+        raise ConfigError(f"k_mode must be classical, tau, tie or a finite number, got {mode!r}")
+    return k
 
 
 def quantum_correct(
@@ -122,11 +118,11 @@ def estimate_transmittance(
 ) -> ScalarField2D:
     """Unbiased transmittance estimator from an in-focus frame.
 
-    tau_hat = (n_s' - k * delta n_i) / <n_s>, evaluated at the working
-    binning, and 1.0 where <n_s> is below INTENSITY_FLOOR times its
-    mean.  ``n_i`` and the calibration idler mean are raw
-    (unregistered) idler images; both are registered here.  A
-    calibration signal mean whose mean is not positive, as that of a
+    tau_hat = (n_s' - k * delta n_i) / <n_s> with k = config.k,
+    evaluated at the working binning, and 1.0 where <n_s> is below
+    INTENSITY_FLOOR times its mean.  ``n_i`` and the calibration idler
+    mean are raw (unregistered) idler images; both are registered here.
+    A calibration signal mean whose mean is not positive, as that of a
     source with no detected photon, raises NoPhotonError.
     """
     b = config.bin_px
@@ -140,8 +136,7 @@ def estimate_transmittance(
     s = bin_counts(n_s_obj, b)
     i = bin_counts(register_idler(n_i), b)
     mean_i = bin_counts(register_idler(config.reference_mean_idler), b)
-    k = resolve_k(config, n_s_obj.pitch)
-    corrected = quantum_correct(s, i, mean_i, k)
+    corrected = quantum_correct(s, i, mean_i, config.k)
     valid = mean_s.values >= floor
     denom = np.where(valid, mean_s.values, 1.0)
     return s.with_values(np.where(valid, corrected.values / denom, 1.0))
@@ -290,19 +285,16 @@ def phase_from_twin_frames(frames, config: RetrievalConfig) -> PhaseImage:
 
     ``frames`` yields the (-dz, 0, +dz) exposures of one frame.  Each
     plane's signal counts are corrected with its own idler frame
-    (zero-mean subtraction against the calibration idler mean) as the
-    exposure is pulled, then binned and fed to the TIE solver.  No
-    exposure is held here past its plane, so an iterator that loads
-    them keeps at most one exposure's count maps alive, and none during
-    the solve.
+    (zero-mean subtraction of config.k times its deviation from the
+    calibration idler mean) as the exposure is pulled, then binned and
+    fed to the TIE solver.  No exposure is held here past its plane, so
+    an iterator that loads them keeps at most one exposure's count maps
+    alive, and none during the solve.
     """
     mean_i = register_idler(config.reference_mean_idler)
-    # quantum_correct holds every plane to the calibration grid, so its
-    # pitch fixes the weight
-    k = resolve_k(config, mean_i.pitch)
     planes = []
     for frame in frames:
-        planes.append(quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, k))
+        planes.append(quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, config.k))
         del frame  # before the next exposure is pulled
     del mean_i  # the solve does not need it
     return tie_retrieve(*planes, config)

@@ -85,8 +85,6 @@ def _eta_c_1d(d_factor: float, epsilon: float) -> float:
     offset epsilon) reduces to a single integral against the triangular
     overlap density.
     """
-    if d_factor <= 0:
-        return 0.0
     s = FWHM_TO_SIGMA  # sigma in units of l_cff
 
     def integrand(w):

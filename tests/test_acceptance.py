@@ -40,6 +40,7 @@ from twinphase.retrieval import (
     estimate_transmittance,
     phase_from_twin_frames,
     poisson_solve_dirichlet,
+    resolve_k,
     tie_retrieve,
 )
 from twinphase.twinbeam import (
@@ -222,13 +223,11 @@ def test_criterion_06_step_heights():
         for i, (_, _, _, signed) in enumerate(exposures([dz], 1))
     )
     mean_s, mean_i = expected_counts(blank_object(220, 220, PITCH), SYS, hi, 0.0)
-    cfg = RetrievalConfig(
-        dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=SYS, twin=hi
-    )
+    cfg = RetrievalConfig(dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=SYS)
     phase = phase_from_twin_frames([fm, f0, fp], cfg)
     steps = step_heights(phase.values, 1, (220, 220))
 
-    cfg12 = replace(cfg, bin_px=12, k_mode="tau")
+    cfg12 = replace(cfg, bin_px=12, k=resolve_k("tau", 12, PITCH, hi))
     est = estimate_transmittance(f0.n_s, f0.n_i, cfg12)
     _, null_mask = target_masks(220, 220)
     mask = ScalarField2D(220, 220, PITCH, null_mask.astype(float))
@@ -271,14 +270,13 @@ def test_criterion_07_amplitude_advantage(object_exposures, calib_means):
     mean_s, mean_i = calib_means
     cfg_q = RetrievalConfig(
         dz=dz,
-        k_mode="tau",
+        k=resolve_k("tau", 12, mean_s.pitch, TWIN),
         bin_px=12,
         reference_mean=mean_s,
         reference_mean_idler=mean_i,
         sys=SYS,
-        twin=TWIN,
     )
-    cfg_c = replace(cfg_q, k_mode="classical")
+    cfg_c = replace(cfg_q, k=0.0)
     taus_q, taus_c = [], []
     for f0 in in_focus:
         taus_q.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_q).values)
@@ -343,8 +341,7 @@ def test_criterion_09_resolution_behavior():
     ~4 um minimum at (D = 0.325, dz = 0.0125) and an 18 um +- 20%
     large-D asymptote."""
     dz_list = (0.0125, 0.025, 0.05, 0.1)
-    rows = resolution_scan(dz_list, (1, 3, 6, 12), SYS, TWIN)
-    assert all(r["ok"] for r in rows), "edge-spread fit failed at a scan point"
+    rows = resolution_scan(dz_list, (1, 3, 6, 12), SYS, TWIN)  # a failed fit raises
     table = {(r["dz"], round(r["d_factor"], 4)): r["r_phase_um"] for r in rows}
     d_vals = sorted({round(r["d_factor"], 4) for r in rows})
 

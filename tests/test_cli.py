@@ -453,8 +453,16 @@ def test_simulate_memory_peak_in_grid_arrays(tmp_path, monkeypatch, traced_peak)
     "extra",
     [
         ["--k-mode", "bogus"],
+        # a weight that is not finite: float() parses these
+        ["--k-mode=nan"],
+        ["--k-mode=inf"],
+        ["--k-mode=-inf"],
+        ["--k-mode=1e400"],
         ["--bin", "0"],
         ["--bin", "-2"],
+        # the tau weight is resolved before the binning is checked
+        ["--bin", "0", "--k-mode", "tau"],
+        ["--bin", "-2", "--k-mode", "tau"],
         ["--bin", "500"],  # larger than the 220-pixel grid
         ["--dz", "abc"],
     ],
@@ -920,3 +928,20 @@ def test_readme_record_table_matches_the_records():
         names = [f.name for f in fields(record)] if is_dataclass(record) else list(record._fields)
         assert re.findall(r"`(\w+)`", cells) == names, name
         assert int(count) == len(names), name
+
+
+def test_readme_config_sentences_match_the_configs():
+    """The README's "has N settable fields" sentences name each config
+    class's fields, in order, and their count."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentences = re.findall(
+        r"`([\w.]+)` has (\w+) settable fields(?: \(|: )([^.)]*)", readme
+    )
+    assert [ref for ref, _, _ in sentences] == ["TwinBeamConfig", "retrieval.RetrievalConfig"]
+    counts = {"five": 5, "six": 6, "seven": 7}
+    for ref, count, cells in sentences:
+        module, _, name = ref.rpartition(".")
+        config = getattr(importlib.import_module(f"twinphase.{module or 'core'}"), name)
+        names = [f.name for f in fields(config)]
+        assert re.findall(r"`(\w+)`", cells) == names, ref
+        assert counts[count] == len(names), ref

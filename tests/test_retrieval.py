@@ -1,6 +1,7 @@
 """Tests of the spectral Poisson solver, correction weights and the TIE chain."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -111,7 +112,7 @@ def weight(k_mode, d_factor=1.0):
     """resolve_k at resolution factor D = ``d_factor``: one bin of
     5 * d_factor um against l_cff = 5 um."""
     twin = TwinBeamConfig(l_cff=5.0, eta0=0.7, epsilon=0.2)
-    return resolve_k(RetrievalConfig(dz=0.025, k_mode=k_mode, twin=twin), 5.0 * d_factor)
+    return resolve_k(k_mode, 1, 5.0 * d_factor, twin)
 
 
 class TestCorrectionWeights:
@@ -129,16 +130,20 @@ class TestCorrectionWeights:
 
     def test_resolve_k_modes(self):
         pitch = 13.0 / 8.0
-        base = dict(dz=0.025, twin=TwinBeamConfig(l_cff=5.0, eta0=0.7, epsilon=0.2))
-        assert resolve_k(RetrievalConfig(k_mode="classical", **base), pitch) == 0.0
-        assert resolve_k(RetrievalConfig(k_mode="tie", **base), pitch) == 0.7
-        tau_k = resolve_k(RetrievalConfig(k_mode="tau", bin_px=12, **base), pitch)
+        twin = TwinBeamConfig(l_cff=5.0, eta0=0.7, epsilon=0.2)
+        assert resolve_k("classical", 1, pitch, twin) == 0.0
+        assert resolve_k("tie", 1, pitch, twin) == 0.7
+        tau_k = resolve_k("tau", 12, pitch, twin)
         assert tau_k == pytest.approx(0.7 * eta_c(3.9, 0.2))
-        assert resolve_k(RetrievalConfig(k_mode="0.3", **base), pitch) == 0.3
-        assert resolve_k(RetrievalConfig(k_mode=0.45, **base), pitch) == 0.45
-        # the weights follow the twin-beam configuration the config holds
-        dim = RetrievalConfig(dz=0.025, k_mode="tie", twin=TwinBeamConfig(eta0=0.5))
-        assert resolve_k(dim, pitch) == 0.5
+        assert resolve_k("0.3", 1, pitch, twin) == 0.3
+        assert resolve_k(0.45, 1, pitch, twin) == 0.45
+        # the weights follow the twin-beam configuration they are given
+        assert resolve_k("tie", 1, pitch, TwinBeamConfig(eta0=0.5)) == 0.5
+        # any other mode is rejected, by name: also a number float() makes
+        # infinite or nan
+        for mode in ("bogus", "nan", "-inf", "1e400", math.inf):
+            with pytest.raises(ConfigError, match=re.escape(repr(mode))):
+                resolve_k(mode, 1, pitch, twin)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -182,7 +187,6 @@ class TestTransmittance:
             reference_mean=mean_s,
             reference_mean_idler=mean_i,
             sys=self.sys,
-            twin=self.twin,
         )
         est = estimate_transmittance(mean_s_obj, mean_i, cfg)
         corner = est.values[:30, :30]
@@ -208,7 +212,7 @@ class TestTransmittance:
         mean_i = np.full((16, 16), 310.0)
         cfg = RetrievalConfig(
             dz=0.025,
-            k_mode=0.5,
+            k=0.5,
             reference_mean=ScalarField2D(16, 16, 1.0, mean),
             reference_mean_idler=ScalarField2D(16, 16, 1.0, mean_i),
         )
@@ -234,10 +238,10 @@ class TestTransmittance:
             reference_mean=mean_s,
             reference_mean_idler=mean_i,
             sys=self.sys,
-            twin=twin,
         )
         classical = estimate_transmittance(mean_s, mean_i, cfg)
-        tie = estimate_transmittance(mean_s, mean_i, replace(cfg, k_mode="tie"))
+        k_tie = resolve_k("tie", bin_px, mean_s.pitch, twin)
+        tie = estimate_transmittance(mean_s, mean_i, replace(cfg, k=k_tie))
         assert np.array_equal(tie.values, classical.values)
 
 
