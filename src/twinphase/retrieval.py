@@ -16,6 +16,7 @@ from .core import (
     MIN_GRID,
     ConfigError,
     NoPhotonError,
+    NumericalError,
     OpticalSystem,
     ScalarField2D,
     TwinBeamConfig,
@@ -103,13 +104,18 @@ def quantum_correct(
     """Zero-mean idler subtraction: n_s - k * (n_i - <n_i>).
 
     All inputs must share one grid, with the idler already registered
-    onto signal coordinates.
+    onto signal coordinates.  A weight that overflows the result raises
+    NumericalError.
     """
     n_s.require_same_grid(n_i)
     n_s.require_same_grid(mean_i)
     corrected = np.subtract(n_i.values, mean_i.values)
-    np.multiply(k, corrected, out=corrected)
-    np.subtract(n_s.values, corrected, out=corrected)
+    try:
+        with np.errstate(over="raise"):
+            np.multiply(k, corrected, out=corrected)
+            np.subtract(n_s.values, corrected, out=corrected)
+    except FloatingPointError:
+        raise NumericalError(f"subtraction weight {k!r} overflows the corrected counts") from None
     return n_s.with_values(corrected)
 
 

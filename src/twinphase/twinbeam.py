@@ -590,43 +590,48 @@ def bin_counts(img: ScalarField2D, bin_px: int, origin=None) -> ScalarField2D:
     return ScalarField2D(nw, nh, img.pitch * int(bin_px), summed)
 
 
-def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
+def frame_counts(frame: TwinBeamFrame):
+    """The frame's ``(n_s, n_i)`` counts in the narrowest unsigned dtype
+    that holds its largest count: exact, as its counts are integers >= 0."""
+    dtype = np.min_scalar_type(int(max(frame.n_s.values.max(), frame.n_i.values.max())))
+    return frame.n_s.values.astype(dtype), frame.n_i.values.astype(dtype)
+
+
+def measure_nrf(counts, bin_px: int, pitch: float, l_cff: float) -> NrfPoint:
     """Noise reduction factor and signal-arm Fano factor of a frame set.
 
-    Variances are per-pixel temporal variances over frames, averaged
-    over pixels, normalized by the mean photon sum.  ``l_cff`` (um)
-    fixes the reported resolution factor D.  Every frame's arms must be
-    on one grid, and there must be at least two; a set whose binned
-    signal arm holds no photon raises NoPhotonError.
+    ``counts`` holds at least two frames' ``(n_s, n_i)`` arrays, float64
+    or those of ``frame_counts``, on one grid of ``pitch`` um, idler
+    unregistered.  Variances are per-pixel temporal variances over frames,
+    averaged over pixels, normalized by the mean photon sum; ``l_cff``
+    (um) fixes D.  A binned signal arm with no photon raises NoPhotonError.
 
-    ``frames`` is a sequence, read twice and never stacked.  The first
+    ``counts`` is a sequence, read twice and never stacked.  The first
     pass sums the binned signal s and the difference d = s - i (idler
     registered) per pixel; the second sums the squared deviations from
     their means.  Both add the frames in index order, as numpy's
     ``var(axis=0, ddof=1)`` does along the first axis of a C-ordered
     (frames, rows, cols) stack, so every field equals that of the
-    stacked expressions bit for bit.  The mean photon sums come from
-    whole-frame totals: sums of integer counts are exact in any order
-    while they stay below 2**53, about 9e15 photons per frame set.
+    stacked float64 expressions bit for bit.  Each binned arm is made
+    float64 as it is read: integer bins sum and convert exactly below
+    2**53, so narrowed counts give float64 ones' bits and no unsigned
+    difference wraps.  The mean photon sums come from whole-frame totals,
+    exact in any order below 2**53, about 9e15 photons per frame set.
     """
-    n = len(frames)
+    n = len(counts)
 
-    def binned(frame):
-        """The frame's binned signal and registered idler counts, binned
-        from the arms' arrays (the idler through a flipped view) with no
-        field made: each bin is a sum of integer counts, exact in any
-        order."""
-        s = _bin_sums(frame.n_s.values, bin_px)
-        i = _bin_sums(frame.n_i.values[::-1, ::-1], bin_px)
-        return s, i
+    def binned(pair):
+        """One frame's binned signal and registered idler (a flipped view), as float64."""
+        n_s, n_i = pair
+        return (_bin_sums(a, bin_px).astype(float, copy=False) for a in (n_s, n_i[::-1, ::-1]))
 
     # Each sum starts at 0.0: its first += makes a new array, and the
     # rest add in place, frame by frame; 0.0 + x is x.
     # pass 1: per-pixel sums of s and d, divided by n into their means
     mean_s = mean_d = 0.0
     total_s = total_i = 0.0
-    for frame in frames:
-        s, i = binned(frame)
+    for pair in counts:
+        s, i = binned(pair)
         d = np.subtract(s, i)
         mean_s += s
         mean_d += d
@@ -644,8 +649,8 @@ def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
     # pass 2: per-pixel sums of squared deviations from those means,
     # divided by n - 1 into the variances
     var_s = var_d = 0.0
-    for frame in frames:
-        s, i = binned(frame)
+    for pair in counts:
+        s, i = binned(pair)
         dev_d = np.subtract(s, i)
         dev_d -= mean_d
         dev_d *= dev_d
@@ -662,6 +667,5 @@ def measure_nrf(frames, bin_px: int, l_cff: float) -> NrfPoint:
     nrf = float(var_d.mean() / mean_sum)
     stderr = float(var_d.std(ddof=1) / math.sqrt(var_d.size) / mean_sum)
     fano = float(var_s.mean() / (total_s / count))
-    d = d_factor_for_bin(bin_px, frames[0].n_s.pitch, l_cff)
+    d = d_factor_for_bin(bin_px, pitch, l_cff)
     return NrfPoint(d_factor=d, nrf=nrf, fano=fano, nrf_stderr=stderr)
-

@@ -47,6 +47,7 @@ from twinphase.twinbeam import (
     bin_counts,
     expected_counts,
     exposures,
+    frame_counts,
     measure_nrf,
     nrf_predicted,
     ordered_map,
@@ -71,18 +72,20 @@ def report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def object_free_frames():
-    """100 object-free calibration frames at z = 0 (criteria 1-3), frame
-    i from stream i."""
+    """The ``(n_s, n_i)`` counts of 100 object-free calibration frames at
+    z = 0 (criteria 1-3), frame i from stream i, narrowed as ``scan nrf``
+    holds them."""
     blank, base = blank_object(220, 220, PITCH), RngStream(5150)
     return ordered_map(
-        lambda i: sample_twin_frame(blank, SYS, TWIN, 0.0, base.child(i)), range(N_FRAMES)
+        lambda i: frame_counts(sample_twin_frame(blank, SYS, TWIN, 0.0, base.child(i))),
+        range(N_FRAMES),
     )
 
 
 @pytest.fixture(scope="module")
 def nrf_curve(object_free_frames):
     return [
-        measure_nrf(object_free_frames, b, l_cff=TWIN.l_cff) for b in NRF_BINS
+        measure_nrf(object_free_frames, b, PITCH, l_cff=TWIN.l_cff) for b in NRF_BINS
     ]
 
 
@@ -135,7 +138,10 @@ def test_criterion_02_fano_factors(nrf_curve, object_free_frames):
     fanos = {f"signal D={p.d_factor:g}": p.fano for p in nrf_curve}
     for b in NRF_BINS:
         stack = np.stack(
-            [bin_counts(register_idler(f.n_i), b).values for f in object_free_frames]
+            [
+                bin_counts(register_idler(ScalarField2D(220, 220, PITCH, n_i)), b).values
+                for _, n_i in object_free_frames
+            ]
         )
         d = b * PITCH / TWIN.l_cff
         fanos[f"idler D={d:g}"] = float(stack.var(axis=0, ddof=1).mean() / stack.mean())

@@ -449,6 +449,27 @@ def test_simulate_memory_peak_in_grid_arrays(tmp_path, monkeypatch, traced_peak)
     assert (peak - draw) / (220 * 220 * 8) <= 2.5
 
 
+def test_nrf_scan_memory_grows_by_narrowed_frames(tmp_path, monkeypatch, traced_peak):
+    """On one thread, each 220-pixel frame that scan nrf holds adds its
+    uint16 counts, 0.19 MB, to the peak (0.77 MB as float64 arms)."""
+    use_threads(monkeypatch, 1)
+    peaks = {}
+    for frames in (4, 12):
+        argv = ["scan", "nrf", "--frames", str(frames), "--seed", "2"]
+        out = str(tmp_path / f"o{frames}")
+        peaks[frames] = traced_peak(lambda: main(argv + ["--out", out]))
+    assert (peaks[12] - peaks[4]) / 8 <= 0.25e6
+
+
+def test_overflowing_weight_exits_4(frame_set, tmp_path, capsys):
+    """A finite weight whose idler subtraction overflows names the weight
+    and leaves no numpy warning."""
+    argv = ["retrieve", "--frames", str(frame_set), "--k-mode=1e308"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "numerical failure: subtraction weight 1e+308 overflows the corrected counts\n"
+
+
 @pytest.mark.parametrize(
     "extra",
     [

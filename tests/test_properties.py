@@ -24,6 +24,7 @@ from twinphase.twinbeam import (
     _shift_table,
     bin_counts,
     d_factor_for_bin,
+    frame_counts,
     measure_nrf,
     register_idler,
 )
@@ -205,21 +206,34 @@ def nrf_stacked_oracle(frames, bin_px, l_cff):
     )
 
 
+# Mean counts whose largest draws fit uint8, need uint16 and need uint32.
+NARROWED_LEVELS = ((np.uint8, 0.5, 100.0), (np.uint16, 400.0, 5000.0), (np.uint32, 1e5, 1e6))
+
+
 @PROPERTY
 @given(data=st.data(), seed=SEEDS)
 def test_streamed_nrf_equals_stacked_statistics(data, seed):
+    """measure_nrf gives the stacked float64 statistics bit for bit from
+    the frames' float64 arms and from their narrowed counts, at a mean
+    count in each range of NARROWED_LEVELS."""
     bin_px = data.draw(st.integers(1, 4), label="bin_px")
     h = data.draw(st.integers(MIN_GRID * bin_px, 40), label="height")
     w = data.draw(st.integers(MIN_GRID * bin_px, 40), label="width")
     n_frames = data.draw(st.integers(2, 30), label="frames")
-    level = data.draw(st.floats(0.5, 5000.0), label="mean count")
     mirrored = data.draw(st.booleans(), label="idler registers onto the signal")
     rng = np.random.default_rng(seed)
-    frames = []
-    for _ in range(n_frames):
-        s = rng.poisson(level, size=(h, w)).astype(float)
-        i = s[::-1, ::-1] if mirrored else rng.poisson(level, size=(h, w)).astype(float)
-        frames.append(TwinBeamFrame(ScalarField2D(w, h, 1.625, s), ScalarField2D(w, h, 1.625, i)))
-    point = measure_nrf(frames, bin_px, l_cff=5.0)
-    got = (point.d_factor, point.nrf, point.fano, point.nrf_stderr)
-    assert got == nrf_stacked_oracle(frames, bin_px, 5.0)
+    for dtype, low, high in NARROWED_LEVELS:
+        level = data.draw(st.floats(low, high), label=f"mean count ({dtype.__name__})")
+        frames = []
+        for _ in range(n_frames):
+            s = rng.poisson(level, size=(h, w)).astype(float)
+            i = s[::-1, ::-1] if mirrored else rng.poisson(level, size=(h, w)).astype(float)
+            frames.append(
+                TwinBeamFrame(ScalarField2D(w, h, 1.625, s), ScalarField2D(w, h, 1.625, i))
+            )
+        want = nrf_stacked_oracle(frames, bin_px, 5.0)
+        narrowed = [frame_counts(f) for f in frames]
+        assert {arm.dtype for pair in narrowed for arm in pair} == {np.dtype(dtype)}
+        for counts in ([(f.n_s.values, f.n_i.values) for f in frames], narrowed):
+            point = measure_nrf(counts, bin_px, 1.625, l_cff=5.0)
+            assert (point.d_factor, point.nrf, point.fano, point.nrf_stderr) == want

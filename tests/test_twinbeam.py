@@ -30,6 +30,7 @@ from twinphase.twinbeam import (
     eta_c,
     expected_counts,
     exposures,
+    frame_counts,
     measure_nrf,
     nrf_predicted,
     ordered_map,
@@ -581,6 +582,11 @@ class TestSampleFrames:
         assert runs[0] == serial_scan(rng=RngStream(7), **args)
 
 
+def arms(frames):
+    """The float64 ``(n_s, n_i)`` arrays of each frame, as measure_nrf reads them."""
+    return [(f.n_s.values, f.n_i.values) for f in frames]
+
+
 class TestMeasureNrf:
     def test_perfect_correlation_gives_zero_nrf(self):
         # idler images exactly the point-reflection of the signal
@@ -591,7 +597,7 @@ class TestMeasureNrf:
             f_s = ScalarField2D(16, 16, 1.0, s)
             f_i = ScalarField2D(16, 16, 1.0, s[::-1, ::-1])
             frames.append(TwinBeamFrame(n_s=f_s, n_i=f_i))
-        point = measure_nrf(frames, 1, l_cff=5.0)
+        point = measure_nrf(arms(frames), 1, 1.0, l_cff=5.0)
         assert point.nrf == 0.0
 
     def test_identical_frames_give_zero_nrf_and_fano(self):
@@ -600,7 +606,7 @@ class TestMeasureNrf:
         frame = TwinBeamFrame(
             n_s=ScalarField2D(16, 16, 1.0, s), n_i=ScalarField2D(16, 16, 1.0, s[::-1, ::-1])
         )
-        point = measure_nrf([frame, frame], 1, l_cff=5.0)
+        point = measure_nrf(arms([frame, frame]), 1, 1.0, l_cff=5.0)
         assert point.nrf == point.fano == 0.0
 
     def test_independent_arms_give_nrf_near_one(self):
@@ -615,7 +621,7 @@ class TestMeasureNrf:
                     n_i=ScalarField2D(24, 24, 1.0, idl),
                 )
             )
-        point = measure_nrf(frames, 1, l_cff=5.0)
+        point = measure_nrf(arms(frames), 1, 1.0, l_cff=5.0)
         assert point.nrf == pytest.approx(1.0, abs=0.08)
         assert point.fano == pytest.approx(1.0, abs=0.08)
 
@@ -623,7 +629,7 @@ class TestMeasureNrf:
         dark = ScalarField2D(16, 16, 1.0, np.zeros((16, 16)))
         frames = [TwinBeamFrame(n_s=dark, n_i=dark)] * 3
         with pytest.raises(NoPhotonError, match="no photon was detected"):
-            measure_nrf(frames, 1, l_cff=5.0)
+            measure_nrf(arms(frames), 1, 1.0, l_cff=5.0)
 
     def test_builds_no_field_per_frame(self, monkeypatch):
         """The arms are binned as arrays: the number of fields built does
@@ -654,26 +660,26 @@ class TestMeasureNrf:
             counts = {}
             for n, frame_set in sets.items():
                 before = built
-                measure_nrf(frame_set, bin_px, l_cff=5.0)
+                measure_nrf(arms(frame_set), bin_px, 1.0, l_cff=5.0)
                 counts[n] = built - before
             assert counts[20] == counts[4], f"bin {bin_px}: {counts}"
 
     @pytest.mark.parametrize("n_frames", [20, 60])
     def test_memory_peak_in_grid_arrays(self, traced_peak, n_frames):
-        """Two passes over the frames at bin 1 hold 7.0 arrays of the
-        220-pixel grid, for any frame count; stacking them held 4F + 3
-        (83 for 20 frames, 243 for 60)."""
+        """Two passes over the frames at bin 1 hold 6.0 arrays of the
+        220-pixel grid for float64 counts and 8.0 for uint16 ones, whose
+        arms are made float64 as they are read, for any frame count;
+        stacking them held 4F + 3 (83 for 20 frames, 243 for 60)."""
         rng = np.random.default_rng(4)
-        arms = [
-            ScalarField2D(220, 220, 1.625, rng.poisson(600.0, (220, 220)).astype(float))
-            for _ in range(5)
-        ]
-        frames = [
-            TwinBeamFrame(n_s=arms[k % 5], n_i=arms[(2 * k + 1) % 5])
-            for k in range(n_frames)
-        ]
-        peak = traced_peak(lambda: measure_nrf(frames, 1, l_cff=5.0))
-        assert peak / (220 * 220 * 8) <= 12
+        counts = [rng.poisson(600.0, (220, 220)) for _ in range(5)]
+        for dtype in (float, np.uint16):
+            pairs = [
+                (counts[k % 5].astype(dtype), counts[(2 * k + 1) % 5].astype(dtype))
+                for k in range(5)
+            ]
+            frames = [pairs[k % 5] for k in range(n_frames)]
+            peak = traced_peak(lambda: measure_nrf(frames, 1, 1.625, l_cff=5.0))
+            assert peak / (220 * 220 * 8) <= 12, dtype
 
     def test_sampled_nrf_matches_model(self):
         # statistical check at D = 1.95 on a small grid
@@ -684,7 +690,8 @@ class TestMeasureNrf:
             sample_twin_frame(blank, sys_, twin, 0.0, RngStream(31, i))
             for i in range(40)
         ]
-        point = measure_nrf(frames, 6, l_cff=twin.l_cff)
+        counts = [frame_counts(frame) for frame in frames]
+        point = measure_nrf(counts, 6, sys_.object_pixel, l_cff=twin.l_cff)
         model = nrf_predicted(twin.eta0, point.d_factor, twin.epsilon)
         assert point.d_factor == pytest.approx(1.95)
         assert point.nrf == pytest.approx(model, abs=0.06)
