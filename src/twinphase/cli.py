@@ -190,7 +190,6 @@ def cmd_simulate(args):
     sys_cfg, twin_cfg, run = _load_configs(args)
     size = run.get("grid_size", TARGET_GRID)
     pitch = sys_cfg.object_pixel
-    obj = generate_test_target(size, size, pitch)
     calib = twinbeam.expected_counts(blank_object(size, size, pitch), sys_cfg, twin_cfg, 0.0)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -199,6 +198,7 @@ def cmd_simulate(args):
         qpf.write_qpf(path, field)
         outputs.append(path)
     del calib, field  # no draw reads the means
+    obj = generate_test_target(size, size, pitch)
 
     # Each exposure is drawn and written on one thread, and dropped after.
     base = RngStream(args.seed)
@@ -333,11 +333,11 @@ def cmd_retrieve(args):
         outputs.append(out_path)
         phase_rows.append((frame, k, provenance))
 
-    # all-frame averaged classical reference reconstruction
-    means = [calib_s.with_values(total / n_frames) for total in sums]
-    del sums
-    avg_phase = retrieval.tie_retrieve(*means, config)
-    del means
+    # all-frame averaged classical reference reconstruction: each sum is
+    # divided in place into its mean and handed over
+    for index in range(len(sums)):
+        sums[index] /= n_frames
+    avg_phase = retrieval.tie_retrieve((calib_s._adopt(sums.pop(0)) for _ in tags), config)
     avg_path = os.path.join(args.out, "phase_average.qpf")
     qpf.write_qpf(avg_path, avg_phase.values)
     outputs.append(avg_path)

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, fields, replace
 
 import numpy as np
 
@@ -40,8 +40,8 @@ class NumericalError(RuntimeError):
     """A fit or solver failed to produce a usable result."""
 
 
-def _frozen_array(values, dtype):
-    arr = np.array(values, dtype=dtype, order="C")
+def _frozen_array(values, dtype, copy=True):
+    arr = (np.array if copy else np.asarray)(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -52,16 +52,18 @@ class ScalarField2D:
 
     Real maps are stored as float64 and complex ones (a wavefront) as
     complex128: in scalar diffraction theory both are scalar fields.
+    The values are copied, except by ``_adopt``.
     """
 
     width: int
     height: int
     pitch: float
     values: np.ndarray
+    _fresh: InitVar[bool] = False  # an array the package has just made: see _adopt
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh=False):
         dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
-        arr = _frozen_array(self.values, dtype)
+        arr = _frozen_array(self.values, dtype, copy=not _fresh)
         object.__setattr__(self, "values", arr)
         if arr.shape != (self.height, self.width):
             raise GridError(
@@ -78,6 +80,11 @@ class ScalarField2D:
     def with_values(self, values) -> "ScalarField2D":
         """Same grid metadata, new values."""
         return ScalarField2D(self.width, self.height, self.pitch, values)
+
+    def _adopt(self, values) -> "ScalarField2D":
+        """``with_values`` of an array that the package has just made and
+        keeps no other reference to: frozen and checked, not copied."""
+        return ScalarField2D(self.width, self.height, self.pitch, values, True)
 
     def same_grid(self, other) -> bool:
         return (

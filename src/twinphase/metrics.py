@@ -234,7 +234,7 @@ def advantage_scan(
             for b in bins
             for m in modes
         }
-        refs = {b: tie_retrieve(*planes, configs[b, "classical"]).values for b in bins}
+        refs = {b: tie_retrieve(planes, configs[b, "classical"]).values for b in bins}
         del planes
 
         def coefficients(f):
@@ -352,9 +352,7 @@ def _interleaved_edge_samples(stack, config, bin_px):
         def rebin(f):
             return bin_counts(f, bin_px, origin=(0, c0))
 
-        phi = tie_retrieve(
-            rebin(stack.i_minus), rebin(stack.i_zero), rebin(stack.i_plus), config
-        )
+        phi = tie_retrieve(map(rebin, (stack.i_minus, stack.i_zero, stack.i_plus)), config)
         # average over the binned rows covering 5 adjacent fine rows
         rows = np.unique(
             np.clip(

@@ -49,7 +49,7 @@ def read_qpf(path) -> ScalarField2D:
         height, width
     )
     try:
-        return ScalarField2D(width, height, pitch, values)
+        return ScalarField2D(width, height, pitch, values, True)  # adopts the bytes read
     except ValueError as exc:
         # non-finite values, or a grid no field may have
         raise QpfFormatError(f"{path}: {exc}")

@@ -116,7 +116,7 @@ def quantum_correct(
             np.subtract(n_s.values, corrected, out=corrected)
     except FloatingPointError:
         raise NumericalError(f"subtraction weight {k!r} overflows the corrected counts") from None
-    return n_s.with_values(corrected)
+    return n_s._adopt(corrected)
 
 
 def estimate_transmittance(
@@ -139,13 +139,19 @@ def estimate_transmittance(
             "the calibration signal mean must have positive mean: "
             "no photon was detected in the object-free signal arm"
         )
-    s = bin_counts(n_s_obj, b)
-    i = bin_counts(register_idler(n_i), b)
-    mean_i = bin_counts(register_idler(config.reference_mean_idler), b)
-    corrected = quantum_correct(s, i, mean_i, config.k)
+    corrected = quantum_correct(
+        bin_counts(n_s_obj, b),
+        bin_counts(register_idler(n_i), b),
+        bin_counts(register_idler(config.reference_mean_idler), b),
+        config.k,
+    )
+    # where(valid, corrected / where(valid, mean_s, 1), 1), in the
+    # buffer of the denominator
     valid = mean_s.values >= floor
-    denom = np.where(valid, mean_s.values, 1.0)
-    return s.with_values(np.where(valid, corrected.values / denom, 1.0))
+    tau = np.where(valid, mean_s.values, 1.0)
+    np.divide(corrected.values, tau, out=tau)
+    tau[~valid] = 1.0
+    return corrected._adopt(tau)
 
 
 def _dirichlet_eigenvalues(f: ScalarField2D) -> np.ndarray:
@@ -171,15 +177,14 @@ def poisson_solve_dirichlet(rhs: ScalarField2D) -> ScalarField2D:
     u = np.zeros((rhs.height, rhs.width))
     u[1:-1, 1:-1] = idstn(coeffs, type=1, overwrite_x=True)
     del coeffs
-    return rhs.with_values(u)
+    return rhs._adopt(u)
 
 
 def _trig_bases(n: int, length: float):
     """Interior sine / cosine bases on an n-point grid of extent ``length``.
 
-    Returns (wavenumbers, S, C, Cw) where S[j, m] = sin(k_m x_j),
-    C[j, m] = cos(k_m x_j) and Cw is C at half weight on the two boundary
-    nodes (cosine projections), for the n - 2 interior Dirichlet modes
+    Returns (wavenumbers, S, C) where S[j, m] = sin(k_m x_j) and
+    C[j, m] = cos(k_m x_j), for the n - 2 interior Dirichlet modes
     k_m = m pi / length.
     """
     m = np.arange(1, n - 1)
@@ -190,9 +195,7 @@ def _trig_bases(n: int, length: float):
     theta /= n - 1
     s = np.sin(theta)
     c = np.cos(theta, out=theta)
-    cw = c.copy()
-    cw[[0, -1]] *= 0.5
-    return k, s, c, cw
+    return k, s, c
 
 
 def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.ndarray:
@@ -203,13 +206,16 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
     exactly to phi = psi / I0 with no numerical smoothing.  The matrix
     products are those of the plain expressions in the comments, in the
     same order; the elementwise steps run in place, with the operands in
-    the same order, and each array is dropped at its last use.
+    the same order, and each array is dropped at its last use.  The
+    cosine projections weight the two boundary nodes by half (Cw is C
+    with rows 0 and -1 halved): the operand they meet is halved there
+    instead, which is exact, so every product term keeps its bits.
     """
     h, w = psi.shape
     ly, lx = (h - 1) * pitch, (w - 1) * pitch
-    ky, sy, cy, cyw = bases = _trig_bases(h, ly)
+    ky, sy, cy = bases = _trig_bases(h, ly)
     # a square grid has one basis for both axes
-    kx, sx, cx, cxw = bases if (w, lx) == (h, ly) else _trig_bases(w, lx)
+    kx, sx, cx = bases if (w, lx) == (h, ly) else _trig_bases(w, lx)
     ky, kx = ky[:, np.newaxis], kx[np.newaxis, :]
 
     # coeffs = norm * (sy.T @ psi @ sx)
@@ -220,7 +226,8 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
     # a = norm * (cyw.T @ fy @ sx)
     f = cy @ (ky * coeffs) @ sx.T
     f /= i0
-    a = cyw.T @ f @ sx
+    f[:: h - 1] *= 0.5
+    a = cy.T @ f @ sx
     del f
     a *= norm
     # fx = gx / i0 with gx = sy @ (coeffs * kx) @ cx.T, then
@@ -229,8 +236,10 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
     f = sy @ coeffs @ cx.T
     del coeffs
     f /= i0
-    b = sy.T @ f @ cxw
+    b = sy.T @ f
     del f
+    b[:, :: w - 1] *= 0.5
+    b = b @ cx
     b *= norm
 
     # phi_coeffs = (ky * a + b * kx) / (ky**2 + kx**2)
@@ -242,48 +251,52 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
     return sy @ a @ sx.T
 
 
-def tie_retrieve(
-    i_minus: ScalarField2D,
-    i_zero: ScalarField2D,
-    i_plus: ScalarField2D,
-    config: RetrievalConfig,
-) -> PhaseImage:
+def tie_retrieve(planes, config: RetrievalConfig) -> PhaseImage:
     """Two-step Teague TIE solve of the transverse phase from the
-    (-dz, 0, +dz) planes, each binned to config.bin_px first.
+    (-dz, 0, +dz) planes that the iterable ``planes`` yields, each binned
+    to config.bin_px as it is pulled.
 
     First Poisson solve: laplacian(psi) = -k_wave * dI/dz.  Second:
     laplacian(phi) = div(grad(psi) / I0) with I0 clamped below at
     INTENSITY_FLOOR * mean(I0).  Dirichlet (zero-border) conditions on
     both solves, with spectrally consistent gradient and divergence
-    operators in the second step.  An ``i_zero`` whose mean is not
-    positive, as that of counts with no detected photon, raises
-    NoPhotonError.
+    operators in the second step.  The planes are consumed: -dz and +dz
+    are dropped once the right-hand side exists, and the in-focus values
+    once the clamped I0 exists, so a caller that hands over its only
+    references holds none through the solves.  An in-focus plane whose
+    mean is not positive, as that of counts with no detected photon,
+    raises NoPhotonError; a mean or solve that is not finite raises
+    NumericalError naming config.k.
     """
-    i_minus, i_zero, i_plus = (
-        bin_counts(plane, config.bin_px) for plane in (i_minus, i_zero, i_plus)
-    )
+    i_minus, i_zero, i_plus = map(lambda plane: bin_counts(plane, config.bin_px), planes)
     i_zero.require_same_grid(i_plus)
     i_zero.require_same_grid(i_minus)
-    mean_i0 = float(i_zero.values.mean())
-    if mean_i0 <= 0:
-        raise NoPhotonError(
-            f"i_zero must have positive mean, not {mean_i0:g}: "
-            "no photon was detected in the in-focus plane"
-        )
-    dz_um = config.dz * 1e3
-    # rhs = -k_wave * ((i_plus - i_minus) / (2 dz))
-    rhs = np.subtract(i_plus.values, i_minus.values)
-    rhs /= 2.0 * dz_um
-    rhs *= -config.sys.wavenumber
-    rhs = i_zero.with_values(rhs)
-    psi = poisson_solve_dirichlet(rhs).values
-    del rhs
-
-    floor = INTENSITY_FLOOR * mean_i0
-    i0 = np.maximum(i_zero.values, floor)
-    phi = _teague_second_step(psi, i0, i_zero.pitch)
-    del psi, i0
-    return PhaseImage(i_zero.with_values(phi))
+    failed = f"the TIE solve is not finite at subtraction weight k = {config.k!r}"
+    with np.errstate(all="ignore"):  # a value that is not finite raises below
+        mean_i0 = float(i_zero.values.mean())
+        if not math.isfinite(mean_i0):
+            raise NumericalError(failed)
+        if mean_i0 <= 0:
+            raise NoPhotonError(
+                f"i_zero must have positive mean, not {mean_i0:g}: "
+                "no photon was detected in the in-focus plane"
+            )
+        dz_um = config.dz * 1e3
+        try:
+            # rhs = -k_wave * ((i_plus - i_minus) / (2 dz))
+            rhs = np.subtract(i_plus.values, i_minus.values)
+            del i_minus, i_plus
+            rhs /= 2.0 * dz_um
+            rhs *= -config.sys.wavenumber
+            psi = poisson_solve_dirichlet(i_zero._adopt(rhs))
+            del rhs
+            i0 = np.maximum(i_zero.values, INTENSITY_FLOOR * mean_i0)
+            del i_zero  # psi keeps the grid
+            phi = _teague_second_step(psi.values, i0, psi.pitch)
+            del i0
+            return PhaseImage(psi._adopt(phi))
+        except ValueError:  # adopting a field that is not finite
+            raise NumericalError(failed) from None
 
 
 def phase_from_twin_frames(frames, config: RetrievalConfig) -> PhaseImage:
@@ -292,16 +305,17 @@ def phase_from_twin_frames(frames, config: RetrievalConfig) -> PhaseImage:
     ``frames`` yields the (-dz, 0, +dz) exposures of one frame.  Each
     plane's signal counts are corrected with its own idler frame
     (zero-mean subtraction of config.k times its deviation from the
-    calibration idler mean) as the exposure is pulled, then binned and
-    fed to the TIE solver.  No exposure is held here past its plane, so
-    an iterator that loads them keeps at most one exposure's count maps
-    alive, and none during the solve.
+    calibration idler mean) as the exposure is pulled, and handed to the
+    TIE solver, which bins and consumes it.  No exposure is held here
+    past its plane, so an iterator that loads them keeps at most one
+    exposure's count maps alive, and none during the solve.
     """
-    mean_i = register_idler(config.reference_mean_idler)
-    planes = []
-    for frame in frames:
-        planes.append(quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, config.k))
-        del frame  # before the next exposure is pulled
-    del mean_i  # the solve does not need it
-    return tie_retrieve(*planes, config)
 
+    def planes():
+        mean_i = register_idler(config.reference_mean_idler)
+        for frame in frames:
+            plane = quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, config.k)
+            del frame  # before the next exposure is pulled
+            yield plane
+
+    return tie_retrieve(planes(), config)

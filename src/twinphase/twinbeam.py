@@ -184,12 +184,13 @@ def _scatter_shift(out, take, j, axis):
 
 
 def _shift_table(shift):
-    """``(d, inv)`` of a scalar or per-pixel shift (pixels): its distinct
-    values in ascending order, and the index in ``d`` of each pixel's
-    shift (a scalar shift is a one-entry table)."""
+    """``(d, inv)`` of a scalar or per-pixel shift (pixels), or of any
+    other map: its distinct values in ascending order, and the index in
+    ``d`` of each pixel's value, in the narrowest unsigned dtype that
+    holds the indices of ``d`` (a scalar is a one-entry table)."""
     shift = np.asarray(shift, dtype=float)
     d = np.unique(shift)
-    return d, np.searchsorted(d, shift)
+    return d, np.searchsorted(d, shift).astype(np.min_scalar_type(d.size - 1))
 
 
 def _shift_axis(counts, table, s, axis, rng):
@@ -388,23 +389,23 @@ def sample_twin_frame(
     rem = gen.poisson(rate)
     # One frame may be in flight per thread (see ordered_map), so each
     # padded array is dropped at its last use, and the signal arm's
-    # displacement maps are made one axis at a time when it runs: the
-    # peak, six padded arrays, is in the thinning.
+    # displacement maps are made one axis at a time when it runs.
     del rate
 
     # Correlated thinning: per pair the signal survives the object with
     # probability tau and is detected with eta0; the idler is detected
-    # with eta0; outcomes share the same birth.
-    p_both, p1, p2 = _thinning(twin.eta0, tau)
+    # with eta0; outcomes share the same birth.  The probabilities are
+    # computed once per distinct tau, and each is gathered onto the
+    # pixels just before its draw.
+    levels, inv = _shift_table(tau)
     del tau
-    k_both = gen.binomial(rem, p_both)
-    del p_both
+    p_both, p1, p2 = _thinning(twin.eta0, levels)
+    k_both = gen.binomial(rem, p_both[inv])
     rem -= k_both
-    s_births = gen.binomial(rem, np.broadcast_to(p1, rem.shape))
-    del p1
+    s_births = gen.binomial(rem, p1[inv])
     rem -= s_births
-    i_births = gen.binomial(rem, np.broadcast_to(p2, rem.shape))
-    del p2, rem
+    i_births = gen.binomial(rem, p2[inv])
+    del rem, inv
     s_births += k_both
     i_births += k_both
     del k_both
@@ -471,8 +472,8 @@ def ordered_map(func, items):
     the list.  numpy's random draws, FFTs and ufuncs release the GIL, and
     ``cli.main`` runs BLAS on one thread.  At most one item per thread is
     in flight, and no thread waits for another to finish: a thread holds
-    one twin-beam frame's working set at a time, at most six arrays of
-    its padded grid (3.6 MB for a defocused 220² frame), or one trial of
+    one twin-beam frame's working set at a time, about five arrays of
+    its padded grid (3.1 MB for a defocused 220² frame), or one trial of
     ``metrics.noise_suppression_scan`` or dz point of
     ``metrics.resolution_scan``, about 5 MB at 220².  Once ``func``
     or the iterator raises, no item is pulled; after the threads end, the
@@ -587,7 +588,7 @@ def bin_counts(img: ScalarField2D, bin_px: int, origin=None) -> ScalarField2D:
     if summed is img.values:
         return img
     nh, nw = summed.shape
-    return ScalarField2D(nw, nh, img.pitch * int(bin_px), summed)
+    return ScalarField2D(nw, nh, img.pitch * int(bin_px), summed, True)
 
 
 def frame_counts(frame: TwinBeamFrame):

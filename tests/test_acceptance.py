@@ -204,7 +204,7 @@ def test_criterion_05_tie_correctness():
     dz = 0.0125
     stack = defocus_stack(exit_field(obj_bump, SYS), dz, SYS, mean_photons=600.0)
     cfg = RetrievalConfig(dz=dz, sys=SYS)
-    phi = tie_retrieve(stack.i_minus, stack.i_zero, stack.i_plus, cfg)
+    phi = tie_retrieve((stack.i_minus, stack.i_zero, stack.i_plus), cfg)
     c = pearson(phi.values, phi_true)
     peak_err = abs(float(phi.values.values.max()) - 0.3) / 0.3
     ok = c > 0.99 and peak_err < 0.10

@@ -51,6 +51,47 @@ class TestScalarField2D:
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
 
+    def test_caller_arrays_are_copied(self):
+        values = np.zeros((8, 8))
+        made, swapped = ScalarField2D(8, 8, 1.0, values), field(np.ones((8, 8))).with_values(values)
+        values[0, 0] = 1.0
+        assert values.flags.writeable
+        assert not made.values.any() and not swapped.values.any()
+
+    def test_adopted_array_is_frozen_not_copied(self):
+        values = np.zeros((8, 10))
+        f = field(np.ones((8, 10)), pitch=2.5)._adopt(values)
+        assert f.values is values and f.same_grid(field(values, pitch=2.5))
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(np.full((8, 8), np.nan), ValueError), (np.full((8, 8), -np.inf), ValueError),
+         (np.zeros((8, 9)), GridError)],
+        ids=["nan", "inf", "shape"],
+    )
+    def test_adopted_array_is_checked(self, bad, error):
+        with pytest.raises(error):
+            field(np.ones((8, 8)))._adopt(bad)
+
+    def test_adoption_runs_post_init(self, monkeypatch):
+        """Every field, adopted or copied, passes the one check that the
+        benchmark tracer counts."""
+        calls = []
+        post_init = ScalarField2D.__post_init__
+
+        def counted(self, *args):
+            calls.append(args)
+            post_init(self, *args)
+
+        monkeypatch.setattr(ScalarField2D, "__post_init__", counted)
+        f = field(np.ones((8, 8)))
+        f.with_values(np.zeros((8, 8)))
+        f._adopt(np.zeros((8, 8)))
+        assert calls == [(False,), (False,), (True,)]
+
     def test_with_values_preserves_grid(self):
         f = field(np.zeros((8, 10)), pitch=2.5)
         g = f.with_values(np.ones((8, 10)))

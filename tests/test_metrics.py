@@ -207,7 +207,7 @@ class TestResolutionScan:
         sys_ = OpticalSystem(camera_pixel=5.0, magnification=3.25)
         rows = field(np.repeat(np.arange(220.0)[:, None], 220, axis=1), sys_.object_pixel)
 
-        def row_index_phase(i_minus, i_zero, i_plus, config):
+        def row_index_phase(planes, config):
             return PhaseImage(values=rows)
 
         monkeypatch.setattr(metrics, "tie_retrieve", row_index_phase)

@@ -22,6 +22,7 @@ from twinphase.twinbeam import (
     _shift_axis,
     _shift_cdf,
     _shift_table,
+    _thinning,
     bin_counts,
     d_factor_for_bin,
     frame_counts,
@@ -188,6 +189,47 @@ def test_shift_axis_expectation_matches_per_pixel_tables(data, seed, axis):
     want, want_spill = shift_axis_expectation_oracle(counts, shift, s, axis)
     assert np.array_equal(mean.view(np.uint64), want.view(np.uint64))
     assert spill == want_spill
+
+
+@PROPERTY
+@given(data=st.data(), seed=SEEDS)
+def test_thinning_from_tau_tables_matches_per_pixel(data, seed):
+    """The detection probabilities of the sampler, computed once per
+    distinct tau and gathered onto the pixels, equal per-pixel
+    ``_thinning`` bit for bit, and so do the counts drawn from them, for a
+    constant, a two-valued and a smooth tau (every value distinct)."""
+    h = data.draw(st.integers(1, 24), label="height")
+    w = data.draw(st.integers(1, 24), label="width")
+    eta0 = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]), label="eta0")
+    kind = data.draw(st.sampled_from(["constant", "two-valued", "smooth"]), label="tau")
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        tau = np.full((h, w), rng.uniform())
+    elif kind == "two-valued":
+        tau = rng.choice(rng.uniform(size=2), size=(h, w))
+    else:
+        y, x = np.mgrid[0:h, 0:w]
+        tau = 0.1 + 0.8 * (x + w * y + rng.uniform()) / (h * w)
+        assert np.unique(tau).size == tau.size
+    levels, inv = _shift_table(tau)
+    assert inv.dtype == np.min_scalar_type(levels.size - 1)
+    tables = _thinning(eta0, levels)
+    per_pixel = _thinning(eta0, tau.copy())
+    for table, probs in zip(tables, per_pixel):
+        assert np.array_equal(table[inv].view(np.uint64), probs.view(np.uint64))
+
+    births = rng.poisson(40.0, size=(h, w))
+
+    def draws(probabilities):
+        """The three thinning draws of sample_twin_frame, in its order."""
+        gen, rem, out = np.random.default_rng(seed), births.copy(), []
+        for probs in probabilities:
+            out.append(gen.binomial(rem, probs))
+            rem -= out[-1]
+        return out
+
+    gathered = draws(table[inv] for table in tables)
+    assert all(map(np.array_equal, gathered, draws(per_pixel)))
 
 
 def nrf_stacked_oracle(frames, bin_px, l_cff):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
 
+from twinphase.cli import _blas_threads
 from twinphase.core import (
     ConfigError,
     OpticalSystem,
@@ -21,6 +22,8 @@ from twinphase.retrieval import (
     INTENSITY_FLOOR,
     RetrievalConfig,
     _dirichlet_eigenvalues,
+    _teague_second_step,
+    _trig_bases,
     estimate_transmittance,
     poisson_solve_dirichlet,
     quantum_correct,
@@ -245,6 +248,28 @@ class TestTransmittance:
         assert np.array_equal(tie.values, classical.values)
 
 
+def half_weight_second_step(psi, i0, pitch):
+    """``_teague_second_step`` as the plain expressions of its comments,
+    with the cosine projections through the half-weight basis Cw (C with
+    rows 0 and -1 halved): an oracle for its bits."""
+
+    def bases(n, length):
+        k, s, c = _trig_bases(n, length)
+        cw = c.copy()
+        cw[[0, -1]] *= 0.5
+        return k[:, np.newaxis], s, c, cw
+
+    h, w = psi.shape
+    ky, sy, cy, cyw = bases(h, (h - 1) * pitch)
+    kx, sx, cx, cxw = bases(w, (w - 1) * pitch)
+    kx = kx.T
+    norm = 4.0 / ((h - 1) * (w - 1))
+    coeffs = norm * (sy.T @ psi @ sx)
+    a = norm * (cyw.T @ ((cy @ (ky * coeffs) @ sx.T) / i0) @ sx)
+    b = norm * (sy.T @ ((sy @ (coeffs * kx) @ cx.T) / i0) @ cxw)
+    return sy @ ((ky * a + b * kx) / (ky**2 + kx**2)) @ sx.T
+
+
 class TestTie:
     def test_eigenmode_retrieved_exactly(self):
         # For phi a Dirichlet eigenmode and uniform I0, the planes
@@ -260,7 +285,7 @@ class TestTie:
         i_plus = i_zero.with_values(i0 - dz_um * (i0 / sys_.wavenumber) * lap)
         i_minus = i_zero.with_values(i0 + dz_um * (i0 / sys_.wavenumber) * lap)
         cfg = RetrievalConfig(dz=dz_mm, sys=sys_)
-        out = tie_retrieve(i_minus, i_zero, i_plus, cfg)
+        out = tie_retrieve((i_minus, i_zero, i_plus), cfg)
         assert np.abs(out.values.values - mode.values).max() < 1e-10
 
     def test_bins_the_planes_to_the_working_binning(self):
@@ -272,14 +297,19 @@ class TestTie:
         planes = [mean_s.with_values(rng.poisson(mean_s.values)) for _ in range(3)]
         binned = [bin_counts(plane, 3) for plane in planes]
         cfg = RetrievalConfig(dz=0.025, sys=sys_)
-        out = tie_retrieve(*planes, replace(cfg, bin_px=3))
-        expected = tie_retrieve(*binned, cfg)
+        out = tie_retrieve(planes, replace(cfg, bin_px=3))
+        expected = tie_retrieve(binned, cfg)
         assert out.values.pitch == expected.values.pitch
         assert np.array_equal(out.values.values, expected.values.values)
 
     def test_memory_peak_in_grid_arrays(self, traced_peak):
-        # 9.0 float64 arrays of the grid; 17.9 when every product and
-        # quotient of the second step was a new array
+        """7.95 float64 arrays of the grid, with the planes made inside the
+        call and handed over: the second step's working set over psi and
+        the clamped I0, with no plane alive.  8.94 when the cosine
+        projections had a half-weight basis and the caller held the
+        planes, 3 arrays more had the solve held the planes it was handed,
+        and 17.9 when every product and quotient of the second step was a
+        new array."""
         sys_ = OpticalSystem()
         mean_s, _ = expected_counts(
             generate_test_target(220, 220, sys_.object_pixel), sys_, TwinBeamConfig(), 0.0
@@ -287,8 +317,28 @@ class TestTie:
         rng = np.random.default_rng(1)
         planes = [mean_s.with_values(rng.poisson(mean_s.values)) for _ in range(3)]
         cfg = RetrievalConfig(dz=0.0125, sys=sys_)
-        peak = traced_peak(lambda: tie_retrieve(*planes, cfg))
-        assert peak / mean_s.values.nbytes <= 9.5
+        handed = (plane.with_values(plane.values) for plane in planes)
+        peak = traced_peak(lambda: tie_retrieve(handed, cfg))
+        assert peak / mean_s.values.nbytes <= 8.5
+
+    @pytest.mark.parametrize("shape", [(220, 220), (73, 72), (18, 17)])
+    def test_second_step_matches_half_weight_basis(self, shape):
+        """Halving the operand rows and columns that meet the boundary
+        nodes of the cosine projections gives the bits of the half-weight
+        basis Cw, on square and non-square grids with a floored,
+        non-uniform I0."""
+        h, w = shape
+        pitch = OpticalSystem().object_pixel
+        rng = np.random.default_rng(h * w)
+        psi = rng.standard_normal((h, w))
+        counts = rng.poisson(3.0, (h, w)).astype(float)
+        i0 = np.maximum(counts, INTENSITY_FLOOR * counts.mean())
+        assert (counts == 0).any() and np.unique(i0).size > 2
+        with _blas_threads(1):
+            got = _teague_second_step(psi, i0, pitch)
+            want = half_weight_second_step(psi, i0, pitch)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_grid_mismatch_rejected(self):
         from twinphase.core import GridError
@@ -297,7 +347,7 @@ class TestTie:
         b = ScalarField2D(16, 16, 2.0, np.ones((16, 16)))
         cfg = RetrievalConfig(dz=0.025)
         with pytest.raises(GridError):
-            tie_retrieve(a, b, a, cfg)
+            tie_retrieve((a, b, a), cfg)
 
 
 class TestPhaseNoiseSpectrum:

@@ -258,17 +258,19 @@ class TestExpectedCounts:
 
 @pytest.mark.parametrize(
     "smooth, dz, bound",
-    [(False, 0.0125, 6.5), (False, 0.0, 6.5), (True, 0.0125, 9.5)],
+    [(False, 0.0125, 5.5), (False, 0.0, 5.5), (True, 0.0125, 9.5)],
     ids=["defocused", "in_focus", "smooth_defocused"],
 )
 def test_frame_memory_peak_in_padded_arrays(traced_peak, smooth, dz, bound):
     """One frame's allocation peak, in float64 arrays of the padded grid:
-    6.0 for the test target, defocused or in focus, in the thinning, and
-    9.0 for a defocused smooth object, whose kernel tables have an entry
-    per pixel.  Both displacement maps made up front and alive through
-    the thinning gave 8.0 defocused and 11.6 for the smooth object (with
-    two temporaries in ``_cdf_integral``); every map of the thinning alive
-    at once gave 13.0 defocused and 11.0 in focus."""
+    5.2 for the test target, defocused or in focus, and 8.7 for a
+    defocused smooth object, whose kernel tables have an entry per pixel.
+    The thinning's probabilities are computed once per distinct tau and
+    gathered onto the pixels one at a time; per pixel they gave 6.0 and
+    9.0.  Both displacement maps made up front and alive through the
+    thinning gave 8.0 defocused and 11.6 for the smooth object (with two
+    temporaries in ``_cdf_integral``); every map of the thinning alive at
+    once gave 13.0 defocused and 11.0 in focus."""
     sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=600.0)
     pitch = sys_.object_pixel
     obj = smooth_object(220, pitch) if smooth else generate_test_target(220, 220, pitch)
