@@ -185,7 +185,8 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
 
     Every violated invariant is reported, not just the first one.  When
     the keys pass, the values derived from them, ``object_pixel`` and
-    ``wavenumber``, must be finite and positive too.
+    ``wavenumber``, must be finite and positive too, and the optics'
+    squares of ``1 / object_pixel`` and of the blur width finite.
     """
     problems = []
     for cfg in (optical, twin):
@@ -222,6 +223,14 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
         ):
             if not (math.isfinite(value) and value > 0):
                 problems.append(f"{name} = {keys} must be finite and positive, got {value}")
+    if not problems:
+        q, sigma = 1.0 / optical.object_pixel, optical.blur_fwhm * FWHM_TO_SIGMA
+        for keys, value, square in (
+            ("1 / object_pixel = magnification / camera_pixel", q, q * q),
+            ("blur_fwhm", optical.blur_fwhm, 2.0 * math.pi**2 * (sigma * sigma)),
+        ):
+            if not math.isfinite(square):
+                problems.append(f"{keys} must square to a finite number, got {value}")
     if problems:
         raise ConfigError("; ".join(problems))
     return optical, twin

@@ -473,9 +473,9 @@ def ordered_map(func, items):
     ``cli.main`` runs BLAS on one thread.  At most one item per thread is
     in flight, and no thread waits for another to finish: a thread holds
     one twin-beam frame's working set at a time, about five arrays of
-    its padded grid (3.1 MB for a defocused 220² frame), or one trial of
-    ``metrics.noise_suppression_scan`` or dz point of
-    ``metrics.resolution_scan``, about 5 MB at 220².  Once ``func``
+    its padded grid (3.1 MB for a defocused 220² frame), one trial of
+    ``metrics.noise_suppression_scan`` (3.6 MB at 220²), or one dz point
+    of ``metrics.resolution_scan`` (4.3 MB at 220²).  Once ``func``
     or the iterator raises, no item is pulled; after the threads end, the
     exception of the lowest failing index is raised, as the list
     comprehension would raise it.

@@ -566,6 +566,34 @@ def test_derived_value_not_finite_and_positive_exits_2(tmp_path, capsys, lines, 
 
 
 @pytest.mark.parametrize(
+    "line, named",
+    [
+        ("camera_pixel = 1e-300", "1 / object_pixel = magnification / camera_pixel"),
+        ("blur_fwhm = 1e154", "blur_fwhm"),
+        ("blur_fwhm = 1e200", "blur_fwhm"),
+        ("blur_fwhm = 1e300", "blur_fwhm"),
+    ],
+    ids=["pitch_1e-300", "blur_1e154", "blur_1e200", "blur_1e300"],
+)
+@pytest.mark.parametrize(
+    "command", [["scan", "resolution", "--dz", "0.1"], ["simulate", "--frames", "0"]], ids=" ".join
+)
+def test_optics_square_not_finite_exits_2(tmp_path, capsys, line, named, command):
+    """Finite keys whose squares in the optics overflow: the transfer
+    function's |q|^2 (up to 1 / object_pixel squared) or the blur's
+    2 pi^2 sigma^2.  `scan resolution` raised "field contains non-finite
+    values" for the first and for blur_fwhm = 1e154, and Python's
+    OverflowError from sigma**2 for blur_fwhm = 1e200 and 1e300;
+    `simulate` raised "Maximum allowed dimension exceeded" for the first."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert exit_code(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{named} must square to a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "line",
     ["mean_photons_per_pixel = 1e300", "eta0 = 1e-30", "beam_profile = 0.001"],
     ids=["photons", "eta0", "beam"],

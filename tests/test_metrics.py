@@ -233,10 +233,17 @@ class TestResolutionScan:
                 self.scan(self.DZ, bins=(1,))
 
     def test_memory_peak_in_grid_arrays(self, monkeypatch, traced_peak):
-        """Two dz points in flight, on two threads, peak at 42-45 float64
-        arrays of the 220-pixel grid, against 29.0 on one thread: about
-        15 arrays, or 5 MB, per point.  Three points in flight read
-        56-60."""
+        """Two dz points in flight, on two threads, peak at 26-31 float64
+        arrays of the 220-pixel grid (39-43 when each point held the whole
+        padded transfer function and its row transform)."""
         use_threads(monkeypatch, 2)
         peak = traced_peak(lambda: self.scan(self.DZ, bins=(1, 3, 6, 12)))
-        assert peak / (220 * 220 * 8) <= 50
+        assert peak / (220 * 220 * 8) <= 34
+
+    def test_memory_peak_one_thread_in_grid_arrays(self, monkeypatch, traced_peak):
+        """One dz point at a time peaks at 20.1-20.3 arrays of the grid (29.0
+        before), in a TIE solve's second step, with the exit field's padded
+        spectrum (8 arrays) alive."""
+        use_threads(monkeypatch, 1)
+        peak = traced_peak(lambda: self.scan(self.DZ, bins=(1, 3, 6, 12)))
+        assert peak / (220 * 220 * 8) <= 22.5

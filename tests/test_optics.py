@@ -10,6 +10,7 @@ from twinphase.core import (
     ObjectSpec,
     OpticalSystem,
     ScalarField2D,
+    generate_edge_target,
 )
 from twinphase.optics import (
     angular_spectrum_propagate,
@@ -37,6 +38,16 @@ def beam_radius(i: ScalarField2D):
     x = (np.arange(i.width) - (i.width - 1) / 2.0) * i.pitch
     v = i.values
     return 2.0 * math.sqrt(float((v.sum(axis=0) @ (x * x)) / v.sum()))
+
+
+def random_object(height, width, pitch, seed):
+    """tau uniform in [0.5, 1) and phi uniform in [-1, 1) rad, drawn in that order."""
+    rng = np.random.default_rng(seed)
+    grid = ScalarField2D(width, height, pitch, np.zeros((height, width)))
+    return ObjectSpec(
+        tau=grid.with_values(rng.uniform(0.5, 1.0, (height, width))),
+        phi=grid.with_values(rng.uniform(-1.0, 1.0, (height, width))),
+    )
 
 
 class TestPropagation:
@@ -145,16 +156,10 @@ class TestDefocusStack:
         """Every plane of a stack built from one exit field has the bits of
         angular_spectrum_propagate followed by imaging_blur on that plane
         (at a mean_photons of i_zero's mean, the scale is exactly 1)."""
-        rng = np.random.default_rng(3)
-        width, height, pitch = 46, 38, 1.625  # odd half-sizes, not square
-        grid = ScalarField2D(width, height, pitch, np.zeros((height, width)))
-        obj = ObjectSpec(
-            tau=grid.with_values(rng.uniform(0.5, 1.0, (height, width))),
-            phi=grid.with_values(rng.uniform(-1.0, 1.0, (height, width))),
-        )
+        obj = random_object(38, 46, 1.625, seed=3)  # odd half-sizes, not square
         sys_ = OpticalSystem()
         field = exit_field(obj, sys_)
-        u0 = grid.with_values(np.sqrt(obj.tau.values) * np.exp(1j * obj.phi.values))
+        u0 = obj.tau.with_values(np.sqrt(obj.tau.values) * np.exp(1j * obj.phi.values))
         lam = sys_.wavelength * 1e-3
 
         def bits(f):
@@ -181,6 +186,61 @@ class TestDefocusStack:
                 assert bits(propagated) == bits(padded_ifft2(u0, z))
                 assert bits(plane) == bits(imaging_blur(intensity(propagated), fwhm))
             assert bits(stack.i_zero) == bits(field.i_zero)
+
+
+def numpy_blur(i, pitch, fwhm):
+    """imaging_blur in plain numpy: one fft2/ifft2 round trip."""
+    h, w = i.shape
+    sigma = fwhm * FWHM_TO_SIGMA
+    fx = np.fft.fftfreq(w, d=pitch)
+    fy = np.fft.fftfreq(h, d=pitch)
+    q2 = fx[np.newaxis, :] ** 2 + fy[:, np.newaxis] ** 2
+    transfer = np.exp(-2.0 * math.pi**2 * sigma**2 * q2)
+    return np.maximum(np.fft.ifft2(np.fft.fft2(i) * transfer).real, 0.0)
+
+
+def numpy_plane(u0, pitch, z, fwhm, wavelength):
+    """A defocused plane of defocus_stack in plain numpy: one ifft2 of the
+    whole padded spectrum times the whole transfer function, cropped,
+    then numpy_blur of its intensity."""
+    lam = wavelength * 1e-3
+    h, w = u0.shape
+    pad = np.zeros((2 * h, 2 * w), dtype=complex)
+    pad[h // 2 : h // 2 + h, w // 2 : w // 2 + w] = u0
+    fx = np.fft.fftfreq(2 * w, d=pitch)
+    fy = np.fft.fftfreq(2 * h, d=pitch)
+    q2 = fx[np.newaxis, :] ** 2 + fy[:, np.newaxis] ** 2
+    transfer = np.exp(-1j * math.pi * lam * (z * 1e3) * q2)
+    u = np.fft.ifft2(np.fft.fft2(pad) * transfer)[h // 2 : h // 2 + h, w // 2 : w // 2 + w]
+    return numpy_blur(np.abs(u) ** 2, pitch, fwhm)
+
+
+@pytest.mark.parametrize(
+    "make_obj",
+    [
+        lambda: generate_edge_target(OpticalSystem().object_pixel),
+        # a padded height of 146 rows: not a whole number of row blocks
+        lambda: random_object(73, 100, 1.625, seed=5),
+    ],
+    ids=["edge_220x220", "random_73x100"],
+)
+def test_stack_planes_match_plain_numpy(make_obj):
+    """Every plane of defocus_stack has the bits of numpy_plane, which
+    shares no code with the optics module (at a mean_photons of i_zero's
+    mean, the scale is exactly 1)."""
+    obj = make_obj()
+    sys_ = OpticalSystem()
+    lam = sys_.wavelength * 1e-3
+    pitch = obj.tau.pitch
+    u0 = np.sqrt(obj.tau.values) * np.exp(1j * obj.phi.values)
+    field = exit_field(obj, sys_)
+    assert np.array_equal(field.i_zero.values, numpy_blur(np.abs(u0) ** 2, pitch, sys_.blur_fwhm))
+    for dz in (0.0125, 0.1):
+        stack = defocus_stack(field, dz, sys_, float(np.mean(field.i_zero.values)))
+        fwhm = math.hypot(sys_.blur_fwhm, math.sqrt(lam * dz * 1e3))
+        for z, plane in ((+dz, stack.i_plus), (-dz, stack.i_minus)):
+            assert np.array_equal(plane.values, numpy_plane(u0, pitch, z, fwhm, sys_.wavelength))
+        assert np.array_equal(stack.i_zero.values, field.i_zero.values)
 
 
 def test_fresnel_aliased_threshold():
