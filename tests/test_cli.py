@@ -8,6 +8,7 @@ import os
 import re
 import shlex
 import shutil
+import sys
 import warnings
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
@@ -31,6 +32,7 @@ from twinphase.core import (
     ConfigError,
     OpticalSystem,
     RngStream,
+    ScalarField2D,
     TwinBeamConfig,
     generate_test_target,
 )
@@ -126,9 +128,9 @@ class TestFormatting:
         assert fmt("tie") == "tie"
 
     def test_csv_newlines(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv(str(path), ["a", "b"], [(1.5, "x"), (2.0, "y")])
-        raw = path.read_bytes()
+        path = write_csv(str(tmp_path), "t", ["a", "b"], [(1.5, "x"), (2.0, "y")])
+        assert path == str(tmp_path / "t.csv")
+        raw = (tmp_path / "t.csv").read_bytes()
         assert raw == b"a,b\n1.5,x\n2,y\n"
 
 
@@ -223,6 +225,7 @@ class TestExitCodes:
             manifest_text(l_cff=None),
             manifest_text(beam_profile="gaussian"),
             json.dumps({"config": []}),
+            json.dumps({"master_seed": "x", "config": MANIFEST_CONFIG, "files": {}}),
         ],
         ids=[
             "not_json",
@@ -237,6 +240,7 @@ class TestExitCodes:
             "l_cff_null",
             "beam_profile_unknown",
             "config_not_object",
+            "seed_string",
         ],
     )
     def test_corrupt_manifest_exits_3(self, tmp_path, capsys, text):
@@ -350,9 +354,8 @@ class TestSimulateCommand:
 
         frames = twinbeam.ordered_map(draw, enumerate(listed))
         for (dz, frame, tag, _), tf in zip(listed, frames):
-            for arm, field in (("s", tf.n_s), ("i", tf.n_i)):
-                written = qpf.read_qpf(cli.frame_path(out, dz, frame, tag, arm))
-                assert np.array_equal(written.values, field.values)
+            for name, field in zip(qpf.exposure_names(dz, frame, tag), (tf.n_s, tf.n_i)):
+                assert np.array_equal(qpf.read_qpf(out / f"{name}.qpf").values, field.values)
         assert len(list(out.glob("dz*.qpf"))) == 2 * len(listed)
 
     def test_zero_efficiency_runs(self, tmp_path):
@@ -775,6 +778,55 @@ def test_bad_value_in_field_file_exits_3(frame_set, tmp_path, capsys, name, valu
     argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
     assert exit_code(argv) == EXIT_IO
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["calib_mean_signal.qpf", "calib_mean_idler.qpf", "dz0.025_f0000_0_i.qpf"]
+)
+def test_field_off_the_calibration_grid_exits_3(frame_set, tmp_path, capsys, name):
+    """A valid 230² field file in a 220² frame set: as the signal mean it
+    raised numpy's broadcast error (exit 1), as the idler mean it exited 2,
+    and as one arm of an exposure it exited 3 already."""
+    frames = tmp_path / "frames"
+    shutil.copytree(frame_set, frames)
+    pitch = qpf.read_qpf(frames / name).pitch
+    qpf.write_qpf(frames / name, ScalarField2D(230, 230, pitch, np.full((230, 230), 600.0)))
+    argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) == EXIT_IO
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dz", ["1e305", "1e308"])
+def test_defocus_that_overflows_the_optics_exits_4(tmp_path, capsys, dz):
+    """-i pi lambda z of the transfer function is not finite: this raised
+    "field contains non-finite values" before every command ran under a
+    raising floating-point state."""
+    out = tmp_path / "o"
+    assert main(["scan", "resolution", "--dz", dz, "--out", str(out)]) == EXIT_NUMERICAL
+    assert "numerical failure: invalid value encountered" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_benchmark_tracer_installs_on_the_package(frame_set, tmp_path):
+    """bench/spans.py wraps package functions by module and name, and its
+    install raises AttributeError for one it cannot find; traced, a retrieve
+    records the layers of its protocol and its manifest."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spans = type(sys)("spans")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(spans))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        argv = ["retrieve", "--frames", str(frame_set), "--k-mode", "tie"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    layers = [span[2] for span in tracer.spans]
+    assert layers.count("retrieval.phase_from_twin_frames") == 1
+    assert layers.count("retrieval.tie_retrieve") == 2
+    assert layers.count("cli.write_manifest") == 1
+    assert tracer.count["cli.write_manifest.bytes_hashed"] > 0
+    assert cli.write_manifest is qpf.write_manifest and not hasattr(cli.write_manifest, "__wrapped__")
 
 
 def test_failed_resolution_fit_names_its_point(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,10 @@ from scipy.fft import dstn, idstn
 from twinphase.cli import _blas_threads
 from twinphase.core import (
     ConfigError,
+    GridError,
+    ObjectSpec,
     OpticalSystem,
+    RngStream,
     ScalarField2D,
     TwinBeamConfig,
     blank_object,
@@ -25,12 +28,14 @@ from twinphase.retrieval import (
     _teague_second_step,
     _trig_bases,
     estimate_transmittance,
+    phase_from_twin_frames,
     poisson_solve_dirichlet,
     quantum_correct,
     resolve_k,
+    retrieve_frames,
     tie_retrieve,
 )
-from twinphase.twinbeam import bin_counts, eta_c, expected_counts
+from twinphase.twinbeam import bin_counts, eta_c, expected_counts, exposures, sample_twin_frame
 
 
 def laplacian_dirichlet(u: ScalarField2D) -> ScalarField2D:
@@ -227,6 +232,17 @@ class TestTransmittance:
         assert np.array_equal(est.values[~dark], corrected[~dark] / mean[~dark])
 
 
+    def test_signal_mean_on_another_grid_rejected(self):
+        # numpy's broadcast error in the division, before the grids were compared
+        counts = ScalarField2D(16, 16, 1.0, np.full((16, 16), 300.0))
+        cfg = RetrievalConfig(
+            dz=0.025,
+            reference_mean=ScalarField2D(18, 18, 1.0, np.full((18, 18), 400.0)),
+            reference_mean_idler=counts,
+        )
+        with pytest.raises(GridError):
+            estimate_transmittance(counts, counts, cfg)
+
     @pytest.mark.parametrize("bin_px", [1, 3])
     def test_idler_at_its_mean_subtracts_nothing(self, bin_px):
         # Under a Gaussian beam the idler mean is not point-symmetric, so
@@ -341,13 +357,57 @@ class TestTie:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_grid_mismatch_rejected(self):
-        from twinphase.core import GridError
-
         a = ScalarField2D(16, 16, 1.0, np.ones((16, 16)))
         b = ScalarField2D(16, 16, 2.0, np.ones((16, 16)))
         cfg = RetrievalConfig(dz=0.025)
         with pytest.raises(GridError):
             tie_retrieve((a, b, a), cfg)
+
+
+class TestRetrieveFrames:
+    """The retrieve protocol in process: a loader of drawn frames, no files."""
+
+    FRAMES = 3
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        """{(frame, tag): exposure} of a 48-pixel Gaussian phase bump, and
+        the tie-weight configuration of its calibration means."""
+        sys_, twin = OpticalSystem(), TwinBeamConfig()
+        blank = blank_object(48, 48, sys_.object_pixel)
+        y, x = np.mgrid[:48, :48] - 23.5
+        obj = ObjectSpec(tau=blank.tau, phi=blank.phi.with_values(np.exp(-(x**2 + y**2) / 60.0)))
+        frames = {
+            (frame, tag): sample_twin_frame(obj, sys_, twin, signed, RngStream(5, i))
+            for i, (_, frame, tag, signed) in enumerate(exposures([0.025], self.FRAMES))
+        }
+        mean_s, mean_i = expected_counts(blank, sys_, twin, 0.0)
+        config = RetrievalConfig(
+            dz=0.025, k=twin.eta0, reference_mean=mean_s, reference_mean_idler=mean_i, sys=sys_
+        )
+        return frames, config
+
+    def test_fields_are_those_of_each_frame(self, drawn):
+        frames, config = drawn
+        got = dict(retrieve_frames(lambda frame, tag: frames[frame, tag], self.FRAMES, config))
+        names = [f"phase_f{frame:04d}" for frame in range(self.FRAMES)]
+        assert list(got) == ["transmittance_f0000", *names, "phase_average"]
+        in_focus = frames[0, "0"]
+        tau = estimate_transmittance(in_focus.n_s, in_focus.n_i, config)
+        assert got["transmittance_f0000"].values.tobytes() == tau.values.tobytes()
+        for frame, name in enumerate(names):
+            triple = [frames[frame, tag] for tag in ("m", "0", "p")]
+            phase = phase_from_twin_frames(triple, config).values
+            assert got[name].values.tobytes() == phase.values.tobytes()
+
+    def test_averaged_phase_does_not_depend_on_frame_order(self, drawn):
+        # the per-exposure sums are of integer counts, exact in any order
+        frames, config = drawn
+        last = self.FRAMES - 1
+        forward = dict(retrieve_frames(lambda f, tag: frames[f, tag], self.FRAMES, config))
+        backward = dict(retrieve_frames(lambda f, tag: frames[last - f, tag], self.FRAMES, config))
+        assert forward["phase_f0000"].values.tobytes() != backward["phase_f0000"].values.tobytes()
+        assert forward["phase_average"].values.tobytes() == backward["phase_average"].values.tobytes()
 
 
 class TestPhaseNoiseSpectrum:

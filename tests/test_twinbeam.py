@@ -487,6 +487,27 @@ class TestSampleFrames:
         assert max(pulled) <= 3 + workers
         assert threading.active_count() == threads_before
 
+    def test_worker_threads_keep_the_callers_error_state(self, monkeypatch):
+        # the calling thread waits until the other thread has run an item,
+        # whose overflow only warned when threads started in numpy's
+        # default error state
+        caller = threading.current_thread()
+        on_worker = threading.Event()
+
+        def overflow_on_a_worker(x):
+            if threading.current_thread() is caller:
+                assert on_worker.wait(timeout=10.0)
+                return x
+            on_worker.set()
+            return np.float64(1e308) * x
+
+        use_threads(monkeypatch, 2)
+        threads_before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            ordered_map(overflow_on_a_worker, [10.0, 10.0])
+        assert on_worker.is_set()
+        assert threading.active_count() == threads_before
+
     def test_iterator_exception_is_raised_after_the_items_before_it(self, monkeypatch):
         workers = 2
         pulled, ran = [], []
