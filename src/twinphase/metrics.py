@@ -1,6 +1,13 @@
 """Quantitative evaluation: Pearson similarity and the quantum-advantage
 ratio, edge-spread resolution metrology, and the noise-suppression scan
 against the correlation length.
+
+Each scipy subpackage that only some commands run is imported inside
+the function that uses it: scipy.optimize in ``esf_fit`` and
+``lsf_fwhm_with_aperture``, scipy.ndimage in ``step_heights``.  So a
+command loads only the scipy it runs, and ``import twinphase.cli`` loads
+neither.  scipy.special stays at module level: it pulls the scipy code
+that scipy.fft and every sampling or solving command need anyway.
 """
 
 from __future__ import annotations
@@ -9,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import binary_erosion
-from scipy.optimize import brentq, curve_fit
 from scipy.special import erf, ndtr
 
 from .core import (
@@ -92,6 +97,8 @@ def esf_fit(profile, x) -> ESFFit:
     linearized covariance of the least-squares fit; the FWHM of the
     corresponding line spread function is w / core.FWHM_TO_SIGMA.
     """
+    from scipy.optimize import curve_fit
+
     y = np.asarray(profile, dtype=float)
     if y.size < 8:
         return _failed_fit("profile too short")
@@ -136,6 +143,8 @@ def step_heights(phase: ScalarField2D, bin_px: int, fine_shape: tuple) -> dict:
     ``(width, height)``; the masks are binned with the same centered
     crop.
     """
+    from scipy.ndimage import binary_erosion
+
     fw, fh = fine_shape
     pi_mask, null_mask = target_masks(fw, fh)
     pi_in = binary_erosion(pi_mask, iterations=4)
@@ -276,9 +285,11 @@ def resolution_scan(dz_list, bin_list, sys: OpticalSystem, twin: TwinBeamConfig)
     convolved with the bin aperture, so it includes the effective
     pixel size of the delivered image.  The exit field is built once;
     each dz point runs on one thread of ``ordered_map``.  Returns rows of
-    (dz, bin_px, d_factor, r_phase_um, se_r_um) in dz order.  Once every
-    point has run, failed edge-spread fits raise NumericalError naming
-    each one's (dz, bin) and the fit's reason.
+    (dz, bin_px, d_factor, r_phase_um, se_r_um) in dz order.  A numerical
+    failure of a point (a floating-point error or NumericalError) raises
+    NumericalError naming its dz.  Once every point has run, failed
+    edge-spread fits raise NumericalError naming each one's (dz, bin) and
+    the fit's reason.
     """
     pitch = sys.object_pixel
     field = exit_field(generate_edge_target(pitch), sys)
@@ -313,7 +324,13 @@ def resolution_scan(dz_list, bin_list, sys: OpticalSystem, twin: TwinBeamConfig)
             )
         return rows, failed
 
-    points = list(ordered_map(point, dz_list))
+    def named_point(dz):
+        try:
+            return point(dz)
+        except (FloatingPointError, NumericalError) as exc:
+            raise NumericalError(f"{exc} at dz={dz:g} mm") from None
+
+    points = list(ordered_map(named_point, dz_list))
     failed = [message for _, messages in points for message in messages]
     if failed:
         raise NumericalError("edge-spread fit failed at " + "; ".join(failed))
@@ -323,6 +340,8 @@ def resolution_scan(dz_list, bin_list, sys: OpticalSystem, twin: TwinBeamConfig)
 def lsf_fwhm_with_aperture(aperture: float, w: float) -> float:
     """FWHM of a Gaussian line spread of width w seen through a box
     aperture of the given positive width (both in micrometers)."""
+    from scipy.optimize import brentq
+
     if w <= 1e-9 * max(aperture, 1.0):
         return aperture
     half = 0.5 * aperture

@@ -199,8 +199,10 @@ def _trig_bases(n: int, length: float):
     return k, s, c
 
 
-def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.ndarray:
-    """Solve laplacian(phi) = div(grad(psi) / I0) with zero-border phi.
+def _teague_second_step(held: list, i0: np.ndarray, pitch: float) -> np.ndarray:
+    """Solve laplacian(phi) = div(grad(psi) / I0) with zero-border phi,
+    where ``held`` is a one-item list that hands over the array psi: the
+    step pops it and drops it once its first projection exists.
 
     Gradients, divergence and the Poisson inverse all act in the same
     sine/cosine spectral basis, so for uniform I0 the step reduces
@@ -212,6 +214,7 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
     with rows 0 and -1 halved): the operand they meet is halved there
     instead, which is exact, so every product term keeps its bits.
     """
+    psi = held.pop()
     h, w = psi.shape
     ly, lx = (h - 1) * pitch, (w - 1) * pitch
     ky, sy, cy = bases = _trig_bases(h, ly)
@@ -222,6 +225,7 @@ def _teague_second_step(psi: np.ndarray, i0: np.ndarray, pitch: float) -> np.nda
     # coeffs = norm * (sy.T @ psi @ sx)
     norm = 4.0 / ((h - 1) * (w - 1))
     coeffs = sy.T @ psi @ sx
+    del psi
     coeffs *= norm
     # fy = gy / i0 with gy = cy @ (ky * coeffs) @ sx.T, then
     # a = norm * (cyw.T @ fy @ sx)
@@ -264,10 +268,11 @@ def tie_retrieve(planes, config: RetrievalConfig) -> PhaseImage:
     operators in the second step.  The planes are consumed: -dz and +dz
     are dropped once the right-hand side exists, and the in-focus values
     once the clamped I0 exists, so a caller that hands over its only
-    references holds none through the solves.  An in-focus plane whose
-    mean is not positive, as that of counts with no detected photon,
-    raises NoPhotonError; a mean or solve that is not finite raises
-    NumericalError naming config.k.
+    references holds none through the solves; psi is handed over to the
+    second step, which drops it after its first projection.  An in-focus
+    plane whose mean is not positive, as that of counts with no detected
+    photon, raises NoPhotonError; a mean or solve that is not finite
+    raises NumericalError naming config.k.
     """
     i_minus, i_zero, i_plus = map(lambda plane: bin_counts(plane, config.bin_px), planes)
     i_zero.require_same_grid(i_plus)
@@ -289,13 +294,14 @@ def tie_retrieve(planes, config: RetrievalConfig) -> PhaseImage:
             del i_minus, i_plus
             rhs /= 2.0 * dz_um
             rhs *= -config.sys.wavenumber
-            psi = poisson_solve_dirichlet(i_zero._adopt(rhs))
+            psi = [poisson_solve_dirichlet(i_zero._adopt(rhs)).values]
             del rhs
             i0 = np.maximum(i_zero.values, INTENSITY_FLOOR * mean_i0)
-            del i_zero  # psi keeps the grid
-            phi = _teague_second_step(psi.values, i0, psi.pitch)
+            width, height, pitch = i_zero.width, i_zero.height, i_zero.pitch
+            del i_zero
+            phi = _teague_second_step(psi, i0, pitch)
             del i0
-            return PhaseImage(psi._adopt(phi))
+            return PhaseImage(ScalarField2D(width, height, pitch, phi, True))
         except ValueError:  # adopting a field that is not finite
             raise NumericalError(failed) from None
 
@@ -333,7 +339,8 @@ def retrieve_frames(load, frames: int, config: RetrievalConfig):
     first, for the transmittance, and dropped; then each exposure is loaded,
     added into its signal sum and corrected into its plane before the next.
     Sums of integer counts are exact in any frame order (below 2**53); each
-    is dropped once its mean is handed to the averaged solve.
+    is dropped once its mean is handed to the averaged solve.  A
+    NumericalError of a frame's solve is raised again naming the frame.
     """
     tags = [tag for _, _, tag, _ in exposures([config.dz], 1)]
     sums = [0.0] * len(tags)  # each exposure's signal counts, summed over the frames
@@ -349,6 +356,11 @@ def retrieve_frames(load, frames: int, config: RetrievalConfig):
             del tf
 
     for frame in range(frames):
-        yield f"phase_f{frame:04d}", phase_from_twin_frames(streamed(frame), config).values
+        try:
+            phase = phase_from_twin_frames(streamed(frame), config).values
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} in frame {frame}") from None
+        yield f"phase_f{frame:04d}", phase
+        del phase  # not held through the next frame's solve
     means = (config.reference_mean._adopt(sums.pop(0) / frames) for _ in tags)
     yield "phase_average", tie_retrieve(means, config).values

@@ -12,6 +12,11 @@ double-integral model at every binning, with no per-photon loops.
 
 Generation happens on an internally padded grid and is cropped to the
 requested region, so border pixels keep their correlation partners.
+
+scipy.integrate is imported inside ``_eta_c_1d``, its one user, so only
+the commands that evaluate eta_c (``scan nrf``, ``scan advantage`` and
+``retrieve --k-mode tau``) load it; scipy.special stays at module level,
+as the sampler's kernels need it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .core import (
@@ -41,6 +45,9 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # The largest rate numpy's Generator.poisson draws ("lam value too large"
 # above it).
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+# The largest side of the sampler's padded grid: a 4096² float64 array is
+# 134 MB, and a frame holds about five.  The default 513² target pads to 561².
+MAX_PADDED_SIDE = 4096
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,8 @@ def _eta_c_1d(d_factor: float, epsilon: float) -> float:
     offset epsilon) reduces to a single integral against the triangular
     overlap density.
     """
+    from scipy import integrate
+
     s = FWHM_TO_SIGMA  # sigma in units of l_cff
 
     def integrand(w):
@@ -325,6 +334,10 @@ def _transport(obj, sys, twin, dz):
     ``(shift, s)`` arguments of ``_redistribute``.  The signal arm's
     padded displacement maps are not made here: its ``shift`` makes
     each one when ``_redistribute`` reaches its axis.
+
+    The margin is computed in floating point before any padded array
+    exists: a padded side above ``MAX_PADDED_SIDE``, or a margin that is
+    not finite, raises ConfigError naming the keys it grows with.
     """
     template = obj.tau
     width, height, pitch = template.width, template.height, template.pitch
@@ -334,7 +347,18 @@ def _transport(obj, sys, twin, dz):
     max_disp = max(
         float(np.max(np.abs(_phase_displacement(obj, sys, dz, 0, axis)))) for axis in (0, 1)
     )
-    margin = int(math.ceil(6 * sigma_px + abs(delta_px) + 6 * blur_px + max_disp)) + 1
+    # Python floats: an overflow gives inf, not numpy's FloatingPointError
+    reach = 6 * sigma_px + abs(delta_px) + 6 * blur_px + max_disp
+    if not (
+        math.isfinite(reach)
+        and max(width, height) + 4 * (math.ceil(reach) + 1) <= MAX_PADDED_SIDE
+    ):
+        raise ConfigError(
+            f"the sampler's padded grid would pass {MAX_PADDED_SIDE} px per side: a margin "
+            f"of {reach:.3g} px around the {width}x{height} grid, from l_cff, epsilon, "
+            f"blur_fwhm and dz = {dz:g} mm"
+        )
+    margin = math.ceil(reach) + 1
 
     rate = _pair_rate(twin, width, height, pitch, margin)
     tau = np.pad(obj.tau.values, 2 * margin, mode="edge")

@@ -8,6 +8,7 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
 import sys
 import warnings
 from dataclasses import asdict, fields, is_dataclass
@@ -413,33 +414,36 @@ def retrieve_peak(frames, out, traced_peak, k_mode, bin_px):
 
 
 def test_retrieve_memory_peak_in_grid_arrays(frame_set, tmp_path, traced_peak):
-    """13.1 float64 arrays of the 220-pixel grid: each exposure is loaded,
+    """12.3 float64 arrays of the 220-pixel grid: each exposure is loaded,
     added into the sums and corrected into its plane before the next, so
     no count map is alive during a solve, and the TIE solve drops the
-    -dz and +dz planes once its right-hand side exists and the in-focus
-    one once its clamped I0 does; the averaged solve takes each sum,
-    divided in place into its mean.  17.1 when the planes and the means
-    were held through both Poisson solves and every fresh field was
-    copied, 20.1 when each frame's six count maps were also held through
-    its solve, and 34.2 when the last ones were also held through the
-    averaged solve."""
-    assert retrieve_peak(frame_set, tmp_path / "o", traced_peak, "tie", 1) <= 13.6
+    -dz and +dz planes once its right-hand side exists, the in-focus
+    one once its clamped I0 does and psi after the second step's first
+    projection; the averaged solve takes each sum, divided in place into
+    its mean.  13.1 when psi was held through the second step, 17.1 when
+    the planes and the means were held through both Poisson solves and
+    every fresh field was copied, 20.1 when each frame's six count maps
+    were also held through its solve, and 34.2 when the last ones were
+    also held through the averaged solve."""
+    assert retrieve_peak(frame_set, tmp_path / "o", traced_peak, "tie", 1) <= 12.8
 
 
 @pytest.mark.parametrize(
     "frames, k_mode, bin_px, bound",
-    [(2, "tie", 1, 13.6), (1, "tau", 3, 12.0), (2, "tau", 3, 12.0)],
+    [(2, "tie", 1, 12.8), (1, "tau", 3, 12.0), (2, "tau", 3, 12.0)],
     ids=["tie_bin1_two_frames", "tau_bin3", "tau_bin3_two_frames"],
 )
 def test_retrieve_memory_peak_does_not_grow_with_frames(
     frame_set, two_frame_set, tmp_path, traced_peak, frames, k_mode, bin_px, bound
 ):
-    """13.1 arrays of the 220-pixel grid at tie/bin 1 and 11.6 at tau/bin
+    """12.3 arrays of the 220-pixel grid at tie/bin 1 and 11.6 at tau/bin
     3, for one frame or two: the sums are three arrays however many frames
-    there are.  17.1 and 13.3 when the solve held its planes and every
-    fresh field was copied; holding a frame's six count maps through its
-    solve, with the sums alive from frame 1 on, gave 23.1 and 17.3 for two
-    frames and 14.3 at tau/bin 3 for one."""
+    there are.  13.1 at tie/bin 1 when the solve held psi through its
+    second step (tau/bin 3 peaks elsewhere, and kept its 11.6); 17.1 and
+    13.3 when the solve held its planes and every fresh field was copied;
+    holding a frame's six count maps through its solve, with the sums
+    alive from frame 1 on, gave 23.1 and 17.3 for two frames and 14.3 at
+    tau/bin 3 for one."""
     frame_sets = {1: frame_set, 2: two_frame_set}
     peak = retrieve_peak(frame_sets[frames], tmp_path / "o", traced_peak, k_mode, bin_px)
     assert peak <= bound
@@ -483,14 +487,15 @@ def test_overflowing_weight_exits_4(frame_set, tmp_path, capsys):
 @pytest.mark.parametrize("k", ["1e303", "1e305", "1e306"])
 def test_weight_that_overflows_the_solve_exits_4(frame_set, tmp_path, capsys, k):
     """A weight whose corrected planes are finite but whose TIE solve is
-    not exits 4 with a message naming the weight, with no traceback and
-    no numpy warning."""
+    not exits 4 with a message naming the weight and the frame, with no
+    traceback and no numpy warning."""
     argv = ["retrieve", "--frames", str(frame_set), f"--k-mode={k}"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert err == f"numerical failure: the TIE solve is not finite at subtraction weight k = {float(k)!r}\n"
+    failed = f"the TIE solve is not finite at subtraction weight k = {float(k)!r} in frame 0"
+    assert err == f"numerical failure: {failed}\n"
 
 
 @pytest.mark.parametrize(
@@ -796,14 +801,41 @@ def test_field_off_the_calibration_grid_exits_3(frame_set, tmp_path, capsys, nam
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("l_cff", ["1e300", "1.7e308"])
+@pytest.mark.parametrize(
+    "command", [["simulate", "--frames", "0"], ["scan", "nrf", "--frames", "2"]], ids=" ".join
+)
+def test_padded_grid_past_the_cap_exits_2(tmp_path, capsys, traced_peak, command, l_cff):
+    """The sampler's margin is checked before any padded array exists: at
+    1e300 the padded side passes the cap (numpy's "Maximum allowed
+    dimension exceeded" traceback before), at 1.7e308 the margin is not
+    finite (math.ceil raised OverflowError).  The peak stays below the
+    padded arrays of one 220-pixel frame draw (about 7 grid arrays)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"l_cff = {l_cff}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    codes = []
+    peak = traced_peak(
+        lambda: codes.append(main(command + ["--config", str(cfg), "--out", str(out)]))
+    )
+    assert codes == [EXIT_CONFIG]
+    err = capsys.readouterr().err
+    assert f"would pass {twinbeam.MAX_PADDED_SIDE} px per side" in err
+    assert "from l_cff, epsilon, blur_fwhm and dz = 0 mm" in err
+    assert peak / (220 * 220 * 8) <= 4
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dz", ["1e305", "1e308"])
 def test_defocus_that_overflows_the_optics_exits_4(tmp_path, capsys, dz):
     """-i pi lambda z of the transfer function is not finite: this raised
     "field contains non-finite values" before every command ran under a
-    raising floating-point state."""
+    raising floating-point state.  The message names the dz point."""
     out = tmp_path / "o"
     assert main(["scan", "resolution", "--dz", dz, "--out", str(out)]) == EXIT_NUMERICAL
-    assert "numerical failure: invalid value encountered" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: invalid value encountered")
+    assert err.endswith(f" at dz={float(dz):g} mm\n")
     assert not (out / "manifest.json").exists()
 
 
@@ -827,6 +859,47 @@ def test_benchmark_tracer_installs_on_the_package(frame_set, tmp_path):
     assert layers.count("cli.write_manifest") == 1
     assert tracer.count["cli.write_manifest.bytes_hashed"] > 0
     assert cli.write_manifest is qpf.write_manifest and not hasattr(cli.write_manifest, "__wrapped__")
+
+
+HEAVY_SCIPY = ("scipy.integrate", "scipy.ndimage", "scipy.optimize")
+
+# Run in a fresh interpreter: prints which of HEAVY_SCIPY are loaded after
+# the import and after each command, with the command's exit code.
+LOADED_BY_COMMANDS = """
+import contextlib, io, json, sys
+from twinphase import cli, twinbeam
+
+twinbeam.os.sched_getaffinity = lambda pid: set(range(4))  # two threads on any machine
+heavy, commands = json.loads(sys.argv[1])
+loaded = [[None, [name for name in heavy if name in sys.modules]]]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded.append([code, [name for name in heavy if name in sys.modules]])
+print(json.dumps(loaded))
+"""
+
+
+def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
+    """scipy.optimize, scipy.integrate and scipy.ndimage are imported by
+    the functions that use them, so the package and simulate load none;
+    scan resolution loads scipy.optimize, in its first curve_fit on a
+    thread of ordered_map, and not scipy.integrate.  A fresh interpreter,
+    as this one has loaded them all."""
+    src = Path(twinbeam.__file__).resolve().parents[1]
+    env = {**os.environ, "QPI_THREADS": "2"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    commands = [
+        ["simulate", "--frames", "0", "--out", str(tmp_path / "s")],
+        ["scan", "resolution", "--dz", "0.1", "--out", str(tmp_path / "r")],
+    ]
+    args = json.dumps([HEAVY_SCIPY, commands])
+    run = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_COMMANDS, args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[None, []], [EXIT_OK, []], [EXIT_OK, ["scipy.optimize"]]]
 
 
 def test_failed_resolution_fit_names_its_point(tmp_path, capsys, monkeypatch):

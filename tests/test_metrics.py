@@ -159,16 +159,17 @@ class TestQuantumAdvantage:
         assert stats["c_quant_frames"] == (0.31, 0.27)
 
     def test_memory_peak_in_grid_arrays(self, monkeypatch, traced_peak):
-        """Twelve frames on two threads peak at 40-43 float64 arrays
-        of the 220-pixel grid: each thread holds one triple and its
-        solves, so the peak does not grow with the frame count."""
+        """Twelve frames on two threads peak at 32-35 float64 arrays
+        of the 220-pixel grid (36-37 when the TIE solve held psi through
+        its second step): each thread holds one triple and its solves,
+        so the peak does not grow with the frame count."""
         use_threads(monkeypatch, 2)
         peak = traced_peak(
             lambda: metrics.advantage_scan(
                 [0.025], 12, OpticalSystem(), TwinBeamConfig(), RngStream(5)
             )
         )
-        assert peak / (220 * 220 * 8) <= 50
+        assert peak / (220 * 220 * 8) <= 38
 
 
 class TestNoiseSuppressionScan:
@@ -233,17 +234,19 @@ class TestResolutionScan:
                 self.scan(self.DZ, bins=(1,))
 
     def test_memory_peak_in_grid_arrays(self, monkeypatch, traced_peak):
-        """Two dz points in flight, on two threads, peak at 26-31 float64
-        arrays of the 220-pixel grid (39-43 when each point held the whole
+        """Two dz points in flight, on two threads, peak at 25-28 float64
+        arrays of the 220-pixel grid (27-31 when the TIE solve held psi
+        through its second step, 39-43 when each point held the whole
         padded transfer function and its row transform)."""
         use_threads(monkeypatch, 2)
         peak = traced_peak(lambda: self.scan(self.DZ, bins=(1, 3, 6, 12)))
-        assert peak / (220 * 220 * 8) <= 34
+        assert peak / (220 * 220 * 8) <= 30
 
     def test_memory_peak_one_thread_in_grid_arrays(self, monkeypatch, traced_peak):
-        """One dz point at a time peaks at 20.1-20.3 arrays of the grid (29.0
-        before), in a TIE solve's second step, with the exit field's padded
-        spectrum (8 arrays) alive."""
+        """One dz point at a time peaks at 19.3 arrays of the grid, in a
+        TIE solve's second step, with the exit field's padded spectrum (8
+        arrays) alive; 20.1-20.3 when the solve held psi through its
+        second step, 29.0 before the optics ran in place."""
         use_threads(monkeypatch, 1)
         peak = traced_peak(lambda: self.scan(self.DZ, bins=(1, 3, 6, 12)))
-        assert peak / (220 * 220 * 8) <= 22.5
+        assert peak / (220 * 220 * 8) <= 19.8
