@@ -6,17 +6,21 @@ binomial thinning of that field, and transverse transport (pair
 correlation spread, phase-gradient displacement, imaging blur) is a
 multinomial redistribution of counts with separable per-axis kernels.
 The per-axis kernel is the exact distribution of
-``uniform(0,1) + shift + N(0, s)`` binned to unit pixels, so the
-measured conditional collection efficiency matches the continuous
-double-integral model at every binning, with no per-photon loops.
+``uniform(0,1) + shift + N(0, s)`` binned to unit pixels, with no
+per-photon loops.
+
+The model eta_c spreads a pair by l_cff alone, but the sampler widens
+it by the signal arm's blur and by each arm's own uniform(0, 1) birth
+position (pitch^2 / 6): its NRF sits up to about 0.02 above
+``nrf_predicted`` near D = 1, and follows the effective width
+sigma^2 = (F l_cff)^2 + (F blur_fwhm)^2 + pitch^2 / 6, F = FWHM_TO_SIGMA.
 
 Generation happens on an internally padded grid and is cropped to the
 requested region, so border pixels keep their correlation partners.
 
-scipy.integrate is imported inside ``_eta_c_1d``, its one user, so only
-the commands that evaluate eta_c (``scan nrf``, ``scan advantage`` and
-``retrieve --k-mode tau``) load it; scipy.special stays at module level,
-as the sampler's kernels need it.
+eta_c calls QUADPACK's QAGP from scipy's extension module alone, never
+importing the scipy.integrate package (and the scipy.optimize it pulls
+in); scipy.special stays at module level, as the sampler needs it.
 """
 
 from __future__ import annotations
@@ -26,14 +30,18 @@ import os
 import threading
 from contextvars import copy_context
 from dataclasses import dataclass
+from functools import cache
+from importlib import machinery, util
 
 import numpy as np
+import scipy
 from scipy.special import ndtr
 
 from .core import (
     FWHM_TO_SIGMA,
     ConfigError,
     NoPhotonError,
+    NumericalError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
@@ -85,16 +93,27 @@ class NrfPoint:
 # Conditional collection efficiency and the NRF model
 # ---------------------------------------------------------------------------
 
+@cache
+def _quadpack():
+    """``scipy.integrate._quadpack``, loaded from its file alone."""
+    stem = os.path.join(os.path.dirname(scipy.__file__), "integrate", "_quadpack")
+    path = next(stem + x for x in machinery.EXTENSION_SUFFIXES if os.path.exists(stem + x))
+    spec = util.spec_from_file_location("scipy.integrate._quadpack", path)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _eta_c_1d(d_factor: float, epsilon: float) -> float:
     """One transverse axis of the pair-collection efficiency.
 
     The double integral of the Gaussian pair correlation over two
     matched segments of length D (in correlation-length units, center
     offset epsilon) reduces to a single integral against the triangular
-    overlap density.
+    overlap density.  QAGP gets the arguments, and so the bits, of
+    ``quad(integrand, lo, hi, points=[0.0], epsabs=1e-10, limit=200)``;
+    an integral that it flags (ier != 0) raises NumericalError.
     """
-    from scipy import integrate
-
     s = FWHM_TO_SIGMA  # sigma in units of l_cff
 
     def integrand(w):
@@ -105,7 +124,12 @@ def _eta_c_1d(d_factor: float, epsilon: float) -> float:
     hi = min(d_factor, -epsilon + 8 * s)
     if hi <= lo:
         return 0.0
-    val, _ = integrate.quad(integrand, lo, hi, points=[0.0], epsabs=1e-10, limit=200)
+    points = (0.0, 0.0, 0.0) if lo < 0.0 < hi else (0.0, 0.0)
+    val, _, ier = _quadpack()._qagpe(integrand, lo, hi, points, (), 0, 1e-10, 1.49e-8, 200)
+    if ier != 0:
+        raise NumericalError(
+            f"eta_c: QUADPACK flag {ier} at D = {d_factor:g}, epsilon = {epsilon:g}"
+        )
     return min(val / d_factor, 1.0)
 
 
@@ -337,7 +361,9 @@ def _transport(obj, sys, twin, dz):
 
     The margin is computed in floating point before any padded array
     exists: a padded side above ``MAX_PADDED_SIDE``, or a margin that is
-    not finite, raises ConfigError naming the keys it grows with.
+    not finite, raises ConfigError naming the keys it grows with, as
+    does a kernel width s so small that ((reach + 2) / s)^2, the square
+    ``_cdf_integral`` takes at the margin, is not finite.
     """
     template = obj.tau
     width, height, pitch = template.width, template.height, template.pitch
@@ -358,6 +384,13 @@ def _transport(obj, sys, twin, dz):
             f"of {reach:.3g} px around the {width}x{height} grid, from l_cff, epsilon, "
             f"blur_fwhm and dz = {dz:g} mm"
         )
+    for key, value, s in (("l_cff", twin.l_cff, sigma_px), ("blur_fwhm", sys.blur_fwhm, blur_px)):
+        z = (reach + 2) / s if s > 0 else 0.0
+        if not math.isfinite(z * z):
+            raise ConfigError(
+                f"{key} = {value:g} um gives a kernel {s:.3g} px wide, too narrow for "
+                f"the sampler's kernel tables over a margin of {reach:.3g} px"
+            )
     margin = math.ceil(reach) + 1
 
     rate = _pair_rate(twin, width, height, pitch, margin)

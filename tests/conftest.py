@@ -12,9 +12,10 @@ def traced_peak():
     above what was allocated before it.  numpy reports its array buffers
     to tracemalloc, so this counts the arrays alive at once.  The scipy
     subpackages that the package imports on first use are imported
-    before, so that a first call's import (about 12 MB of Python objects
-    for scipy.integrate) is not counted."""
-    import scipy.integrate  # noqa: F401
+    before, so that a first call's import (about 10 MB of Python objects
+    for scipy.optimize, 1.3 MB for scipy.ndimage) is not counted.  The
+    QUADPACK extension that eta_c loads on its first call is about 14 kB,
+    and is counted."""
     import scipy.ndimage  # noqa: F401
     import scipy.optimize  # noqa: F401
 

@@ -18,6 +18,7 @@ import pytest
 from twinphase import metrics
 from twinphase.cli import main as cli_main
 from twinphase.core import (
+    FWHM_TO_SIGMA,
     ObjectSpec,
     OpticalSystem,
     RngStream,
@@ -55,7 +56,7 @@ from twinphase.twinbeam import (
     sample_twin_frame,
 )
 from test_retrieval import phase_noise_spectrum
-from test_twinbeam import fit_efficiencies
+from test_twinbeam import eta_c_1d_by_quad, fit_efficiencies
 
 SYS = OpticalSystem()
 TWIN = TwinBeamConfig()
@@ -131,6 +132,35 @@ def test_criterion_01_nrf_curve(nrf_curve):
         f"NRF(D=3.9) = {at_39:.4f} (target 0.45 +- 0.05), "
         f"{N_FRAMES} frames",
     )
+
+
+def nrf_effective_width(d_factor):
+    """NRF(D) of the model with the pair spread of the sampler: besides
+    l_cff, the signal arm's imaging blur and each arm's independent
+    uniform birth position in its pixel (whose difference has variance
+    pitch^2 / 6) widen the displacement between the two photons, so
+    sigma^2 = (F l_cff)^2 + (F blur_fwhm)^2 + pitch^2 / 6, F the FWHM to
+    sigma factor, in the triangular-overlap integral of eta_c."""
+    f = FWHM_TO_SIGMA
+    sigma = math.sqrt((f * TWIN.l_cff) ** 2 + (f * SYS.blur_fwhm) ** 2 + PITCH**2 / 6)
+    return 1.0 - TWIN.eta0 * eta_c_1d_by_quad(d_factor, TWIN.epsilon, sigma / TWIN.l_cff) ** 2
+
+
+def test_nrf_curve_matches_the_effective_width_model(nrf_curve):
+    """The criterion 01 NRF lies within 2 standard errors of the
+    effective-width model at every D.  It lies above ``nrf_predicted``,
+    which spreads the pair by l_cff alone, by 3 to 14 standard errors
+    at D <= 3.9 (printed for comparison)."""
+    gaps, shipped = [], []
+    for p in nrf_curve:
+        gaps.append((p.nrf - nrf_effective_width(p.d_factor)) / p.nrf_stderr)
+        model = nrf_predicted(TWIN.eta0, p.d_factor, TWIN.epsilon)
+        shipped.append((p.nrf - model) / p.nrf_stderr)
+    print(
+        "NRF - model in s.e., effective width: " + ", ".join(f"{g:+.1f}" for g in gaps)
+        + "; shipped: " + ", ".join(f"{g:+.1f}" for g in shipped)
+    )
+    assert all(abs(g) <= 2.0 for g in gaps), gaps
 
 
 def test_criterion_02_fano_factors(nrf_curve, object_free_frames):
@@ -255,24 +285,12 @@ def test_criterion_06_step_heights():
     )
 
 
-def test_criterion_07_amplitude_advantage(object_exposures, calib_means):
-    """Single-frame transmittance noise with the variance-optimal
-    subtraction weight at D = 3.9, compared with the classical estimator
-    over 100 frames.  Target: >= 20% standard-deviation reduction.
-
-    This criterion is analytically unreachable under the other accepted
-    criteria.  For an optimally weighted subtraction of two quasi-Poisson
-    arms the maximum std reduction is 1 - sqrt(1 - rho^2) with
-    rho^2 = tau * (eta0 * eta_c)^2 (the squared signal-idler
-    correlation).  The same parameter set is pinned by criterion 1
-    (NRF(3.9) = 0.45, i.e. eta0 * eta_c = 0.55) and criterion 2
-    (Fano = 1), which caps the reduction at about 18%.  A >= 20%
-    reduction would require NRF < 0.4 or Fano > 1 at this binning,
-    contradicting those criteria, so the shortfall is reported honestly
-    rather than tuned away.
-    """
+@pytest.fixture(scope="module")
+def transmittances(object_exposures, calib_means):
+    """``(k, tau_q, tau_c)``: the tau weight at bin 12 (D = 3.9), and the
+    stacks of single-frame transmittance estimates of the 100 in-focus
+    exposures with that weight and with the classical one (k = 0)."""
     dz, frames = object_exposures
-    in_focus = frames[1::3]
     mean_s, mean_i = calib_means
     cfg_q = RetrievalConfig(
         dz=dz,
@@ -284,23 +302,98 @@ def test_criterion_07_amplitude_advantage(object_exposures, calib_means):
     )
     cfg_c = replace(cfg_q, k=0.0)
     taus_q, taus_c = [], []
-    for f0 in in_focus:
+    for f0 in frames[1::3]:
         taus_q.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_q).values)
         taus_c.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_c).values)
-    std_q = np.stack(taus_q).std(axis=0, ddof=1).mean()
-    std_c = np.stack(taus_c).std(axis=0, ddof=1).mean()
-    reduction = 100.0 * (1.0 - std_q / std_c)
+    return cfg_q.k, np.stack(taus_q), np.stack(taus_c)
+
+
+def std_reduction(tau_q, tau_c):
+    """Percent reduction of the bin-averaged std of the estimates."""
+    return 100.0 * (1.0 - tau_q.std(axis=0, ddof=1).mean() / tau_c.std(axis=0, ddof=1).mean())
+
+
+def computed_cap(k, nrf_curve, calib_means):
+    """Predicted percent std reduction of criterion 07's corrected
+    estimate over the classical one, with Poisson arms (Fano = 1).
+
+    Per bin of transmittance tau, the estimates are
+    (S - k (I - <I>)) / <S_0> and S / <S_0>, with Var S = tau <S_0>,
+    Var I = <S_0> and Cov(S, I) = c Var S, where c = eta0 eta_c =
+    1 - NRF(3.9) is taken from the measured curve; so their variance
+    ratio is r = 1 - 2 k c + k^2 / tau.  tau is each bin's expected
+    signal over the object-free one.  Each bin enters the average as its
+    classical std does, in proportion to sqrt(tau)."""
+    c = 1.0 - next(p.nrf for p in nrf_curve if abs(p.d_factor - 3.9) < 1e-9)
+    obj = generate_test_target(220, 220, PITCH)
+    signal = bin_counts(expected_counts(obj, SYS, TWIN, 0.0)[0], 12).values
+    tau = signal / bin_counts(calib_means[0], 12).values
+    r = 1.0 - 2.0 * k * c + k * k / tau
+    return 100.0 * (1.0 - np.sum(np.sqrt(r * tau)) / np.sum(np.sqrt(tau)))
+
+
+def test_criterion_07_reduction_matches_its_computed_cap(transmittances, nrf_curve, calib_means):
+    """The measured std reduction of criterion 07 lies within 2
+    Monte-Carlo standard errors of ``computed_cap``.
+
+    The standard error is that of R = 1 - Q / C, Q and C the bin means
+    of the per-bin sample stds s_q and s_c over n frames.  By the delta
+    method, Var R = sum_b Var(s_q - R' s_c) / (sum_b s_c)^2, R' = Q / C,
+    with the bins independent (a bin of 12 px is several pair widths).
+    For near-Gaussian counts (hundreds of photons per bin) the sample
+    stds have Var s = sigma^2 / (2 (n - 1)) and
+    Cov(s_q, s_c) = rho^2 sigma_q sigma_c / (2 (n - 1)), rho the
+    correlation of the two estimates of a bin over frames; each sigma and
+    rho is replaced by its per-bin estimate.  It reads 0.26 points, as
+    does a jackknife over the frames.
+    """
+    k, tau_q, tau_c = transmittances
+    n = tau_q.shape[0]
+    s_q, s_c = tau_q.std(axis=0, ddof=1), tau_c.std(axis=0, ddof=1)
+    ratio = s_q.mean() / s_c.mean()
+    dev_q, dev_c = tau_q - tau_q.mean(axis=0), tau_c - tau_c.mean(axis=0)
+    rho = (dev_q * dev_c).sum(axis=0) / (n - 1) / (s_q * s_c)
+    var_u = (s_q**2 + ratio**2 * s_c**2 - 2 * ratio * rho**2 * s_q * s_c) / (2 * (n - 1))
+    stderr = 100.0 * math.sqrt(var_u.sum()) / s_c.sum()
+    measured = std_reduction(tau_q, tau_c)
+    predicted = computed_cap(k, nrf_curve, calib_means)
+    print(
+        f"criterion 07 std reduction: measured {measured:.2f} +- {stderr:.2f}%, "
+        f"predicted {predicted:.2f}%"
+    )
+    assert abs(measured - predicted) <= 2.0 * stderr
+
+
+def test_criterion_07_amplitude_advantage(transmittances, nrf_curve, calib_means):
+    """Single-frame transmittance noise with the variance-optimal
+    subtraction weight at D = 3.9, compared with the classical estimator
+    over 100 frames.  Target: >= 20% standard-deviation reduction.
+
+    This criterion is unreachable under the other accepted criteria.
+    For an optimally weighted subtraction of two Poisson arms (Fano = 1,
+    criterion 2) the std reduction is fixed by the signal-idler
+    covariance c = 1 - NRF(3.9) (criterion 1), the weight k and the
+    target's transmittance: ``computed_cap``, which
+    ``test_criterion_07_reduction_matches_its_computed_cap`` checks
+    against the measurement.  With the measured NRF(3.9) = 0.4388 it
+    computes a cap of 17.1%.  A >= 20% reduction would require
+    a lower NRF or Fano > 1 at this binning, contradicting those
+    criteria, so the shortfall is reported honestly rather than tuned
+    away.
+    """
+    k, tau_q, tau_c = transmittances
+    reduction = std_reduction(tau_q, tau_c)
     detail = (
         f"std reduction = {reduction:.1f}% (target >= 20%), "
-        f"{len(in_focus)} frames at D = 3.9"
+        f"{tau_q.shape[0]} frames at D = 3.9"
     )
     if reduction >= 20.0:
         report(7, "amplitude quantum advantage", True, detail)
     else:
         print(f"[criterion 07] amplitude quantum advantage: FAIL ({detail})")
         pytest.xfail(
-            f"{detail}; capped near 18% by the NRF = 0.45 / Fano = 1 "
-            "operating point fixed by criteria 1-2 (see docstring)"
+            f"{detail}; capped at a computed {computed_cap(k, nrf_curve, calib_means):.1f}% "
+            "by the NRF(3.9) / Fano = 1 operating point fixed by criteria 1-2 (see docstring)"
         )
 
 

@@ -826,6 +826,24 @@ def test_padded_grid_past_the_cap_exits_2(tmp_path, capsys, traced_peak, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["l_cff", "blur_fwhm"])
+@pytest.mark.parametrize(
+    "command", [["simulate", "--frames", "0"], ["scan", "nrf", "--frames", "2"]], ids=" ".join
+)
+def test_kernel_too_narrow_for_its_tables_exits_2(tmp_path, capsys, command, key):
+    """At 1e-160 um the square of the kernel argument overflows in
+    ``_cdf_integral`` (exit 4, "overflow encountered in multiply",
+    before); at 1e-150 it does not, and the command runs."""
+    out = tmp_path / "o"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1e-160\n", encoding="utf-8")
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{key} = 1e-160 um gives a kernel" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text(f"{key} = 1e-150\n", encoding="utf-8")
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("dz", ["1e305", "1e308"])
 def test_defocus_that_overflows_the_optics_exits_4(tmp_path, capsys, dz):
     """-i pi lambda z of the transfer function is not finite: this raised
@@ -881,11 +899,14 @@ print(json.dumps(loaded))
 
 
 def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
-    """scipy.optimize, scipy.integrate and scipy.ndimage are imported by
-    the functions that use them, so the package and simulate load none;
-    scan resolution loads scipy.optimize, in its first curve_fit on a
-    thread of ordered_map, and not scipy.integrate.  A fresh interpreter,
-    as this one has loaded them all."""
+    """scipy.optimize and scipy.ndimage are imported by the functions
+    that use them, and eta_c calls QUADPACK without the scipy.integrate
+    package, so the package and simulate load none of the three; scan
+    resolution loads scipy.optimize, in its first curve_fit on a thread
+    of ordered_map; scan nrf, which evaluates eta_c for its model
+    column, loads none; retrieve with the tau weight, which evaluates
+    eta_c, loads scipy.ndimage alone.  A fresh interpreter, as this one
+    has loaded them all."""
     src = Path(twinbeam.__file__).resolve().parents[1]
     env = {**os.environ, "QPI_THREADS": "2"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -893,13 +914,23 @@ def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
         ["simulate", "--frames", "0", "--out", str(tmp_path / "s")],
         ["scan", "resolution", "--dz", "0.1", "--out", str(tmp_path / "r")],
     ]
-    args = json.dumps([HEAVY_SCIPY, commands])
-    run = subprocess.run(
-        [sys.executable, "-c", LOADED_BY_COMMANDS, args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == [[None, []], [EXIT_OK, []], [EXIT_OK, ["scipy.optimize"]]]
+    tau_commands = [
+        ["scan", "nrf", "--frames", "2", "--out", str(tmp_path / "n")],
+        ["simulate", "--frames", "1", "--out", str(tmp_path / "f")],
+        ["retrieve", "--frames", str(tmp_path / "f"), "--k-mode", "tau", "--bin", "3",
+         "--out", str(tmp_path / "t")],
+    ]
+    loaded = []
+    for run_commands in (commands, tau_commands):
+        args = json.dumps([HEAVY_SCIPY, run_commands])
+        run = subprocess.run(
+            [sys.executable, "-c", LOADED_BY_COMMANDS, args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        loaded.append(json.loads(run.stdout))
+    assert loaded[0] == [[None, []], [EXIT_OK, []], [EXIT_OK, ["scipy.optimize"]]]
+    assert loaded[1] == [[None, []], [EXIT_OK, []], [EXIT_OK, []], [EXIT_OK, ["scipy.ndimage"]]]
 
 
 def test_failed_resolution_fit_names_its_point(tmp_path, capsys, monkeypatch):

@@ -6,14 +6,17 @@ import sys
 import threading
 import time
 import weakref
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize
 
 from twinphase.core import (
+    FWHM_TO_SIGMA,
     NoPhotonError,
+    NumericalError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
@@ -96,7 +99,51 @@ ETA_C_ORACLE = {
 }
 
 
+# D of the criterion 01 binnings (1, 2, 3, 6, 12 and 25 px) at the default
+# pitch and l_cff.
+CRITERION_01_D = tuple(
+    d_factor_for_bin(b, OpticalSystem().object_pixel, TwinBeamConfig().l_cff)
+    for b in (1, 2, 3, 6, 12, 25)
+)
+
+
+def eta_c_1d_by_quad(d_factor, epsilon, s=FWHM_TO_SIGMA):
+    """``twinbeam._eta_c_1d`` as written with ``integrate.quad``: the
+    reference that its direct QUADPACK call must match bit for bit.  ``s``
+    is the Gaussian sigma of the pair displacement in units of l_cff."""
+
+    def integrand(w):
+        pdf = math.exp(-0.5 * ((w + epsilon) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        return (d_factor - abs(w)) * pdf
+
+    lo = max(-d_factor, -epsilon - 8 * s)
+    hi = min(d_factor, -epsilon + 8 * s)
+    if hi <= lo:
+        return 0.0
+    val, _ = integrate.quad(integrand, lo, hi, points=[0.0], epsabs=1e-10, limit=200)
+    return min(val / d_factor, 1.0)
+
+
 class TestEtaC:
+    def test_bits_of_integrate_quad(self):
+        """Over D from 1e-3 to 50 and the criterion 01 D values, at
+        epsilon from 0 to 20: points with 0 inside (lo, hi), outside it,
+        and with hi <= lo, where the integral is 0."""
+        s = FWHM_TO_SIGMA
+        kinds = set()
+        for d in [*np.geomspace(1e-3, 50, 400).tolist(), *CRITERION_01_D]:
+            for eps in (0.0, 0.2, 1.5, 4.0, 20.0):
+                lo, hi = max(-d, -eps - 8 * s), min(d, -eps + 8 * s)
+                kinds.add("empty" if hi <= lo else "inside" if lo < 0.0 < hi else "outside")
+                assert twinbeam._eta_c_1d(d, eps) == eta_c_1d_by_quad(d, eps), (d, eps)
+        assert kinds == {"empty", "inside", "outside"}
+
+    def test_flagged_integral_raises_naming_its_point(self, monkeypatch):
+        flagged = SimpleNamespace(_qagpe=lambda *args: (0.5, 1.0, 2))
+        monkeypatch.setattr(twinbeam, "_quadpack", lambda: flagged)
+        with pytest.raises(NumericalError, match="flag 2 at D = 3.9, epsilon = 0.2"):
+            eta_c(3.9, 0.2)
+
     @pytest.mark.parametrize("point,expected", sorted(ETA_C_ORACLE.items()))
     def test_matches_double_integral_oracle(self, point, expected):
         d, eps = point
