@@ -9,33 +9,17 @@ Subcommands, each registering only the flags it reads:
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 failure.  Identical config + seed produce byte-identical outputs, for
-any thread count of ``twinbeam.ordered_map``.
-
-``simulate`` and ``scan nrf`` draw their frames, ``scan advantage``
-draws and scores its frame triples, ``scan noise`` evaluates its Poisson
-trials and ``scan resolution`` its dz points on the threads of
-``twinbeam.ordered_map``: one per CPU this process may use, capped by
-the QPI_THREADS environment variable.  Object-free frames and the
-calibration means are those of ``core.blank_object``.  A matrix product
-may differ in its last bits with the BLAS pool size, so ``main`` runs
-every command with numpy's and scipy's OpenBLAS pools at one thread,
-and gives each pool back its size after.
+any thread count of ``runtime.ordered_map``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import os
 import sys
 from dataclasses import asdict, fields
-from pathlib import Path
 
-import numpy as np
-import scipy
-
-from . import __version__, metrics, qpf, retrieval, twinbeam
+from . import __version__, metrics, qpf, retrieval, runtime, twinbeam
 from .core import (
     TARGET_GRID,
     ConfigError,
@@ -170,7 +154,7 @@ def cmd_simulate(args):
         return qpf.write_fields(args.out, zip(names, (tf.n_s, tf.n_i)))
 
     exposures = twinbeam.exposures(args.dz, args.frames)
-    for paths in twinbeam.ordered_map(draw_and_write, enumerate(exposures)):
+    for paths in runtime.ordered_map(draw_and_write, enumerate(exposures)):
         outputs += paths
     snap = {**asdict(sys_cfg), **asdict(twin_cfg), "grid_size": size}
     snap.update(dz_list=args.dz, frames=args.frames)
@@ -216,7 +200,7 @@ def _scan_nrf(args, sys_cfg, twin_cfg):
     give ``measure_nrf`` the float64 bits (0.19 MB, not 0.77, per 220² frame)."""
     blank = blank_object(TARGET_GRID, TARGET_GRID, sys_cfg.object_pixel)
     base = RngStream(args.seed)
-    counts = twinbeam.ordered_map(
+    counts = runtime.ordered_map(
         lambda i: twinbeam.frame_counts(
             twinbeam.sample_twin_frame(blank, sys_cfg, twin_cfg, 0.0, base.child(i))
         ),
@@ -360,44 +344,11 @@ def build_parser():
     return parser
 
 
-def _openblas_pools():
-    """(getter, setter) of the thread pool of each OpenBLAS that numpy and
-    scipy bundle and have loaded; none for a missing library or symbol."""
-    pools = []
-    for package, suffix in ((np, "64_"), (scipy, "")):
-        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("libscipy_openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-                names = (f"scipy_openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
-                get, set_threads = (getattr(lib, name) for name in names)
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            pools.append((get, set_threads))
-    return pools
-
-
-@contextlib.contextmanager
-def _blas_threads(n):
-    """Run the block with each pool of ``_openblas_pools`` at ``n`` threads, then restore it."""
-    pools = [(set_threads, get()) for get, set_threads in _openblas_pools()]
-    for set_threads, _ in pools:
-        set_threads(n)
-    try:
-        yield
-    finally:
-        for set_threads, size in pools:
-            set_threads(size)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a numpy overflow, invalid value or division by zero raises (exit 4)
-        with _blas_threads(1), np.errstate(over="raise", invalid="raise", divide="raise"):
+        with runtime.command():
             return args.func(args)
     except (ConfigError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -40,13 +40,13 @@ from .retrieval import (
     resolve_k,
     tie_retrieve,
 )
+from .runtime import ordered_map
 from .twinbeam import (
     _POISSON_LAM_MAX,
     bin_counts,
     d_factor_for_bin,
     expected_counts,
     exposures,
-    ordered_map,
     sample_twin_frame,
 )
 
@@ -57,9 +57,6 @@ NOISE_SCAN_DZ = 0.025  # mm, the defocus of the noise-suppression scan's TIE
 class ESFFit:
     """Error-function fit of an edge profile."""
 
-    a: float
-    b: float
-    x0: float
     w: float
     w_ci: tuple  # 95% interval [w_sub, w_sup]
     ok: bool = True
@@ -122,15 +119,15 @@ def esf_fit(profile, x) -> ESFFit:
         )
     except (RuntimeError, ValueError) as exc:
         return _failed_fit(str(exc))
-    a, b, x0, w = (float(v) for v in popt)
+    w = float(popt[3])
     se_w = float(math.sqrt(max(pcov[3, 3], 0.0)))
     w_sub, w_sup = w - 1.96 * se_w, w + 1.96 * se_w
-    return ESFFit(a=a, b=b, x0=x0, w=w, w_ci=(w_sub, w_sup))
+    return ESFFit(w=w, w_ci=(w_sub, w_sup))
 
 
 def _failed_fit(message):
     nan = float("nan")
-    return ESFFit(a=nan, b=nan, x0=nan, w=nan, w_ci=(nan, nan), ok=False, message=message)
+    return ESFFit(w=nan, w_ci=(nan, nan), ok=False, message=message)
 
 
 def step_heights(phase: ScalarField2D, bin_px: int, fine_shape: tuple) -> dict:

@@ -1,0 +1,137 @@
+"""How a command runs: the thread map of its frames, trials and dz points,
+with BLAS at one thread and numpy's raising error state, so its outputs
+are byte-identical for any thread count and BLAS pool size."""
+
+import contextlib
+import ctypes
+import os
+import threading
+from contextvars import copy_context
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+
+def _frame_workers() -> int:
+    """Threads of ``ordered_map``: the CPUs this process may run on,
+    capped by the QPI_THREADS environment variable when it is set."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    try:
+        workers = min(workers, int(os.environ.get("QPI_THREADS", "")))
+    except ValueError:
+        pass
+    return max(workers, 1)
+
+
+def ordered_map(func, items):
+    """Return ``[func(item) for item in items]``.
+
+    The calls run on one thread per CPU this process may use, capped by
+    the QPI_THREADS environment variable.  The calling thread is one of
+    them, so one worker starts no thread.  Each thread pulls the next
+    item in index order under one lock, runs ``func`` on it outside the
+    lock and stores the result at the item's index; so an iterator that
+    draws random numbers draws them in the same order for any thread
+    count, and when ``func``'s result depends on its item alone, so does
+    the list.  Each thread runs in a copy of the caller's context, so
+    numpy's error state (``np.errstate``) holds on every thread.  numpy's
+    random draws, FFTs and ufuncs release the GIL, and ``command`` runs
+    BLAS on one thread.  At most one item per thread is
+    in flight, and no thread waits for another to finish: a thread holds
+    one twin-beam frame's working set at a time, about five arrays of
+    its padded grid (3.1 MB for a defocused 220² frame), one trial of
+    ``metrics.noise_suppression_scan`` (3.6 MB at 220²), or one dz point
+    of ``metrics.resolution_scan`` (4.3 MB at 220²).  Once ``func``
+    or the iterator raises, no item is pulled; after the threads end, the
+    exception of the lowest failing index is raised, as the list
+    comprehension would raise it.
+    """
+    items = iter(items)
+    results = []
+    errors = {}  # index -> the exception of func, or of the iterator pulling it
+    lock = threading.Lock()
+    stopped = False  # the items ran out, one failed, or the caller left
+
+    def worker():
+        nonlocal stopped
+        while True:
+            with lock:
+                if stopped:
+                    return
+                index = len(results)
+                try:
+                    item = next(items)
+                except StopIteration:
+                    stopped = True
+                    return
+                except Exception as exc:
+                    stopped = True
+                    errors[index] = exc
+                    return
+                results.append(None)
+            try:
+                results[index] = func(item)
+            except Exception as exc:
+                with lock:
+                    stopped = True
+                    errors[index] = exc
+                return
+
+    threads = [threading.Thread(target=copy_context().run, args=(worker,), daemon=True)
+               for _ in range(_frame_workers() - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        worker()
+    finally:
+        with lock:
+            stopped = True
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _openblas_pools():
+    """(getter, setter) of the thread pool of each OpenBLAS that numpy and
+    scipy bundle and have loaded; none for a missing library or symbol."""
+    pools = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                names = (f"scipy_openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
+                get, set_threads = (getattr(lib, name) for name in names)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            pools.append((get, set_threads))
+    return pools
+
+
+@contextlib.contextmanager
+def _blas_threads(n):
+    """Run the block with each pool of ``_openblas_pools`` at ``n`` threads, then restore it."""
+    pools = [(set_threads, get()) for get, set_threads in _openblas_pools()]
+    for set_threads, _ in pools:
+        set_threads(n)
+    try:
+        yield
+    finally:
+        for set_threads, size in pools:
+            set_threads(size)
+
+
+@contextlib.contextmanager
+def command():
+    """Run a command's block with BLAS at one thread, where a numpy
+    overflow, invalid value or division by zero raises; restore both after."""
+    with _blas_threads(1), np.errstate(over="raise", invalid="raise", divide="raise"):
+        yield

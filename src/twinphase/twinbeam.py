@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from contextvars import copy_context
 from dataclasses import dataclass
 from functools import cache
 from importlib import machinery, util
@@ -149,8 +147,12 @@ def nrf_predicted(eta0: float, d_factor: float, epsilon: float) -> float:
 
 
 def d_factor_for_bin(bin_px: int, pitch: float, l_cff: float) -> float:
-    """Resolution factor D of a bin_px x bin_px integration area."""
-    return bin_px * pitch / l_cff
+    """Resolution factor D of a bin_px x bin_px integration area; a D
+    that is not finite (a subnormal l_cff) raises ConfigError."""
+    d = bin_px * pitch / l_cff
+    if not math.isfinite(d):
+        raise ConfigError(f"l_cff = {l_cff} um gives D = {d} at bin {bin_px}: D must be finite")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +447,7 @@ def sample_twin_frame(
     template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz)
     gen = rng.generator()
     rem = gen.poisson(rate)
-    # One frame may be in flight per thread (see ordered_map), so each
+    # One frame may be in flight per thread (see runtime.ordered_map), so each
     # padded array is dropped at its last use, and the signal arm's
     # displacement maps are made one axis at a time when it runs.
     del rate
@@ -501,90 +503,6 @@ def expected_counts(obj: ObjectSpec, sys: OpticalSystem, twin: TwinBeamConfig, d
     del mean_i_births
     mean_s, _ = _redistribute(mean_s_births, *signal, None)
     return template.with_values(mean_s[crop]), mean_i
-
-
-def _frame_workers() -> int:
-    """Threads of ``ordered_map``: the CPUs this process may run on,
-    capped by the QPI_THREADS environment variable when it is set."""
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        workers = os.cpu_count() or 1
-    try:
-        workers = min(workers, int(os.environ.get("QPI_THREADS", "")))
-    except ValueError:
-        pass
-    return max(workers, 1)
-
-
-def ordered_map(func, items):
-    """Return ``[func(item) for item in items]``.
-
-    The calls run on one thread per CPU this process may use, capped by
-    the QPI_THREADS environment variable.  The calling thread is one of
-    them, so one worker starts no thread.  Each thread pulls the next
-    item in index order under one lock, runs ``func`` on it outside the
-    lock and stores the result at the item's index; so an iterator that
-    draws random numbers draws them in the same order for any thread
-    count, and when ``func``'s result depends on its item alone, so does
-    the list.  Each thread runs in a copy of the caller's context, so
-    numpy's error state (``np.errstate``) holds on every thread.  numpy's
-    random draws, FFTs and ufuncs release the GIL, and ``cli.main`` runs
-    BLAS on one thread.  At most one item per thread is
-    in flight, and no thread waits for another to finish: a thread holds
-    one twin-beam frame's working set at a time, about five arrays of
-    its padded grid (3.1 MB for a defocused 220² frame), one trial of
-    ``metrics.noise_suppression_scan`` (3.6 MB at 220²), or one dz point
-    of ``metrics.resolution_scan`` (4.3 MB at 220²).  Once ``func``
-    or the iterator raises, no item is pulled; after the threads end, the
-    exception of the lowest failing index is raised, as the list
-    comprehension would raise it.
-    """
-    items = iter(items)
-    results = []
-    errors = {}  # index -> the exception of func, or of the iterator pulling it
-    lock = threading.Lock()
-    stopped = False  # the items ran out, one failed, or the caller left
-
-    def worker():
-        nonlocal stopped
-        while True:
-            with lock:
-                if stopped:
-                    return
-                index = len(results)
-                try:
-                    item = next(items)
-                except StopIteration:
-                    stopped = True
-                    return
-                except Exception as exc:
-                    stopped = True
-                    errors[index] = exc
-                    return
-                results.append(None)
-            try:
-                results[index] = func(item)
-            except Exception as exc:
-                with lock:
-                    stopped = True
-                    errors[index] = exc
-                return
-
-    threads = [threading.Thread(target=copy_context().run, args=(worker,), daemon=True)
-               for _ in range(_frame_workers() - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        worker()
-    finally:
-        with lock:
-            stopped = True
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 def exposures(dzs, frames: int):

@@ -44,6 +44,7 @@ from twinphase.retrieval import (
     resolve_k,
     tie_retrieve,
 )
+from twinphase.runtime import ordered_map
 from twinphase.twinbeam import (
     bin_counts,
     expected_counts,
@@ -51,7 +52,6 @@ from twinphase.twinbeam import (
     frame_counts,
     measure_nrf,
     nrf_predicted,
-    ordered_map,
     register_idler,
     sample_twin_frame,
 )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinphase import cli, metrics, qpf, twinbeam
+from twinphase import cli, metrics, qpf, runtime, twinbeam
 from twinphase.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -37,7 +37,7 @@ from twinphase.core import (
     TwinBeamConfig,
     generate_test_target,
 )
-from test_twinbeam import use_threads
+from test_runtime import use_threads
 
 
 class TestConfigParsing:
@@ -353,7 +353,7 @@ class TestSimulateCommand:
             i, (_, _, _, signed) = indexed
             return twinbeam.sample_twin_frame(obj, sys_cfg, twin_cfg, signed, RngStream(9, i))
 
-        frames = twinbeam.ordered_map(draw, enumerate(listed))
+        frames = runtime.ordered_map(draw, enumerate(listed))
         for (dz, frame, tag, _), tf in zip(listed, frames):
             for name, field in zip(qpf.exposure_names(dz, frame, tag), (tf.n_s, tf.n_i)):
                 assert np.array_equal(qpf.read_qpf(out / f"{name}.qpf").values, field.values)
@@ -844,6 +844,38 @@ def test_kernel_too_narrow_for_its_tables_exits_2(tmp_path, capsys, command, key
     assert main(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scan", "nrf", "--frames", "2"],
+        ["scan", "resolution", "--dz", "0.025"],
+        ["scan", "advantage", "--frames", "1", "--dz", "0.025"],
+        ["retrieve", "--k-mode", "tau", "--bin", "3"],
+    ],
+    ids=" ".join,
+)
+def test_resolution_factor_that_is_not_finite_exits_2(frame_set, tmp_path, capsys, command):
+    """At l_cff = 5e-324 um, D = bin * pitch / l_cff overflows to inf:
+    scan nrf wrote D = inf and a nan model NRF and scan resolution D = inf
+    (exit 0), scan advantage and retrieve --k-mode tau raised "field
+    contains non-finite values" (exit 1)."""
+    if command[0] == "retrieve":
+        frames = tmp_path / "frames"
+        shutil.copytree(frame_set, frames)
+        manifest = json.loads((frames / "manifest.json").read_text())
+        manifest["config"]["l_cff"] = 5e-324
+        (frames / "manifest.json").write_text(json.dumps(manifest))
+        command = command + ["--frames", str(frames)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("l_cff = 5e-324\n", encoding="utf-8")
+        command = command + ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert main(command + ["--out", str(out)]) == EXIT_CONFIG
+    assert "config error: l_cff = 5e-324 um gives D = inf" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("dz", ["1e305", "1e308"])
 def test_defocus_that_overflows_the_optics_exits_4(tmp_path, capsys, dz):
     """-i pi lambda z of the transfer function is not finite: this raised
@@ -885,9 +917,9 @@ HEAVY_SCIPY = ("scipy.integrate", "scipy.ndimage", "scipy.optimize")
 # the import and after each command, with the command's exit code.
 LOADED_BY_COMMANDS = """
 import contextlib, io, json, sys
-from twinphase import cli, twinbeam
+from twinphase import cli, runtime
 
-twinbeam.os.sched_getaffinity = lambda pid: set(range(4))  # two threads on any machine
+runtime.os.sched_getaffinity = lambda pid: set(range(4))  # two threads on any machine
 heavy, commands = json.loads(sys.argv[1])
 loaded = [[None, [name for name in heavy if name in sys.modules]]]
 for argv in commands:
@@ -953,48 +985,6 @@ def test_failed_resolution_fit_names_its_point(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert "dz=0.025 mm, bin 3: no edge contrast" in err
         assert err.count("bin ") == 1  # only the failing point is named
-
-
-def test_blas_pools_run_one_thread_inside_a_command(tmp_path, monkeypatch):
-    real_stack = metrics.defocus_stack
-    seen = []
-
-    def stack_reading_pools(*args, **kwargs):
-        seen.append([get() for get, _ in cli._openblas_pools()])
-        return real_stack(*args, **kwargs)
-
-    monkeypatch.setattr(metrics, "defocus_stack", stack_reading_pools)
-    use_threads(monkeypatch, 2)
-    with cli._blas_threads(2):
-        code = main(["scan", "resolution", "--dz", "0.0125,0.025", "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    assert len(seen) == 2 and all(size == 1 for sizes in seen for size in sizes)
-
-
-def raise_in_command(*args):
-    raise RuntimeError("raised in a command")
-
-
-@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "exception"])
-def test_blas_pool_sizes_restored_after_a_command(tmp_path, monkeypatch, outcome):
-    argv = ["target", "--out", str(tmp_path / "t")]
-    if outcome == "exit 2":
-        (tmp_path / "bad.cfg").write_text("volume = 11\n", encoding="utf-8")
-        argv += ["--config", str(tmp_path / "bad.cfg")]
-    if outcome == "exception":
-        monkeypatch.setattr(cli, "generate_test_target", raise_in_command)
-    with cli._blas_threads(2):
-        if outcome == "exception":
-            with pytest.raises(RuntimeError, match="raised in a command"):
-                main(argv)
-        else:
-            assert main(argv) == {"exit 0": EXIT_OK, "exit 2": EXIT_CONFIG}[outcome]
-        assert all(get() == 2 for get, _ in cli._openblas_pools())
-
-
-def test_command_runs_without_an_openblas(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_openblas_pools", lambda: [])
-    assert main(["target", "--out", str(tmp_path)]) == EXIT_OK
 
 
 def registered_options():

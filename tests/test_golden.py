@@ -18,8 +18,8 @@ runs with one frame thread, where every call runs on the calling
 thread, and with two, where frames are drawn, ``simulate``'s files
 written, the advantage scan's frame triples scored and the resolution
 scan's dz points evaluated on both threads;
-each run starts from a different BLAS pool size, which ``cli.main``
-sets to one thread for every command, so the bytes hold for any pool
+each run starts from a different BLAS pool size, which
+``runtime.command`` sets to one thread for every command, so the bytes hold for any pool
 size the host would pick.
 
 The frames come from numpy's binomial and Poisson streams, which are
@@ -42,9 +42,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinphase.cli import _blas_threads
 from twinphase.cli import main as cli_main
-from test_twinbeam import use_threads
+from twinphase.runtime import _blas_threads
+from test_runtime import use_threads
 
 FIXTURE = Path(__file__).with_name("golden_hashes.json")
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
 
-from twinphase.cli import _blas_threads
 from twinphase.core import (
     ConfigError,
     GridError,
@@ -35,6 +34,7 @@ from twinphase.retrieval import (
     retrieve_frames,
     tie_retrieve,
 )
+from twinphase.runtime import _blas_threads
 from twinphase.twinbeam import bin_counts, eta_c, expected_counts, exposures, sample_twin_frame
 
 

@@ -1,0 +1,225 @@
+"""Tests of how a command runs: the thread map, the BLAS pin, the error
+state, and which modules may import the thread and foreign-call machinery."""
+
+import ast
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from twinphase import cli, metrics, runtime
+from twinphase.cli import EXIT_CONFIG, EXIT_OK, main
+from twinphase.runtime import ordered_map
+
+
+def use_threads(monkeypatch, threads, cpus=4):
+    """Let ordered_map, and so the commands and scans that draw on it,
+    see ``cpus`` CPUs and cap it at ``threads``."""
+    monkeypatch.setattr(
+        runtime.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+    monkeypatch.setenv("QPI_THREADS", str(threads))
+
+
+class TestOrderedMap:
+    def test_no_thread_waits_for_a_reader(self, monkeypatch):
+        # item 1 runs until item 3 starts: with 2 threads the other one
+        # must run items 0, 2 and 3 while item 1 is unread
+        started = [threading.Event() for _ in range(6)]
+        waited = []
+
+        def func(i):
+            started[i].set()
+            if i == 1:
+                waited.append(started[3].wait(timeout=2.0))
+            return i * i
+
+        use_threads(monkeypatch, 2)
+        threads_before = threading.active_count()
+        assert ordered_map(func, range(6)) == [i * i for i in range(6)]
+        assert waited == [True]
+        assert threading.active_count() == threads_before
+
+    def test_pulls_items_in_order_with_at_most_workers_in_flight(self, monkeypatch):
+        workers, n = 3, 40
+        pulled = []
+        lock = threading.Lock()
+        running = peak = 0
+
+        def items():
+            for i in range(n):
+                pulled.append(i)
+                yield i
+
+        def slow_square(i):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            time.sleep(0.001)
+            with lock:
+                running -= 1
+            return i * i
+
+        use_threads(monkeypatch, workers, cpus=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads_before = threading.active_count()
+            got = ordered_map(slow_square, items())
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in range(n)]
+        assert pulled == list(range(n))
+        assert 1 <= peak <= workers
+        assert threading.active_count() == threads_before
+
+    def test_raises_the_exception_of_the_lowest_failing_item(self, monkeypatch):
+        workers = 3
+        pulled = []
+
+        def items():
+            for i in range(40):
+                pulled.append(i)
+                yield i
+
+        def func(i):
+            if i == 3:
+                time.sleep(0.1)  # item 5 fails first
+                raise FloatingPointError("overflow in item 3")
+            if i == 5:
+                raise FloatingPointError("overflow in item 5")
+            time.sleep(0.01)
+            return i
+
+        use_threads(monkeypatch, workers)
+        threads_before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="item 3"):
+            ordered_map(func, items())
+        assert pulled == list(range(len(pulled)))
+        assert max(pulled) <= 3 + workers
+        assert threading.active_count() == threads_before
+
+    def test_worker_threads_keep_the_callers_error_state(self, monkeypatch):
+        # the calling thread waits until the other thread has run an item,
+        # whose overflow only warned when threads started in numpy's
+        # default error state
+        caller = threading.current_thread()
+        on_worker = threading.Event()
+
+        def overflow_on_a_worker(x):
+            if threading.current_thread() is caller:
+                assert on_worker.wait(timeout=10.0)
+                return x
+            on_worker.set()
+            return np.float64(1e308) * x
+
+        use_threads(monkeypatch, 2)
+        threads_before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            ordered_map(overflow_on_a_worker, [10.0, 10.0])
+        assert on_worker.is_set()
+        assert threading.active_count() == threads_before
+
+    def test_iterator_exception_is_raised_after_the_items_before_it(self, monkeypatch):
+        workers = 2
+        pulled, ran = [], []
+
+        def items():
+            for i in range(3):
+                pulled.append(i)
+                yield i
+            raise FloatingPointError("overflow while drawing item 3")
+
+        def slow_identity(i):
+            time.sleep(0.02)
+            ran.append(i)
+            return i
+
+        use_threads(monkeypatch, workers)
+        threads_before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="item 3"):
+            ordered_map(slow_identity, items())
+        assert sorted(ran) == [0, 1, 2]
+        assert pulled == [0, 1, 2]
+        assert threading.active_count() == threads_before
+
+
+def test_blas_pools_run_one_thread_inside_a_command(tmp_path, monkeypatch):
+    real_stack = metrics.defocus_stack
+    seen = []
+
+    def stack_reading_pools(*args, **kwargs):
+        seen.append([get() for get, _ in runtime._openblas_pools()])
+        return real_stack(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "defocus_stack", stack_reading_pools)
+    use_threads(monkeypatch, 2)
+    with runtime._blas_threads(2):
+        code = main(["scan", "resolution", "--dz", "0.0125,0.025", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert len(seen) == 2 and all(size == 1 for sizes in seen for size in sizes)
+
+
+def raise_in_command(*args):
+    raise RuntimeError("raised in a command")
+
+
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "exception"])
+def test_blas_pool_sizes_restored_after_a_command(tmp_path, monkeypatch, outcome):
+    argv = ["target", "--out", str(tmp_path / "t")]
+    if outcome == "exit 2":
+        (tmp_path / "bad.cfg").write_text("volume = 11\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "bad.cfg")]
+    if outcome == "exception":
+        monkeypatch.setattr(cli, "generate_test_target", raise_in_command)
+    with runtime._blas_threads(2):
+        errors = np.geterr()
+        if outcome == "exception":
+            with pytest.raises(RuntimeError, match="raised in a command"):
+                main(argv)
+        else:
+            assert main(argv) == {"exit 0": EXIT_OK, "exit 2": EXIT_CONFIG}[outcome]
+        assert np.geterr() == errors
+        assert all(get() == 2 for get, _ in runtime._openblas_pools())
+
+
+def test_command_runs_without_an_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(runtime, "_openblas_pools", lambda: [])
+    assert main(["target", "--out", str(tmp_path)]) == EXIT_OK
+
+
+def imported_names(path):
+    """Every module a source file of the package imports, and every name
+    it imports from one, as ``module.name``; package-relative imports
+    are resolved to ``twinphase.``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "twinphase" + (f".{base}" if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_runtime_imports_threads_and_no_module_imports_cli():
+    """``runtime`` alone imports threading, contextvars or ctypes, and no
+    module of the package imports ``cli``, the entry point."""
+    machinery = {"threading", "contextvars", "ctypes"}
+    found = {}
+    for path in sorted(Path(runtime.__file__).parent.glob("*.py")):
+        names = imported_names(path)
+        found[path.stem] = (
+            sorted(machinery & {name.split(".")[0] for name in names}),
+            "twinphase.cli" in names,
+        )
+    assert {module: f for module, f in found.items() if any(f)} == {
+        "runtime": (["contextvars", "ctypes", "threading"], False)
+    }

@@ -36,7 +36,6 @@ from twinphase.twinbeam import (
     frame_counts,
     measure_nrf,
     nrf_predicted,
-    ordered_map,
     register_idler,
     sample_twin_frame,
 )
@@ -45,6 +44,8 @@ from twinphase.cli import EXIT_NUMERICAL, EXIT_OK, main
 from twinphase.metrics import noise_suppression_scan
 from twinphase.optics import imaging_blur
 from twinphase.retrieval import poisson_solve_dirichlet
+from twinphase.runtime import ordered_map
+from test_runtime import use_threads
 
 
 class EfficiencyFit(NamedTuple):
@@ -367,15 +368,6 @@ def test_defocused_smooth_object_frame_bytes_are_pinned():
     assert digests == SMOOTH_FRAME_SHA256
 
 
-def use_threads(monkeypatch, threads, cpus=4):
-    """Let ordered_map, and so the commands and scans that draw on it,
-    see ``cpus`` CPUs and cap it at ``threads``."""
-    monkeypatch.setattr(
-        twinbeam.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
-    )
-    monkeypatch.setenv("QPI_THREADS", str(threads))
-
-
 class TestSampleFrames:
     def frame_bytes(self, frames):
         return [
@@ -454,128 +446,6 @@ class TestSampleFrames:
         code = main(["scan", "nrf", "--frames", "4", "--out", str(tmp_path / "nrf")])
         assert raised_in
         assert code == EXIT_NUMERICAL
-        assert threading.active_count() == threads_before
-
-    def test_no_thread_waits_for_a_reader(self, monkeypatch):
-        # item 1 runs until item 3 starts: with 2 threads the other one
-        # must run items 0, 2 and 3 while item 1 is unread
-        started = [threading.Event() for _ in range(6)]
-        waited = []
-
-        def func(i):
-            started[i].set()
-            if i == 1:
-                waited.append(started[3].wait(timeout=2.0))
-            return i * i
-
-        use_threads(monkeypatch, 2)
-        threads_before = threading.active_count()
-        assert ordered_map(func, range(6)) == [i * i for i in range(6)]
-        assert waited == [True]
-        assert threading.active_count() == threads_before
-
-    def test_pulls_items_in_order_with_at_most_workers_in_flight(self, monkeypatch):
-        workers, n = 3, 40
-        pulled = []
-        lock = threading.Lock()
-        running = peak = 0
-
-        def items():
-            for i in range(n):
-                pulled.append(i)
-                yield i
-
-        def slow_square(i):
-            nonlocal running, peak
-            with lock:
-                running += 1
-                peak = max(peak, running)
-            time.sleep(0.001)
-            with lock:
-                running -= 1
-            return i * i
-
-        use_threads(monkeypatch, workers, cpus=8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads_before = threading.active_count()
-            got = ordered_map(slow_square, items())
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [i * i for i in range(n)]
-        assert pulled == list(range(n))
-        assert 1 <= peak <= workers
-        assert threading.active_count() == threads_before
-
-    def test_raises_the_exception_of_the_lowest_failing_item(self, monkeypatch):
-        workers = 3
-        pulled = []
-
-        def items():
-            for i in range(40):
-                pulled.append(i)
-                yield i
-
-        def func(i):
-            if i == 3:
-                time.sleep(0.1)  # item 5 fails first
-                raise FloatingPointError("overflow in item 3")
-            if i == 5:
-                raise FloatingPointError("overflow in item 5")
-            time.sleep(0.01)
-            return i
-
-        use_threads(monkeypatch, workers)
-        threads_before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="item 3"):
-            ordered_map(func, items())
-        assert pulled == list(range(len(pulled)))
-        assert max(pulled) <= 3 + workers
-        assert threading.active_count() == threads_before
-
-    def test_worker_threads_keep_the_callers_error_state(self, monkeypatch):
-        # the calling thread waits until the other thread has run an item,
-        # whose overflow only warned when threads started in numpy's
-        # default error state
-        caller = threading.current_thread()
-        on_worker = threading.Event()
-
-        def overflow_on_a_worker(x):
-            if threading.current_thread() is caller:
-                assert on_worker.wait(timeout=10.0)
-                return x
-            on_worker.set()
-            return np.float64(1e308) * x
-
-        use_threads(monkeypatch, 2)
-        threads_before = threading.active_count()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            ordered_map(overflow_on_a_worker, [10.0, 10.0])
-        assert on_worker.is_set()
-        assert threading.active_count() == threads_before
-
-    def test_iterator_exception_is_raised_after_the_items_before_it(self, monkeypatch):
-        workers = 2
-        pulled, ran = [], []
-
-        def items():
-            for i in range(3):
-                pulled.append(i)
-                yield i
-            raise FloatingPointError("overflow while drawing item 3")
-
-        def slow_identity(i):
-            time.sleep(0.02)
-            ran.append(i)
-            return i
-
-        use_threads(monkeypatch, workers)
-        threads_before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="item 3"):
-            ordered_map(slow_identity, items())
-        assert sorted(ran) == [0, 1, 2]
-        assert pulled == [0, 1, 2]
         assert threading.active_count() == threads_before
 
     def test_simulate_holds_no_more_frames_than_threads(self, monkeypatch, tmp_path):
