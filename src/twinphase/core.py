@@ -185,8 +185,9 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
 
     Every violated invariant is reported, not just the first one.  When
     the keys pass, the values derived from them, ``object_pixel`` and
-    ``wavenumber``, must be finite and positive too, and the optics'
-    squares of ``1 / object_pixel`` and of the blur width finite.
+    ``wavenumber``, must be finite and positive too; then the optics'
+    squares of ``1 / object_pixel`` and of the blur width must be finite,
+    and the sampler's pair-correlation width in pixels finite and positive.
     """
     problems = []
     for cfg in (optical, twin):
@@ -231,6 +232,12 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
         ):
             if not math.isfinite(square):
                 problems.append(f"{keys} must square to a finite number, got {value}")
+        sigma_px = twin.sigma / optical.object_pixel
+        if not (math.isfinite(sigma_px) and sigma_px > 0):
+            problems.append(
+                f"l_cff = {twin.l_cff} um gives a pair correlation {sigma_px} px wide "
+                "(l_cff * FWHM_TO_SIGMA / object_pixel): it must be finite and positive"
+            )
     if problems:
         raise ConfigError("; ".join(problems))
     return optical, twin

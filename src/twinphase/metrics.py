@@ -2,12 +2,11 @@
 ratio, edge-spread resolution metrology, and the noise-suppression scan
 against the correlation length.
 
-Each scipy subpackage that only some commands run is imported inside
-the function that uses it: scipy.optimize in ``esf_fit`` and
-``lsf_fwhm_with_aperture``, scipy.ndimage in ``step_heights``.  So a
-command loads only the scipy it runs, and ``import twinphase.cli`` loads
-neither.  scipy.special stays at module level: it pulls the scipy code
-that scipy.fft and every sampling or solving command need anyway.
+scipy.optimize, which only some commands run, is imported inside the
+functions that use it, ``esf_fit`` and ``lsf_fwhm_with_aperture``; so
+``import twinphase.cli`` does not load it.  ``erf``, like twinbeam's
+``ndtr``, comes from scipy.special's extension module alone
+(``runtime.scipy_extension``), and ``step_heights`` erodes with numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf, ndtr
 
 from .core import (
     EDGE_ROW,
@@ -40,15 +38,18 @@ from .retrieval import (
     resolve_k,
     tie_retrieve,
 )
-from .runtime import ordered_map
+from .runtime import ordered_map, scipy_extension
 from .twinbeam import (
     _POISSON_LAM_MAX,
     bin_counts,
     d_factor_for_bin,
     expected_counts,
     exposures,
+    ndtr,
     sample_twin_frame,
 )
+
+erf = scipy_extension("special._special_ufuncs").erf
 
 NOISE_SCAN_DZ = 0.025  # mm, the defocus of the noise-suppression scan's TIE
 
@@ -130,6 +131,15 @@ def _failed_fit(message):
     return ESFFit(w=nan, w_ci=(nan, nan), ok=False, message=message)
 
 
+def _eroded(mask):
+    """``mask`` eroded 4 times by the four-neighbour cross, with False
+    outside the grid: ``scipy.ndimage.binary_erosion(mask, iterations=4)``."""
+    for _ in range(4):
+        m = np.pad(mask, 1)
+        mask = m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:]
+    return mask
+
+
 def step_heights(phase: ScalarField2D, bin_px: int, fine_shape: tuple) -> dict:
     """Median step of each glyph relative to the background level.
 
@@ -140,12 +150,9 @@ def step_heights(phase: ScalarField2D, bin_px: int, fine_shape: tuple) -> dict:
     ``(width, height)``; the masks are binned with the same centered
     crop.
     """
-    from scipy.ndimage import binary_erosion
-
     fw, fh = fine_shape
     pi_mask, null_mask = target_masks(fw, fh)
-    pi_in = binary_erosion(pi_mask, iterations=4)
-    null_in = binary_erosion(null_mask, iterations=4)
+    pi_in, null_in = _eroded(pi_mask), _eroded(null_mask)
     background = ~(pi_mask | null_mask)
     if bin_px > 1:
         def coarse(mask, thresholds):

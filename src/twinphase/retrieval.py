@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .core import (
     MIN_GRID,
@@ -21,6 +20,7 @@ from .core import (
     ScalarField2D,
     TwinBeamConfig,
 )
+from .runtime import scipy_extension
 from .twinbeam import bin_counts, d_factor_for_bin, eta_c, exposures, register_idler
 
 
@@ -172,11 +172,15 @@ def poisson_solve_dirichlet(rhs: ScalarField2D) -> ScalarField2D:
     Spectral sine-basis (DST-I) solver with continuum eigenvalues
     -pi^2 (n^2 + m^2) / L^2 on the interior nodes; the zero boundary is
     enforced by the odd extension, with no zero-frequency singularity.
+    The transforms are pocketfft's, called with the arguments that
+    ``scipy.fft.dstn(x, type=1)`` and ``idstn(c, type=1, overwrite_x=True)``
+    pass: norm code 0 forward and 2 (scipy's "backward") inverse, one worker.
     """
-    coeffs = dstn(rhs.values[1:-1, 1:-1], type=1)
+    dst = scipy_extension("fft._pocketfft.pypocketfft").dst
+    coeffs = dst(rhs.values[1:-1, 1:-1], 1, (0, 1), 0, None, 1, None)
     coeffs /= _dirichlet_eigenvalues(rhs)
     u = np.zeros((rhs.height, rhs.width))
-    u[1:-1, 1:-1] = idstn(coeffs, type=1, overwrite_x=True)
+    u[1:-1, 1:-1] = dst(coeffs, 1, (0, 1), 2, coeffs, 1, None)
     del coeffs
     return rhs._adopt(u)
 

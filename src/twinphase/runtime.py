@@ -1,12 +1,15 @@
 """How a command runs: the thread map of its frames, trials and dz points,
 with BLAS at one thread and numpy's raising error state, so its outputs
-are byte-identical for any thread count and BLAS pool size."""
+are byte-identical for any thread count and BLAS pool size; and the
+scipy extension modules it calls, each loaded without its package."""
 
 import contextlib
 import ctypes
 import os
 import threading
 from contextvars import copy_context
+from functools import cache
+from importlib import machinery, util
 from pathlib import Path
 
 import numpy as np
@@ -97,15 +100,31 @@ def ordered_map(func, items):
     return results
 
 
+@cache
+def scipy_extension(name):
+    """The compiled module ``scipy.<name>``, loaded from its file without
+    importing the package around it: ``special._special_ufuncs`` holds
+    scipy.special's very ``ndtr`` and ``erf`` ufuncs in about 1.1 MB, where
+    scipy.special is about 24 MB and loads scipy's OpenBLAS."""
+    stem = Path(scipy.__file__).parent.joinpath(*name.split("."))
+    path = next(f"{stem}{x}" for x in machinery.EXTENSION_SUFFIXES if os.path.exists(f"{stem}{x}"))
+    spec = util.spec_from_file_location(f"scipy.{name}", path)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _openblas_pools():
     """(getter, setter) of the thread pool of each OpenBLAS that numpy and
-    scipy bundle and have loaded; none for a missing library or symbol."""
+    scipy bundle; none for a missing library or symbol.  scipy's is loaded
+    here if no scipy module has loaded it yet, so that a scipy.linalg
+    imported later in the command finds its pool already set."""
     pools = []
     for package, suffix in ((np, "64_"), (scipy, "")):
         libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
         for path in sorted(libs.glob("libscipy_openblas*")):
             try:
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                lib = ctypes.CDLL(str(path))
                 names = (f"scipy_openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
                 get, set_threads = (getattr(lib, name) for name in names)
             except (OSError, AttributeError):

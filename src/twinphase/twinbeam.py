@@ -18,22 +18,17 @@ sigma^2 = (F l_cff)^2 + (F blur_fwhm)^2 + pitch^2 / 6, F = FWHM_TO_SIGMA.
 Generation happens on an internally padded grid and is cropped to the
 requested region, so border pixels keep their correlation partners.
 
-eta_c calls QUADPACK's QAGP from scipy's extension module alone, never
-importing the scipy.integrate package (and the scipy.optimize it pulls
-in); scipy.special stays at module level, as the sampler needs it.
+The module imports no scipy package: eta_c calls QUADPACK's QAGP and
+the sampler scipy.special's ``ndtr``, each from its extension module
+alone (``runtime.scipy_extension``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from functools import cache
-from importlib import machinery, util
 
 import numpy as np
-import scipy
-from scipy.special import ndtr
 
 from .core import (
     FWHM_TO_SIGMA,
@@ -46,7 +41,9 @@ from .core import (
     ScalarField2D,
     TwinBeamConfig,
 )
+from .runtime import scipy_extension
 
+ndtr = scipy_extension("special._special_ufuncs").ndtr
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # The largest rate numpy's Generator.poisson draws ("lam value too large"
 # above it).
@@ -91,17 +88,6 @@ class NrfPoint:
 # Conditional collection efficiency and the NRF model
 # ---------------------------------------------------------------------------
 
-@cache
-def _quadpack():
-    """``scipy.integrate._quadpack``, loaded from its file alone."""
-    stem = os.path.join(os.path.dirname(scipy.__file__), "integrate", "_quadpack")
-    path = next(stem + x for x in machinery.EXTENSION_SUFFIXES if os.path.exists(stem + x))
-    spec = util.spec_from_file_location("scipy.integrate._quadpack", path)
-    module = util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _eta_c_1d(d_factor: float, epsilon: float) -> float:
     """One transverse axis of the pair-collection efficiency.
 
@@ -123,7 +109,8 @@ def _eta_c_1d(d_factor: float, epsilon: float) -> float:
     if hi <= lo:
         return 0.0
     points = (0.0, 0.0, 0.0) if lo < 0.0 < hi else (0.0, 0.0)
-    val, _, ier = _quadpack()._qagpe(integrand, lo, hi, points, (), 0, 1e-10, 1.49e-8, 200)
+    quadpack = scipy_extension("integrate._quadpack")
+    val, _, ier = quadpack._qagpe(integrand, lo, hi, points, (), 0, 1e-10, 1.49e-8, 200)
     if ier != 0:
         raise NumericalError(
             f"eta_c: QUADPACK flag {ier} at D = {d_factor:g}, epsilon = {epsilon:g}"

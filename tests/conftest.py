@@ -10,13 +10,11 @@ def traced_peak():
     """A function that runs ``func()`` on this thread and returns the
     largest number of bytes tracemalloc saw allocated during the call,
     above what was allocated before it.  numpy reports its array buffers
-    to tracemalloc, so this counts the arrays alive at once.  The scipy
-    subpackages that the package imports on first use are imported
-    before, so that a first call's import (about 10 MB of Python objects
-    for scipy.optimize, 1.3 MB for scipy.ndimage) is not counted.  The
-    QUADPACK extension that eta_c loads on its first call is about 14 kB,
-    and is counted."""
-    import scipy.ndimage  # noqa: F401
+    to tracemalloc, so this counts the arrays alive at once.  scipy.optimize,
+    the one scipy subpackage that the package imports on first use, is
+    imported before, so that a first call's import (about 10 MB of Python
+    objects) is not counted.  The QUADPACK and pocketfft extensions that
+    the package loads on their first call are counted."""
     import scipy.optimize  # noqa: F401
 
     def peak(func):

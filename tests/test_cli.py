@@ -851,6 +851,8 @@ def test_kernel_too_narrow_for_its_tables_exits_2(tmp_path, capsys, command, key
         ["scan", "resolution", "--dz", "0.025"],
         ["scan", "advantage", "--frames", "1", "--dz", "0.025"],
         ["retrieve", "--k-mode", "tau", "--bin", "3"],
+        ["simulate", "--frames", "1", "--dz", "0.025"],
+        ["retrieve", "--k-mode", "tie", "--bin", "3"],
     ],
     ids=" ".join,
 )
@@ -858,7 +860,12 @@ def test_resolution_factor_that_is_not_finite_exits_2(frame_set, tmp_path, capsy
     """At l_cff = 5e-324 um, D = bin * pitch / l_cff overflows to inf:
     scan nrf wrote D = inf and a nan model NRF and scan resolution D = inf
     (exit 0), scan advantage and retrieve --k-mode tau raised "field
-    contains non-finite values" (exit 1)."""
+    contains non-finite values" (exit 1).  The pair correlation's width
+    in pixels, l_cff * FWHM_TO_SIGMA / object_pixel, underflows to 0:
+    simulate and retrieve --k-mode tie, which compute no D, exited 0, the
+    sampler drawing the idler with no pair spread.  The config check of
+    that width now rejects it in every command; ``d_factor_for_bin``
+    still rejects a D that is not finite (``test_twinbeam``)."""
     if command[0] == "retrieve":
         frames = tmp_path / "frames"
         shutil.copytree(frame_set, frames)
@@ -872,8 +879,9 @@ def test_resolution_factor_that_is_not_finite_exits_2(frame_set, tmp_path, capsy
         command = command + ["--config", str(cfg)]
     out = tmp_path / "o"
     assert main(command + ["--out", str(out)]) == EXIT_CONFIG
-    assert "config error: l_cff = 5e-324 um gives D = inf" in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    err = capsys.readouterr().err
+    assert err.startswith("config error: l_cff = 5e-324 um gives a pair correlation 0.0 px wide")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dz", ["1e305", "1e308"])
@@ -911,7 +919,7 @@ def test_benchmark_tracer_installs_on_the_package(frame_set, tmp_path):
     assert cli.write_manifest is qpf.write_manifest and not hasattr(cli.write_manifest, "__wrapped__")
 
 
-HEAVY_SCIPY = ("scipy.integrate", "scipy.ndimage", "scipy.optimize")
+HEAVY_SCIPY = ("scipy.fft", "scipy.integrate", "scipy.ndimage", "scipy.optimize", "scipy.special")
 
 # Run in a fresh interpreter: prints which of HEAVY_SCIPY are loaded after
 # the import and after each command, with the command's exit code.
@@ -931,14 +939,15 @@ print(json.dumps(loaded))
 
 
 def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
-    """scipy.optimize and scipy.ndimage are imported by the functions
-    that use them, and eta_c calls QUADPACK without the scipy.integrate
-    package, so the package and simulate load none of the three; scan
-    resolution loads scipy.optimize, in its first curve_fit on a thread
-    of ordered_map; scan nrf, which evaluates eta_c for its model
-    column, loads none; retrieve with the tau weight, which evaluates
-    eta_c, loads scipy.ndimage alone.  A fresh interpreter, as this one
-    has loaded them all."""
+    """scipy.optimize is imported by the functions that use it, and the
+    package calls QUADPACK, scipy.special's ufuncs and pocketfft from
+    their extension modules alone, so the package and simulate load none
+    of the five; scan resolution loads scipy.optimize, in its first
+    curve_fit on a thread of ordered_map, and with it the scipy.fft and
+    scipy.special that scipy.optimize imports; scan nrf, which evaluates
+    eta_c for its model column, and retrieve with the tau weight, which
+    evaluates eta_c, solves and erodes the glyph masks, load none.  A
+    fresh interpreter, as this one has loaded them all."""
     src = Path(twinbeam.__file__).resolve().parents[1]
     env = {**os.environ, "QPI_THREADS": "2"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -961,8 +970,9 @@ def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
         )
         assert run.returncode == 0, run.stderr
         loaded.append(json.loads(run.stdout))
-    assert loaded[0] == [[None, []], [EXIT_OK, []], [EXIT_OK, ["scipy.optimize"]]]
-    assert loaded[1] == [[None, []], [EXIT_OK, []], [EXIT_OK, []], [EXIT_OK, ["scipy.ndimage"]]]
+    optimize = ["scipy.fft", "scipy.optimize", "scipy.special"]
+    assert loaded[0] == [[None, []], [EXIT_OK, []], [EXIT_OK, optimize]]
+    assert loaded[1] == [[None, []], [EXIT_OK, []], [EXIT_OK, []], [EXIT_OK, []]]
 
 
 def test_failed_resolution_fit_names_its_point(tmp_path, capsys, monkeypatch):

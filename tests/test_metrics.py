@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_erosion
 
 from twinphase import metrics
 from twinphase.core import (
@@ -15,6 +16,7 @@ from twinphase.core import (
     ScalarField2D,
     TwinBeamConfig,
     generate_test_target,
+    target_masks,
 )
 from twinphase.metrics import (
     esf_fit,
@@ -144,6 +146,11 @@ class TestStepHeights:
         assert steps["background"] == pytest.approx(0.0, abs=1e-12)
         assert steps["pi"] == pytest.approx(-0.226, abs=0.01)
         assert steps["null"] == pytest.approx(0.345, abs=0.01)
+
+    @pytest.mark.parametrize("shape", [(220, 220), (513, 513), (300, 221)])
+    def test_erosion_is_that_of_ndimage(self, shape):
+        for mask in target_masks(*shape):
+            assert np.array_equal(metrics._eroded(mask), binary_erosion(mask, iterations=4))
 
 
 class TestQuantumAdvantage:

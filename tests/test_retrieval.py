@@ -115,6 +115,20 @@ class TestPoissonSolver:
         back = laplacian_dirichlet(poisson_solve_dirichlet(rhs)).values
         assert np.abs(back - interior).max() < 1e-9 * np.abs(interior).max()
 
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 8), (220, 220), (513, 513), (221, 300)])
+    def test_bits_of_scipy_fft(self, shape):
+        """The direct pocketfft calls give the bits of the scipy.fft
+        expression that they replace, down to the smallest grid (8 px,
+        6 interior nodes)."""
+        h, w = shape
+        rhs = ScalarField2D(w, h, 1.625, np.random.default_rng(h * w).standard_normal(shape))
+        coeffs = dstn(rhs.values[1:-1, 1:-1], type=1)
+        coeffs /= _dirichlet_eigenvalues(rhs)
+        expected = np.zeros(shape)
+        expected[1:-1, 1:-1] = idstn(coeffs, type=1, overwrite_x=True)
+        got = poisson_solve_dirichlet(rhs).values
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
 
 def weight(k_mode, d_factor=1.0):
     """resolve_k at resolution factor D = ``d_factor``: one bin of

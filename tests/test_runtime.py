@@ -2,6 +2,9 @@
 state, and which modules may import the thread and foreign-call machinery."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -192,6 +195,47 @@ def test_command_runs_without_an_openblas(tmp_path, monkeypatch):
     assert main(["target", "--out", str(tmp_path)]) == EXIT_OK
 
 
+# Run in a fresh interpreter: prints the thread count of every OpenBLAS
+# pool mapped in the process, after scipy.linalg is first imported inside
+# a command.
+POOLS_AFTER_LINALG = """
+import ctypes, json, os
+from twinphase import runtime
+
+def pool_sizes():
+    paths = sorted({line.split()[-1] for line in open("/proc/self/maps")
+                    if "libscipy_openblas" in line})
+    sizes = {}
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            if hasattr(lib, name):
+                sizes[os.path.basename(path)] = getattr(lib, name)()
+    return sizes
+
+with runtime.command():
+    import scipy.linalg
+    print(json.dumps(pool_sizes()))
+"""
+
+
+def test_blas_pool_loaded_inside_a_command_runs_one_thread():
+    """scipy's OpenBLAS is first loaded by scipy.linalg, which scan
+    resolution imports in its first curve_fit: its pool runs one thread
+    there too, as ``command`` opens it on entry.  numpy's and scipy's
+    pools are both mapped, and both are pinned."""
+    src = Path(runtime.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", POOLS_AFTER_LINALG],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    sizes = json.loads(run.stdout)
+    assert len(sizes) == 2 and set(sizes.values()) == {1}, sizes
+
+
 def imported_names(path):
     """Every module a source file of the package imports, and every name
     it imports from one, as ``module.name``; package-relative imports
@@ -210,9 +254,10 @@ def imported_names(path):
 
 
 def test_only_runtime_imports_threads_and_no_module_imports_cli():
-    """``runtime`` alone imports threading, contextvars or ctypes, and no
-    module of the package imports ``cli``, the entry point."""
-    machinery = {"threading", "contextvars", "ctypes"}
+    """``runtime`` alone imports threading, contextvars, ctypes or
+    importlib (which loads the scipy extensions), and no module of the
+    package imports ``cli``, the entry point."""
+    machinery = {"threading", "contextvars", "ctypes", "importlib"}
     found = {}
     for path in sorted(Path(runtime.__file__).parent.glob("*.py")):
         names = imported_names(path)
@@ -221,5 +266,12 @@ def test_only_runtime_imports_threads_and_no_module_imports_cli():
             "twinphase.cli" in names,
         )
     assert {module: f for module, f in found.items() if any(f)} == {
-        "runtime": (["contextvars", "ctypes", "threading"], False)
+        "runtime": (["contextvars", "ctypes", "importlib", "threading"], False)
     }
+
+
+def test_package_imports_no_scipy_subpackage_but_optimize():
+    """scipy.fft, scipy.special and scipy.ndimage are not imported: the
+    package loads the extension modules it calls alone."""
+    names = set().union(*map(imported_names, Path(runtime.__file__).parent.glob("*.py")))
+    assert {name.split(".")[1] for name in names if name.startswith("scipy.")} == {"optimize"}

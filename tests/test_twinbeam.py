@@ -15,6 +15,7 @@ from scipy import integrate, optimize
 
 from twinphase.core import (
     FWHM_TO_SIGMA,
+    ConfigError,
     NoPhotonError,
     NumericalError,
     ObjectSpec,
@@ -141,7 +142,7 @@ class TestEtaC:
 
     def test_flagged_integral_raises_naming_its_point(self, monkeypatch):
         flagged = SimpleNamespace(_qagpe=lambda *args: (0.5, 1.0, 2))
-        monkeypatch.setattr(twinbeam, "_quadpack", lambda: flagged)
+        monkeypatch.setattr(twinbeam, "scipy_extension", lambda name: flagged)
         with pytest.raises(NumericalError, match="flag 2 at D = 3.9, epsilon = 0.2"):
             eta_c(3.9, 0.2)
 
@@ -174,6 +175,12 @@ class TestNrfModel:
     def test_d_factor_arithmetic(self):
         assert d_factor_for_bin(12, 13.0 / 8.0, 5.0) == pytest.approx(3.9)
         assert d_factor_for_bin(1, 13.0 / 8.0, 5.0) == pytest.approx(0.325)
+
+    def test_d_factor_that_is_not_finite_raises(self):
+        """1e-320 um passes the config's width check, 2.6e-321 px, but D
+        = 13/8 / 1e-320 overflows."""
+        with pytest.raises(ConfigError, match="l_cff = 1e-320 um gives D = inf at bin 1"):
+            d_factor_for_bin(1, 13.0 / 8.0, 1e-320)
 
 
 class TestBinCounts:
