@@ -2,11 +2,14 @@
 ratio, edge-spread resolution metrology, and the noise-suppression scan
 against the correlation length.
 
-scipy.optimize, which only some commands run, is imported inside the
-functions that use it, ``esf_fit`` and ``lsf_fwhm_with_aperture``; so
-``import twinphase.cli`` does not load it.  ``erf``, like twinbeam's
-``ndtr``, comes from scipy.special's extension module alone
-(``runtime.scipy_extension``), and ``step_heights`` erodes with numpy.
+The edge fit and its root (``curve_fit`` and ``brentq``) come from
+``twinphase.fitting``, scipy.optimize's code paths on scipy's LAPACK and
+Brent extensions; ``esf_fit`` and ``lsf_fwhm_with_aperture``, which only
+``scan resolution`` runs, import it on first use, so ``import
+twinphase.cli`` does not load it.  ``erf``, like twinbeam's ``ndtr``,
+comes from scipy.special's extension module alone
+(``runtime.scipy_extension``), and ``step_heights`` erodes with numpy;
+the package imports no scipy subpackage.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def esf_fit(profile, x) -> ESFFit:
     linearized covariance of the least-squares fit; the FWHM of the
     corresponding line spread function is w / core.FWHM_TO_SIGMA.
     """
-    from scipy.optimize import curve_fit
+    from .fitting import curve_fit
 
     y = np.asarray(profile, dtype=float)
     if y.size < 8:
@@ -344,7 +347,7 @@ def resolution_scan(dz_list, bin_list, sys: OpticalSystem, twin: TwinBeamConfig)
 def lsf_fwhm_with_aperture(aperture: float, w: float) -> float:
     """FWHM of a Gaussian line spread of width w seen through a box
     aperture of the given positive width (both in micrometers)."""
-    from scipy.optimize import brentq
+    from .fitting import brentq
 
     if w <= 1e-9 * max(aperture, 1.0):
         return aperture

@@ -6,6 +6,7 @@ scipy extension modules it calls, each loaded without its package."""
 import contextlib
 import ctypes
 import os
+import sys
 import threading
 from contextvars import copy_context
 from functools import cache
@@ -103,14 +104,29 @@ def ordered_map(func, items):
 @cache
 def scipy_extension(name):
     """The compiled module ``scipy.<name>``, loaded from its file without
-    importing the package around it: ``special._special_ufuncs`` holds
-    scipy.special's very ``ndtr`` and ``erf`` ufuncs in about 1.1 MB, where
-    scipy.special is about 24 MB and loads scipy's OpenBLAS."""
+    importing the package around it.  The package loads five:
+    ``special._special_ufuncs`` (``ndtr``, ``erf``), ``integrate._quadpack``
+    (QAGP), ``fft._pocketfft.pypocketfft`` (the DST-I), ``linalg._flapack``
+    (``dgesdd``) and ``optimize._zeros`` (``_brentq``).  The first holds
+    scipy.special's very ufuncs in about 1.1 MB, where scipy.special is
+    about 24 MB and loads scipy's OpenBLAS.
+
+    ``sys.modules`` is left as it was found.  A module already there,
+    imported with its package, is returned.  CPython registers a
+    single-phase extension module under its name when it loads it; left
+    there, it would be bound by a later import of its package, which
+    would then lack the attribute.  Without the entry, that import makes
+    its own module from the same initialised state, so it binds the same
+    function objects."""
+    full_name = f"scipy.{name}"
+    if full_name in sys.modules:
+        return sys.modules[full_name]
     stem = Path(scipy.__file__).parent.joinpath(*name.split("."))
     path = next(f"{stem}{x}" for x in machinery.EXTENSION_SUFFIXES if os.path.exists(f"{stem}{x}"))
-    spec = util.spec_from_file_location(f"scipy.{name}", path)
+    spec = util.spec_from_file_location(full_name, path)
     module = util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    sys.modules.pop(full_name, None)
     return module
 
 

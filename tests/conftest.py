@@ -10,12 +10,13 @@ def traced_peak():
     """A function that runs ``func()`` on this thread and returns the
     largest number of bytes tracemalloc saw allocated during the call,
     above what was allocated before it.  numpy reports its array buffers
-    to tracemalloc, so this counts the arrays alive at once.  scipy.optimize,
-    the one scipy subpackage that the package imports on first use, is
-    imported before, so that a first call's import (about 10 MB of Python
-    objects) is not counted.  The QUADPACK and pocketfft extensions that
-    the package loads on their first call are counted."""
-    import scipy.optimize  # noqa: F401
+    to tracemalloc, so this counts the arrays alive at once.
+    ``twinphase.fitting``, the one module of the package imported on first
+    use, is imported before, so that a first fit's import of it and of the
+    LAPACK and Brent extensions it loads is not counted.  The QUADPACK and
+    pocketfft extensions that the package loads on their first call are
+    counted."""
+    import twinphase.fitting  # noqa: F401
 
     def peak(func):
         tracemalloc.start()

@@ -919,10 +919,13 @@ def test_benchmark_tracer_installs_on_the_package(frame_set, tmp_path):
     assert cli.write_manifest is qpf.write_manifest and not hasattr(cli.write_manifest, "__wrapped__")
 
 
-HEAVY_SCIPY = ("scipy.fft", "scipy.integrate", "scipy.ndimage", "scipy.optimize", "scipy.special")
+HEAVY_SCIPY = (
+    "scipy.fft", "scipy.integrate", "scipy.linalg", "scipy.ndimage", "scipy.optimize",
+    "scipy.sparse", "scipy.special",
+)
 
-# Run in a fresh interpreter: prints which of HEAVY_SCIPY are loaded after
-# the import and after each command, with the command's exit code.
+# Run in a fresh interpreter: prints which of the given modules are loaded
+# after the import and after each command, with the command's exit code.
 LOADED_BY_COMMANDS = """
 import contextlib, io, json, sys
 from twinphase import cli, runtime
@@ -939,15 +942,15 @@ print(json.dumps(loaded))
 
 
 def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
-    """scipy.optimize is imported by the functions that use it, and the
-    package calls QUADPACK, scipy.special's ufuncs and pocketfft from
-    their extension modules alone, so the package and simulate load none
-    of the five; scan resolution loads scipy.optimize, in its first
-    curve_fit on a thread of ordered_map, and with it the scipy.fft and
-    scipy.special that scipy.optimize imports; scan nrf, which evaluates
-    eta_c for its model column, and retrieve with the tau weight, which
-    evaluates eta_c, solves and erodes the glyph masks, load none.  A
-    fresh interpreter, as this one has loaded them all."""
+    """The package calls QUADPACK, scipy.special's ufuncs, pocketfft,
+    LAPACK and Brent's method from their extension modules alone, so no
+    command loads any of the seven scipy subpackages: not the package
+    import, nor simulate, nor scan resolution, which imports
+    twinphase.fitting in its first edge fit on a thread of ordered_map,
+    nor scan nrf, which evaluates eta_c for its model column, nor
+    retrieve with the tau weight, which evaluates eta_c, solves and
+    erodes the glyph masks.  A fresh interpreter, as this one has loaded
+    them all."""
     src = Path(twinbeam.__file__).resolve().parents[1]
     env = {**os.environ, "QPI_THREADS": "2"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -963,15 +966,14 @@ def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
     ]
     loaded = []
     for run_commands in (commands, tau_commands):
-        args = json.dumps([HEAVY_SCIPY, run_commands])
+        args = json.dumps([HEAVY_SCIPY + ("twinphase.fitting",), run_commands])
         run = subprocess.run(
             [sys.executable, "-c", LOADED_BY_COMMANDS, args],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
         loaded.append(json.loads(run.stdout))
-    optimize = ["scipy.fft", "scipy.optimize", "scipy.special"]
-    assert loaded[0] == [[None, []], [EXIT_OK, []], [EXIT_OK, optimize]]
+    assert loaded[0] == [[None, []], [EXIT_OK, []], [EXIT_OK, ["twinphase.fitting"]]]
     assert loaded[1] == [[None, []], [EXIT_OK, []], [EXIT_OK, []], [EXIT_OK, []]]
 
 

@@ -5,9 +5,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.ndimage import binary_erosion
 
-from twinphase import metrics
+from twinphase import fitting, metrics
 from twinphase.core import (
     FWHM_TO_SIGMA,
     NumericalError,
@@ -29,6 +30,9 @@ from twinphase.metrics import (
 from twinphase.optics import IntensityStack
 from twinphase.retrieval import PhaseImage, RetrievalConfig
 from test_runtime import use_threads
+
+# The port itself, whichever function a test puts in its place on ``fitting``.
+port_brentq, port_curve_fit = fitting.brentq, fitting.curve_fit
 
 
 def field(values, pitch=1.0):
@@ -126,6 +130,115 @@ class TestLsfAperture:
     def test_large_aperture_limit(self):
         # box much wider than the Gaussian: FWHM approaches the box width
         assert lsf_fwhm_with_aperture(50.0, 1.0) == pytest.approx(50.0, rel=0.01)
+
+
+def outcome(fit, *args, **kwargs):
+    """The bytes of each array ``fit`` returns, or its exception's type and message."""
+    try:
+        return [np.asarray(a).tobytes() for a in fit(*args, **kwargs)]
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The arguments of every ``fitting.curve_fit`` that ``esf_fit`` makes."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return port_curve_fit(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "curve_fit", recorded)
+    return calls
+
+
+class TestBitsOfScipyOptimize:
+    """``twinphase.fitting`` ports the code paths of scipy 1.17.1's
+    ``optimize.curve_fit`` (bounded, trust-region reflective) and
+    ``optimize.brentq``, the oracle here: the same bytes, or the same
+    exception and message."""
+
+    def assert_calls_match_scipy(self, calls):
+        """Each call's outcome, asserted equal to scipy's."""
+        outcomes = [outcome(port_curve_fit, *args, **kwargs) for args, kwargs in calls]
+        for (args, kwargs), got in zip(calls, outcomes):
+            assert got == outcome(optimize.curve_fit, *args, **kwargs)
+        return outcomes
+
+    def test_curve_fit_on_resolution_scan_profiles(self, fit_calls, monkeypatch):
+        """The 32 edge fits of two configurations' resolution scans."""
+        use_threads(monkeypatch, 1)
+        for sys_ in (OpticalSystem(), OpticalSystem(camera_pixel=5.0, magnification=3.25)):
+            resolution_scan((0.0125, 0.025, 0.05, 0.1), (1, 3, 6, 12), sys_, TwinBeamConfig())
+        assert len(fit_calls) == 32
+        self.assert_calls_match_scipy(fit_calls)
+
+    def test_curve_fit_on_a_seeded_sweep(self, fit_calls):
+        """Clean and noisy edges 1e-3 to 30 px wide, inside the profile
+        and past either end: some fits end against a bound on the edge
+        position, and steps that leave the bounds are cut at a bound and
+        reflected off it (282 reflections in the 111 fits)."""
+        rng = np.random.default_rng(30)
+        x = np.arange(40.0)
+        for trial in range(120):
+            a, b = rng.normal(0.0, 2.0), rng.normal(0.0, 1.0)
+            x0, w = rng.uniform(-10.0, 50.0), 10.0 ** rng.uniform(-3.0, 1.5)
+            noise = rng.normal(0.0, 10.0 ** rng.uniform(-4.0, -1.0), x.size) * (trial % 2)
+            esf_fit(metrics._esf_model(x, a, b, x0, w) + noise, x)
+        popts = [popt for popt, _ in self.assert_calls_match_scipy(fit_calls)]
+        edges = np.frombuffer(b"".join(popts)).reshape(-1, 4)[:, 2]
+        assert np.sum(np.minimum(edges - x[0], x[-1] - edges) < 1e-9) >= 5  # 11 of 111
+
+    @pytest.mark.parametrize("case", ["nan_profile", "decreasing_x", "edge_guess_outside"])
+    def test_curve_fit_errors_of_esf_fit(self, fit_calls, case):
+        x, y = np.arange(32.0), np.linspace(-1.0, 1.0, 32)
+        if case == "nan_profile":
+            y[5] = np.nan
+        elif case == "decreasing_x":
+            x = x[::-1].copy()  # bounds with lower > upper
+        else:
+            x[16] = 40.0  # the edge guess x[16] past the last sample
+        fit = esf_fit(y, x)
+        assert not fit.ok and len(fit_calls) == 1
+        self.assert_calls_match_scipy(fit_calls)
+        assert (ValueError, fit.message) == outcome(optimize.curve_fit, *fit_calls[0][0], **fit_calls[0][1])
+
+    @pytest.mark.parametrize("p0, maxfev, message", [
+        ([1.7e308, 1.7e308, 16.0, 2.0], 10000, "Residuals are not finite in the initial point."),
+        ([1.0, 0.0, 16.0, 2.0], 3, "Optimal parameters not found: The maximum number"),
+    ])
+    def test_curve_fit_errors(self, p0, maxfev, message):
+        x = np.arange(32.0)
+        y = metrics._esf_model(x, 1.0, 0.0, 15.3, 1.4)
+        bounds = ([-np.inf, -np.inf, 0.0, 1e-6], [np.inf, np.inf, 31.0, 31.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = outcome(port_curve_fit, metrics._esf_model, x, y, p0=p0, bounds=bounds, maxfev=maxfev)
+            expected = outcome(optimize.curve_fit, metrics._esf_model, x, y, p0=p0,
+                               bounds=bounds, maxfev=maxfev)
+        assert got == expected and got[1].startswith(message)
+
+    def test_brentq_on_lsf_fwhm_calls(self, monkeypatch):
+        calls = []
+
+        def recorded(f, a, b):
+            calls.append((f, a, b))
+            return port_brentq(f, a, b)
+
+        monkeypatch.setattr(fitting, "brentq", recorded)
+        for aperture in (1.625, 4.875, 9.75, 19.5, 50.0):
+            for w in np.geomspace(1e-6, 60.0, 25):
+                lsf_fwhm_with_aperture(aperture, w)
+        assert len(calls) == 125
+        got = np.array([port_brentq(*call) for call in calls])
+        expected = np.array([optimize.brentq(*call) for call in calls])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("f", [lambda x: np.nan, lambda x: 1.0], ids=["nan", "one_sign"])
+    def test_brentq_errors(self, f):
+        expected = outcome(lambda: [optimize.brentq(f, 0.0, 1.0)])
+        assert outcome(lambda: [port_brentq(f, 0.0, 1.0)]) == expected
+        assert expected[0] is ValueError
 
 
 class TestStepHeights:

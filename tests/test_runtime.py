@@ -270,8 +270,47 @@ def test_only_runtime_imports_threads_and_no_module_imports_cli():
     }
 
 
-def test_package_imports_no_scipy_subpackage_but_optimize():
-    """scipy.fft, scipy.special and scipy.ndimage are not imported: the
+def test_package_imports_no_scipy_subpackage():
+    """No scipy subpackage is imported, scipy.optimize included: the
     package loads the extension modules it calls alone."""
     names = set().union(*map(imported_names, Path(runtime.__file__).parent.glob("*.py")))
-    assert {name.split(".")[1] for name in names if name.startswith("scipy.")} == {"optimize"}
+    assert {name for name in names if name.startswith("scipy.")} == set()
+
+
+# Run in a fresh interpreter: loads the five extension modules the package
+# calls, then imports their scipy packages, and prints whether sys.modules
+# kept its scipy entries and whether each package's module holds the same
+# function object.
+EXTENSIONS_THEN_PACKAGES = """
+import importlib, json, sys
+from twinphase import runtime
+
+names = {"special._special_ufuncs": "erf", "integrate._quadpack": "_qagpe",
+         "fft._pocketfft.pypocketfft": "dst", "linalg._flapack": "dgesdd",
+         "optimize._zeros": "_brentq"}
+before = sorted(name for name in sys.modules if name.startswith("scipy"))
+loaded = {name: runtime.scipy_extension(name) for name in names}
+after = sorted(name for name in sys.modules if name.startswith("scipy"))
+same = {}
+for name, function in names.items():
+    package, _, leaf = f"scipy.{name}".rpartition(".")
+    module = getattr(importlib.import_module(package), leaf)
+    same[name] = getattr(module, function) is getattr(loaded[name], function)
+print(json.dumps([before == after, same]))
+"""
+
+
+def test_extensions_leave_sys_modules_and_later_imports_share_their_functions():
+    """A single-phase extension module that ``scipy_extension`` loads is
+    not left in sys.modules without its package, so a later import of
+    the package finds it as an attribute, holding the same functions."""
+    src = Path(runtime.__file__).resolve().parents[1]
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", EXTENSIONS_THEN_PACKAGES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    unchanged, same = json.loads(run.stdout)
+    assert unchanged and all(same.values()), same
