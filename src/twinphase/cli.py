@@ -209,15 +209,8 @@ def _scan_nrf(args, sys_cfg, twin_cfg):
     rows = []
     for bin_px in (1, 3, 6, 12, 25):
         point = twinbeam.measure_nrf(counts, bin_px, blank.tau.pitch, twin_cfg.l_cff)
-        rows.append(
-            (
-                point.d_factor,
-                point.nrf,
-                point.nrf_stderr,
-                point.fano,
-                twinbeam.nrf_predicted(twin_cfg.eta0, point.d_factor, twin_cfg.epsilon),
-            )
-        )
+        model = twinbeam.nrf_predicted(twin_cfg.eta0, point.d_factor, twin_cfg.epsilon)
+        rows.append((point.d_factor, point.nrf, point.nrf_stderr, point.fano, model))
     return ["D", "nrf", "nrf_stderr", "fano_signal", "nrf_model"], rows
 
 
@@ -244,9 +237,7 @@ def _scan_noise(args, sys_cfg, twin_cfg):
     rows = metrics.noise_suppression_scan(
         l_values, TARGET_GRID, TARGET_GRID, sys_cfg, twin_cfg, RngStream(args.seed)
     )
-    return ["l_cff_um", "suppression_pct"], [
-        (r["l_cff_um"], r["suppression_pct"]) for r in rows
-    ]
+    return ["l_cff_um", "suppression_pct"], [(r["l_cff_um"], r["suppression_pct"]) for r in rows]
 
 
 def cmd_scan(args):

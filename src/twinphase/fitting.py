@@ -5,9 +5,7 @@ trust-region reflective ``least_squares`` on bounds with the exact
 solver, linear loss and a forward-difference Jacobian, then the
 Moore-Penrose covariance; ``brentq`` is scipy's ``brentq(f, a, b)``.
 Operands come in scipy's order (``x_scale`` 1's products with one are
-left out, which keeps every bit), each reachable error is scipy's, and
-LAPACK's ``dgesdd`` and Brent's method come from scipy's extension
-modules alone (``runtime.scipy_extension``).
+left out, which keeps every bit), and each reachable error is scipy's.
 """
 
 import warnings
@@ -15,11 +13,7 @@ import warnings
 import numpy as np
 from numpy.linalg import LinAlgError, norm
 
-from .runtime import scipy_extension
-
-_flapack = scipy_extension("linalg._flapack")
-_dgesdd, _dgesdd_lwork = _flapack.dgesdd, _flapack.dgesdd_lwork
-_brentq = scipy_extension("optimize._zeros")._brentq
+from .runtime import scipy_function
 
 EPS = np.finfo(float).eps
 TOL = 1e-8  # least_squares' ftol, xtol and gtol
@@ -78,16 +72,16 @@ def brentq(f, a, b):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    return _brentq(f_raise, a, b, 2e-12, 4 * EPS, 100, (), False, True)
+    return scipy_function("_brentq")(f_raise, a, b, 2e-12, 4 * EPS, 100, (), False, True)
 
 
 def _svd(a):
     """``scipy.linalg.svd(a, full_matrices=False)``: LAPACK's ``dgesdd``
     after its workspace query; ``a`` is not overwritten."""
     a = np.asarray_chkfinite(a)
-    work, _ = _dgesdd_lwork(*a.shape, compute_uv=True, full_matrices=False)
-    u, s, v, info = _dgesdd(a, compute_uv=True, lwork=int(work.real),
-                            full_matrices=False, overwrite_a=False)
+    work, _ = scipy_function("dgesdd_lwork")(*a.shape, compute_uv=True, full_matrices=False)
+    u, s, v, info = scipy_function("dgesdd")(a, compute_uv=True, lwork=int(work.real),
+                                             full_matrices=False, overwrite_a=False)
     if info > 0:
         raise LinAlgError("SVD did not converge")
     return u, s, v

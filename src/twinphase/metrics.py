@@ -3,13 +3,10 @@ ratio, edge-spread resolution metrology, and the noise-suppression scan
 against the correlation length.
 
 The edge fit and its root (``curve_fit`` and ``brentq``) come from
-``twinphase.fitting``, scipy.optimize's code paths on scipy's LAPACK and
-Brent extensions; ``esf_fit`` and ``lsf_fwhm_with_aperture``, which only
-``scan resolution`` runs, import it on first use, so ``import
-twinphase.cli`` does not load it.  ``erf``, like twinbeam's ``ndtr``,
-comes from scipy.special's extension module alone
-(``runtime.scipy_extension``), and ``step_heights`` erodes with numpy;
-the package imports no scipy subpackage.
+``twinphase.fitting``, scipy.optimize's code paths; ``esf_fit`` and
+``lsf_fwhm_with_aperture``, which only ``scan resolution`` runs, import it
+on first use, so ``import twinphase.cli`` does not load it.
+``step_heights`` erodes with numpy.
 """
 
 from __future__ import annotations
@@ -41,18 +38,15 @@ from .retrieval import (
     resolve_k,
     tie_retrieve,
 )
-from .runtime import ordered_map, scipy_extension
+from .runtime import ordered_map, scipy_function
 from .twinbeam import (
     _POISSON_LAM_MAX,
     bin_counts,
     d_factor_for_bin,
     expected_counts,
     exposures,
-    ndtr,
     sample_twin_frame,
 )
-
-erf = scipy_extension("special._special_ufuncs").erf
 
 NOISE_SCAN_DZ = 0.025  # mm, the defocus of the noise-suppression scan's TIE
 
@@ -87,7 +81,7 @@ def pearson(phi: ScalarField2D, phi_ref: ScalarField2D) -> float:
 # ---------------------------------------------------------------------------
 
 def _esf_model(x, a, b, x0, w):
-    return 0.5 * a * erf((x - x0) / (math.sqrt(2.0) * w)) + b
+    return 0.5 * a * scipy_function("erf")((x - x0) / (math.sqrt(2.0) * w)) + b
 
 
 def esf_fit(profile, x) -> ESFFit:
@@ -352,6 +346,7 @@ def lsf_fwhm_with_aperture(aperture: float, w: float) -> float:
     if w <= 1e-9 * max(aperture, 1.0):
         return aperture
     half = 0.5 * aperture
+    ndtr = scipy_function("ndtr")
 
     def profile(x):
         return ndtr((x + half) / w) - ndtr((x - half) / w)

@@ -20,7 +20,7 @@ from .core import (
     ScalarField2D,
     TwinBeamConfig,
 )
-from .runtime import scipy_extension
+from .runtime import scipy_function
 from .twinbeam import bin_counts, d_factor_for_bin, eta_c, exposures, register_idler
 
 
@@ -176,7 +176,7 @@ def poisson_solve_dirichlet(rhs: ScalarField2D) -> ScalarField2D:
     ``scipy.fft.dstn(x, type=1)`` and ``idstn(c, type=1, overwrite_x=True)``
     pass: norm code 0 forward and 2 (scipy's "backward") inverse, one worker.
     """
-    dst = scipy_extension("fft._pocketfft.pypocketfft").dst
+    dst = scipy_function("dst")
     coeffs = dst(rhs.values[1:-1, 1:-1], 1, (0, 1), 0, None, 1, None)
     coeffs /= _dirichlet_eigenvalues(rhs)
     u = np.zeros((rhs.height, rhs.width))

@@ -1,7 +1,8 @@
 """How a command runs: the thread map of its frames, trials and dz points,
 with BLAS at one thread and numpy's raising error state, so its outputs
 are byte-identical for any thread count and BLAS pool size; and the
-scipy extension modules it calls, each loaded without its package."""
+scipy functions it calls (``SCIPY_FUNCTIONS``), each loaded on its
+first call from its compiled module alone."""
 
 import contextlib
 import ctypes
@@ -101,28 +102,53 @@ def ordered_map(func, items):
     return results
 
 
-@cache
-def scipy_extension(name):
-    """The compiled module ``scipy.<name>``, loaded from its file without
-    importing the package around it.  The package loads five:
-    ``special._special_ufuncs`` (``ndtr``, ``erf``), ``integrate._quadpack``
-    (QAGP), ``fft._pocketfft.pypocketfft`` (the DST-I), ``linalg._flapack``
-    (``dgesdd``) and ``optimize._zeros`` (``_brentq``).  The first holds
-    scipy.special's very ufuncs in about 1.1 MB, where scipy.special is
-    about 24 MB and loads scipy's OpenBLAS.
+# Each scipy function the package calls -> the compiled module that holds it.
+SCIPY_FUNCTIONS = {
+    "ndtr": "special._special_ufuncs",  # the sampler's kernel tables
+    "erf": "special._special_ufuncs",  # the edge-spread model
+    "_qagpe": "integrate._quadpack",  # QUADPACK's QAGP, for eta_c
+    "dst": "fft._pocketfft.pypocketfft",  # the DST-I of the Poisson solve
+    "dgesdd": "linalg._flapack",  # LAPACK's SVD, for the edge fit
+    "dgesdd_lwork": "linalg._flapack",
+    "_brentq": "optimize._zeros",  # Brent's method, for the line-spread width
+}
+_loading = threading.Lock()  # first calls on several threads load a module once
 
-    ``sys.modules`` is left as it was found.  A module already there,
-    imported with its package, is returned.  CPython registers a
-    single-phase extension module under its name when it loads it; left
-    there, it would be bound by a later import of its package, which
-    would then lack the attribute.  Without the entry, that import makes
-    its own module from the same initialised state, so it binds the same
-    function objects."""
+
+class MissingScipyError(OSError):
+    """A function of ``SCIPY_FUNCTIONS``, or its module's file, is missing."""
+
+
+@cache
+def scipy_function(name):
+    """The function ``name`` of ``SCIPY_FUNCTIONS``; its module loads on first call."""
+    module_name = SCIPY_FUNCTIONS[name]
+    with _loading:
+        module = _extension(module_name)
+    if not hasattr(module, name):
+        raise MissingScipyError(f"scipy {scipy.__version__} has no {name} in scipy.{module_name}"
+                                + (" (no file of the module)" if module is None else ""))
+    return getattr(module, name)
+
+
+@cache
+def _extension(name):
+    """The compiled module ``scipy.<name>``, loaded from its file without
+    its package, or None if scipy has no such file.  A module already in
+    ``sys.modules``, imported with its package, is returned; else
+    ``sys.modules`` is left as found.  CPython registers a single-phase
+    extension module when it loads it, and a later import of its package
+    would bind that entry, which lacks the attribute.  Without it, that
+    import makes its own module from the same initialised state, with
+    the same function objects."""
     full_name = f"scipy.{name}"
     if full_name in sys.modules:
         return sys.modules[full_name]
     stem = Path(scipy.__file__).parent.joinpath(*name.split("."))
-    path = next(f"{stem}{x}" for x in machinery.EXTENSION_SUFFIXES if os.path.exists(f"{stem}{x}"))
+    paths = (f"{stem}{x}" for x in machinery.EXTENSION_SUFFIXES)
+    path = next((path for path in paths if os.path.exists(path)), None)
+    if path is None:
+        return None
     spec = util.spec_from_file_location(full_name, path)
     module = util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -17,10 +17,6 @@ sigma^2 = (F l_cff)^2 + (F blur_fwhm)^2 + pitch^2 / 6, F = FWHM_TO_SIGMA.
 
 Generation happens on an internally padded grid and is cropped to the
 requested region, so border pixels keep their correlation partners.
-
-The module imports no scipy package: eta_c calls QUADPACK's QAGP and
-the sampler scipy.special's ``ndtr``, each from its extension module
-alone (``runtime.scipy_extension``).
 """
 
 from __future__ import annotations
@@ -41,9 +37,8 @@ from .core import (
     ScalarField2D,
     TwinBeamConfig,
 )
-from .runtime import scipy_extension
+from .runtime import scipy_function
 
-ndtr = scipy_extension("special._special_ufuncs").ndtr
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # The largest rate numpy's Generator.poisson draws ("lam value too large"
 # above it).
@@ -109,8 +104,7 @@ def _eta_c_1d(d_factor: float, epsilon: float) -> float:
     if hi <= lo:
         return 0.0
     points = (0.0, 0.0, 0.0) if lo < 0.0 < hi else (0.0, 0.0)
-    quadpack = scipy_extension("integrate._quadpack")
-    val, _, ier = quadpack._qagpe(integrand, lo, hi, points, (), 0, 1e-10, 1.49e-8, 200)
+    val, _, ier = scipy_function("_qagpe")(integrand, lo, hi, points, (), 0, 1e-10, 1.49e-8, 200)
     if ier != 0:
         raise NumericalError(
             f"eta_c: QUADPACK flag {ier} at D = {d_factor:g}, epsilon = {epsilon:g}"
@@ -158,7 +152,7 @@ def _cdf_integral(z):
     exact, so (z * z) * -0.5 rounds as (-0.5 * z) * z does, except where
     it underflows or overflows and exp gives 1 or 0 either way; the sum
     and product commute."""
-    z_cdf = ndtr(z)
+    z_cdf = scipy_function("ndtr")(z)
     z_cdf *= z
     np.multiply(z, z, out=z)
     z *= -0.5

@@ -12,11 +12,16 @@ def traced_peak():
     above what was allocated before it.  numpy reports its array buffers
     to tracemalloc, so this counts the arrays alive at once.
     ``twinphase.fitting``, the one module of the package imported on first
-    use, is imported before, so that a first fit's import of it and of the
-    LAPACK and Brent extensions it loads is not counted.  The QUADPACK and
-    pocketfft extensions that the package loads on their first call are
+    use, is imported before, and scipy.special's ufuncs, LAPACK's SVD and
+    Brent's method are loaded before, so that a first fit's import and
+    the first loads of those modules are not counted.  The QUADPACK and
+    pocketfft modules that the package loads on their first call are
     counted."""
     import twinphase.fitting  # noqa: F401
+    from twinphase.runtime import scipy_function
+
+    for name in ("ndtr", "erf", "dgesdd", "dgesdd_lwork", "_brentq"):
+        scipy_function(name)
 
     def peak(func):
         tracemalloc.start()

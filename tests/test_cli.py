@@ -37,7 +37,7 @@ from twinphase.core import (
     TwinBeamConfig,
     generate_test_target,
 )
-from test_runtime import use_threads
+from test_runtime import run_fresh, use_threads
 
 
 class TestConfigParsing:
@@ -975,6 +975,76 @@ def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
         loaded.append(json.loads(run.stdout))
     assert loaded[0] == [[None, []], [EXIT_OK, []], [EXIT_OK, ["twinphase.fitting"]]]
     assert loaded[1] == [[None, []], [EXIT_OK, []], [EXIT_OK, []], [EXIT_OK, []]]
+
+
+# Run in a fresh interpreter: with a scipy that lacks what the package
+# calls, imports the CLI, runs each command line and prints its exit code
+# and stderr.  "attribute" puts in sys.modules, as if imported with
+# scipy.special, a scipy.special._special_ufuncs without ndtr and erf.
+WITH_FAULTY_SCIPY = """
+import contextlib, io, json, sys, types
+fault, commands = sys.argv[1], json.loads(sys.argv[2])
+if fault == "attribute":
+    name = "scipy.special._special_ufuncs"
+    sys.modules[name] = types.ModuleType(name)
+from twinphase import cli
+
+results = []
+for argv in commands:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --version and --help
+            code = exc.code
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def scipy_without(root, module):
+    """Make under ``root`` a scipy of symbolic links to the installed
+    one, with its ``scipy.libs``, that lacks the file of the compiled
+    module ``scipy.<module>``."""
+    import scipy
+
+    *packages, leaf = module.split(".")
+    site = Path(scipy.__file__).parent.parent
+    src, dst = site / "scipy", root / "scipy"
+    for step in [*packages, None]:
+        dst.mkdir(parents=True)
+        for entry in src.iterdir():
+            if entry.name != step and not (step is None and entry.name.startswith(f"{leaf}.")):
+                (dst / entry.name).symlink_to(entry)
+        src, dst = src / str(step), dst / str(step)
+    for libs in site.glob("scipy.libs"):
+        (root / libs.name).symlink_to(libs)
+
+
+@pytest.mark.parametrize("fault", ["file", "attribute"])
+def test_missing_scipy_function_exits_3_naming_it(tmp_path, fault):
+    """With the file of scipy.special._special_ufuncs missing, or ndtr
+    and erf missing from it, --version and --help still exit 0, and a
+    command that calls them exits 3, naming scipy's version and the
+    module, with no traceback."""
+    import scipy
+
+    env = {"PYTHONDONTWRITEBYTECODE": "1"}
+    if fault == "file":
+        scipy_without(tmp_path / "site", "special._special_ufuncs")
+        env["PYTHONPATH"] = str(tmp_path / "site")  # the package's sources come first
+    commands = [
+        ["--version"],
+        ["--help"],
+        ["simulate", "--frames", "1", "--out", str(tmp_path / "s")],
+        ["scan", "nrf", "--frames", "2", "--out", str(tmp_path / "n")],
+        ["scan", "resolution", "--dz", "0.1", "--out", str(tmp_path / "r")],
+    ]
+    results = run_fresh(WITH_FAULTY_SCIPY, fault, json.dumps(commands), **env)
+    assert [code for code, _ in results] == [EXIT_OK, EXIT_OK, EXIT_IO, EXIT_IO, EXIT_IO]
+    for _, err in results[2:]:
+        assert err.startswith(f"i/o error: scipy {scipy.__version__} has no "), err
+        assert "scipy.special._special_ufuncs" in err and "Traceback" not in err
 
 
 def test_failed_resolution_fit_names_its_point(tmp_path, capsys, monkeypatch):

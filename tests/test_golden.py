@@ -23,14 +23,17 @@ each run starts from a different BLAS pool size, which
 size the host would pick.
 
 The frames come from numpy's binomial and Poisson streams, which are
-only fixed for one numpy version, and the phase maps from matrix
-products whose last bits depend on the BLAS kernels.  So the fixture
-records the numpy version, the BLAS name and the OpenBLAS core that
-runs here (the kernel that a ``DYNAMIC_ARCH`` build picks at runtime,
-not the build baseline that ``np.show_config`` prints), and the test
-fails, naming both values, when one differs.  Regenerate the fixture
-with ``PYTHONPATH=src python tests/test_golden.py`` only for a numpy
-upgrade or a change of BLAS core, never to absorb an output change.
+only fixed for one numpy version, the phase maps from matrix products
+whose last bits depend on the BLAS kernels, and the tau weight, the
+Poisson solves and the edge fits from private functions of scipy
+(``runtime.SCIPY_FUNCTIONS``), the fits' SVD on scipy's own OpenBLAS.
+So the fixture records the numpy and scipy versions, numpy's BLAS name
+and the OpenBLAS core that runs numpy's and scipy's BLAS here (the kernel
+that a ``DYNAMIC_ARCH`` build picks at runtime, not the build baseline
+that ``np.show_config`` prints), and the test fails, naming both values,
+when one differs.  Regenerate the fixture with ``PYTHONPATH=src python
+tests/test_golden.py`` only for a numpy or scipy upgrade or a change of
+BLAS core, never to absorb an output change.
 """
 
 import ctypes
@@ -41,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from twinphase.cli import main as cli_main
 from twinphase.runtime import _blas_threads
@@ -50,15 +54,18 @@ FIXTURE = Path(__file__).with_name("golden_hashes.json")
 
 
 def blas_in_use():
-    """{"blas": name of numpy's BLAS, "blas_core": the OpenBLAS core that
-    runs here, or "" for another BLAS}."""
+    """{"blas": name of numpy's BLAS, "blas_core" and "scipy_blas_core":
+    the OpenBLAS core that runs numpy's and scipy's BLAS here, or "" for
+    another BLAS}."""
     name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    core = ""
-    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
-        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        core = corename().decode()
-    return {"blas": name, "blas_core": core}
+    cores = {"blas_core": "", "scipy_blas_core": ""}
+    for key, package, suffix in (("blas_core", np, "64_"), ("scipy_blas_core", scipy, "")):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in libs.glob("libscipy_openblas*"):
+            corename = getattr(ctypes.CDLL(str(path)), f"scipy_openblas_get_corename{suffix}")
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            cores[key] = corename().decode()
+    return {"blas": name, **cores}
 
 
 def run_pipeline(root):
@@ -95,12 +102,17 @@ def run_pipeline(root):
 def test_outputs_match_golden_hashes(tmp_path, monkeypatch, threads, blas_threads):
     use_threads(monkeypatch, threads)
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    if np.__version__ != golden["numpy"]:
-        pytest.fail(
-            f"golden hashes were recorded with numpy {golden['numpy']}, "
-            f"this is numpy {np.__version__}: the random streams may differ; "
-            "regenerate the fixture on a commit whose output is trusted"
-        )
+    versions = {
+        "numpy": (np.__version__, "the random streams may differ"),
+        "scipy": (scipy.__version__, "the functions the package calls may differ in their bits"),
+    }
+    for key, (version, why) in versions.items():
+        if version != golden[key]:
+            pytest.fail(
+                f"golden hashes were recorded with {key} {golden[key]}, "
+                f"this is {key} {version}: {why}; "
+                "regenerate the fixture on a commit whose output is trusted"
+            )
     for key, value in blas_in_use().items():
         if value != golden[key]:
             pytest.fail(
@@ -122,7 +134,9 @@ if __name__ == "__main__":
         files = run_pipeline(Path(tmp))
     FIXTURE.write_text(
         json.dumps(
-            {"numpy": np.__version__, **blas_in_use(), "files": files}, indent=2, sort_keys=True
+            {"numpy": np.__version__, "scipy": scipy.__version__, **blas_in_use(), "files": files},
+            indent=2,
+            sort_keys=True,
         )
         + "\n",
         encoding="utf-8",

@@ -1,9 +1,11 @@
 """Tests of how a command runs: the thread map, the BLAS pin, the error
-state, and which modules may import the thread and foreign-call machinery."""
+state, the scipy functions the package calls, and which modules may
+import the thread and foreign-call machinery or name scipy's modules."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -25,6 +27,21 @@ def use_threads(monkeypatch, threads, cpus=4):
         runtime.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
     )
     monkeypatch.setenv("QPI_THREADS", str(threads))
+
+
+
+def run_fresh(script, *args, **env):
+    """Run ``script`` with ``args`` in a fresh interpreter that imports
+    this checkout's package, with ``env`` added to the environment; check
+    that it exits 0 and return its output read as JSON."""
+    src = Path(runtime.__file__).resolve().parents[1]
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
 
 
 class TestOrderedMap:
@@ -224,15 +241,7 @@ def test_blas_pool_loaded_inside_a_command_runs_one_thread():
     resolution imports in its first curve_fit: its pool runs one thread
     there too, as ``command`` opens it on entry.  numpy's and scipy's
     pools are both mapped, and both are pinned."""
-    src = Path(runtime.__file__).resolve().parents[1]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", POOLS_AFTER_LINALG],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    sizes = json.loads(run.stdout)
+    sizes = run_fresh(POOLS_AFTER_LINALG, OPENBLAS_NUM_THREADS="2")
     assert len(sizes) == 2 and set(sizes.values()) == {1}, sizes
 
 
@@ -277,40 +286,133 @@ def test_package_imports_no_scipy_subpackage():
     assert {name for name in names if name.startswith("scipy.")} == set()
 
 
-# Run in a fresh interpreter: loads the five extension modules the package
-# calls, then imports their scipy packages, and prints whether sys.modules
-# kept its scipy entries and whether each package's module holds the same
-# function object.
-EXTENSIONS_THEN_PACKAGES = """
+# Run in a fresh interpreter: loads every function of runtime's table,
+# then imports the scipy packages of their modules, and prints whether
+# sys.modules kept its scipy entries and whether each package's module
+# holds the same function object.
+FUNCTIONS_THEN_PACKAGES = """
 import importlib, json, sys
 from twinphase import runtime
 
-names = {"special._special_ufuncs": "erf", "integrate._quadpack": "_qagpe",
-         "fft._pocketfft.pypocketfft": "dst", "linalg._flapack": "dgesdd",
-         "optimize._zeros": "_brentq"}
 before = sorted(name for name in sys.modules if name.startswith("scipy"))
-loaded = {name: runtime.scipy_extension(name) for name in names}
+loaded = {name: runtime.scipy_function(name) for name in runtime.SCIPY_FUNCTIONS}
 after = sorted(name for name in sys.modules if name.startswith("scipy"))
 same = {}
-for name, function in names.items():
-    package, _, leaf = f"scipy.{name}".rpartition(".")
+for name, module_name in runtime.SCIPY_FUNCTIONS.items():
+    package, _, leaf = f"scipy.{module_name}".rpartition(".")
     module = getattr(importlib.import_module(package), leaf)
-    same[name] = getattr(module, function) is getattr(loaded[name], function)
+    same[name] = getattr(module, name) is loaded[name]
 print(json.dumps([before == after, same]))
 """
 
 
 def test_extensions_leave_sys_modules_and_later_imports_share_their_functions():
-    """A single-phase extension module that ``scipy_extension`` loads is
+    """A single-phase extension module that ``scipy_function`` loads is
     not left in sys.modules without its package, so a later import of
     the package finds it as an attribute, holding the same functions."""
-    src = Path(runtime.__file__).resolve().parents[1]
-    env = {**os.environ}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", EXTENSIONS_THEN_PACKAGES],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    unchanged, same = json.loads(run.stdout)
+    unchanged, same = run_fresh(FUNCTIONS_THEN_PACKAGES)
     assert unchanged and all(same.values()), same
+
+
+def test_only_runtime_names_scipy_extensions_or_binds_their_functions():
+    """Outside ``runtime``, no module of the package names a module of
+    ``runtime.SCIPY_FUNCTIONS``, in code or text, and none binds one of
+    its functions when it is imported: no name of the table is assigned
+    or imported at module level, and ``scipy_function`` is called only
+    inside functions."""
+    leaves = {module.rpartition(".")[2] for module in runtime.SCIPY_FUNCTIONS.values()}
+    found = {}
+    for path in sorted(Path(runtime.__file__).parent.glob("*.py")):
+        if path.stem == "runtime":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        words = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words.update(leaf for leaf in leaves if re.search(rf"\b{leaf}\b", node.value))
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+                words.update(leaves & set(name.split(".")))
+        bound = set()
+        nodes = list(tree.body)
+        while nodes:  # the module's statements and expressions, outside functions
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, ast.alias):
+                bound.add(node.asname or node.name)
+            elif isinstance(node, ast.Call) and "scipy_function" in ast.unparse(node.func):
+                bound.add(ast.unparse(node))
+            nodes.extend(ast.iter_child_nodes(node))
+        bound = sorted(name for name in bound
+                       if name in runtime.SCIPY_FUNCTIONS or "scipy_function(" in name)
+        if words or bound:
+            found[path.stem] = (sorted(words), bound)
+    assert found == {}
+
+
+# Run in a fresh interpreter: prints the files under scipy's directory
+# that ``import twinphase.cli`` maps beyond those of ``import scipy``, and
+# the stems of those mapped once each function of runtime's table is
+# asked for.
+MAPPED_EXTENSIONS = """
+import json
+from pathlib import Path
+import scipy
+
+def mapped():
+    root = f"{Path(scipy.__file__).parent}/"
+    return {line.split()[-1] for line in open("/proc/self/maps") if root in line}
+
+before = mapped()
+import twinphase.cli
+from twinphase import runtime
+imported = mapped() - before
+for name in runtime.SCIPY_FUNCTIONS:
+    runtime.scipy_function(name)
+asked = {Path(path).name.split(".")[0] for path in mapped() - before}
+print(json.dumps([sorted(imported), sorted(asked)]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_package_import_loads_no_scipy_extension():
+    """``import twinphase.cli`` maps no file of scipy's beyond those that
+    ``import scipy`` maps; asking for each function of
+    ``runtime.SCIPY_FUNCTIONS`` maps the files of its modules, and so
+    shows that the check sees a loaded module."""
+    imported, asked = run_fresh(MAPPED_EXTENSIONS)
+    assert imported == []
+    assert asked == sorted({name.rpartition(".")[2] for name in runtime.SCIPY_FUNCTIONS.values()})
+
+
+# Run in a fresh interpreter: eight threads ask for every function of
+# runtime's table at once, with a short switch interval, and print how
+# many distinct sets of function objects they got and whether all ended.
+FUNCTIONS_ON_THREADS = """
+import json, sys, threading
+from twinphase import runtime
+
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(8)
+got = [None] * 8
+
+def ask(i):
+    start.wait()
+    got[i] = tuple(id(runtime.scipy_function(name)) for name in runtime.SCIPY_FUNCTIONS)
+
+threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+print(json.dumps([len(set(got)), not any(thread.is_alive() for thread in threads)]))
+"""
+
+
+def test_first_calls_on_threads_share_one_load():
+    """Threads that ask for the functions at once, each first, all get
+    the same function objects: each module is loaded once."""
+    assert run_fresh(FUNCTIONS_ON_THREADS) == [1, True]

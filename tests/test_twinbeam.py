@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import weakref
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -141,8 +140,8 @@ class TestEtaC:
         assert kinds == {"empty", "inside", "outside"}
 
     def test_flagged_integral_raises_naming_its_point(self, monkeypatch):
-        flagged = SimpleNamespace(_qagpe=lambda *args: (0.5, 1.0, 2))
-        monkeypatch.setattr(twinbeam, "scipy_extension", lambda name: flagged)
+        flagged = {"_qagpe": lambda *args: (0.5, 1.0, 2)}
+        monkeypatch.setattr(twinbeam, "scipy_function", flagged.__getitem__)
         with pytest.raises(NumericalError, match="flag 2 at D = 3.9, epsilon = 0.2"):
             eta_c(3.9, 0.2)
 
