@@ -144,12 +144,15 @@ def cmd_simulate(args):
     del calib  # no draw reads the means
     obj = generate_test_target(size, size, pitch)
 
-    # Each exposure is drawn and written on one thread, and dropped after.
+    # Each exposure is drawn stage by stage (twinbeam.sample_twin_stages),
+    # written by the thread that draws its last stage, and dropped after.
     base = RngStream(args.seed)
 
     def draw_and_write(indexed):
         index, (dz, frame, tag, signed) = indexed
-        tf = twinbeam.sample_twin_frame(obj, sys_cfg, twin_cfg, signed, base.child(index))
+        tf = yield from twinbeam.sample_twin_stages(
+            obj, sys_cfg, twin_cfg, signed, base.child(index)
+        )
         names = qpf.exposure_names(dz, frame, tag)
         return qpf.write_fields(args.out, zip(names, (tf.n_s, tf.n_i)))
 

@@ -6,6 +6,7 @@ first call from its compiled module alone."""
 
 import contextlib
 import ctypes
+import inspect
 import os
 import sys
 import threading
@@ -33,7 +34,8 @@ def _frame_workers() -> int:
 
 
 def ordered_map(func, items):
-    """Return ``[func(item) for item in items]``.
+    """Return ``[func(item) for item in items]``, where an item whose
+    ``func`` returns a generator gives the generator's return value.
 
     The calls run on one thread per CPU this process may use, capped by
     the QPI_THREADS environment variable.  The calling thread is one of
@@ -45,58 +47,117 @@ def ordered_map(func, items):
     the list.  Each thread runs in a copy of the caller's context, so
     numpy's error state (``np.errstate``) holds on every thread.  numpy's
     random draws, FFTs and ufuncs release the GIL, and ``command`` runs
-    BLAS on one thread.  At most one item per thread is
-    in flight, and no thread waits for another to finish: a thread holds
-    one twin-beam frame's working set at a time, about five arrays of
-    its padded grid (3.1 MB for a defocused 220² frame), one trial of
-    ``metrics.noise_suppression_scan`` (3.6 MB at 220²), or one dz point
-    of ``metrics.resolution_scan`` (4.3 MB at 220²).  Once ``func``
-    or the iterator raises, no item is pulled; after the threads end, the
-    exception of the lowest failing index is raised, as the list
-    comprehension would raise it.
+    BLAS on one thread.
+
+    A generator runs one stage at a time, from one ``yield`` to the
+    next.  At each ``yield`` its thread parks it; a thread that parks or
+    finishes an item pulls the next one while at most one item per
+    thread is live (pulled and not done), and else resumes the oldest
+    parked item, which may be its own.  So three exposures of
+    ``twinbeam.sample_twin_stages`` share two threads in about 1.5
+    rounds of one exposure, not 2.  A single thread runs each item to
+    its end, as a second live item would gain it no time.  A stage may
+    resume on another thread, in that thread's copy of the caller's
+    context, so no ``yield`` may sit inside an ``np.errstate`` block.
+
+    No thread waits for another.  Each thread holds one working set at a
+    time, and while every thread runs at most one item is parked: a
+    twin-beam frame's working set is about five arrays of its padded
+    grid (3.1 MB for a defocused 220² frame), and a parked exposure
+    holds only its narrowed count maps.  A plain item is one stage: one
+    trial of ``metrics.noise_suppression_scan`` (3.6 MB at 220²), or
+    one dz point of ``metrics.resolution_scan`` (4.3 MB at 220²).
+
+    Once ``func``, a stage or the iterator raises, no item is pulled,
+    and only the items below the lowest failing index run on, to their
+    end; the rest stop at their next ``yield``.  After the threads end,
+    parked generators are closed and the exception of the lowest failing
+    index is raised, as the list comprehension would raise it.
     """
     items = iter(items)
+    workers = _frame_workers()
+    most_live = workers + 1 if workers > 1 else 1
     results = []
-    errors = {}  # index -> the exception of func, or of the iterator pulling it
+    errors = {}  # index -> the exception of func or a stage, or of the iterator pulling it
+    parked = []  # (index, None, generator) of the items between stages, oldest first
     lock = threading.Lock()
-    stopped = False  # the items ran out, one failed, or the caller left
+    live = 0  # items pulled and not done
+    exhausted = False  # the items ran out
+    stopped = False  # the caller left
+
+    def take():
+        """Under the lock: the (index, item, generator) to run next, or None."""
+        nonlocal live, exhausted
+        if not (exhausted or errors or stopped) and live < most_live:
+            index = len(results)
+            try:
+                item = next(items)
+            except StopIteration:
+                exhausted = True
+            except Exception as exc:
+                errors[index] = exc
+            else:
+                results.append(None)
+                live += 1
+                return index, item, None
+        # from the lowest failing index on, or once the caller left, items stay parked
+        cutoff = -1 if stopped else min(errors, default=len(results))
+        task = next((task for task in parked if task[0] < cutoff), None)
+        if task is not None:
+            parked.remove(task)
+        return task
+
+    def run(index, item, gen):
+        """Call ``func`` on a pulled item, or run a parked item's next
+        stage; return its generator if it parked again, else None once
+        its result is stored."""
+        if gen is None:
+            gen = func(item)
+            if not inspect.isgenerator(gen):
+                results[index] = gen
+                return None
+        try:
+            next(gen)
+        except StopIteration as done:
+            results[index] = done.value
+            return None
+        return gen
 
     def worker():
-        nonlocal stopped
+        nonlocal live
         while True:
             with lock:
-                if stopped:
-                    return
-                index = len(results)
-                try:
-                    item = next(items)
-                except StopIteration:
-                    stopped = True
-                    return
-                except Exception as exc:
-                    stopped = True
-                    errors[index] = exc
-                    return
-                results.append(None)
-            try:
-                results[index] = func(item)
-            except Exception as exc:
-                with lock:
-                    stopped = True
-                    errors[index] = exc
+                task = take()
+            if task is None:
                 return
+            index, error = task[0], None
+            try:
+                gen = run(*task)
+            except Exception as exc:
+                gen, error = None, exc
+            with lock:
+                if error is not None:
+                    errors[index] = error
+                if gen is None:
+                    live -= 1
+                else:
+                    parked.append((index, None, gen))
 
     threads = [threading.Thread(target=copy_context().run, args=(worker,), daemon=True)
-               for _ in range(_frame_workers() - 1)]
+               for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
     try:
         worker()
-    finally:
+    except BaseException:
         with lock:
             stopped = True
+        raise
+    finally:
         for thread in threads:
             thread.join()
+        for _, _, gen in parked:
+            gen.close()
     if errors:
         raise errors[min(errors)]
     return results

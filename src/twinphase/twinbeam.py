@@ -17,6 +17,11 @@ sigma^2 = (F l_cff)^2 + (F blur_fwhm)^2 + pitch^2 / 6, F = FWHM_TO_SIGMA.
 
 Generation happens on an internally padded grid and is cropped to the
 requested region, so border pixels keep their correlation partners.
+A frame is drawn in five stages (``sample_twin_stages``): the thinning,
+then each axis of the idler arm and of the signal arm.  Between stages
+it holds only its count maps, narrowed, so ``runtime.ordered_map`` can
+park one exposure and resume it on another thread, and a parked 513²
+exposure holds 1.2-1.3 MB, where a drawing one peaks at about 13 MB.
 """
 
 from __future__ import annotations
@@ -412,24 +417,47 @@ def _thinning(eta0, tau):
     return p_both, p1, p2
 
 
-def sample_twin_frame(
-    obj: ObjectSpec, sys: OpticalSystem, twin: TwinBeamConfig, dz: float, rng: RngStream
-) -> TwinBeamFrame:
-    """Monte-Carlo sample one correlated signal/idler photon-count frame.
+def _narrowed(counts):
+    """Integer counts >= 0 in the narrowest unsigned dtype that holds the
+    largest: exact."""
+    return counts.astype(np.min_scalar_type(int(counts.max())))
 
-    Pairs are born from the illumination profile; the idler photon is
-    detected with probability eta0 at the point-reflected position plus
-    a Gaussian of width sigma offset by the misalignment Delta; the
-    signal photon survives the object with probability tau, is detected
-    with probability eta0, and lands at the birth position plus the
-    phase-gradient displacement (dz/k) grad phi and the imaging blur.
-    ``dz`` is signed (mm); ``core.blank_object`` gives object-free frames.
+
+def _arm_stages(counts, shift, s, crop, rng):
+    """``_redistribute`` of one arm's narrowed ``counts``, sampled, as a
+    generator that yields between its two axes.  Each axis widens the
+    counts to int64 before its draws and narrows them after.  Returns the
+    counts cropped to ``crop``, narrowed, and the spill."""
+    spill = 0
+    for axis in (0, 1):
+        if axis:
+            yield
+        counts = counts.astype(np.int64)
+        spill += _shift_axis(counts, _shift_table(shift(axis)), s, axis, rng)
+        counts = _narrowed(counts[crop] if axis else counts)
+    return counts, spill
+
+
+def sample_twin_stages(
+    obj: ObjectSpec, sys: OpticalSystem, twin: TwinBeamConfig, dz: float, rng: RngStream
+):
+    """``sample_twin_frame`` as a generator that returns the frame.
+
+    It yields at the four boundaries of its five stages: after the
+    thinning, after the idler arm's first axis, between the arms and
+    after the signal arm's first axis (about 0.1 s, 2 x 0.35 s and
+    2 x 0.12 s for a 513² exposure).  Across each yield it holds only its count maps, narrowed
+    (``_narrowed``, each map to its own largest count), and widens them
+    to int64 before the next draw; no yield sits in an ``np.errstate``
+    block.  So ``runtime.ordered_map`` may park it at a yield and resume
+    it on another thread: every draw stays on the generator of ``rng``,
+    in the same order, and the frame is ``sample_twin_frame``'s.
     """
     template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz)
     gen = rng.generator()
     rem = gen.poisson(rate)
-    # One frame may be in flight per thread (see runtime.ordered_map), so each
-    # padded array is dropped at its last use, and the signal arm's
+    # Up to one frame per thread is drawing (see runtime.ordered_map), so
+    # each padded array is dropped at its last use, and the signal arm's
     # displacement maps are made one axis at a time when it runs.
     del rate
 
@@ -446,26 +474,51 @@ def sample_twin_frame(
     s_births = gen.binomial(rem, p1[inv])
     rem -= s_births
     i_births = gen.binomial(rem, p2[inv])
-    del rem, inv
+    del rem, inv, levels, p_both, p1, p2
     s_births += k_both
     i_births += k_both
     del k_both
     total_detected = int(s_births.sum() + i_births.sum())
+    s_births = _narrowed(s_births)
+    i_births = _narrowed(i_births)
+    yield
 
     # Idler arm: point-reflect about the grid center, then spread by the
-    # pair correlation with the misalignment offset.  It is cropped
-    # before the signal arm runs.
-    n_i, spill_i = _redistribute(i_births[::-1, ::-1], *idler, gen)
-    n_i = template.with_values(n_i[crop])
+    # pair correlation with the misalignment offset.
+    stages = _arm_stages(i_births[::-1, ::-1], *idler, crop, gen)
     del i_births
+    n_i, spill_i = yield from stages
+    yield
 
     # Signal arm: phase-gradient displacement plus imaging blur; each
     # axis's displacement map lives until its shift table exists.
-    n_s, spill_s = _redistribute(s_births, *signal, gen)
-    n_s = template.with_values(n_s[crop])
+    stages = _arm_stages(s_births, *signal, crop, gen)
     del s_births
+    n_s, spill_s = yield from stages
     spill = (spill_i + spill_s) / max(total_detected, 1)
-    return TwinBeamFrame(n_s=n_s, n_i=n_i, spill=spill)
+    return TwinBeamFrame(n_s=template.with_values(n_s), n_i=template.with_values(n_i), spill=spill)
+
+
+def sample_twin_frame(
+    obj: ObjectSpec, sys: OpticalSystem, twin: TwinBeamConfig, dz: float, rng: RngStream
+) -> TwinBeamFrame:
+    """Monte-Carlo sample one correlated signal/idler photon-count frame.
+
+    Pairs are born from the illumination profile; the idler photon is
+    detected with probability eta0 at the point-reflected position plus
+    a Gaussian of width sigma offset by the misalignment Delta; the
+    signal photon survives the object with probability tau, is detected
+    with probability eta0, and lands at the birth position plus the
+    phase-gradient displacement (dz/k) grad phi and the imaging blur.
+    ``dz`` is signed (mm); ``core.blank_object`` gives object-free frames.
+    The stages of ``sample_twin_stages`` run here in one go.
+    """
+    stages = sample_twin_stages(obj, sys, twin, dz, rng)
+    while True:
+        try:
+            next(stages)
+        except StopIteration as done:
+            return done.value
 
 
 def expected_counts(obj: ObjectSpec, sys: OpticalSystem, twin: TwinBeamConfig, dz: float):

@@ -338,13 +338,11 @@ class TestSimulateCommand:
             assert exit_code(["simulate", "--out", str(out), "--dz", dz]) == EXIT_CONFIG
             assert not out.exists()
 
-    def test_frames_are_those_of_sample_triples(self, tmp_path):
+    def test_frames_are_those_of_sample_triples(self, tmp_path, monkeypatch):
         """simulate writes exposure i of ``exposures``, drawn by
         ``sample_twin_frame`` at its signed dz from stream i of its seed,
-        arm for arm, and no other frame."""
-        out = tmp_path / "sim"
-        argv = ["simulate", "--frames", "2", "--dz", "0.025,0.05", "--seed", "9"]
-        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        arm for arm, and no other frame, on one, two and three threads:
+        with two or three the exposures' stages interleave."""
         sys_cfg, twin_cfg = OpticalSystem(), TwinBeamConfig()
         obj = generate_test_target(220, 220, sys_cfg.object_pixel)
         listed = twinbeam.exposures([0.025, 0.05], 2)
@@ -354,10 +352,15 @@ class TestSimulateCommand:
             return twinbeam.sample_twin_frame(obj, sys_cfg, twin_cfg, signed, RngStream(9, i))
 
         frames = runtime.ordered_map(draw, enumerate(listed))
-        for (dz, frame, tag, _), tf in zip(listed, frames):
-            for name, field in zip(qpf.exposure_names(dz, frame, tag), (tf.n_s, tf.n_i)):
-                assert np.array_equal(qpf.read_qpf(out / f"{name}.qpf").values, field.values)
-        assert len(list(out.glob("dz*.qpf"))) == 2 * len(listed)
+        argv = ["simulate", "--frames", "2", "--dz", "0.025,0.05", "--seed", "9"]
+        for threads in (1, 2, 3):
+            use_threads(monkeypatch, threads)
+            out = tmp_path / f"sim{threads}"
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            for (dz, frame, tag, _), tf in zip(listed, frames):
+                for name, field in zip(qpf.exposure_names(dz, frame, tag), (tf.n_s, tf.n_i)):
+                    assert np.array_equal(qpf.read_qpf(out / f"{name}.qpf").values, field.values)
+            assert len(list(out.glob("dz*.qpf"))) == 2 * len(listed)
 
     def test_zero_efficiency_runs(self, tmp_path):
         cfg = tmp_path / "dark.cfg"
@@ -461,6 +464,21 @@ def test_simulate_memory_peak_in_grid_arrays(tmp_path, monkeypatch, traced_peak)
     argv = ["simulate", "--frames", "1", "--dz", "0.025", "--seed", "2"]
     peak = traced_peak(lambda: main(argv + ["--out", str(tmp_path / "o")]))
     assert (peak - draw) / (220 * 220 * 8) <= 2.5
+
+
+def test_two_thread_simulate_memory_peak_in_grid_arrays(tmp_path, monkeypatch, traced_peak):
+    """On two threads, a one-frame simulate peaks at 16.1-17.7 arrays of
+    the 220-pixel grid (40 runs), where two exposures draw at once: the
+    third exposure's stages interleave with theirs, and a parked
+    exposure holds its count maps narrowed.  The bound is the peak of 40
+    runs before the stages interleaved, 16.6-17.70, with 0.05 of spread;
+    parked count maps held as int64 read 19.1-19.4.  A first simulate in
+    the process loads more (22.1), so one runs untraced first."""
+    use_threads(monkeypatch, 2)
+    argv = ["simulate", "--frames", "1", "--dz", "0.025", "--seed", "2"]
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == EXIT_OK
+    peak = traced_peak(lambda: main(argv + ["--out", str(tmp_path / "o")]))
+    assert peak / (220 * 220 * 8) <= 17.75
 
 
 def test_nrf_scan_memory_grows_by_narrowed_frames(tmp_path, monkeypatch, traced_peak):

@@ -168,6 +168,205 @@ class TestOrderedMap:
         assert threading.active_count() == threads_before
 
 
+class TestStagedItems:
+    """Items whose ``func`` returns a generator run one stage, from one
+    ``yield`` to the next, at a time."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_order_with_at_most_workers_running_and_one_more_live(
+        self, monkeypatch, workers
+    ):
+        n = 24
+        pulled = []
+        lock = threading.Lock()
+        running = live = peak_running = peak_live = 0
+
+        def items():
+            for i in range(n):
+                pulled.append(i)
+                yield i
+
+        def stage(step):
+            nonlocal running, peak_running
+            with lock:
+                running += step
+                peak_running = max(peak_running, running)
+
+        def staged(i):
+            nonlocal live, peak_live
+            with lock:
+                live += 1
+                peak_live = max(peak_live, live)
+            for _ in range(3):
+                stage(+1)
+                time.sleep(0.001)
+                stage(-1)
+                yield
+            with lock:
+                live -= 1
+            return i * i
+
+        use_threads(monkeypatch, workers, cpus=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads_before = threading.active_count()
+            got = ordered_map(staged, items())
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in range(n)]
+        assert pulled == list(range(n))
+        assert 1 <= peak_running <= workers
+        # one thread runs each item to its end
+        assert peak_live == (workers + 1 if workers > 1 else 1)
+        assert threading.active_count() == threads_before
+
+    def test_a_failing_stage_raises_the_lowest_failing_index_and_closes_parked_items(
+        self, monkeypatch
+    ):
+        workers = 2
+        pulled, started, returned, closed = [], set(), set(), set()
+
+        def items():
+            for i in range(40):
+                pulled.append(i)
+                yield i
+
+        def staged(i):
+            started.add(i)
+            try:
+                yield
+                if i == 3:
+                    time.sleep(0.1)  # item 5 fails first
+                    raise FloatingPointError("overflow in item 3")
+                if i == 5:
+                    raise FloatingPointError("overflow in item 5")
+                time.sleep(0.01)
+                yield
+                time.sleep(0.01)
+            except GeneratorExit:
+                closed.add(i)
+                raise
+            returned.add(i)
+            return i
+
+        use_threads(monkeypatch, workers)
+        threads_before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="item 3"):
+            ordered_map(staged, items())
+        assert pulled == list(range(len(pulled)))
+        assert max(pulled) <= 5 + workers
+        # every item below the lowest failing one ran to its end
+        assert set(range(3)) <= returned
+        assert started - returned - closed == {3, 5}
+        assert not closed & returned and min(closed, default=6) > 3
+        assert threading.active_count() == threads_before
+
+    def test_an_item_parked_below_a_failing_one_runs_on_as_in_the_list(self, monkeypatch):
+        # items 0 and 1 start on the two threads and park; the next item
+        # pulled, 2, fails at once; item 1 then fails in its second stage
+        both_started = threading.Barrier(2)
+
+        def staged(i):
+            if i < 2:
+                both_started.wait(timeout=10.0)
+            if i == 2:
+                raise FloatingPointError("overflow in item 2")
+            yield
+            if i == 1:
+                raise FloatingPointError("overflow in item 1")
+            return i
+
+        use_threads(monkeypatch, 2)
+        with pytest.raises(FloatingPointError, match="item 1"):
+            ordered_map(staged, range(6))
+
+    def test_a_stage_resumed_on_another_thread_keeps_the_callers_error_state(
+        self, monkeypatch
+    ):
+        # items 0 and 1 start on the two threads; item 0's thread then
+        # pulls item 2, which waits until item 0 resumes on item 1's thread
+        both_started = threading.Barrier(2)
+        resumed = threading.Event()
+        ran_on, moved = {}, []
+
+        def staged(x):
+            i, value = x
+            if i < 2:
+                both_started.wait(timeout=10.0)
+            ran_on[i] = threading.current_thread()
+            if i == 1:
+                time.sleep(0.05)  # so item 0 parks first
+            if i == 2:
+                assert resumed.wait(timeout=10.0)
+            yield
+            if i == 0:
+                resumed.set()
+                moved.append(threading.current_thread() is not ran_on[0])
+                return np.float64(1e308) * value
+            return value
+
+        use_threads(monkeypatch, 2)
+        threads_before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            ordered_map(staged, enumerate([10.0, 1.0, 1.0]))
+        assert moved == [True]
+        assert threading.active_count() == threads_before
+
+    def test_a_caller_out_of_items_leaves_the_other_thread_its_item(self, monkeypatch):
+        # items 0 and 1 start on the two threads; every later stage on
+        # the other thread is slow, so the calling thread runs the rest
+        # and runs out of items while the other thread is mid-item
+        caller = threading.current_thread()
+        both_started = threading.Barrier(2)
+        lock = threading.Lock()
+        caller_done = other_last = 0.0
+
+        def staged(i):
+            nonlocal caller_done, other_last
+            if i < 2:
+                both_started.wait(timeout=10.0)
+            for _ in range(3):
+                yield
+                if threading.current_thread() is caller:
+                    with lock:
+                        caller_done = time.monotonic()
+                else:
+                    with lock:
+                        other_last = time.monotonic()
+                    time.sleep(0.2)
+            return i * i
+
+        use_threads(monkeypatch, 2)
+        threads_before = threading.active_count()
+        assert ordered_map(staged, range(3)) == [0, 1, 4]
+        assert caller_done < other_last
+        assert threading.active_count() == threads_before
+
+
+def test_no_yield_inside_an_errstate_block():
+    """A parked stage may resume on another thread, so no generator of
+    the package but a context manager yields inside an ``np.errstate``
+    block, whose context variable is set on the thread that entered it."""
+    found = []
+    for path in sorted(Path(runtime.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef) or any(
+                "contextmanager" in ast.unparse(d) for d in func.decorator_list
+            ):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.With) and any(
+                    "errstate" in ast.unparse(item.context_expr) for item in node.items
+                ):
+                    found += [
+                        f"{path.stem}:{n.lineno}"
+                        for n in ast.walk(node)
+                        if isinstance(n, (ast.Yield, ast.YieldFrom))
+                    ]
+    assert found == []
+
+
 def test_blas_pools_run_one_thread_inside_a_command(tmp_path, monkeypatch):
     real_stack = metrics.defocus_stack
     seen = []

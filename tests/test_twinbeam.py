@@ -5,7 +5,6 @@ import math
 import sys
 import threading
 import time
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -317,9 +316,10 @@ class TestExpectedCounts:
 )
 def test_frame_memory_peak_in_padded_arrays(traced_peak, smooth, dz, bound):
     """One frame's allocation peak, in float64 arrays of the padded grid:
-    5.2 for the test target, defocused or in focus, and 8.7 for a
+    5.2 for the test target, defocused or in focus, and 7.7 for a
     defocused smooth object, whose kernel tables have an entry per pixel.
-    The thinning's probabilities are computed once per distinct tau and
+    Its thinning's per-level tables and int64 birth maps held through
+    the idler arm gave 8.7.  The thinning's probabilities are computed once per distinct tau and
     gathered onto the pixels one at a time; per pixel they gave 6.0 and
     9.0.  Both displacement maps made up front and alive through the
     thinning gave 8.0 defocused and 11.6 for the smooth object (with two
@@ -331,6 +331,36 @@ def test_frame_memory_peak_in_padded_arrays(traced_peak, smooth, dz, bound):
     rate = twinbeam._transport(obj, sys_, twin, dz)[2]
     peak = traced_peak(lambda: sample_twin_frame(obj, sys_, twin, dz, RngStream(5, 2)))
     assert peak / rate.nbytes <= bound
+
+
+def test_interleaved_stages_give_the_frames_of_sample_twin_frame():
+    """Three samplers drained together, one stage of each in turn as
+    ``ordered_map`` interleaves them, give ``sample_twin_frame``'s bytes
+    and spill for a defocused and an in-focus frame of the test target
+    and a defocused frame of the smooth object; each yields four times."""
+    sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=600.0)
+    pitch = sys_.object_pixel
+    target = generate_test_target(220, 220, pitch)
+    cases = [(target, 0.0125), (target, 0.0), (smooth_object(220, pitch), 0.0125)]
+    running = {
+        i: twinbeam.sample_twin_stages(obj, sys_, twin, dz, RngStream(5, i))
+        for i, (obj, dz) in enumerate(cases)
+    }
+    frames, yields = {}, dict.fromkeys(running, 0)
+    while running:
+        for i, stages in list(running.items()):
+            try:
+                next(stages)
+                yields[i] += 1
+            except StopIteration as done:
+                frames[i] = done.value
+                del running[i]
+    assert yields == {0: 4, 1: 4, 2: 4}
+    for i, (obj, dz) in enumerate(cases):
+        direct = sample_twin_frame(obj, sys_, twin, dz, RngStream(5, i))
+        assert frames[i].n_s.values.tobytes() == direct.n_s.values.tobytes()
+        assert frames[i].n_i.values.tobytes() == direct.n_i.values.tobytes()
+        assert frames[i].spill == direct.spill
 
 
 def smooth_object(n, pitch):
@@ -454,28 +484,59 @@ class TestSampleFrames:
         assert code == EXIT_NUMERICAL
         assert threading.active_count() == threads_before
 
-    def test_simulate_holds_no_more_frames_than_threads(self, monkeypatch, tmp_path):
-        live = weakref.WeakValueDictionary()  # frames hash by value: key them by id
+    def test_simulate_draws_at_most_threads_exposures_and_parks_one_narrowed(
+        self, monkeypatch, tmp_path
+    ):
+        """Two threads draw at most two exposures at once, and at most
+        three are live (started and not done), so at most one is parked
+        while both draw; every array a parked exposure holds is a count
+        map in an unsigned dtype narrower than int64."""
+        real_stages = twinbeam.sample_twin_stages
         lock = threading.Lock()
-        peak = 0
+        drawing = live = peak_drawing = peak_live = 0
+        held = []  # the dtypes of the arrays of each parked exposure
 
-        def fake_sample(obj, sys_, twin, dz, rng):
-            nonlocal peak
-            counts = ScalarField2D(16, 16, 1.0, np.full((16, 16), float(rng.stream_index)))
-            frame = TwinBeamFrame(n_s=counts, n_i=counts)
+        def arrays_held(stages):
+            """The arrays in the frames of a suspended generator and of those it delegates to."""
+            found = []
+            while stages is not None:
+                found += [v for v in stages.gi_frame.f_locals.values() if isinstance(v, np.ndarray)]
+                stages = stages.gi_yieldfrom
+            return found
+
+        def watched_stages(*args):
+            nonlocal drawing, live, peak_drawing, peak_live
+            stages = real_stages(*args)
             with lock:
-                live[id(frame)] = frame
-                peak = max(peak, len(live))
-            time.sleep(0.02)
-            return frame
+                live += 1
+                peak_live = max(peak_live, live)
+            while True:
+                with lock:
+                    drawing += 1
+                    peak_drawing = max(peak_drawing, drawing)
+                try:
+                    next(stages)
+                except StopIteration as done:
+                    with lock:
+                        drawing -= 1
+                        live -= 1
+                    return done.value
+                with lock:
+                    drawing -= 1
+                held.append([a.dtype for a in arrays_held(stages)])
+                yield
 
         use_threads(monkeypatch, 2)
-        monkeypatch.setattr(twinbeam, "sample_twin_frame", fake_sample)
+        monkeypatch.setattr(twinbeam, "sample_twin_stages", watched_stages)
         out = tmp_path / "sim"
         code = main(["simulate", "--frames", "2", "--dz", "0.0125", "--out", str(out)])
         assert code == EXIT_OK
         assert len(list(out.glob("dz*.qpf"))) == 12  # 6 exposures, 2 arms each
-        assert 1 <= peak <= 2
+        assert (peak_drawing, peak_live) == (2, 3)
+        assert len(held) == 4 * 6  # four boundaries per exposure
+        assert all(
+            dtypes and all(d.kind == "u" and d.itemsize < 8 for d in dtypes) for dtypes in held
+        )
 
     def test_noise_scan_rows_independent_of_thread_count(self, monkeypatch):
         def serial_scan(l_cff_list, width, height, sys, twin, rng, n_trials):
