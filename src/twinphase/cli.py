@@ -198,9 +198,9 @@ def cmd_retrieve(args):
 
 
 def _scan_nrf(args, sys_cfg, twin_cfg):
-    """Every frame is held to the last binning as the exact integer counts
-    of ``twinbeam.frame_counts``, made on the thread that drew it, which
-    give ``measure_nrf`` the float64 bits (0.19 MB, not 0.77, per 220² frame)."""
+    """Every frame is held to the last binning as ``twinbeam.frame_counts``'
+    exact integer counts, each arm narrowed, made on the thread that drew
+    it, which give ``measure_nrf`` the float64 bits (0.19 MB per 220² frame)."""
     blank = blank_object(TARGET_GRID, TARGET_GRID, sys_cfg.object_pixel)
     base = RngStream(args.seed)
     counts = runtime.ordered_map(
@@ -299,7 +299,9 @@ def build_parser():
     # one-flag parent parsers for the flags that several commands share
     config, seed, out, dz = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     config.add_argument("--config", default=None, help="flat key=value config file")
-    seed.add_argument("--seed", type=_at_least(0), default=0, help="master seed (u64)")
+    seed.add_argument(
+        "--seed", type=_at_least(0), default=0, help="master seed (non-negative integer)"
+    )
     out.add_argument("--out", default="out", help="output directory")
     dz.add_argument("--dz", type=_parse_dz_list, default="0.0125,0.025,0.05,0.1")
 

@@ -62,8 +62,7 @@ def _propagate_spectrum(spectrum, grid, distance, wavelength) -> np.ndarray:
     in place.  ``ifft2`` transforms the last axis first and each row and
     column alone, so the crop has the bits of ``ifft2`` of the whole
     product.  This holds 5.2 float64 arrays of a 220-pixel grid above the
-    spectrum, where the whole transfer function and its row transform
-    held 16.
+    spectrum.
     """
     exponent = -1j * math.pi * (wavelength * 1e-3) * (distance * 1e3)  # lambda, z in um
     h, w = grid.values.shape
@@ -147,8 +146,7 @@ def defocus_stack(
     common factor so that i_zero averages to ``mean_photons``.  Before
     that scale, each plane equals ``angular_spectrum_propagate``
     followed by ``imaging_blur``, bit for bit.  A 220² stack peaks at
-    6.7 float64 arrays of its grid above the exit field (17.0 when each
-    plane held the whole padded transfer function and its row transform).
+    6.7 float64 arrays of its grid above the exit field.
     """
     i_zero = field.i_zero
 

@@ -605,10 +605,9 @@ def bin_counts(img: ScalarField2D, bin_px: int, origin=None) -> ScalarField2D:
 
 
 def frame_counts(frame: TwinBeamFrame):
-    """The frame's ``(n_s, n_i)`` counts in the narrowest unsigned dtype
-    that holds its largest count: exact, as its counts are integers >= 0."""
-    dtype = np.min_scalar_type(int(max(frame.n_s.values.max(), frame.n_i.values.max())))
-    return frame.n_s.values.astype(dtype), frame.n_i.values.astype(dtype)
+    """The frame's ``(n_s, n_i)`` counts, each arm in the narrowest
+    unsigned dtype that holds its largest count (``_narrowed``): exact."""
+    return _narrowed(frame.n_s.values), _narrowed(frame.n_i.values)
 
 
 def measure_nrf(counts, bin_px: int, pitch: float, l_cff: float) -> NrfPoint:

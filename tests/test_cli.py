@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import shutil
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import twinphase
 from twinphase import cli, metrics, qpf, runtime, twinbeam
 from twinphase.cli import (
     EXIT_CONFIG,
@@ -1260,3 +1262,18 @@ def test_readme_config_sentences_match_the_configs():
         names = [f.name for f in fields(config)]
         assert re.findall(r"`(\w+)`", cells) == names, ref
         assert counts[count] == len(names), ref
+
+
+def test_readme_module_table_lists_the_package_modules():
+    """The README's "What's inside" table lists exactly the package's modules."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What's inside\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `twinphase\.(\w+)` \|", section, re.MULTILINE)
+    assert sorted(listed) == sorted(m.name for m in pkgutil.iter_modules(twinphase.__path__))
+
+
+def test_readme_states_no_measured_size_or_time():
+    """README gives no figure in MB, GB, ms or seconds: measurements live in
+    the BENCH_*.json files and CHANGES.md, where no contract depends on them."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"\d(?: ?(?:MB|GB|ms)| s)\b", readme) == []
