@@ -200,7 +200,8 @@ def cmd_retrieve(args):
 def _scan_nrf(args, sys_cfg, twin_cfg):
     """Every frame is held to the last binning as ``twinbeam.frame_counts``'
     exact integer counts, each arm narrowed, made on the thread that drew
-    it, which give ``measure_nrf`` the float64 bits (0.19 MB per 220² frame)."""
+    it: a fraction of the float64 frame's bytes, and they give
+    ``measure_nrf`` the float64 bits."""
     blank = blank_object(TARGET_GRID, TARGET_GRID, sys_cfg.object_pixel)
     base = RngStream(args.seed)
     counts = runtime.ordered_map(

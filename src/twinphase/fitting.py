@@ -1,6 +1,6 @@
 """The edge fit and its root without scipy.optimize, whose import loads
-scipy.linalg and scipy.sparse (about 38 MB): ``curve_fit`` runs the path
-of scipy 1.17.1's ``curve_fit(f, x, y, p0, bounds=..., maxfev=...)``, the
+scipy.linalg and scipy.sparse: ``curve_fit`` runs the path of scipy
+1.17.1's ``curve_fit(f, x, y, p0, bounds=..., maxfev=...)``, the
 trust-region reflective ``least_squares`` on bounds with the exact
 solver, linear loss and a forward-difference Jacobian, then the
 Moore-Penrose covariance; ``brentq`` is scipy's ``brentq(f, a, b)``.

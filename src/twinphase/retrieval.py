@@ -350,7 +350,7 @@ def retrieve_frames(load, frames: int, config: RetrievalConfig):
     sums = [0.0] * len(tags)  # each exposure's signal counts, summed over the frames
     in_focus = load(0, "0")
     yield "transmittance_f0000", estimate_transmittance(in_focus.n_s, in_focus.n_i, config)
-    del in_focus  # loaded again in frame 0: held there, it raised a 513² run's peak RSS 6 MB
+    del in_focus  # loaded again in frame 0: held there, it raised a 513² run's peak RSS
 
     def streamed(frame):
         for index, tag in enumerate(tags):

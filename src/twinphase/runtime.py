@@ -2,7 +2,8 @@
 with BLAS at one thread and numpy's raising error state, so its outputs
 are byte-identical for any thread count and BLAS pool size; and the
 scipy functions it calls (``SCIPY_FUNCTIONS``), each loaded on its
-first call from its compiled module alone."""
+first call from its compiled module alone, so scipy's OpenBLAS is
+mapped only in the command that calls LAPACK."""
 
 import contextlib
 import ctypes
@@ -10,7 +11,7 @@ import inspect
 import os
 import sys
 import threading
-from contextvars import copy_context
+from contextvars import ContextVar, copy_context
 from functools import cache
 from importlib import machinery, util
 from pathlib import Path
@@ -62,11 +63,10 @@ def ordered_map(func, items):
 
     No thread waits for another.  Each thread holds one working set at a
     time, and while every thread runs at most one item is parked: a
-    twin-beam frame's working set is about five arrays of its padded
-    grid (3.1 MB for a defocused 220² frame), and a parked exposure
-    holds only its narrowed count maps.  A plain item is one stage: one
-    trial of ``metrics.noise_suppression_scan`` (3.6 MB at 220²), or
-    one dz point of ``metrics.resolution_scan`` (4.3 MB at 220²).
+    twin-beam frame's working set is a few arrays of its padded grid,
+    and a parked exposure holds only its narrowed count maps.  A plain
+    item is one stage: one trial of ``metrics.noise_suppression_scan``,
+    or one dz point of ``metrics.resolution_scan``.
 
     Once ``func``, a stage or the iterator raises, no item is pulled,
     and only the items below the lowest failing index run on, to their
@@ -174,6 +174,9 @@ SCIPY_FUNCTIONS = {
     "_brentq": "optimize._zeros",  # Brent's method, for the line-spread width
 }
 _loading = threading.Lock()  # first calls on several threads load a module once
+# Inside a block of ``_blas_threads``: its thread count, and the (setter,
+# size at load) of each pool that a module ``_extension`` loaded there mapped.
+_block_pools = ContextVar("_block_pools", default=None)
 
 
 class MissingScipyError(OSError):
@@ -182,7 +185,11 @@ class MissingScipyError(OSError):
 
 @cache
 def scipy_function(name):
-    """The function ``name`` of ``SCIPY_FUNCTIONS``; its module loads on first call."""
+    """The function ``name`` of ``SCIPY_FUNCTIONS``; its module loads on
+    first call.  A module loaded inside a ``command`` that maps an
+    OpenBLAS (scipy's, which ``linalg._flapack`` links) runs that pool on
+    one thread from its load on, on any thread of ``ordered_map``, and
+    the command gives the pool back its size at load when it ends."""
     module_name = SCIPY_FUNCTIONS[name]
     with _loading:
         module = _extension(module_name)
@@ -210,50 +217,70 @@ def _extension(name):
     path = next((path for path in paths if os.path.exists(path)), None)
     if path is None:
         return None
+    block = _block_pools.get()
+    mapped = _openblas_pools() if block else {}
     spec = util.spec_from_file_location(full_name, path)
     module = util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules.pop(full_name, None)
+    if block:
+        n, loaded = block
+        for lib, (get, set_threads) in _openblas_pools().items():
+            if lib not in mapped:
+                loaded.append((set_threads, get()))
+                set_threads(n)
     return module
 
 
 def _openblas_pools():
-    """(getter, setter) of the thread pool of each OpenBLAS that numpy and
-    scipy bundle; none for a missing library or symbol.  scipy's is loaded
-    here if no scipy module has loaded it yet, so that a scipy.linalg
-    imported later in the command finds its pool already set."""
-    pools = []
+    """{path: (getter, setter)} of the thread pool of each OpenBLAS that
+    numpy and scipy bundle and this process has already mapped; none for
+    a library not mapped, or missing a symbol.  numpy maps its own on
+    import; scipy's is mapped only by a module that links it, which
+    ``_extension`` pins when a block of ``_blas_threads`` loads it."""
+    pools = {}
     for package, suffix in ((np, "64_"), (scipy, "")):
         libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
         for path in sorted(libs.glob("libscipy_openblas*")):
             try:
-                lib = ctypes.CDLL(str(path))
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
                 names = (f"scipy_openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
                 get, set_threads = (getattr(lib, name) for name in names)
             except (OSError, AttributeError):
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            pools.append((get, set_threads))
+            pools[path] = (get, set_threads)
     return pools
 
 
 @contextlib.contextmanager
 def _blas_threads(n):
-    """Run the block with each pool of ``_openblas_pools`` at ``n`` threads, then restore it."""
-    pools = [(set_threads, get()) for get, set_threads in _openblas_pools()]
+    """Run the block with each pool of ``_openblas_pools`` at ``n``
+    threads, and each pool that a scipy module loaded in the block maps
+    at ``n`` threads from its load on, on any thread of
+    ``ordered_map``; then give every pool back the size it had at the
+    block's start or at its load."""
+    pools = [(set_threads, get()) for get, set_threads in _openblas_pools().values()]
     for set_threads, _ in pools:
         set_threads(n)
+    loaded = []
+    token = _block_pools.set((n, loaded))
     try:
         yield
     finally:
-        for set_threads, size in pools:
+        _block_pools.reset(token)
+        for set_threads, size in pools + loaded:
             set_threads(size)
 
 
 @contextlib.contextmanager
 def command():
     """Run a command's block with BLAS at one thread, where a numpy
-    overflow, invalid value or division by zero raises; restore both after."""
+    overflow, invalid value or division by zero raises; restore both
+    after, however the block ends.  The OpenBLAS pools mapped when it
+    starts are pinned then; one that a scipy module loaded in the block
+    maps is pinned at its load (``scipy_function``).  A pool that code
+    outside the package maps in the block is not pinned."""
     with _blas_threads(1), np.errstate(over="raise", invalid="raise", divide="raise"):
         yield

@@ -20,8 +20,8 @@ requested region, so border pixels keep their correlation partners.
 A frame is drawn in five stages (``sample_twin_stages``): the thinning,
 then each axis of the idler arm and of the signal arm.  Between stages
 it holds only its count maps, narrowed, so ``runtime.ordered_map`` can
-park one exposure and resume it on another thread, and a parked 513²
-exposure holds 1.2-1.3 MB, where a drawing one peaks at about 13 MB.
+park one exposure and resume it on another thread, and a parked
+exposure holds a fraction of what a drawing one does.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # above it).
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 # The largest side of the sampler's padded grid: a 4096² float64 array is
-# 134 MB, and a frame holds about five.  The default 513² target pads to 561².
+# 2**27 bytes, and a frame holds about five.  The default 513² target pads to 561².
 MAX_PADDED_SIDE = 4096
 
 
@@ -419,8 +419,10 @@ def _thinning(eta0, tau):
 
 def _narrowed(counts):
     """Integer counts >= 0 in the narrowest unsigned dtype that holds the
-    largest: exact."""
-    return counts.astype(np.min_scalar_type(int(counts.max())))
+    largest, or int64 where that would be uint64: exact, and int64 arrays
+    can take them in place (int64 and uint64 promote to float64)."""
+    dtype = np.min_scalar_type(int(counts.max()))
+    return counts.astype(np.int64 if dtype == np.uint64 else dtype)
 
 
 def _arm_stages(counts, shift, s, crop, rng):
@@ -445,13 +447,13 @@ def sample_twin_stages(
 
     It yields at the four boundaries of its five stages: after the
     thinning, after the idler arm's first axis, between the arms and
-    after the signal arm's first axis (about 0.1 s, 2 x 0.35 s and
-    2 x 0.12 s for a 513² exposure).  Across each yield it holds only its count maps, narrowed
-    (``_narrowed``, each map to its own largest count), and widens them
-    to int64 before the next draw; no yield sits in an ``np.errstate``
-    block.  So ``runtime.ordered_map`` may park it at a yield and resume
-    it on another thread: every draw stays on the generator of ``rng``,
-    in the same order, and the frame is ``sample_twin_frame``'s.
+    after the signal arm's first axis.  Across each yield it holds only
+    its count maps, narrowed (``_narrowed``, each map to its own largest
+    count), and widens them to int64 before the next draw; no yield sits
+    in an ``np.errstate`` block.  So ``runtime.ordered_map`` may park it
+    at a yield and resume it on another thread: every draw stays on the
+    generator of ``rng``, in the same order, and the frame is
+    ``sample_twin_frame``'s.
     """
     template, crop, rate, tau, idler, signal = _transport(obj, sys, twin, dz)
     gen = rng.generator()
@@ -465,16 +467,18 @@ def sample_twin_stages(
     # probability tau and is detected with eta0; the idler is detected
     # with eta0; outcomes share the same birth.  The probabilities are
     # computed once per distinct tau, and each is gathered onto the
-    # pixels just before its draw.
+    # pixels just before its draw; the draws held through the next ones
+    # are narrowed, and s_births widened once before the sums.
     levels, inv = _shift_table(tau)
     del tau
     p_both, p1, p2 = _thinning(twin.eta0, levels)
-    k_both = gen.binomial(rem, p_both[inv])
+    k_both = _narrowed(gen.binomial(rem, p_both[inv]))
     rem -= k_both
-    s_births = gen.binomial(rem, p1[inv])
+    s_births = _narrowed(gen.binomial(rem, p1[inv]))
     rem -= s_births
     i_births = gen.binomial(rem, p2[inv])
     del rem, inv, levels, p_both, p1, p2
+    s_births = s_births.astype(np.int64)
     s_births += k_both
     i_births += k_both
     del k_both

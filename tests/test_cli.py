@@ -643,6 +643,19 @@ def test_pair_rate_numpy_cannot_draw_exits_2(tmp_path, capsys, line, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["simulate", "--frames", "1"], ["scan", "nrf", "--frames", "2"]], ids=" ".join
+)
+def test_pair_counts_above_uint32_draw(tmp_path, command):
+    """A rate numpy can draw whose counts pass 2**32 - 1: the thinning's
+    narrowed draws stay signed, so the sums over them do not promote to
+    float64 and fail."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mean_photons_per_pixel = 1e10\n")
+    out = tmp_path / "o"
+    assert exit_code(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+
 def test_poisson_level_numpy_cannot_draw_exits_2_on_scan_noise(tmp_path, capsys):
     """The noise scan draws Poisson counts around mean_photons_per_pixel
     itself: 1e300 raised "lam value too large" from its first draw."""
@@ -945,18 +958,24 @@ HEAVY_SCIPY = (
 )
 
 # Run in a fresh interpreter: prints which of the given modules are loaded
-# after the import and after each command, with the command's exit code.
+# after the import and after each command, with the command's exit code
+# and whether scipy's OpenBLAS (not numpy's libscipy_openblas64_) is mapped.
 LOADED_BY_COMMANDS = """
 import contextlib, io, json, sys
 from twinphase import cli, runtime
 
+def state():
+    with open("/proc/self/maps") as maps:
+        blas = any("libscipy_openblas-" in line for line in maps)
+    return [[name for name in heavy if name in sys.modules], blas]
+
 runtime.os.sched_getaffinity = lambda pid: set(range(4))  # two threads on any machine
 heavy, commands = json.loads(sys.argv[1])
-loaded = [[None, [name for name in heavy if name in sys.modules]]]
+loaded = [[None, *state()]]
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    loaded.append([code, [name for name in heavy if name in sys.modules]])
+    loaded.append([code, *state()])
 print(json.dumps(loaded))
 """
 
@@ -969,8 +988,9 @@ def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
     twinphase.fitting in its first edge fit on a thread of ordered_map,
     nor scan nrf, which evaluates eta_c for its model column, nor
     retrieve with the tau weight, which evaluates eta_c, solves and
-    erodes the glyph masks.  A fresh interpreter, as this one has loaded
-    them all."""
+    erodes the glyph masks.  scipy's OpenBLAS is mapped only once scan
+    resolution has called LAPACK.  A fresh interpreter, as this one has
+    loaded them all."""
     src = Path(twinbeam.__file__).resolve().parents[1]
     env = {**os.environ, "QPI_THREADS": "2"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -993,8 +1013,10 @@ def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
         )
         assert run.returncode == 0, run.stderr
         loaded.append(json.loads(run.stdout))
-    assert loaded[0] == [[None, []], [EXIT_OK, []], [EXIT_OK, ["twinphase.fitting"]]]
-    assert loaded[1] == [[None, []], [EXIT_OK, []], [EXIT_OK, []], [EXIT_OK, []]]
+    assert loaded[0] == [
+        [None, [], False], [EXIT_OK, [], False], [EXIT_OK, ["twinphase.fitting"], True]
+    ]
+    assert loaded[1] == [[None, [], False]] + [[EXIT_OK, [], False]] * 3
 
 
 # Run in a fresh interpreter: with a scipy that lacks what the package
@@ -1273,7 +1295,13 @@ def test_readme_module_table_lists_the_package_modules():
 
 
 def test_readme_states_no_measured_size_or_time():
-    """README gives no figure in MB, GB, ms or seconds: measurements live in
-    the BENCH_*.json files and CHANGES.md, where no contract depends on them."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    assert re.findall(r"\d(?: ?(?:MB|GB|ms)| s)\b", readme) == []
+    """README and the package's sources give no figure in MB, GB, ms or
+    seconds: measurements live in the BENCH_*.json files and CHANGES.md,
+    where no contract depends on them."""
+    root = Path(__file__).parents[1]
+    paths = [root / "README.md", *sorted((root / "src" / "twinphase").glob("*.py"))]
+    found = {
+        path.name: re.findall(r"\d(?: ?(?:MB|GB|ms)| s)\b", path.read_text(encoding="utf-8"))
+        for path in paths
+    }
+    assert {name: figures for name, figures in found.items() if figures} == {}

@@ -48,7 +48,7 @@ import scipy
 
 from twinphase.cli import main as cli_main
 from twinphase.runtime import _blas_threads
-from test_runtime import use_threads
+from test_runtime import run_fresh, use_threads
 
 FIXTURE = Path(__file__).with_name("golden_hashes.json")
 
@@ -97,10 +97,9 @@ def run_pipeline(root):
     }
 
 
-# ids name the frame threads; each run starts from the other BLAS pool size
-@pytest.mark.parametrize("threads, blas_threads", [(1, 2), (2, 1)], ids=["1", "2"])
-def test_outputs_match_golden_hashes(tmp_path, monkeypatch, threads, blas_threads):
-    use_threads(monkeypatch, threads)
+def recorded_golden():
+    """The fixture, once its numpy and scipy versions and BLAS cores are
+    checked to be this environment's; the test fails naming a mismatch."""
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     versions = {
         "numpy": (np.__version__, "the random streams may differ"),
@@ -120,11 +119,45 @@ def test_outputs_match_golden_hashes(tmp_path, monkeypatch, threads, blas_thread
                 f"this is {key} {value!r}: matrix products may differ in their "
                 "last bits; regenerate the fixture on a commit whose output is trusted"
             )
+    return golden
+
+
+# ids name the frame threads; each run starts from the other BLAS pool size
+@pytest.mark.parametrize("threads, blas_threads", [(1, 2), (2, 1)], ids=["1", "2"])
+def test_outputs_match_golden_hashes(tmp_path, monkeypatch, threads, blas_threads):
+    use_threads(monkeypatch, threads)
+    golden = recorded_golden()
     with _blas_threads(blas_threads):
         actual = run_pipeline(tmp_path)
     assert sorted(actual) == sorted(golden["files"]), "the set of output files changed"
     changed = sorted(name for name, digest in golden["files"].items() if actual[name] != digest)
     assert not changed, f"outputs differ from the golden hashes: {changed}"
+
+
+# Run in a fresh interpreter: scan resolution on two threads of
+# ordered_map; prints the SHA-256 of its resolution.csv.
+FRESH_RESOLUTION = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from twinphase import cli, runtime
+
+runtime.os.sched_getaffinity = lambda pid: set(range(2))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["scan", "resolution", "--out", sys.argv[1]]) == 0
+csv = Path(sys.argv[1]) / "resolution.csv"
+print(json.dumps(hashlib.sha256(csv.read_bytes()).hexdigest()))
+"""
+
+
+def test_resolution_scan_in_a_fresh_process_matches_its_golden_hash(tmp_path):
+    """In a fresh process scan resolution maps scipy's OpenBLAS itself,
+    in its first edge fit, with a pool of two threads that the load pins
+    to one; ``blas_in_use`` maps that library before the pipeline runs,
+    so the test above does not cover this."""
+    golden = recorded_golden()
+    digest = run_fresh(FRESH_RESOLUTION, str(tmp_path / "r"),
+                       OPENBLAS_NUM_THREADS="2", QPI_THREADS="2")
+    assert digest == golden["files"]["scan_resolution/resolution.csv"]
 
 
 if __name__ == "__main__":

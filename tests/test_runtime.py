@@ -372,7 +372,7 @@ def test_blas_pools_run_one_thread_inside_a_command(tmp_path, monkeypatch):
     seen = []
 
     def stack_reading_pools(*args, **kwargs):
-        seen.append([get() for get, _ in runtime._openblas_pools()])
+        seen.append([get() for get, _ in runtime._openblas_pools().values()])
         return real_stack(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "defocus_stack", stack_reading_pools)
@@ -403,19 +403,20 @@ def test_blas_pool_sizes_restored_after_a_command(tmp_path, monkeypatch, outcome
         else:
             assert main(argv) == {"exit 0": EXIT_OK, "exit 2": EXIT_CONFIG}[outcome]
         assert np.geterr() == errors
-        assert all(get() == 2 for get, _ in runtime._openblas_pools())
+        assert all(get() == 2 for get, _ in runtime._openblas_pools().values())
 
 
 def test_command_runs_without_an_openblas(tmp_path, monkeypatch):
-    monkeypatch.setattr(runtime, "_openblas_pools", lambda: [])
+    monkeypatch.setattr(runtime, "_openblas_pools", dict)
     assert main(["target", "--out", str(tmp_path)]) == EXIT_OK
 
 
-# Run in a fresh interpreter: prints the thread count of every OpenBLAS
-# pool mapped in the process, after scipy.linalg is first imported inside
-# a command.
-POOLS_AFTER_LINALG = """
-import ctypes, json, os
+# Run in a fresh interpreter: the first call for dgesdd, which maps
+# scipy's OpenBLAS, is made inside a command on a thread of ordered_map
+# other than the calling one; prints the thread count of every OpenBLAS
+# pool mapped in the process right after that call and after the command.
+POOLS_AROUND_A_LOAD = """
+import ctypes, json, os, threading
 from twinphase import runtime
 
 def pool_sizes():
@@ -429,19 +430,35 @@ def pool_sizes():
                 sizes[os.path.basename(path)] = getattr(lib, name)()
     return sizes
 
+runtime.os.sched_getaffinity = lambda pid: set(range(2))
+caller = threading.current_thread()
+loaded = threading.Event()
+
+def item(i):
+    if threading.current_thread() is caller:
+        assert loaded.wait(timeout=60)
+        return None
+    runtime.scipy_function("dgesdd")
+    loaded.set()
+    return pool_sizes()
+
 with runtime.command():
-    import scipy.linalg
-    print(json.dumps(pool_sizes()))
+    during = [sizes for sizes in runtime.ordered_map(item, range(2)) if sizes]
+print(json.dumps([during, pool_sizes()]))
 """
 
 
 def test_blas_pool_loaded_inside_a_command_runs_one_thread():
-    """scipy's OpenBLAS is first loaded by scipy.linalg, which scan
-    resolution imports in its first curve_fit: its pool runs one thread
-    there too, as ``command`` opens it on entry.  numpy's and scipy's
-    pools are both mapped, and both are pinned."""
-    sizes = run_fresh(POOLS_AFTER_LINALG, OPENBLAS_NUM_THREADS="2")
-    assert len(sizes) == 2 and set(sizes.values()) == {1}, sizes
+    """scipy's OpenBLAS is first mapped by ``linalg._flapack``, which
+    ``scipy_function`` loads inside a command on a thread of
+    ``ordered_map``: its pool runs one thread from its load on, as
+    numpy's does, and gets back the size it had at load when the command
+    ends."""
+    during, after = run_fresh(POOLS_AROUND_A_LOAD, OPENBLAS_NUM_THREADS="2", QPI_THREADS="2")
+    # the caller's thread never loads, so one or both items read the pools
+    assert during and all(len(s) == 2 and set(s.values()) == {1} for s in during), during
+    scipy_pool = [name for name in after if name.startswith("libscipy_openblas-")]
+    assert len(scipy_pool) == 1 and after[scipy_pool[0]] == 2, after
 
 
 def imported_names(path):
@@ -576,7 +593,6 @@ print(json.dumps([sorted(imported), sorted(asked)]))
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
 def test_package_import_loads_no_scipy_extension():
     """``import twinphase.cli`` maps no file of scipy's beyond those that
     ``import scipy`` maps; asking for each function of

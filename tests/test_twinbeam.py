@@ -310,24 +310,30 @@ class TestExpectedCounts:
 
 
 @pytest.mark.parametrize(
-    "smooth, dz, bound",
-    [(False, 0.0125, 5.5), (False, 0.0, 5.5), (True, 0.0125, 9.5)],
-    ids=["defocused", "in_focus", "smooth_defocused"],
+    "kind, dz, bound",
+    [("target", 0.0125, 4.5), ("target", 0.0, 3.7), ("blank", 0.0, 3.7), ("smooth", 0.0125, 7.8)],
+    ids=["defocused", "in_focus", "blank_in_focus", "smooth_defocused"],
 )
-def test_frame_memory_peak_in_padded_arrays(traced_peak, smooth, dz, bound):
+def test_frame_memory_peak_in_padded_arrays(traced_peak, kind, dz, bound):
     """One frame's allocation peak, in float64 arrays of the padded grid:
-    5.2 for the test target, defocused or in focus, and 7.7 for a
-    defocused smooth object, whose kernel tables have an entry per pixel.
-    Its thinning's per-level tables and int64 birth maps held through
-    the idler arm gave 8.7.  The thinning's probabilities are computed once per distinct tau and
-    gathered onto the pixels one at a time; per pixel they gave 6.0 and
-    9.0.  Both displacement maps made up front and alive through the
-    thinning gave 8.0 defocused and 11.6 for the smooth object (with two
-    temporaries in ``_cdf_integral``); every map of the thinning alive at
-    once gave 13.0 defocused and 11.0 in focus."""
+    4.4 for the defocused test target, 3.6 for it or a blank object in
+    focus, and 7.7 for a defocused smooth object, whose kernel tables
+    have an entry per pixel.  The thinning's draws held in int64 through
+    the next ones gave 5.2 for the test target and the blank object,
+    defocused or in focus.  Its per-level tables and int64 birth maps
+    held through the idler arm gave 8.7.  The thinning's probabilities
+    are computed once per distinct tau and gathered onto the pixels one
+    at a time; per pixel they gave 6.0 and 9.0.  Both displacement maps
+    made up front and alive through the thinning gave 8.0 defocused and
+    11.6 for the smooth object (with two temporaries in
+    ``_cdf_integral``); every map of the thinning alive at once gave
+    13.0 defocused and 11.0 in focus."""
     sys_, twin = OpticalSystem(), TwinBeamConfig(mean_photons_per_pixel=600.0)
     pitch = sys_.object_pixel
-    obj = smooth_object(220, pitch) if smooth else generate_test_target(220, 220, pitch)
+    make = {"target": lambda: generate_test_target(220, 220, pitch),
+            "blank": lambda: blank_object(220, 220, pitch),
+            "smooth": lambda: smooth_object(220, pitch)}
+    obj = make[kind]()
     rate = twinbeam._transport(obj, sys_, twin, dz)[2]
     peak = traced_peak(lambda: sample_twin_frame(obj, sys_, twin, dz, RngStream(5, 2)))
     assert peak / rate.nbytes <= bound
