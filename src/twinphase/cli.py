@@ -180,12 +180,15 @@ def cmd_retrieve(args):
     # the loader holds every frame to the calibration grid, so one weight serves all
     k = retrieval.resolve_k(args.k_mode, args.bin, calib_s.pitch, twin_cfg)
     config = retrieval.RetrievalConfig(dz, k, args.bin, calib_s, calib_i, sys_cfg)
+    grid = calib_s.width, calib_s.height
+    fields = retrieval.retrieve_frames(load, n_frames, config)
+    del calib_s, calib_i, config  # so the generator can free the signal mean
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    for name, field in retrieval.retrieve_frames(load, n_frames, config):
+    for name, field in fields:
         outputs += qpf.write_fields(args.out, [(name, field)])
         if name == "phase_average":
-            steps = metrics.step_heights(field, args.bin, (calib_s.width, calib_s.height))
+            steps = metrics.step_heights(field, args.bin, grid)
         del field  # not held through the next solve
     rows = [("pi", steps["pi"]), ("null", steps["null"])]
     outputs.append(write_csv(args.out, "steps", ["region", "step_rad"], rows))

@@ -148,25 +148,28 @@ def read_frame_set(frames_dir, dz):
     ``frames_dir``, and ``load(frame, tag)``, which reads one of its
     exposures at ``dz`` as a ``TwinBeamFrame``.  A file off the signal
     mean's grid, or a frame's counts that are not non-negative integers,
-    raise QpfFormatError naming the file."""
+    raise QpfFormatError naming the file.  ``load`` checks the grid against
+    the idler mean, so it holds no reference to the signal mean."""
     from .twinbeam import TwinBeamFrame  # keeps scipy out of ``import twinphase``
     signal_path, idler_path = (os.path.join(frames_dir, name + ".qpf") for name in CALIBRATION)
-    signal = read_qpf(signal_path)
 
-    def read_on_grid(path):
+    def read_on_grid(path, grid):
         field = read_qpf(path)
         try:
-            field.require_same_grid(signal)
+            field.require_same_grid(grid)
         except GridError as exc:
             raise QpfFormatError(f"{path}, {signal_path}: {exc}")
         return field
+
+    signal = read_qpf(signal_path)
+    idler = read_on_grid(idler_path, signal)
 
     def load(frame, tag):
         names = exposure_names(dz, frame, tag)
         paths = [os.path.join(frames_dir, name + ".qpf") for name in names]
         try:
-            return TwinBeamFrame(*map(read_on_grid, paths))
+            return TwinBeamFrame(*(read_on_grid(path, idler) for path in paths))
         except ValueError as exc:  # counts that are not non-negative integers
             raise QpfFormatError(f"{', '.join(paths)}: {exc}")
 
-    return (signal, read_on_grid(idler_path)), load
+    return (signal, idler), load

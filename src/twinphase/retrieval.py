@@ -6,7 +6,7 @@ solver with spectral Dirichlet Poisson solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from .core import (
     TwinBeamConfig,
 )
 from .runtime import scipy_function
-from .twinbeam import bin_counts, d_factor_for_bin, eta_c, exposures, register_idler
+from .twinbeam import _narrowed, bin_counts, d_factor_for_bin, eta_c, exposures, register_idler
 
 
 # Intensities below this fraction of the mean are clamped (TIE) or
@@ -228,22 +228,25 @@ def _teague_second_step(held: list, i0: np.ndarray, pitch: float) -> np.ndarray:
 
     # coeffs = norm * (sy.T @ psi @ sx)
     norm = 4.0 / ((h - 1) * (w - 1))
-    coeffs = sy.T @ psi @ sx
+    coeffs = sy.T @ psi
     del psi
+    coeffs = coeffs @ sx
     coeffs *= norm
     # fy = gy / i0 with gy = cy @ (ky * coeffs) @ sx.T, then
     # a = norm * (cyw.T @ fy @ sx)
     f = cy @ (ky * coeffs) @ sx.T
     f /= i0
     f[:: h - 1] *= 0.5
-    a = cy.T @ f @ sx
+    a = cy.T @ f
     del f
+    a = a @ sx
     a *= norm
     # fx = gx / i0 with gx = sy @ (coeffs * kx) @ cx.T, then
     # b = norm * (sy.T @ fx @ cxw)
     coeffs *= kx
-    f = sy @ coeffs @ cx.T
+    f = sy @ coeffs
     del coeffs
+    f = f @ cx.T
     f /= i0
     b = sy.T @ f
     del f
@@ -342,20 +345,29 @@ def retrieve_frames(load, frames: int, config: RetrievalConfig):
     frame as a ``TwinBeamFrame``.  Frame 0's in-focus exposure is loaded
     first, for the transmittance, and dropped; then each exposure is loaded,
     added into its signal sum and corrected into its plane before the next.
-    Sums of integer counts are exact in any frame order (below 2**53); each
-    is dropped once its mean is handed to the averaged solve.  A
-    NumericalError of a frame's solve is raised again naming the frame.
+    Sums of integer counts are exact in any frame order (below 2**53).  Each
+    sum is added in float64 and held narrowed (``twinbeam._narrowed``: the
+    narrowest integer dtype that holds it, float64 above 2**53), which keeps
+    every bit of the float64 sum; each is dropped once its mean is handed to
+    the averaged solve.  The signal calibration mean is dropped after the
+    transmittance: a caller that keeps no reference of its own frees it
+    before the first frame is loaded.  A NumericalError of a frame's solve
+    is raised again naming the frame.
     """
     tags = [tag for _, _, tag, _ in exposures([config.dz], 1)]
     sums = [0.0] * len(tags)  # each exposure's signal counts, summed over the frames
     in_focus = load(0, "0")
     yield "transmittance_f0000", estimate_transmittance(in_focus.n_s, in_focus.n_i, config)
     del in_focus  # loaded again in frame 0: held there, it raised a 513² run's peak RSS
+    template = config.reference_mean
+    width, height, pitch = template.width, template.height, template.pitch
+    del template  # the means take its grid; its values served the transmittance only
+    config = replace(config, reference_mean=None)
 
     def streamed(frame):
         for index, tag in enumerate(tags):
             tf = load(frame, tag)
-            sums[index] += tf.n_s.values
+            sums[index] = _narrowed(sums[index] + tf.n_s.values)
             yield tf
             del tf
 
@@ -366,5 +378,5 @@ def retrieve_frames(load, frames: int, config: RetrievalConfig):
             raise NumericalError(f"{exc} in frame {frame}") from None
         yield f"phase_f{frame:04d}", phase
         del phase  # not held through the next frame's solve
-    means = (config.reference_mean._adopt(sums.pop(0) / frames) for _ in tags)
+    means = (ScalarField2D(width, height, pitch, sums.pop(0) / frames, True) for _ in tags)
     yield "phase_average", tie_retrieve(means, config).values

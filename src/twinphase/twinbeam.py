@@ -418,10 +418,15 @@ def _thinning(eta0, tau):
 
 
 def _narrowed(counts):
-    """Integer counts >= 0 in the narrowest unsigned dtype that holds the
-    largest, or int64 where that would be uint64: exact, and int64 arrays
-    can take them in place (int64 and uint64 promote to float64)."""
-    dtype = np.min_scalar_type(int(counts.max()))
+    """Counts >= 0, integer or float64 with integer values, in the
+    narrowest unsigned dtype that holds the largest, or int64 where that
+    would be uint64: exact, and int64 arrays can take them in place (int64
+    and uint64 promote to float64).  Float counts above 2**53, where
+    float64 no longer holds every integer, are returned as they are."""
+    largest = counts.max()
+    if counts.dtype.kind == "f" and largest > 2**53:
+        return counts
+    dtype = np.min_scalar_type(int(largest))
     return counts.astype(np.int64 if dtype == np.uint64 else dtype)
 
 

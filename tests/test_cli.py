@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import twinphase
-from twinphase import cli, metrics, qpf, runtime, twinbeam
+from twinphase import cli, metrics, qpf, retrieval, runtime, twinbeam
 from twinphase.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -419,36 +419,40 @@ def retrieve_peak(frames, out, traced_peak, k_mode, bin_px):
 
 
 def test_retrieve_memory_peak_in_grid_arrays(frame_set, tmp_path, traced_peak):
-    """12.3 float64 arrays of the 220-pixel grid: each exposure is loaded,
-    added into the sums and corrected into its plane before the next, so
-    no count map is alive during a solve, and the TIE solve drops the
-    -dz and +dz planes once its right-hand side exists, the in-focus
-    one once its clamped I0 does and psi after the second step's first
-    projection; the averaged solve takes each sum, divided in place into
-    its mean.  13.1 when psi was held through the second step, 17.1 when
-    the planes and the means were held through both Poisson solves and
-    every fresh field was copied, 20.1 when each frame's six count maps
-    were also held through its solve, and 34.2 when the last ones were
-    also held through the averaged solve."""
-    assert retrieve_peak(frame_set, tmp_path / "o", traced_peak, "tie", 1) <= 12.8
+    """9.1 float64 arrays of the 220-pixel grid: each exposure is loaded,
+    added into the sums, held narrowed, and corrected into its plane
+    before the next, so no count map is alive during a solve; the signal
+    calibration mean is dropped after the transmittance; the TIE solve
+    drops the -dz and +dz planes once its right-hand side exists, the
+    in-focus one once its clamped I0 does and psi after the second
+    step's first projection; the averaged solve takes each sum, divided
+    into its mean.  10.1 when the signal mean was held through the
+    solves, 12.3 when the sums were also float64, 13.1 when psi was held
+    through the second step, 17.1 when the planes and the means were held
+    through both Poisson solves and every fresh field was copied, 20.1
+    when each frame's six count maps were also held through its solve,
+    and 34.2 when the last ones were also held through the averaged
+    solve."""
+    assert retrieve_peak(frame_set, tmp_path / "o", traced_peak, "tie", 1) <= 9.6
 
 
 @pytest.mark.parametrize(
     "frames, k_mode, bin_px, bound",
-    [(2, "tie", 1, 12.8), (1, "tau", 3, 12.0), (2, "tau", 3, 12.0)],
+    [(2, "tie", 1, 9.6), (1, "tau", 3, 8.8), (2, "tau", 3, 8.8)],
     ids=["tie_bin1_two_frames", "tau_bin3", "tau_bin3_two_frames"],
 )
 def test_retrieve_memory_peak_does_not_grow_with_frames(
     frame_set, two_frame_set, tmp_path, traced_peak, frames, k_mode, bin_px, bound
 ):
-    """12.3 arrays of the 220-pixel grid at tie/bin 1 and 11.6 at tau/bin
-    3, for one frame or two: the sums are three arrays however many frames
-    there are.  13.1 at tie/bin 1 when the solve held psi through its
-    second step (tau/bin 3 peaks elsewhere, and kept its 11.6); 17.1 and
-    13.3 when the solve held its planes and every fresh field was copied;
-    holding a frame's six count maps through its solve, with the sums
-    alive from frame 1 on, gave 23.1 and 17.3 for two frames and 14.3 at
-    tau/bin 3 for one."""
+    """9.1 arrays of the 220-pixel grid at tie/bin 1 and 8.4 at tau/bin 3,
+    for one frame or two: the sums are three narrowed arrays however many
+    frames there are.  10.1 and 9.4 with the signal mean held through the
+    solves, and 12.3 and 11.6 with float64 sums as well.  13.1 at tie/bin
+    1 when the solve held psi through its second step (tau/bin 3 peaks
+    elsewhere, and kept its 11.6); 17.1 and 13.3 when the solve held its
+    planes and every fresh field was copied; holding a frame's six count
+    maps through its solve, with the sums alive from frame 1 on, gave
+    23.1 and 17.3 for two frames and 14.3 at tau/bin 3 for one."""
     frame_sets = {1: frame_set, 2: two_frame_set}
     peak = retrieve_peak(frame_sets[frames], tmp_path / "o", traced_peak, k_mode, bin_px)
     assert peak <= bound
@@ -654,6 +658,44 @@ def test_pair_counts_above_uint32_draw(tmp_path, command):
     cfg.write_text("mean_photons_per_pixel = 1e10\n")
     out = tmp_path / "o"
     assert exit_code(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "mean, frames, premise",
+    [
+        (150, 2, lambda counts, sums: counts.max() < 2**8 <= sums.max()),
+        (1e10, 2, lambda counts, sums: counts.max() >= 2**32),
+        (1e17, 3, lambda counts, sums: sums.max() > 2**53),
+    ],
+    ids=["sums_pass_uint8", "counts_pass_uint32", "sums_pass_2_53"],
+)
+def test_retrieve_average_keeps_the_float64_sums(tmp_path, mean, frames, premise):
+    """retrieve holds each exposure's signal sum narrowed; its averaged
+    phase is that of the float64 sums, added in frame order, bit for bit.
+    Above 2**53 float64 rounds at every add, where an integer sum would
+    round once."""
+    dz = 0.025
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mean_photons_per_pixel = {mean}\n")
+    frame_set, out = tmp_path / "frames", tmp_path / "o"
+    argv = ["simulate", "--frames", str(frames), "--dz", str(dz), "--seed", "2"]
+    assert exit_code(argv + ["--config", str(cfg), "--out", str(frame_set)]) == EXIT_OK
+    argv = ["retrieve", "--frames", str(frame_set), "--k-mode", "tie", "--out", str(out)]
+    assert exit_code(argv) == EXIT_OK
+
+    (calib_s, calib_i), load = qpf.read_frame_set(frame_set, dz)
+    means = []
+    for tag in ("m", "0", "p"):
+        counts = [load(frame, tag).n_s.values for frame in range(frames)]
+        sums = 0.0
+        for n_s in counts:
+            sums = sums + n_s
+        assert premise(np.array(counts), sums)
+        means.append(calib_s._adopt(sums / frames))
+    config = retrieval.RetrievalConfig(dz, 0.0, 1, calib_s, calib_i, OpticalSystem())
+    with runtime.command():  # BLAS at the one thread of every command
+        oracle = retrieval.tie_retrieve(means, config).values
+    assert np.array_equal(qpf.read_qpf(out / "phase_average.qpf").values, oracle.values)
 
 
 def test_poisson_level_numpy_cannot_draw_exits_2_on_scan_noise(tmp_path, capsys):

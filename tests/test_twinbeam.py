@@ -229,6 +229,36 @@ def test_register_idler_is_an_involution():
     assert once.values[0, 0] == f.values[-1, -1]
 
 
+NARROWEST = [
+    (0, np.uint8),
+    (2**8 - 1, np.uint8),
+    (2**8, np.uint16),
+    (2**32 - 1, np.uint32),
+    (2**32, np.int64),  # uint64 would promote with int64 to float64
+    (2**53, np.int64),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, largest, dtype",
+    [(kind, largest, dtype) for kind in (np.int64, np.float64) for largest, dtype in NARROWEST]
+    + [
+        (np.int64, 2**63 - 1, np.int64),
+        (np.float64, 2.0**53 + 2, np.float64),
+        (np.float64, 2.0**64, np.float64),
+        (np.float64, 1e30, np.float64),
+    ],
+)
+def test_narrowed_counts_keep_their_values(kind, largest, dtype):
+    """Counts go to the narrowest dtype that holds them exactly.  Float
+    counts above 2**53 stay float64, as not every integer there is a
+    float64; from 2**64 on an integer dtype would be object."""
+    counts = np.array([0, largest // 2, largest], dtype=kind)
+    narrowed = twinbeam._narrowed(counts)
+    assert narrowed.dtype == dtype
+    assert np.array_equal(narrowed, counts)
+
+
 class TestSampler:
     def setup_method(self):
         self.sys = OpticalSystem()
