@@ -8,15 +8,18 @@ Subcommands, each registering only the flags it reads:
 * ``scan``      ``nrf``, ``advantage``, ``resolution`` or ``noise`` CSV curve
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure.  Identical config + seed produce byte-identical outputs, for
-any thread count of ``runtime.ordered_map``.
+failure; a non-zero exit leaves ``--out`` as it found it (``_run_staged``).
+Identical config + seed produce byte-identical outputs, for any thread
+count of ``runtime.ordered_map``.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, fields
 
 from . import __version__, metrics, qpf, retrieval, runtime, twinbeam
@@ -99,16 +102,11 @@ def fmt(value) -> str:
 
 
 def write_csv(out_dir, name, header, rows):
-    """Write ``out_dir/name.csv``; its path."""
-    path = os.path.join(out_dir, name + ".csv")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}")
-    return path
+    """Write ``out_dir/name.csv``."""
+    with open(os.path.join(out_dir, name + ".csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def _load_configs(args):
@@ -116,31 +114,27 @@ def _load_configs(args):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes its files into ``out`` and returns (config, seed, summary)
 # ---------------------------------------------------------------------------
 
-def cmd_target(args):
+def cmd_target(args, out):
     sys_cfg, twin_cfg, run = _load_configs(args)
     size = run.get("grid_size", TARGET_GRID)
     pitch = sys_cfg.object_pixel
     obj = generate_test_target(size, size, pitch)
     if args.pure_phase:
         obj = ObjectSpec(tau=blank_object(size, size, pitch).tau, phi=obj.phi)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = qpf.write_fields(args.out, [("target_tau", obj.tau), ("target_phi", obj.phi)])
+    qpf.write_fields(out, [("target_tau", obj.tau), ("target_phi", obj.phi)])
     snap = {**asdict(sys_cfg), **asdict(twin_cfg), "grid_size": size}
-    write_manifest(args.out, snap, None, outputs)
-    print(f"wrote target ({size}x{size}) to {args.out}")
-    return EXIT_OK
+    return snap, None, f"wrote target ({size}x{size}) to {args.out}"
 
 
-def cmd_simulate(args):
+def cmd_simulate(args, out):
     sys_cfg, twin_cfg, run = _load_configs(args)
     size = run.get("grid_size", TARGET_GRID)
     pitch = sys_cfg.object_pixel
     calib = twinbeam.expected_counts(blank_object(size, size, pitch), sys_cfg, twin_cfg, 0.0)
-    os.makedirs(args.out, exist_ok=True)
-    outputs = qpf.write_fields(args.out, zip(qpf.CALIBRATION, calib))
+    qpf.write_fields(out, zip(qpf.CALIBRATION, calib))
     del calib  # no draw reads the means
     obj = generate_test_target(size, size, pitch)
 
@@ -153,20 +147,16 @@ def cmd_simulate(args):
         tf = yield from twinbeam.sample_twin_stages(
             obj, sys_cfg, twin_cfg, signed, base.child(index)
         )
-        names = qpf.exposure_names(dz, frame, tag)
-        return qpf.write_fields(args.out, zip(names, (tf.n_s, tf.n_i)))
+        qpf.write_fields(out, zip(qpf.exposure_names(dz, frame, tag), (tf.n_s, tf.n_i)))
 
-    exposures = twinbeam.exposures(args.dz, args.frames)
-    for paths in runtime.ordered_map(draw_and_write, enumerate(exposures)):
-        outputs += paths
+    runtime.ordered_map(draw_and_write, enumerate(twinbeam.exposures(args.dz, args.frames)))
     snap = {**asdict(sys_cfg), **asdict(twin_cfg), "grid_size": size}
     snap.update(dz_list=args.dz, frames=args.frames)
-    write_manifest(args.out, snap, args.seed, outputs)
-    print(f"wrote {len(outputs)} files ({args.frames} frames x {len(args.dz)} dz)")
-    return EXIT_OK
+    files = len(os.listdir(out))
+    return snap, args.seed, f"wrote {files} files ({args.frames} frames x {len(args.dz)} dz)"
 
 
-def cmd_retrieve(args):
+def cmd_retrieve(args, out):
     manifest = qpf.read_manifest(args.frames)
     conf = manifest["config"]
     sys_cfg, twin_cfg = _configs(conf)
@@ -183,21 +173,19 @@ def cmd_retrieve(args):
     grid = calib_s.width, calib_s.height
     fields = retrieval.retrieve_frames(load, n_frames, config)
     del calib_s, calib_i, config  # so the generator can free the signal mean
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
     for name, field in fields:
-        outputs += qpf.write_fields(args.out, [(name, field)])
+        qpf.write_fields(out, [(name, field)])
         if name == "phase_average":
             steps = metrics.step_heights(field, args.bin, grid)
         del field  # not held through the next solve
     rows = [("pi", steps["pi"]), ("null", steps["null"])]
-    outputs.append(write_csv(args.out, "steps", ["region", "step_rad"], rows))
+    write_csv(out, "steps", ["region", "step_rad"], rows)
     rows = [(frame, k, "classical" if k == 0.0 else "quantum") for frame in range(n_frames)]
-    outputs.append(write_csv(args.out, "frames", ["frame", "k_value", "provenance"], rows))
-    write_manifest(args.out, conf, manifest.get("master_seed"), outputs)
-    print(f"retrieved {n_frames} frames at dz={dz} bin={args.bin} "
-          f"(pi step {steps['pi']:.4f}, null step {steps['null']:.4f})")
-    return EXIT_OK
+    write_csv(out, "frames", ["frame", "k_value", "provenance"], rows)
+    return conf, manifest.get("master_seed"), (
+        f"retrieved {n_frames} frames at dz={dz} bin={args.bin} "
+        f"(pi step {steps['pi']:.4f}, null step {steps['null']:.4f})"
+    )
 
 
 def _scan_nrf(args, sys_cfg, twin_cfg):
@@ -247,7 +235,7 @@ def _scan_noise(args, sys_cfg, twin_cfg):
     return ["l_cff_um", "suppression_pct"], [(r["l_cff_um"], r["suppression_pct"]) for r in rows]
 
 
-def cmd_scan(args):
+def cmd_scan(args, out):
     sys_cfg, twin_cfg, run = _load_configs(args)
     if run:
         raise ConfigError(
@@ -255,12 +243,10 @@ def cmd_scan(args):
             f"every scan runs on a {TARGET_GRID}x{TARGET_GRID} grid"
         )
     header, rows = args.runner(args, sys_cfg, twin_cfg)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = write_csv(args.out, args.scan_type, header, rows)
+    write_csv(out, args.scan_type, header, rows)
     snap = {**asdict(sys_cfg), **asdict(twin_cfg), "scan": args.scan_type}
-    write_manifest(args.out, snap, getattr(args, "seed", None), [csv_path])
-    print(f"wrote {csv_path} ({len(rows)} rows)")
-    return EXIT_OK
+    csv_path = os.path.join(args.out, args.scan_type + ".csv")
+    return snap, getattr(args, "seed", None), f"wrote {csv_path} ({len(rows)} rows)"
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +330,31 @@ def build_parser():
     return parser
 
 
+def _run_staged(args):
+    """Run the command in a new directory on the filesystem of ``--out``: in
+    it, or beside it if it is missing.  If the command succeeds, manifest
+    every file there and move each into ``--out``, the manifest last."""
+    where = args.out if os.path.isdir(args.out) else os.path.dirname(os.path.abspath(args.out))
+    os.makedirs(where, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".twinphase-", dir=where)
+    try:
+        snap, seed, summary = args.func(args, stage)
+        names = os.listdir(stage)
+        write_manifest(stage, snap, seed, [os.path.join(stage, name) for name in names])
+        os.makedirs(args.out, exist_ok=True)
+        for name in [*names, "manifest.json"]:
+            os.replace(os.path.join(stage, name), os.path.join(args.out, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    print(summary)
+    return EXIT_OK
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with runtime.command():
-            return args.func(args)
+            return _run_staged(args)
     except (ConfigError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -66,12 +66,9 @@ def read_qpf(path) -> ScalarField2D:
 
 
 def write_fields(out_dir, named_fields):
-    """Write each ``(name, field)`` to ``out_dir/name.qpf``; the paths."""
-    paths = []
+    """Write each ``(name, field)`` to ``out_dir/name.qpf``."""
     for name, field in named_fields:
-        paths.append(os.path.join(out_dir, name + ".qpf"))
-        write_qpf(paths[-1], field)
-    return paths
+        write_qpf(os.path.join(out_dir, name + ".qpf"), field)
 
 
 def exposure_names(dz, frame, tag):
@@ -98,11 +95,9 @@ def write_manifest(out_dir, config_snapshot, seed, outputs):
     }
     if seed is not None:
         manifest["master_seed"] = seed
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def read_manifest(frames_dir):

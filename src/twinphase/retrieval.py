@@ -277,23 +277,23 @@ def tie_retrieve(planes, config: RetrievalConfig) -> PhaseImage:
     once the clamped I0 exists, so a caller that hands over its only
     references holds none through the solves; psi is handed over to the
     second step, which drops it after its first projection.  An in-focus
-    plane whose mean is not positive, as that of counts with no detected
-    photon, raises NoPhotonError; a mean or solve that is not finite
-    raises NumericalError naming config.k.
+    plane of mean 0, as with no detected photon, raises NoPhotonError; a
+    negative mean, which only a weight k != 0 can make, or a mean or
+    solve that is not finite raises NumericalError naming config.k.
     """
     i_minus, i_zero, i_plus = map(lambda plane: bin_counts(plane, config.bin_px), planes)
     i_zero.require_same_grid(i_plus)
     i_zero.require_same_grid(i_minus)
-    failed = f"the TIE solve is not finite at subtraction weight k = {config.k!r}"
+    at_k = f"at subtraction weight k = {config.k!r}"
+    failed = f"the TIE solve is not finite {at_k}"
     with np.errstate(all="ignore"):  # a value that is not finite raises below
         mean_i0 = float(i_zero.values.mean())
         if not math.isfinite(mean_i0):
             raise NumericalError(failed)
-        if mean_i0 <= 0:
-            raise NoPhotonError(
-                f"i_zero must have positive mean, not {mean_i0:g}: "
-                "no photon was detected in the in-focus plane"
-            )
+        if mean_i0 < 0:
+            raise NumericalError(f"the in-focus plane has negative mean {mean_i0:g} {at_k}")
+        if mean_i0 == 0:
+            raise NoPhotonError("no photon was detected in the in-focus plane")
         dz_um = config.dz * 1e3
         try:
             # rhs = -k_wave * ((i_plus - i_minus) / (2 dz))

@@ -1,6 +1,7 @@
 """Tests of config parsing, CSV/manifest emission and CLI exit codes."""
 
 import argparse
+import ast
 import hashlib
 import importlib
 import json
@@ -131,8 +132,7 @@ class TestFormatting:
         assert fmt("tie") == "tie"
 
     def test_csv_newlines(self, tmp_path):
-        path = write_csv(str(tmp_path), "t", ["a", "b"], [(1.5, "x"), (2.0, "y")])
-        assert path == str(tmp_path / "t.csv")
+        write_csv(str(tmp_path), "t", ["a", "b"], [(1.5, "x"), (2.0, "y")])
         raw = (tmp_path / "t.csv").read_bytes()
         assert raw == b"a,b\n1.5,x\n2,y\n"
 
@@ -508,18 +508,28 @@ def test_overflowing_weight_exits_4(frame_set, tmp_path, capsys):
     assert err == "numerical failure: subtraction weight 1e+308 overflows the corrected counts\n"
 
 
-@pytest.mark.parametrize("k", ["1e303", "1e305", "1e306"])
-def test_weight_that_overflows_the_solve_exits_4(frame_set, tmp_path, capsys, k):
+@pytest.mark.parametrize(
+    "k, failed",
+    [
+        *((k, "the TIE solve is not finite") for k in ("1e303", "1e305", "1e306")),
+        ("-1e303", "the in-focus plane has negative mean -8.22312e+300"),
+        ("-1e304", "the in-focus plane has negative mean -8.22312e+301"),
+    ],
+    ids=["1e303", "1e305", "1e306", "-1e303", "-1e304"],
+)
+def test_weight_that_overflows_the_solve_exits_4(frame_set, tmp_path, capsys, k, failed):
     """A weight whose corrected planes are finite but whose TIE solve is
-    not exits 4 with a message naming the weight and the frame, with no
-    traceback and no numpy warning."""
+    not, or whose corrected in-focus plane has a negative mean though
+    about 600 photons per pixel were detected, exits 4 with a message
+    naming the weight and the frame, with no traceback and no numpy
+    warning."""
     argv = ["retrieve", "--frames", str(frame_set), f"--k-mode={k}"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    failed = f"the TIE solve is not finite at subtraction weight k = {float(k)!r} in frame 0"
-    assert err == f"numerical failure: {failed}\n"
+    at = f"at subtraction weight k = {float(k)!r} in frame 0"
+    assert err == f"numerical failure: {failed} {at}\n"
 
 
 @pytest.mark.parametrize(
@@ -970,6 +980,179 @@ def test_defocus_that_overflows_the_optics_exits_4(tmp_path, capsys, dz):
     assert err.startswith("numerical failure: invalid value encountered")
     assert err.endswith(f" at dz={float(dz):g} mm\n")
     assert not (out / "manifest.json").exists()
+
+
+def files_under(path):
+    """{relative path: bytes} of every file under ``path``."""
+    return {str(p.relative_to(path)): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
+# A failing command: (a successful run of it, the failing run, its exit
+# code).  A --config value is the text of the config file; a retrieve
+# reads the two-frame set, or with `BROKEN` a copy whose frame 1 holds a
+# fractional count, so that frame 0's fields, other than those of the
+# earlier run, are written before it fails.
+FAILED_RUNS = {
+    "target grid_size": (["target"], ["target", "--config", "grid_size = 64"], EXIT_CONFIG),
+    "simulate grid_size": (
+        ["simulate", "--frames", "0"],
+        ["simulate", "--frames", "1", "--config", "grid_size = 64"],
+        EXIT_CONFIG,
+    ),
+    "retrieve bin": (["retrieve"], ["retrieve", "--bin", "500"], EXIT_CONFIG),
+    "retrieve broken frame": (["retrieve"], ["retrieve", "--k-mode", "tie", "BROKEN"], EXIT_IO),
+    "retrieve k overflow": (["retrieve"], ["retrieve", "--k-mode", "1e304"], EXIT_NUMERICAL),
+    "nrf grid_size": (
+        ["scan", "nrf", "--frames", "2"],
+        ["scan", "nrf", "--frames", "2", "--config", "grid_size = 220"],
+        EXIT_CONFIG,
+    ),
+    "nrf dark": (
+        ["scan", "nrf", "--frames", "2"],
+        ["scan", "nrf", "--frames", "2", "--config", "eta0 = 0"],
+        EXIT_NUMERICAL,
+    ),
+    "advantage dark": (
+        ["scan", "advantage", "--frames", "1", "--dz", "0.0125"],
+        ["scan", "advantage", "--frames", "1", "--dz", "0.0125", "--config", "eta0 = 0"],
+        EXIT_NUMERICAL,
+    ),
+    "resolution dz overflow": (
+        ["scan", "resolution", "--dz", "0.025"],
+        ["scan", "resolution", "--dz", "1e305"],
+        EXIT_NUMERICAL,
+    ),
+    "noise Poisson limit": (
+        ["scan", "noise"],
+        ["scan", "noise", "--config", "mean_photons_per_pixel = 1e300"],
+        EXIT_CONFIG,
+    ),
+}
+
+
+@pytest.mark.parametrize("earlier", [True, False], ids=["earlier run", "missing out"])
+@pytest.mark.parametrize("case", list(FAILED_RUNS))
+def test_failed_command_leaves_out_as_it_found_it(two_frame_set, tmp_path, case, earlier):
+    """A non-zero exit changes no name or byte of an --out that holds an
+    earlier run of the command, leaves a missing --out missing, and leaves
+    no staging directory beside it.  simulate wrote its calibration means
+    before it rejected the grid, and a retrieve that failed in frame 1, or
+    in the solve of frame 0, had written frame 0's transmittance."""
+    ran, failing, code = FAILED_RUNS[case]
+
+    def argv(words):
+        if words[0] == "retrieve":
+            frames = two_frame_set
+            if "BROKEN" in words:
+                frames = tmp_path / "broken"
+                shutil.copytree(two_frame_set, frames)
+                name = frames / "dz0.025_f0001_0_s.qpf"
+                field = qpf.read_qpf(name)
+                qpf.write_qpf(name, field.with_values(field.values + 0.5))
+                words = [w for w in words if w != "BROKEN"]
+            words = words + ["--frames", str(frames)]
+        if "--config" in words:
+            at = words.index("--config") + 1
+            (tmp_path / "run.cfg").write_text(words[at] + "\n", encoding="utf-8")
+            words = words[:at] + [str(tmp_path / "run.cfg")] + words[at + 1:]
+        return words
+
+    parent = tmp_path / "runs"
+    parent.mkdir()
+    out = parent / "o"
+    if earlier:
+        assert main(argv(ran) + ["--out", str(out)]) == EXIT_OK
+    before = files_under(parent)
+    assert exit_code(argv(failing) + ["--out", str(out)]) == code
+    assert files_under(parent) == before
+    assert sorted(p.name for p in parent.iterdir()) == (["o"] if earlier else [])
+
+
+def test_uncaught_exception_leaves_out_as_it_found_it(tmp_path, monkeypatch):
+    """A failure no exit code covers, raised after simulate has written
+    calibration means other than those of the earlier run, propagates and
+    leaves --out and its parent as they were."""
+    out = tmp_path / "runs" / "o"
+    assert main(["simulate", "--frames", "0", "--out", str(out)]) == EXIT_OK
+    before = files_under(out.parent)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mean_photons_per_pixel = 300\n", encoding="utf-8")
+
+    def fail(*args):
+        raise RuntimeError("drawing failed")
+        yield
+
+    monkeypatch.setattr(twinbeam, "sample_twin_stages", fail)
+    with pytest.raises(RuntimeError, match="drawing failed"):
+        main(["simulate", "--frames", "1", "--config", str(cfg), "--out", str(out)])
+    assert files_under(out.parent) == before
+    assert [p.name for p in out.parent.iterdir()] == ["o"]
+
+
+def test_out_that_is_a_file_exits_3_and_is_kept(tmp_path, capsys):
+    """The command runs, then its files cannot be moved into --out: the
+    file is kept and the staging directory removed."""
+    out = tmp_path / "o"
+    out.write_bytes(b"not a directory")
+    assert main(["target", "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == b"not a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["o"]
+
+
+def test_manifest_lists_the_files_of_its_own_run(tmp_path, capsys):
+    """A second command into the same --out keeps the first run's files
+    and writes a manifest of its own files alone; its message names --out
+    and its parent, made with --out, holds no staging directory."""
+    out = tmp_path / "runs" / "o"
+    assert main(["target", "--out", str(out)]) == EXIT_OK
+    assert main(["scan", "noise", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    noise = (out / "noise.csv").read_bytes()
+    assert manifest["files"] == {"noise.csv": hashlib.sha256(noise).hexdigest()}
+    assert manifest["config"]["scan"] == "noise"
+    names = ["manifest.json", "noise.csv", "target_phi.qpf", "target_tau.qpf"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert [p.name for p in out.parent.iterdir()] == ["o"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote target (220x220) to {out}",
+        f"wrote {out / 'noise.csv'} (8 rows)",
+    ]
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["in out", "beside out"])
+def test_command_runs_in_out_or_beside_a_missing_one(tmp_path, monkeypatch, exists):
+    """The staging directory is made inside an existing --out, so it is on
+    the filesystem of --out even when --out is a mount point, and beside a
+    missing one."""
+    out = tmp_path / "o"
+    if exists:
+        out.mkdir()
+    staged, write = [], cli.write_csv
+    monkeypatch.setattr(cli, "write_csv", lambda d, *args: staged.append(Path(d)) or write(d, *args))
+    assert main(["scan", "resolution", "--dz", "0.025", "--out", str(out)]) == EXIT_OK
+    [stage] = staged
+    assert stage.name.startswith(".twinphase-") and not stage.exists()
+    assert stage.parent == (out if exists else tmp_path)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "resolution.csv"]
+
+
+def test_only_main_makes_out_or_writes_a_manifest():
+    """No command function (``cmd_*``) or scan runner (``_scan_*``) of
+    cli.py makes a directory or writes a manifest: the one commit step in
+    ``main`` does both, so a failed command leaves --out as it found it."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    commit = ("makedirs", "mkdir", "write_manifest")
+    found, checked = [], []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name.startswith(("cmd_", "_scan_")):
+            checked.append(func.name)
+            found += [
+                (func.name, ast.unparse(node.func))
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] in commit
+            ]
+    assert len(checked) == 8 and found == []
 
 
 def test_benchmark_tracer_installs_on_the_package(frame_set, tmp_path):

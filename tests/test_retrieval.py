@@ -11,6 +11,8 @@ from scipy.fft import dstn, idstn
 from twinphase.core import (
     ConfigError,
     GridError,
+    NoPhotonError,
+    NumericalError,
     ObjectSpec,
     OpticalSystem,
     RngStream,
@@ -377,6 +379,18 @@ class TestTie:
         cfg = RetrievalConfig(dz=0.025)
         with pytest.raises(GridError):
             tie_retrieve((a, b, a), cfg)
+
+    def test_in_focus_mean_of_zero_or_below(self):
+        """Mean 0 is an in-focus plane with no detected photon; a negative
+        mean, which only a weight k != 0 can make of counts, is a numerical
+        failure that names k."""
+        plane = ScalarField2D(16, 16, 1.0, np.ones((16, 16)))
+        cfg = RetrievalConfig(dz=0.025, k=-2.5)
+        with pytest.raises(NoPhotonError, match="^no photon was detected in the in-focus plane$"):
+            tie_retrieve((plane, plane.with_values(np.zeros((16, 16))), plane), cfg)
+        negative = "^the in-focus plane has negative mean -1 at subtraction weight k = -2.5$"
+        with pytest.raises(NumericalError, match=negative):
+            tie_retrieve((plane, plane.with_values(-np.ones((16, 16))), plane), cfg)
 
 
 class TestRetrieveFrames:
