@@ -47,7 +47,16 @@ EXIT_NUMERICAL = 4
 # The configuration keys are the fields of the two config classes.
 _OPTICAL_KEYS = [f.name for f in fields(OpticalSystem)]
 _TWIN_KEYS = [f.name for f in fields(TwinBeamConfig)]
-_RUN_KEYS = {"grid_size": int}
+
+
+def _grid_size(text):
+    """A grid side the sampler's padded grid can hold, checked before any array exists."""
+    if int(text) > twinbeam.MAX_PADDED_SIDE:
+        raise ValueError(f"{text} is above twinbeam.MAX_PADDED_SIDE = {twinbeam.MAX_PADDED_SIDE}")
+    return int(text)
+
+
+_RUN_KEYS = {"grid_size": _grid_size}
 
 
 def _configs(values):
@@ -333,7 +342,8 @@ def build_parser():
 def _run_staged(args):
     """Run the command in a new directory on the filesystem of ``--out``: in
     it, or beside it if it is missing.  If the command succeeds, manifest
-    every file there and move each into ``--out``, the manifest last."""
+    every file there and move each into ``--out``, the manifest last; an
+    output name that is a directory in ``--out`` fails before any move."""
     where = args.out if os.path.isdir(args.out) else os.path.dirname(os.path.abspath(args.out))
     os.makedirs(where, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".twinphase-", dir=where)
@@ -342,7 +352,11 @@ def _run_staged(args):
         names = os.listdir(stage)
         write_manifest(stage, snap, seed, [os.path.join(stage, name) for name in names])
         os.makedirs(args.out, exist_ok=True)
-        for name in [*names, "manifest.json"]:
+        names.append("manifest.json")
+        for target in (os.path.join(args.out, name) for name in names):
+            if os.path.isdir(target) and not os.path.islink(target):  # os.replace fails on it
+                raise IsADirectoryError(f"{target} is a directory, not an output file")
+        for name in names:
             os.replace(os.path.join(stage, name), os.path.join(args.out, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)

@@ -28,7 +28,7 @@ class ConfigError(ValueError):
 
 
 class GridError(ValueError):
-    """Grid metadata of two fields is incompatible."""
+    """A field's grid is invalid, or the grids of two fields differ."""
 
 
 class NoPhotonError(ValueError):
@@ -52,11 +52,10 @@ class ScalarField2D:
 
     Real maps are stored as float64 and complex ones (a wavefront) as
     complex128: in scalar diffraction theory both are scalar fields.
-    The values are copied, except by ``_adopt``.
+    The width and height are read from the 2-D array's shape.  The
+    values are copied, except by ``_adopt``.
     """
 
-    width: int
-    height: int
     pitch: float
     values: np.ndarray
     _fresh: InitVar[bool] = False  # an array the package has just made: see _adopt
@@ -65,26 +64,33 @@ class ScalarField2D:
         dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
         arr = _frozen_array(self.values, dtype, copy=not _fresh)
         object.__setattr__(self, "values", arr)
-        if arr.shape != (self.height, self.width):
-            raise GridError(
-                f"values shape {arr.shape} != (height, width) = "
-                f"({self.height}, {self.width})"
-            )
-        if self.width < MIN_GRID or self.height < MIN_GRID:
+        if arr.ndim != 2:
+            raise GridError(f"values must be a 2-D array, got shape {arr.shape}")
+        if min(arr.shape) < MIN_GRID:
             raise GridError(f"grid must be at least {MIN_GRID}x{MIN_GRID}")
         if not self.pitch > 0:
             raise GridError("pitch must be positive")
         if not np.all(np.isfinite(arr)):
             raise ValueError("field contains non-finite values")
 
-    def with_values(self, values) -> "ScalarField2D":
-        """Same grid metadata, new values."""
-        return ScalarField2D(self.width, self.height, self.pitch, values)
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    def with_values(self, values, _fresh=False) -> "ScalarField2D":
+        """Same grid metadata, new values of the same shape."""
+        field = ScalarField2D(self.pitch, values, _fresh)
+        self.require_same_grid(field)
+        return field
 
     def _adopt(self, values) -> "ScalarField2D":
         """``with_values`` of an array that the package has just made and
         keeps no other reference to: frozen and checked, not copied."""
-        return ScalarField2D(self.width, self.height, self.pitch, values, True)
+        return self.with_values(values, True)
 
     def same_grid(self, other) -> bool:
         return (
@@ -301,10 +307,7 @@ def generate_test_target(width: int, height: int, pitch: float) -> ObjectSpec:
     phi[null_region] = 0.345
     tau = np.ones((height, width))
     tau[null_region] = 0.94
-    return ObjectSpec(
-        tau=ScalarField2D(width, height, pitch, tau),
-        phi=ScalarField2D(width, height, pitch, phi),
-    )
+    return ObjectSpec(tau=ScalarField2D(pitch, tau), phi=ScalarField2D(pitch, phi))
 
 
 # The resolution scan's edge on the metrology target, in pixels: its
@@ -325,15 +328,12 @@ def generate_edge_target(pitch: float) -> ObjectSpec:
     n = TARGET_GRID
     phi = np.zeros((n, n))
     phi[:, 90:170] = -0.3
-    return ObjectSpec(
-        tau=ScalarField2D(n, n, pitch, np.ones((n, n))),
-        phi=ScalarField2D(n, n, pitch, phi),
-    )
+    return ObjectSpec(tau=ScalarField2D(pitch, np.ones((n, n))), phi=ScalarField2D(pitch, phi))
 
 
 def blank_object(width: int, height: int, pitch: float) -> ObjectSpec:
     """The object-free scene: transmittance 1 and phase 0 everywhere."""
     return ObjectSpec(
-        tau=ScalarField2D(width, height, pitch, np.ones((height, width))),
-        phi=ScalarField2D(width, height, pitch, np.zeros((height, width))),
+        tau=ScalarField2D(pitch, np.ones((height, width))),
+        phi=ScalarField2D(pitch, np.zeros((height, width))),
     )

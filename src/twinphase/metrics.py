@@ -153,7 +153,7 @@ def step_heights(phase: ScalarField2D, bin_px: int, fine_shape: tuple) -> dict:
     background = ~(pi_mask | null_mask)
     if bin_px > 1:
         def coarse(mask, thresholds):
-            f = ScalarField2D(fw, fh, 1.0, mask.astype(float))
+            f = ScalarField2D(1.0, mask.astype(float))
             cov = bin_counts(f, bin_px).values / (bin_px * bin_px)
             for t in thresholds:
                 sel = cov >= t
@@ -427,7 +427,7 @@ def noise_suppression_scan(
                 yield l_cff, gen.poisson(i0, size=(height, width))
 
     def phase_var(noise):
-        rhs = ScalarField2D(width, height, pitch, scale * noise)
+        rhs = ScalarField2D(pitch, scale * noise)
         phi = poisson_solve_dirichlet(rhs)
         return float(phi.values.var())
 
@@ -435,7 +435,7 @@ def noise_suppression_scan(
         l_cff, counts = trial
         counts = counts.astype(float)
         sigma = counts - i0
-        smeared = imaging_blur(ScalarField2D(width, height, pitch, counts), l_cff)
+        smeared = imaging_blur(ScalarField2D(pitch, counts), l_cff)
         sigma_twin = smeared.values - i0
         var_clas = phase_var(sigma)
         var_corr = phase_var(sigma - sigma_twin)

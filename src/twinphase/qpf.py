@@ -55,11 +55,9 @@ def read_qpf(path) -> ScalarField2D:
         raise QpfFormatError(
             f"{path}: size {len(raw)} != expected {expected} for {width}x{height}"
         )
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(
-        height, width
-    )
+    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     try:
-        return ScalarField2D(width, height, pitch, values, True)  # adopts the bytes read
+        return ScalarField2D(pitch, values.reshape(height, width), True)  # adopts the bytes read
     except ValueError as exc:
         # non-finite values, or a grid no field may have
         raise QpfFormatError(f"{path}: {exc}")

@@ -304,11 +304,11 @@ def tie_retrieve(planes, config: RetrievalConfig) -> PhaseImage:
             psi = [poisson_solve_dirichlet(i_zero._adopt(rhs)).values]
             del rhs
             i0 = np.maximum(i_zero.values, INTENSITY_FLOOR * mean_i0)
-            width, height, pitch = i_zero.width, i_zero.height, i_zero.pitch
+            pitch = i_zero.pitch
             del i_zero
             phi = _teague_second_step(psi, i0, pitch)
             del i0
-            return PhaseImage(ScalarField2D(width, height, pitch, phi, True))
+            return PhaseImage(ScalarField2D(pitch, phi, True))
         except ValueError:  # adopting a field that is not finite
             raise NumericalError(failed) from None
 
@@ -359,9 +359,7 @@ def retrieve_frames(load, frames: int, config: RetrievalConfig):
     in_focus = load(0, "0")
     yield "transmittance_f0000", estimate_transmittance(in_focus.n_s, in_focus.n_i, config)
     del in_focus  # loaded again in frame 0: held there, it raised a 513² run's peak RSS
-    template = config.reference_mean
-    width, height, pitch = template.width, template.height, template.pitch
-    del template  # the means take its grid; its values served the transmittance only
+    pitch = config.reference_mean.pitch  # its values served the transmittance only
     config = replace(config, reference_mean=None)
 
     def streamed(frame):
@@ -378,5 +376,5 @@ def retrieve_frames(load, frames: int, config: RetrievalConfig):
             raise NumericalError(f"{exc} in frame {frame}") from None
         yield f"phase_f{frame:04d}", phase
         del phase  # not held through the next frame's solve
-    means = (ScalarField2D(width, height, pitch, sums.pop(0) / frames, True) for _ in tags)
+    means = (ScalarField2D(pitch, sums.pop(0) / frames, True) for _ in tags)
     yield "phase_average", tie_retrieve(means, config).values

@@ -609,8 +609,7 @@ def bin_counts(img: ScalarField2D, bin_px: int, origin=None) -> ScalarField2D:
     summed = _bin_sums(img.values, bin_px, origin)
     if summed is img.values:
         return img
-    nh, nw = summed.shape
-    return ScalarField2D(nw, nh, img.pitch * int(bin_px), summed, True)
+    return ScalarField2D(img.pitch * int(bin_px), summed, True)
 
 
 def frame_counts(frame: TwinBeamFrame):

@@ -169,7 +169,7 @@ def test_criterion_02_fano_factors(nrf_curve, object_free_frames):
     for b in NRF_BINS:
         stack = np.stack(
             [
-                bin_counts(register_idler(ScalarField2D(220, 220, PITCH, n_i)), b).values
+                bin_counts(register_idler(ScalarField2D(PITCH, n_i)), b).values
                 for _, n_i in object_free_frames
             ]
         )
@@ -202,12 +202,12 @@ def test_criterion_04_poisson_solver():
         x = np.arange(n) * PITCH
         mode = np.outer(np.sin(3 * math.pi * x / length), np.sin(4 * math.pi * x / length))
         eig = -((3 * math.pi / length) ** 2 + (4 * math.pi / length) ** 2)
-        rhs = ScalarField2D(n, n, PITCH, eig * mode)
+        rhs = ScalarField2D(PITCH, eig * mode)
         u = poisson_solve_dirichlet(rhs).values
         worst_rt = max(worst_rt, float(np.linalg.norm(u - mode) / np.linalg.norm(mode)))
     rng = np.random.default_rng(44)
-    a = ScalarField2D(128, 128, PITCH, rng.standard_normal((128, 128)))
-    b = ScalarField2D(128, 128, PITCH, rng.standard_normal((128, 128)))
+    a = ScalarField2D(PITCH, rng.standard_normal((128, 128)))
+    b = ScalarField2D(PITCH, rng.standard_normal((128, 128)))
     combo = poisson_solve_dirichlet(a.with_values(1.7 * a.values - 0.4 * b.values)).values
     parts = 1.7 * poisson_solve_dirichlet(a).values - 0.4 * poisson_solve_dirichlet(b).values
     lin_err = float(np.abs(combo - parts).max() / max(np.abs(combo).max(), 1.0))
@@ -229,7 +229,7 @@ def test_criterion_05_tie_correctness():
     x = (np.arange(n) - (n - 1) / 2.0) * PITCH
     r2 = x[np.newaxis, :] ** 2 + x[:, np.newaxis] ** 2
     sigma_bump = 12.0  # um
-    phi_true = ScalarField2D(n, n, PITCH, 0.3 * np.exp(-r2 / (2.0 * sigma_bump**2)))
+    phi_true = ScalarField2D(PITCH, 0.3 * np.exp(-r2 / (2.0 * sigma_bump**2)))
     obj_bump = ObjectSpec(tau=phi_true.with_values(np.ones((n, n))), phi=phi_true)
     dz = 0.0125
     stack = defocus_stack(exit_field(obj_bump, SYS), dz, SYS, mean_photons=600.0)
@@ -266,7 +266,7 @@ def test_criterion_06_step_heights():
     cfg12 = replace(cfg, bin_px=12, k=resolve_k("tau", 12, PITCH, hi))
     est = estimate_transmittance(f0.n_s, f0.n_i, cfg12)
     _, null_mask = target_masks(220, 220)
-    mask = ScalarField2D(220, 220, PITCH, null_mask.astype(float))
+    mask = ScalarField2D(PITCH, null_mask.astype(float))
     coverage = bin_counts(mask, 12).values / 144.0
     inside = coverage >= 1.0
     tau_null = float(est.values[inside].mean())
@@ -473,7 +473,7 @@ def test_criterion_10_noise_spectrum_law():
     """Radially averaged phase-noise spectrum of white intensity noise
     falls as |q|^-2: log-log slope -2.0 +- 0.1."""
     gen = RngStream(99).generator()
-    noise = ScalarField2D(220, 220, PITCH, gen.standard_normal((220, 220)))
+    noise = ScalarField2D(PITCH, gen.standard_normal((220, 220)))
     spec = phase_noise_spectrum(noise, i0=600.0, dz=0.025, wavenumber=SYS.wavenumber)
     fx = np.fft.fftfreq(220, d=PITCH)
     q = np.sqrt(fx[np.newaxis, :] ** 2 + fx[:, np.newaxis] ** 2).ravel()

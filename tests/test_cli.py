@@ -58,12 +58,14 @@ class TestConfigParsing:
             l_cff = 5.0   # trailing comment
             eta0 = 0.7
             mean_photons_per_pixel = 600
+            beam_profile = uniform
             grid_size = 300
             """,
         )
         sys_cfg, twin_cfg, run = parse_config_file(path)
         assert sys_cfg.wavelength == 810.0
         assert twin_cfg.l_cff == 5.0
+        assert twin_cfg.beam_profile == "uniform"
         assert run == {"grid_size": 300}
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -229,6 +231,7 @@ class TestExitCodes:
             manifest_text(beam_profile="gaussian"),
             json.dumps({"config": []}),
             json.dumps({"master_seed": "x", "config": MANIFEST_CONFIG, "files": {}}),
+            json.dumps({"config": {k: v for k, v in MANIFEST_CONFIG.items() if k != "eta0"}}),
         ],
         ids=[
             "not_json",
@@ -244,6 +247,7 @@ class TestExitCodes:
             "beam_profile_unknown",
             "config_not_object",
             "seed_string",
+            "eta0_missing",
         ],
     )
     def test_corrupt_manifest_exits_3(self, tmp_path, capsys, text):
@@ -548,6 +552,7 @@ def test_weight_that_overflows_the_solve_exits_4(frame_set, tmp_path, capsys, k,
         ["--bin", "-2", "--k-mode", "tau"],
         ["--bin", "500"],  # larger than the 220-pixel grid
         ["--dz", "abc"],
+        ["--dz", "0.05"],  # not in the frame set
     ],
 )
 def test_bad_retrieve_arguments_exit_2(frame_set, tmp_path, extra):
@@ -880,7 +885,7 @@ def test_field_off_the_calibration_grid_exits_3(frame_set, tmp_path, capsys, nam
     frames = tmp_path / "frames"
     shutil.copytree(frame_set, frames)
     pitch = qpf.read_qpf(frames / name).pitch
-    qpf.write_qpf(frames / name, ScalarField2D(230, 230, pitch, np.full((230, 230), 600.0)))
+    qpf.write_qpf(frames / name, ScalarField2D(pitch, np.full((230, 230), 600.0)))
     argv = ["retrieve", "--frames", str(frames), "--out", str(tmp_path / "o")]
     assert exit_code(argv) == EXIT_IO
     assert name in capsys.readouterr().err
@@ -989,17 +994,27 @@ def files_under(path):
 
 # A failing command: (a successful run of it, the failing run, its exit
 # code).  A --config value is the text of the config file; a retrieve
-# reads the two-frame set, or with `BROKEN` a copy whose frame 1 holds a
-# fractional count, so that frame 0's fields, other than those of the
-# earlier run, are written before it fails.
+# reads the two-frame set, with `EMPTY` a set of no frame, or with
+# `BROKEN` a copy whose frame 1 holds a fractional count, so that frame
+# 0's fields, other than those of the earlier run, are written before it
+# fails.  A grid_size of 10**10 is one numpy refuses before it allocates.
 FAILED_RUNS = {
     "target grid_size": (["target"], ["target", "--config", "grid_size = 64"], EXIT_CONFIG),
+    "target grid_size bound": (
+        ["target"], ["target", "--config", f"grid_size = {10**10}"], EXIT_CONFIG
+    ),
     "simulate grid_size": (
         ["simulate", "--frames", "0"],
         ["simulate", "--frames", "1", "--config", "grid_size = 64"],
         EXIT_CONFIG,
     ),
+    "simulate grid_size bound": (
+        ["simulate", "--frames", "0"],
+        ["simulate", "--frames", "0", "--config", f"grid_size = {10**10}"],
+        EXIT_CONFIG,
+    ),
     "retrieve bin": (["retrieve"], ["retrieve", "--bin", "500"], EXIT_CONFIG),
+    "retrieve no frames": (["retrieve"], ["retrieve", "EMPTY"], EXIT_CONFIG),
     "retrieve broken frame": (["retrieve"], ["retrieve", "--k-mode", "tie", "BROKEN"], EXIT_IO),
     "retrieve k overflow": (["retrieve"], ["retrieve", "--k-mode", "1e304"], EXIT_NUMERICAL),
     "nrf grid_size": (
@@ -1050,6 +1065,10 @@ def test_failed_command_leaves_out_as_it_found_it(two_frame_set, tmp_path, case,
                 field = qpf.read_qpf(name)
                 qpf.write_qpf(name, field.with_values(field.values + 0.5))
                 words = [w for w in words if w != "BROKEN"]
+            if "EMPTY" in words:
+                frames = tmp_path / "empty"
+                assert main(["simulate", "--frames", "0", "--out", str(frames)]) == EXIT_OK
+                words = [w for w in words if w != "EMPTY"]
             words = words + ["--frames", str(frames)]
         if "--config" in words:
             at = words.index("--config") + 1
@@ -1066,6 +1085,23 @@ def test_failed_command_leaves_out_as_it_found_it(two_frame_set, tmp_path, case,
     assert exit_code(argv(failing) + ["--out", str(out)]) == code
     assert files_under(parent) == before
     assert sorted(p.name for p in parent.iterdir()) == (["o"] if earlier else [])
+
+
+def test_output_name_that_is_a_directory_moves_no_file(two_frame_set, tmp_path, capsys):
+    """An earlier run's frames.csv replaced by a directory fails the next
+    retrieve into the same --out before any file moves: it exits 3 naming
+    the directory under --out, and no name or byte there changes."""
+    out = tmp_path / "r"
+    retrieve = ["retrieve", "--frames", str(two_frame_set), "--out", str(out)]
+    assert main(retrieve + ["--k-mode", "tie"]) == EXIT_OK
+    (out / "frames.csv").unlink()
+    (out / "frames.csv").mkdir()
+    (out / "frames.csv" / "kept").write_text("x")
+    before, names = files_under(tmp_path), sorted(os.listdir(out))
+    assert main(retrieve + ["--k-mode", "tau", "--bin", "3"]) == EXIT_IO
+    assert files_under(tmp_path) == before
+    assert sorted(os.listdir(out)) == names  # no staging directory is left
+    assert str(out / "frames.csv") in capsys.readouterr().err
 
 
 def test_uncaught_exception_leaves_out_as_it_found_it(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Unit tests for domain types, configuration and target generation."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,47 +22,48 @@ from twinphase.core import (
 )
 
 
-def field(values, pitch=1.0):
-    values = np.asarray(values, dtype=float)
-    h, w = values.shape
-    return ScalarField2D(w, h, pitch, values)
-
-
 class TestScalarField2D:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(GridError):
-            ScalarField2D(8, 9, 1.0, np.zeros((8, 8)))
+    def test_non_2d_rejected(self):
+        for shape in [(64,), (8, 8, 2), ()]:
+            with pytest.raises(GridError, match="2-D"):
+                ScalarField2D(1.0, np.zeros(shape))
+
+    def test_width_and_height_come_from_the_values(self):
+        f = ScalarField2D(1.0, np.zeros((9, 12)))
+        assert (f.width, f.height) == (12, 9)
+        assert [x.name for x in fields(ScalarField2D)] == ["pitch", "values"]
 
     def test_minimum_grid_enforced(self):
         with pytest.raises(GridError):
-            ScalarField2D(7, 8, 1.0, np.zeros((8, 7)))
+            ScalarField2D(1.0, np.zeros((8, 7)))
 
     def test_pitch_must_be_positive(self):
         with pytest.raises(GridError):
-            ScalarField2D(8, 8, 0.0, np.zeros((8, 8)))
+            ScalarField2D(0.0, np.zeros((8, 8)))
 
     def test_non_finite_rejected(self):
         bad = np.zeros((8, 8))
         bad[3, 4] = np.nan
         with pytest.raises(ValueError):
-            ScalarField2D(8, 8, 1.0, bad)
+            ScalarField2D(1.0, bad)
 
     def test_values_are_immutable(self):
-        f = field(np.zeros((8, 8)))
+        f = ScalarField2D(1.0, np.zeros((8, 8)))
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
 
     def test_caller_arrays_are_copied(self):
         values = np.zeros((8, 8))
-        made, swapped = ScalarField2D(8, 8, 1.0, values), field(np.ones((8, 8))).with_values(values)
+        made = ScalarField2D(1.0, values)
+        swapped = ScalarField2D(1.0, np.ones((8, 8))).with_values(values)
         values[0, 0] = 1.0
         assert values.flags.writeable
         assert not made.values.any() and not swapped.values.any()
 
     def test_adopted_array_is_frozen_not_copied(self):
         values = np.zeros((8, 10))
-        f = field(np.ones((8, 10)), pitch=2.5)._adopt(values)
-        assert f.values is values and f.same_grid(field(values, pitch=2.5))
+        f = ScalarField2D(2.5, np.ones((8, 10)))._adopt(values)
+        assert f.values is values and f.same_grid(ScalarField2D(2.5, values))
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0, 0] = 1.0
@@ -74,7 +76,7 @@ class TestScalarField2D:
     )
     def test_adopted_array_is_checked(self, bad, error):
         with pytest.raises(error):
-            field(np.ones((8, 8)))._adopt(bad)
+            ScalarField2D(1.0, np.ones((8, 8)))._adopt(bad)
 
     def test_adoption_runs_post_init(self, monkeypatch):
         """Every field, adopted or copied, passes the one check that the
@@ -87,19 +89,21 @@ class TestScalarField2D:
             post_init(self, *args)
 
         monkeypatch.setattr(ScalarField2D, "__post_init__", counted)
-        f = field(np.ones((8, 8)))
+        f = ScalarField2D(1.0, np.ones((8, 8)))
         f.with_values(np.zeros((8, 8)))
         f._adopt(np.zeros((8, 8)))
         assert calls == [(False,), (False,), (True,)]
 
     def test_with_values_preserves_grid(self):
-        f = field(np.zeros((8, 10)), pitch=2.5)
+        f = ScalarField2D(2.5, np.zeros((8, 10)))
         g = f.with_values(np.ones((8, 10)))
         assert g.same_grid(f)
         assert g.values[0, 0] == 1.0
+        with pytest.raises(GridError, match="grid mismatch"):
+            f.with_values(np.ones((10, 8)))
 
     def test_dtype_follows_values(self):
-        real = field(np.ones((8, 8)))
+        real = ScalarField2D(1.0, np.ones((8, 8)))
         wave = real.with_values(np.full((8, 8), 3.0 + 4.0j))
         assert real.values.dtype == np.float64
         assert wave.values.dtype == np.complex128
@@ -108,22 +112,22 @@ class TestScalarField2D:
         assert np.all(intensity.values == 25.0) and intensity.same_grid(real)
 
     def test_require_same_grid(self):
-        a = field(np.zeros((8, 8)), pitch=1.0)
-        b = field(np.zeros((8, 8)), pitch=2.0)
+        a = ScalarField2D(1.0, np.zeros((8, 8)))
+        b = ScalarField2D(2.0, np.zeros((8, 8)))
         with pytest.raises(GridError):
             a.require_same_grid(b)
 
 
 class TestObjectSpec:
     def test_tau_range_enforced(self):
-        tau = field(np.full((8, 8), 1.5))
-        phi = field(np.zeros((8, 8)))
+        tau = ScalarField2D(1.0, np.full((8, 8), 1.5))
+        phi = ScalarField2D(1.0, np.zeros((8, 8)))
         with pytest.raises(ValueError):
             ObjectSpec(tau=tau, phi=phi)
 
     def test_grid_mismatch_rejected(self):
-        tau = field(np.ones((8, 8)))
-        phi = field(np.zeros((8, 9)))
+        tau = ScalarField2D(1.0, np.ones((8, 8)))
+        phi = ScalarField2D(1.0, np.zeros((8, 9)))
         with pytest.raises(GridError):
             ObjectSpec(tau=tau, phi=phi)
 

@@ -35,35 +35,29 @@ from test_runtime import use_threads
 port_brentq, port_curve_fit = fitting.brentq, fitting.curve_fit
 
 
-def field(values, pitch=1.0):
-    values = np.asarray(values, dtype=float)
-    h, w = values.shape
-    return ScalarField2D(w, h, pitch, values)
-
-
 class TestPearson:
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(0)
-        f = field(rng.standard_normal((16, 16)))
+        f = ScalarField2D(1.0, rng.standard_normal((16, 16)))
         assert pearson(f, f) == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(1)
-        a = field(rng.standard_normal((16, 16)))
-        b = field(rng.standard_normal((16, 16)))
+        a = ScalarField2D(1.0, rng.standard_normal((16, 16)))
+        b = ScalarField2D(1.0, rng.standard_normal((16, 16)))
         direct = pearson(a, b)
         scaled = pearson(a.with_values(3.0 * a.values + 7.0), b)
         assert abs(scaled - direct) < 1e-12
 
     def test_negative_scale_flips_sign(self):
         rng = np.random.default_rng(2)
-        a = field(rng.standard_normal((16, 16)))
-        b = field(rng.standard_normal((16, 16)))
+        a = ScalarField2D(1.0, rng.standard_normal((16, 16)))
+        b = ScalarField2D(1.0, rng.standard_normal((16, 16)))
         assert pearson(a.with_values(-a.values), b) == pytest.approx(-pearson(a, b))
 
     def test_constant_image_rejected(self):
-        a = field(np.ones((16, 16)))
-        b = field(np.random.default_rng(3).standard_normal((16, 16)))
+        a = ScalarField2D(1.0, np.ones((16, 16)))
+        b = ScalarField2D(1.0, np.random.default_rng(3).standard_normal((16, 16)))
         with pytest.raises(NumericalError):
             pearson(a, b)
 
@@ -324,7 +318,7 @@ class TestResolutionScan:
         edge row 110, also at a pitch (camera_pixel 5 / magnification
         3.25) at which 110 * pitch / pitch is not 110 in floating point."""
         sys_ = OpticalSystem(camera_pixel=5.0, magnification=3.25)
-        rows = field(np.repeat(np.arange(220.0)[:, None], 220, axis=1), sys_.object_pixel)
+        rows = ScalarField2D(sys_.object_pixel, np.repeat(np.arange(220.0)[:, None], 220, axis=1))
 
         def row_index_phase(planes, config):
             return PhaseImage(values=rows)

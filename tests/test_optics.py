@@ -25,7 +25,7 @@ def gaussian_beam(width, pitch, w0):
     """Unit-amplitude beam with 1/e^2 intensity radius w0 (um)."""
     x = (np.arange(width) - (width - 1) / 2.0) * pitch
     r2 = x[np.newaxis, :] ** 2 + x[:, np.newaxis] ** 2
-    return ScalarField2D(width, width, pitch, np.exp(-r2 / w0**2).astype(complex))
+    return ScalarField2D(pitch, np.exp(-r2 / w0**2).astype(complex))
 
 
 def intensity(u: ScalarField2D) -> ScalarField2D:
@@ -43,7 +43,7 @@ def beam_radius(i: ScalarField2D):
 def random_object(height, width, pitch, seed):
     """tau uniform in [0.5, 1) and phi uniform in [-1, 1) rad, drawn in that order."""
     rng = np.random.default_rng(seed)
-    grid = ScalarField2D(width, height, pitch, np.zeros((height, width)))
+    grid = ScalarField2D(pitch, np.zeros((height, width)))
     return ObjectSpec(
         tau=grid.with_values(rng.uniform(0.5, 1.0, (height, width))),
         phi=grid.with_values(rng.uniform(-1.0, 1.0, (height, width))),
@@ -89,8 +89,8 @@ class TestExitField:
     SYS = OpticalSystem(blur_fwhm=0.0)
 
     def make_obj(self, tau_val, phi_val, n=16):
-        tau = ScalarField2D(n, n, 1.0, np.full((n, n), tau_val))
-        phi = ScalarField2D(n, n, 1.0, np.full((n, n), phi_val))
+        tau = ScalarField2D(1.0, np.full((n, n), tau_val))
+        phi = ScalarField2D(1.0, np.full((n, n), phi_val))
         return ObjectSpec(tau=tau, phi=phi)
 
     def test_identity_object(self):
@@ -115,11 +115,11 @@ class TestExitField:
 
 class TestImagingBlur:
     def test_zero_fwhm_is_identity(self):
-        f = ScalarField2D(16, 16, 1.0, np.random.default_rng(0).random((16, 16)))
+        f = ScalarField2D(1.0, np.random.default_rng(0).random((16, 16)))
         assert imaging_blur(f, 0.0) is f
 
     def test_total_intensity_conserved(self):
-        f = ScalarField2D(32, 32, 1.0, np.random.default_rng(1).random((32, 32)))
+        f = ScalarField2D(1.0, np.random.default_rng(1).random((32, 32)))
         out = imaging_blur(f, 3.0)
         assert abs(out.values.sum() - f.values.sum()) / f.values.sum() < 1e-9
 
@@ -128,7 +128,7 @@ class TestImagingBlur:
         n, pitch, fwhm = 64, 1.0, 4.0
         v = np.zeros((n, n))
         v[n // 2, n // 2] = 1.0
-        out = imaging_blur(ScalarField2D(n, n, pitch, v), fwhm)
+        out = imaging_blur(ScalarField2D(pitch, v), fwhm)
         x = (np.arange(n) - n // 2) * pitch
         marg = out.values.sum(axis=0)
         sigma = math.sqrt(float((marg @ (x * x)) / marg.sum()))

@@ -44,7 +44,7 @@ def test_bin_counts_preserves_kept_sum(data, seed):
     h = nh * bin_px + data.draw(st.integers(0, bin_px - 1), label="row remainder")
     w = nw * bin_px + data.draw(st.integers(0, bin_px - 1), label="col remainder")
     counts = np.random.default_rng(seed).poisson(50.0, size=(h, w)).astype(float)
-    binned = bin_counts(ScalarField2D(w, h, 1.625, counts), bin_px)
+    binned = bin_counts(ScalarField2D(1.625, counts), bin_px)
     # the remainder is cropped evenly around the centre
     r0, c0 = (h - nh * bin_px) // 2, (w - nw * bin_px) // 2
     kept = counts[r0 : r0 + nh * bin_px, c0 : c0 + nw * bin_px]
@@ -65,7 +65,7 @@ def test_qpf_round_trip_is_bit_exact(tmp_path_factory, h, w, pitch, seed):
     values = np.random.default_rng(seed).standard_normal((h, w)) * 10.0 ** (seed % 9 - 4)
     values[0, 0] = -0.0
     path = tmp_path_factory.mktemp("qpf") / "f.qpf"
-    write_qpf(path, ScalarField2D(w, h, pitch, values))
+    write_qpf(path, ScalarField2D(pitch, values))
     back = read_qpf(path)
     assert (back.width, back.height, back.pitch) == (w, h, pitch)
     assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
@@ -80,7 +80,7 @@ def test_qpf_round_trip_is_bit_exact(tmp_path_factory, h, w, pitch, seed):
 )
 def test_laplacian_inverts_poisson_solve(h, w, pitch, seed):
     f = np.random.default_rng(seed).standard_normal((h, w))
-    u = poisson_solve_dirichlet(ScalarField2D(w, h, pitch, f))
+    u = poisson_solve_dirichlet(ScalarField2D(pitch, f))
     back = laplacian_dirichlet(u).values
     # the solver reads only the interior of f and returns a zero border
     interior = f[1:-1, 1:-1]
@@ -271,7 +271,7 @@ def test_streamed_nrf_equals_stacked_statistics(data, seed):
             s = rng.poisson(level, size=(h, w)).astype(float)
             i = s[::-1, ::-1] if mirrored else rng.poisson(level, size=(h, w)).astype(float)
             frames.append(
-                TwinBeamFrame(ScalarField2D(w, h, 1.625, s), ScalarField2D(w, h, 1.625, i))
+                TwinBeamFrame(ScalarField2D(1.625, s), ScalarField2D(1.625, i))
             )
         want = nrf_stacked_oracle(frames, bin_px, 5.0)
         narrowed = [frame_counts(f) for f in frames]

@@ -11,7 +11,7 @@ from twinphase.qpf import MAGIC, QpfFormatError, read_qpf, write_qpf
 
 def test_round_trip_exact(tmp_path):
     rng = np.random.default_rng(1)
-    f = ScalarField2D(12, 9, 1.625, rng.standard_normal((9, 12)))
+    f = ScalarField2D(1.625, rng.standard_normal((9, 12)))
     path = tmp_path / "field.qpf"
     write_qpf(path, f)
     g = read_qpf(path)
@@ -21,7 +21,7 @@ def test_round_trip_exact(tmp_path):
 
 
 def test_write_read_write_is_byte_stable(tmp_path):
-    f = ScalarField2D(8, 8, 0.5, np.arange(64, dtype=float).reshape(8, 8))
+    f = ScalarField2D(0.5, np.arange(64, dtype=float).reshape(8, 8))
     p1 = tmp_path / "a.qpf"
     p2 = tmp_path / "b.qpf"
     write_qpf(p1, f)
@@ -30,7 +30,7 @@ def test_write_read_write_is_byte_stable(tmp_path):
 
 
 def test_header_layout(tmp_path):
-    f = ScalarField2D(8, 8, 2.0, np.zeros((8, 8)))
+    f = ScalarField2D(2.0, np.zeros((8, 8)))
     path = tmp_path / "f.qpf"
     write_qpf(path, f)
     raw = path.read_bytes()
@@ -45,7 +45,7 @@ def test_write_holds_no_copy_of_the_values(tmp_path, traced_peak):
     allocated on a little-endian host, 2.0 when the body was copied to
     bytes and joined to the header."""
     values = np.random.default_rng(2).standard_normal((513, 513))
-    f = ScalarField2D(513, 513, 1.625, values)
+    f = ScalarField2D(1.625, values)
     path = tmp_path / "f.qpf"
     peak = traced_peak(lambda: write_qpf(path, f))
     assert peak / values.nbytes <= 0.1
@@ -68,7 +68,7 @@ def test_truncated_header_rejected(tmp_path):
 
 
 def test_size_mismatch_rejected(tmp_path):
-    f = ScalarField2D(8, 8, 1.0, np.zeros((8, 8)))
+    f = ScalarField2D(1.0, np.zeros((8, 8)))
     path = tmp_path / "cut.qpf"
     write_qpf(path, f)
     raw = path.read_bytes()

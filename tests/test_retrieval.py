@@ -77,7 +77,7 @@ def sine_mode(n, pitch, my, mx, amplitude=1.0):
         np.sin(my * math.pi * x / length), np.sin(mx * math.pi * x / length)
     )
     eig = -((my * math.pi / length) ** 2 + (mx * math.pi / length) ** 2)
-    return ScalarField2D(n, n, pitch, mode), eig
+    return ScalarField2D(pitch, mode), eig
 
 
 class TestPoissonSolver:
@@ -91,8 +91,8 @@ class TestPoissonSolver:
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
-        a = ScalarField2D(64, 64, 1.0, rng.standard_normal((64, 64)))
-        b = ScalarField2D(64, 64, 1.0, rng.standard_normal((64, 64)))
+        a = ScalarField2D(1.0, rng.standard_normal((64, 64)))
+        b = ScalarField2D(1.0, rng.standard_normal((64, 64)))
         combo = a.with_values(2.5 * a.values - 0.75 * b.values)
         lhs = poisson_solve_dirichlet(combo).values
         rhs = (
@@ -104,7 +104,7 @@ class TestPoissonSolver:
 
     def test_zero_border(self):
         rng = np.random.default_rng(3)
-        rhs = ScalarField2D(32, 32, 1.0, rng.standard_normal((32, 32)))
+        rhs = ScalarField2D(1.0, rng.standard_normal((32, 32)))
         u = poisson_solve_dirichlet(rhs).values
         assert np.all(u[0] == 0) and np.all(u[-1] == 0)
         assert np.all(u[:, 0] == 0) and np.all(u[:, -1] == 0)
@@ -113,7 +113,7 @@ class TestPoissonSolver:
         rng = np.random.default_rng(4)
         interior = np.zeros((48, 48))
         interior[1:-1, 1:-1] = rng.standard_normal((46, 46))
-        rhs = ScalarField2D(48, 48, 1.0, interior)
+        rhs = ScalarField2D(1.0, interior)
         back = laplacian_dirichlet(poisson_solve_dirichlet(rhs)).values
         assert np.abs(back - interior).max() < 1e-9 * np.abs(interior).max()
 
@@ -123,7 +123,7 @@ class TestPoissonSolver:
         expression that they replace, down to the smallest grid (8 px,
         6 interior nodes)."""
         h, w = shape
-        rhs = ScalarField2D(w, h, 1.625, np.random.default_rng(h * w).standard_normal(shape))
+        rhs = ScalarField2D(1.625, np.random.default_rng(h * w).standard_normal(shape))
         coeffs = dstn(rhs.values[1:-1, 1:-1], type=1)
         coeffs /= _dirichlet_eigenvalues(rhs)
         expected = np.zeros(shape)
@@ -179,15 +179,15 @@ class TestCorrectionWeights:
 class TestQuantumCorrect:
     def test_zero_k_is_identity(self):
         rng = np.random.default_rng(7)
-        s = ScalarField2D(16, 16, 1.0, rng.poisson(50, (16, 16)).astype(float))
-        i = ScalarField2D(16, 16, 1.0, rng.poisson(50, (16, 16)).astype(float))
+        s = ScalarField2D(1.0, rng.poisson(50, (16, 16)).astype(float))
+        i = ScalarField2D(1.0, rng.poisson(50, (16, 16)).astype(float))
         mean_i = i.with_values(np.full((16, 16), 50.0))
         out = quantum_correct(s, i, mean_i, 0.0)
         assert np.array_equal(out.values, s.values)
 
     def test_subtraction_is_zero_mean(self):
-        s = ScalarField2D(16, 16, 1.0, np.full((16, 16), 100.0))
-        i = ScalarField2D(16, 16, 1.0, np.full((16, 16), 60.0))
+        s = ScalarField2D(1.0, np.full((16, 16), 100.0))
+        i = ScalarField2D(1.0, np.full((16, 16), 60.0))
         mean_i = i.with_values(np.full((16, 16), 50.0))
         out = quantum_correct(s, i, mean_i, 0.5)
         assert np.allclose(out.values, 100.0 - 0.5 * 10.0)
@@ -237,11 +237,11 @@ class TestTransmittance:
         cfg = RetrievalConfig(
             dz=0.025,
             k=0.5,
-            reference_mean=ScalarField2D(16, 16, 1.0, mean),
-            reference_mean_idler=ScalarField2D(16, 16, 1.0, mean_i),
+            reference_mean=ScalarField2D(1.0, mean),
+            reference_mean_idler=ScalarField2D(1.0, mean_i),
         )
         est = estimate_transmittance(
-            ScalarField2D(16, 16, 1.0, n_s), ScalarField2D(16, 16, 1.0, n_i), cfg
+            ScalarField2D(1.0, n_s), ScalarField2D(1.0, n_i), cfg
         )
         corrected = n_s - 0.5 * (n_i[::-1, ::-1] - mean_i)
         assert np.all(est.values[dark] == 1.0)
@@ -250,10 +250,10 @@ class TestTransmittance:
 
     def test_signal_mean_on_another_grid_rejected(self):
         # numpy's broadcast error in the division, before the grids were compared
-        counts = ScalarField2D(16, 16, 1.0, np.full((16, 16), 300.0))
+        counts = ScalarField2D(1.0, np.full((16, 16), 300.0))
         cfg = RetrievalConfig(
             dz=0.025,
-            reference_mean=ScalarField2D(18, 18, 1.0, np.full((18, 18), 400.0)),
+            reference_mean=ScalarField2D(1.0, np.full((18, 18), 400.0)),
             reference_mean_idler=counts,
         )
         with pytest.raises(GridError):
@@ -313,7 +313,7 @@ class TestTie:
         dz_mm = 0.025
         dz_um = dz_mm * 1e3
         lap = eig * mode.values
-        i_zero = ScalarField2D(n, n, pitch, np.full((n, n), i0))
+        i_zero = ScalarField2D(pitch, np.full((n, n), i0))
         i_plus = i_zero.with_values(i0 - dz_um * (i0 / sys_.wavenumber) * lap)
         i_minus = i_zero.with_values(i0 + dz_um * (i0 / sys_.wavenumber) * lap)
         cfg = RetrievalConfig(dz=dz_mm, sys=sys_)
@@ -374,8 +374,8 @@ class TestTie:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_grid_mismatch_rejected(self):
-        a = ScalarField2D(16, 16, 1.0, np.ones((16, 16)))
-        b = ScalarField2D(16, 16, 2.0, np.ones((16, 16)))
+        a = ScalarField2D(1.0, np.ones((16, 16)))
+        b = ScalarField2D(2.0, np.ones((16, 16)))
         cfg = RetrievalConfig(dz=0.025)
         with pytest.raises(GridError):
             tie_retrieve((a, b, a), cfg)
@@ -384,7 +384,7 @@ class TestTie:
         """Mean 0 is an in-focus plane with no detected photon; a negative
         mean, which only a weight k != 0 can make of counts, is a numerical
         failure that names k."""
-        plane = ScalarField2D(16, 16, 1.0, np.ones((16, 16)))
+        plane = ScalarField2D(1.0, np.ones((16, 16)))
         cfg = RetrievalConfig(dz=0.025, k=-2.5)
         with pytest.raises(NoPhotonError, match="^no photon was detected in the in-focus plane$"):
             tie_retrieve((plane, plane.with_values(np.zeros((16, 16))), plane), cfg)
@@ -441,7 +441,7 @@ class TestRetrieveFrames:
 
 class TestPhaseNoiseSpectrum:
     def test_parameter_validation(self):
-        f = ScalarField2D(16, 16, 1.0, np.ones((16, 16)))
+        f = ScalarField2D(1.0, np.ones((16, 16)))
         with pytest.raises(ValueError):
             phase_noise_spectrum(f, 0.0, 0.025, 7.757)
         with pytest.raises(ValueError):
@@ -449,13 +449,13 @@ class TestPhaseNoiseSpectrum:
 
     def test_zero_frequency_gauge(self):
         rng = np.random.default_rng(8)
-        f = ScalarField2D(32, 32, 1.0, rng.standard_normal((32, 32)))
+        f = ScalarField2D(1.0, rng.standard_normal((32, 32)))
         spec = phase_noise_spectrum(f, 100.0, 0.025, 7.757)
         assert spec[0, 0] == 0.0
 
     def test_linear_in_wavenumber(self):
         rng = np.random.default_rng(9)
-        f = ScalarField2D(32, 32, 1.0, rng.standard_normal((32, 32)))
+        f = ScalarField2D(1.0, rng.standard_normal((32, 32)))
         s1 = phase_noise_spectrum(f, 100.0, 0.025, 1.0)
         s2 = phase_noise_spectrum(f, 100.0, 0.025, 2.0)
         assert np.allclose(s2, 2.0 * s1)

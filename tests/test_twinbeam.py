@@ -182,39 +182,34 @@ class TestNrfModel:
 
 
 class TestBinCounts:
-    def grid(self, values, pitch=1.0):
-        values = np.asarray(values, dtype=float)
-        h, w = values.shape
-        return ScalarField2D(w, h, pitch, values)
-
     def test_block_sum(self):
         v = np.arange(256, dtype=float).reshape(16, 16)
-        out = bin_counts(self.grid(v), 2)
+        out = bin_counts(ScalarField2D(1.0, v), 2)
         assert out.width == 8 and out.height == 8
         assert out.pitch == 2.0
         assert out.values[0, 0] == v[0, 0] + v[0, 1] + v[1, 0] + v[1, 1]
         assert out.values.sum() == v.sum()
 
     def test_identity_at_bin_one(self):
-        f = self.grid(np.ones((8, 8)))
+        f = ScalarField2D(1.0, np.ones((8, 8)))
         assert bin_counts(f, 1) is f
 
     def test_centered_crop_of_remainder(self):
         # 26 rows / 29 columns at bin 3 -> 8x9 bins, remainder cropped
         # symmetrically: one row/column dropped on each side
         v = np.ones((26, 29))
-        out = bin_counts(self.grid(v), 3)
+        out = bin_counts(ScalarField2D(1.0, v), 3)
         assert (out.height, out.width) == (8, 9)
         assert out.values.sum() == 8 * 9 * 9.0
 
     def test_origin_override(self):
         v = np.arange(16 * 18, dtype=float).reshape(16, 18)
-        shifted = bin_counts(self.grid(v), 2, origin=(0, 1))
+        shifted = bin_counts(ScalarField2D(1.0, v), 2, origin=(0, 1))
         direct = v[:, 1:17].reshape(8, 2, 8, 2).sum(axis=(1, 3))
         assert np.array_equal(shifted.values, direct)
 
     def test_invalid_bin(self):
-        f = self.grid(np.ones((8, 8)))
+        f = ScalarField2D(1.0, np.ones((8, 8)))
         with pytest.raises(ValueError):
             bin_counts(f, 0)
         with pytest.raises(ValueError):
@@ -222,7 +217,7 @@ class TestBinCounts:
 
 
 def test_register_idler_is_an_involution():
-    f = ScalarField2D(8, 9, 1.0, np.arange(72, dtype=float).reshape(9, 8))
+    f = ScalarField2D(1.0, np.arange(72, dtype=float).reshape(9, 8))
     twice = register_idler(register_idler(f))
     assert np.array_equal(twice.values, f.values)
     once = register_idler(f)
@@ -406,7 +401,7 @@ def smooth_object(n, pitch):
     r2 = (x - 0.43 * n * pitch) ** 2 + (y - 0.58 * n * pitch) ** 2
     phi = 4.0 * np.exp(-r2 / (2.0 * (7.0 * pitch) ** 2))
     tau = 0.55 + 0.4 * np.exp(-r2 / (2.0 * (11.0 * pitch) ** 2))
-    return ObjectSpec(tau=ScalarField2D(n, n, pitch, tau), phi=ScalarField2D(n, n, pitch, phi))
+    return ObjectSpec(tau=ScalarField2D(pitch, tau), phi=ScalarField2D(pitch, phi))
 
 
 # SHA-256 of the float64 bytes of one defocused frame of smooth_object(40)
@@ -585,13 +580,13 @@ class TestSampleFrames:
                 removed = []
                 for _ in range(n_trials):
                     counts = gen.poisson(i0, size=(height, width)).astype(float)
-                    sigma = ScalarField2D(width, height, pitch, counts - i0)
-                    smeared = imaging_blur(ScalarField2D(width, height, pitch, counts), l_cff)
+                    sigma = ScalarField2D(pitch, counts - i0)
+                    smeared = imaging_blur(ScalarField2D(pitch, counts), l_cff)
                     sigma_twin = smeared.values - i0
                     scale = -wavenumber / (math.sqrt(2.0) * i0 * dz_um)
 
                     def phase_var(noise):
-                        rhs = ScalarField2D(width, height, pitch, scale * noise)
+                        rhs = ScalarField2D(pitch, scale * noise)
                         return float(poisson_solve_dirichlet(rhs).values.var())
 
                     var_clas = phase_var(sigma.values)
@@ -637,8 +632,8 @@ class TestMeasureNrf:
         frames = []
         for _ in range(4):
             s = rng.poisson(50.0, size=(16, 16)).astype(float)
-            f_s = ScalarField2D(16, 16, 1.0, s)
-            f_i = ScalarField2D(16, 16, 1.0, s[::-1, ::-1])
+            f_s = ScalarField2D(1.0, s)
+            f_i = ScalarField2D(1.0, s[::-1, ::-1])
             frames.append(TwinBeamFrame(n_s=f_s, n_i=f_i))
         point = measure_nrf(arms(frames), 1, 1.0, l_cff=5.0)
         assert point.nrf == 0.0
@@ -647,7 +642,7 @@ class TestMeasureNrf:
         """A bin that does not vary over time has a true Fano factor of 0."""
         s = np.random.default_rng(4).poisson(50.0, size=(16, 16)).astype(float)
         frame = TwinBeamFrame(
-            n_s=ScalarField2D(16, 16, 1.0, s), n_i=ScalarField2D(16, 16, 1.0, s[::-1, ::-1])
+            n_s=ScalarField2D(1.0, s), n_i=ScalarField2D(1.0, s[::-1, ::-1])
         )
         point = measure_nrf(arms([frame, frame]), 1, 1.0, l_cff=5.0)
         assert point.nrf == point.fano == 0.0
@@ -660,8 +655,8 @@ class TestMeasureNrf:
             idl = rng.poisson(80.0, size=(24, 24)).astype(float)
             frames.append(
                 TwinBeamFrame(
-                    n_s=ScalarField2D(24, 24, 1.0, s),
-                    n_i=ScalarField2D(24, 24, 1.0, idl),
+                    n_s=ScalarField2D(1.0, s),
+                    n_i=ScalarField2D(1.0, idl),
                 )
             )
         point = measure_nrf(arms(frames), 1, 1.0, l_cff=5.0)
@@ -669,7 +664,7 @@ class TestMeasureNrf:
         assert point.fano == pytest.approx(1.0, abs=0.08)
 
     def test_no_detected_photon_rejected(self):
-        dark = ScalarField2D(16, 16, 1.0, np.zeros((16, 16)))
+        dark = ScalarField2D(1.0, np.zeros((16, 16)))
         frames = [TwinBeamFrame(n_s=dark, n_i=dark)] * 3
         with pytest.raises(NoPhotonError, match="no photon was detected"):
             measure_nrf(arms(frames), 1, 1.0, l_cff=5.0)
@@ -683,8 +678,8 @@ class TestMeasureNrf:
         def frames(n):
             return [
                 TwinBeamFrame(
-                    n_s=ScalarField2D(24, 24, 1.0, rng.poisson(50.0, (24, 24)).astype(float)),
-                    n_i=ScalarField2D(24, 24, 1.0, rng.poisson(50.0, (24, 24)).astype(float)),
+                    n_s=ScalarField2D(1.0, rng.poisson(50.0, (24, 24)).astype(float)),
+                    n_i=ScalarField2D(1.0, rng.poisson(50.0, (24, 24)).astype(float)),
                 )
                 for _ in range(n)
             ]
