@@ -178,10 +178,10 @@ def cmd_retrieve(args, out):
     (calib_s, calib_i), load = qpf.read_frame_set(args.frames, dz)
     # the loader holds every frame to the calibration grid, so one weight serves all
     k = retrieval.resolve_k(args.k_mode, args.bin, calib_s.pitch, twin_cfg)
-    config = retrieval.RetrievalConfig(dz, k, args.bin, calib_s, calib_i, sys_cfg)
+    config = retrieval.RetrievalConfig(dz, k, args.bin, sys_cfg)
     grid = calib_s.width, calib_s.height
-    fields = retrieval.retrieve_frames(load, n_frames, config)
-    del calib_s, calib_i, config  # so the generator can free the signal mean
+    fields = retrieval.retrieve_frames(load, n_frames, calib_s, calib_i, config)
+    del calib_s, calib_i  # so the generator can free the signal mean
     for name, field in fields:
         qpf.write_fields(out, [(name, field)])
         if name == "phase_average":

@@ -194,6 +194,7 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
     ``wavenumber``, must be finite and positive too; then the optics'
     squares of ``1 / object_pixel`` and of the blur width must be finite,
     and the sampler's pair-correlation width in pixels finite and positive.
+    A Gaussian beam radius must square to a finite number above 0.
     """
     problems = []
     for cfg in (optical, twin):
@@ -210,8 +211,11 @@ def validate_config(optical: OpticalSystem, twin: TwinBeamConfig):
     if not twin.mean_photons_per_pixel > 0:
         problems.append("mean_photons_per_pixel must be positive")
     if not isinstance(twin.beam_profile, str):
-        if not float(twin.beam_profile) > 0:
+        radius = float(twin.beam_profile)
+        if not radius > 0:
             problems.append("Gaussian beam_profile radius must be positive")
+        elif not 0 < radius * radius < math.inf:
+            problems.append(f"beam_profile must square to a finite number above 0, got {radius}")
     elif twin.beam_profile != "uniform":
         problems.append(f"unknown beam_profile {twin.beam_profile!r}")
     for name in ("wavelength", "magnification", "camera_pixel"):

@@ -12,7 +12,7 @@ on first use, so ``import twinphase.cli`` does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,6 @@ from .twinbeam import (
     exposures,
     sample_twin_frame,
 )
-
-NOISE_SCAN_DZ = 0.025  # mm, the defocus of the noise-suppression scan's TIE
 
 
 @dataclass(frozen=True)
@@ -232,15 +230,14 @@ def advantage_scan(
     """
     obj = generate_test_target(TARGET_GRID, TARGET_GRID, sys.object_pixel)
     blank = blank_object(TARGET_GRID, TARGET_GRID, sys.object_pixel)
-    mean_s, mean_i = expected_counts(blank, sys, twin, 0.0)
+    mean_i = expected_counts(blank, sys, twin, 0.0)[1]
     bins, modes = (1, 3), ("classical", "tie", "tau")
     rows = []
     for k, dz in enumerate(dz_list):
         signed = [s for _, _, _, s in exposures([dz], 1)]
         planes = [expected_counts(obj, sys, twin, s)[0] for s in signed]
-        base = RetrievalConfig(dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=sys)
         configs = {
-            (b, m): replace(base, bin_px=b, k=resolve_k(m, b, mean_i.pitch, twin))
+            (b, m): RetrievalConfig(dz, resolve_k(m, b, mean_i.pitch, twin), b, sys)
             for b in bins
             for m in modes
         }
@@ -254,7 +251,7 @@ def advantage_scan(
             ]
             out = {}
             for (b, mode), cfg in configs.items():
-                phi = phase_from_twin_frames(triple, cfg).values
+                phi = phase_from_twin_frames(triple, mean_i, cfg).values
                 try:
                     out[b, mode] = pearson(phi, refs[b])
                 except NumericalError as exc:
@@ -406,19 +403,19 @@ def noise_suppression_scan(
     ``sys.object_pixel``; build the correlated copy by redistributing
     the counts with a Gaussian kernel of FWHM l_cff; retrieve the phase
     noise of the corrected and of the classical noise maps through the
-    TIE (uniform-intensity form at dz = NOISE_SCAN_DZ, k_tie = eta0 = 1)
-    and compare variances.  The trials are drawn from ``rng`` in order, l_cff by l_cff, and
-    evaluated on the threads of ``ordered_map``, each trial's maps on
-    one thread.  Returns rows of (l_cff_um, suppression_pct), the mean
-    over each l_cff's ``n_trials`` trials.  A level numpy cannot draw
-    Poisson counts around raises ConfigError.
+    TIE (uniform-intensity form, k_tie = eta0 = 1) and compare variances;
+    the solve is linear, so the TIE's factor -k / (sqrt(2) i0 dz) cancels
+    in their ratio and is left out.  The trials are drawn from ``rng`` in
+    order, l_cff by l_cff, and evaluated on the threads of
+    ``ordered_map``, each trial's maps on one thread.  Returns rows of
+    (l_cff_um, suppression_pct), the mean over each l_cff's ``n_trials``
+    trials.  A level numpy cannot draw Poisson counts around raises
+    ConfigError, and a classical phase variance of 0 NumericalError.
     """
     l_cff_list = tuple(l_cff_list)
     pitch, i0 = sys.object_pixel, twin.mean_photons_per_pixel
     if not i0 <= _POISSON_LAM_MAX:
         raise ConfigError(f"mean_photons_per_pixel {i0:.3g} is above numpy's Poisson limit")
-    dz_um = NOISE_SCAN_DZ * 1e3
-    scale = -sys.wavenumber / (math.sqrt(2.0) * i0 * dz_um)
     gen = rng.generator()
 
     def trials():
@@ -427,9 +424,7 @@ def noise_suppression_scan(
                 yield l_cff, gen.poisson(i0, size=(height, width))
 
     def phase_var(noise):
-        rhs = ScalarField2D(pitch, scale * noise)
-        phi = poisson_solve_dirichlet(rhs)
-        return float(phi.values.var())
+        return float(poisson_solve_dirichlet(ScalarField2D(pitch, noise)).values.var())
 
     def removed(trial):
         l_cff, counts = trial
@@ -438,6 +433,11 @@ def noise_suppression_scan(
         smeared = imaging_blur(ScalarField2D(pitch, counts), l_cff)
         sigma_twin = smeared.values - i0
         var_clas = phase_var(sigma)
+        if var_clas == 0:
+            raise NumericalError(
+                f"the classical phase variance is 0 at l_cff = {l_cff:g} um: "
+                "check mean_photons_per_pixel, camera_pixel and magnification"
+            )
         var_corr = phase_var(sigma - sigma_twin)
         return 100.0 * (1.0 - var_corr / var_clas)
 

@@ -6,13 +6,11 @@ solver with spectral Dirichlet Poisson solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    MIN_GRID,
     ConfigError,
     NoPhotonError,
     NumericalError,
@@ -34,17 +32,14 @@ class RetrievalConfig:
     """Parameters of a reconstruction run.
 
     ``k`` is the idler-subtraction weight, 0 for the classical image;
-    ``resolve_k`` gives the weight of a named mode.  ``reference_mean`` /
-    ``reference_mean_idler`` are object-free calibration means of the
-    signal and idler arms at bin_px = 1.  ``sys`` is the optical system
-    the frames were made with, whose wavenumber the TIE solve reads.
+    ``resolve_k`` gives the weight of a named mode.  ``sys`` is the
+    optical system the frames were made with, whose wavenumber the TIE
+    solve reads.
     """
 
     dz: float  # mm
     k: float = 0.0
     bin_px: int = 1
-    reference_mean: Optional[ScalarField2D] = None
-    reference_mean_idler: Optional[ScalarField2D] = None
     sys: OpticalSystem = OpticalSystem()
 
     def __post_init__(self):
@@ -52,13 +47,6 @@ class RetrievalConfig:
             raise ConfigError("dz must be positive")
         if self.bin_px < 1:
             raise ConfigError("bin_px must be >= 1")
-        if self.reference_mean is not None:
-            side = min(self.reference_mean.width, self.reference_mean.height)
-            if side // self.bin_px < MIN_GRID:
-                raise ConfigError(
-                    f"bin_px {self.bin_px} leaves fewer than {MIN_GRID} bins "
-                    f"across the {side}-pixel grid"
-                )
 
 
 @dataclass(frozen=True)
@@ -119,21 +107,20 @@ def quantum_correct(
     return n_s._adopt(corrected)
 
 
-def estimate_transmittance(
-    n_s_obj: ScalarField2D, n_i: ScalarField2D, config: RetrievalConfig
-) -> ScalarField2D:
+def estimate_transmittance(n_s, n_i, mean_s, mean_i, config: RetrievalConfig) -> ScalarField2D:
     """Unbiased transmittance estimator from an in-focus frame.
 
     tau_hat = (n_s' - k * delta n_i) / <n_s> with k = config.k,
     evaluated at the working binning, and 1.0 where <n_s> is below
-    INTENSITY_FLOOR times its mean.  ``n_i`` and the calibration idler
-    mean are raw (unregistered) idler images; both are registered here.
-    A calibration signal mean whose mean is not positive, as that of a
-    source with no detected photon, raises NoPhotonError.
+    INTENSITY_FLOOR times its mean.  ``mean_s`` and ``mean_i`` are the
+    object-free calibration means at bin 1; ``n_i`` and ``mean_i`` are
+    unregistered idler images, registered here.  A calibration signal
+    mean whose mean is not positive, as that of a source with no
+    detected photon, raises NoPhotonError.
     """
-    config.reference_mean.require_same_grid(n_s_obj)
+    mean_s.require_same_grid(n_s)
     b = config.bin_px
-    mean_s = bin_counts(config.reference_mean, b)
+    mean_s = bin_counts(mean_s, b)
     floor = INTENSITY_FLOOR * float(mean_s.values.mean())
     if not floor > 0:
         raise NoPhotonError(
@@ -141,9 +128,9 @@ def estimate_transmittance(
             "no photon was detected in the object-free signal arm"
         )
     corrected = quantum_correct(
-        bin_counts(n_s_obj, b),
+        bin_counts(n_s, b),
         bin_counts(register_idler(n_i), b),
-        bin_counts(register_idler(config.reference_mean_idler), b),
+        bin_counts(register_idler(mean_i), b),
         config.k,
     )
     # where(valid, corrected / where(valid, mean_s, 1), 1), in the
@@ -313,33 +300,35 @@ def tie_retrieve(planes, config: RetrievalConfig) -> PhaseImage:
             raise NumericalError(failed) from None
 
 
-def phase_from_twin_frames(frames, config: RetrievalConfig) -> PhaseImage:
+def phase_from_twin_frames(frames, mean_i: ScalarField2D, config: RetrievalConfig) -> PhaseImage:
     """Full quantum-corrected single-shot reconstruction.
 
     ``frames`` yields the (-dz, 0, +dz) exposures of one frame.  Each
     plane's signal counts are corrected with its own idler frame
     (zero-mean subtraction of config.k times its deviation from the
-    calibration idler mean) as the exposure is pulled, and handed to the
-    TIE solver, which bins and consumes it.  No exposure is held here
-    past its plane, so an iterator that loads them keeps at most one
-    exposure's count maps alive, and none during the solve.
+    calibration idler mean ``mean_i``, unregistered, at bin 1) as the
+    exposure is pulled, and handed to the TIE solver, which bins and
+    consumes it.  No exposure is held here past its plane, so an iterator
+    that loads them keeps at most one exposure's count maps alive, and
+    none during the solve.
     """
 
     def planes():
-        mean_i = register_idler(config.reference_mean_idler)
+        registered = register_idler(mean_i)
         for frame in frames:
-            plane = quantum_correct(frame.n_s, register_idler(frame.n_i), mean_i, config.k)
+            plane = quantum_correct(frame.n_s, register_idler(frame.n_i), registered, config.k)
             del frame  # before the next exposure is pulled
             yield plane
 
     return tie_retrieve(planes(), config)
 
 
-def retrieve_frames(load, frames: int, config: RetrievalConfig):
-    """Reconstruct a frame set of ``frames`` frames: yield ``(name, field)``
-    for frame 0's transmittance ("transmittance_f0000"), each frame's phase
-    ("phase_f0000", ...) and the classical phase of the exposures averaged
-    over the frames ("phase_average").
+def retrieve_frames(load, frames: int, mean_s, mean_i, config: RetrievalConfig):
+    """Reconstruct a frame set of ``frames`` frames and calibration means
+    ``mean_s`` and ``mean_i``: yield ``(name, field)`` for frame 0's
+    transmittance ("transmittance_f0000"), each frame's phase ("phase_f0000",
+    ...) and the classical phase of the exposures averaged over the frames
+    ("phase_average").
 
     ``load(frame, tag)`` returns exposure ``tag`` (of ``exposures``) of a
     frame as a ``TwinBeamFrame``.  Frame 0's in-focus exposure is loaded
@@ -357,10 +346,11 @@ def retrieve_frames(load, frames: int, config: RetrievalConfig):
     tags = [tag for _, _, tag, _ in exposures([config.dz], 1)]
     sums = [0.0] * len(tags)  # each exposure's signal counts, summed over the frames
     in_focus = load(0, "0")
-    yield "transmittance_f0000", estimate_transmittance(in_focus.n_s, in_focus.n_i, config)
+    yield "transmittance_f0000", estimate_transmittance(
+        in_focus.n_s, in_focus.n_i, mean_s, mean_i, config
+    )
     del in_focus  # loaded again in frame 0: held there, it raised a 513² run's peak RSS
-    pitch = config.reference_mean.pitch  # its values served the transmittance only
-    config = replace(config, reference_mean=None)
+    del mean_s  # it served the transmittance only
 
     def streamed(frame):
         for index, tag in enumerate(tags):
@@ -371,10 +361,10 @@ def retrieve_frames(load, frames: int, config: RetrievalConfig):
 
     for frame in range(frames):
         try:
-            phase = phase_from_twin_frames(streamed(frame), config).values
+            phase = phase_from_twin_frames(streamed(frame), mean_i, config).values
         except NumericalError as exc:
             raise NumericalError(f"{exc} in frame {frame}") from None
         yield f"phase_f{frame:04d}", phase
         del phase  # not held through the next frame's solve
-    means = (ScalarField2D(pitch, sums.pop(0) / frames, True) for _ in tags)
+    means = (ScalarField2D(mean_i.pitch, sums.pop(0) / frames, True) for _ in tags)
     yield "phase_average", tie_retrieve(means, config).values

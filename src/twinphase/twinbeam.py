@@ -33,7 +33,9 @@ import numpy as np
 
 from .core import (
     FWHM_TO_SIGMA,
+    MIN_GRID,
     ConfigError,
+    GridError,
     NoPhotonError,
     NumericalError,
     ObjectSpec,
@@ -576,7 +578,8 @@ def register_idler(field: ScalarField2D) -> ScalarField2D:
 
 def _bin_sums(values, bin_px: int, origin=None):
     """The array of ``bin_counts``, from and to plain arrays; ``values``
-    itself at bin 1 without an origin."""
+    itself at bin 1 without an origin.  A crop that leaves fewer than
+    MIN_GRID bins along an axis raises GridError."""
     if bin_px < 1 or bin_px != int(bin_px):
         raise ValueError("bin_px must be a positive integer")
     bin_px = int(bin_px)
@@ -591,8 +594,10 @@ def _bin_sums(values, bin_px: int, origin=None):
         r0, c0 = origin
         nh = (h - r0) // bin_px
         nw = (w - c0) // bin_px
-    if nh <= 0 or nw <= 0:
-        raise ValueError(f"bin_px {bin_px} larger than image {h}x{w}")
+    if min(nh, nw) < MIN_GRID:
+        raise GridError(
+            f"bin_px {bin_px} leaves fewer than {MIN_GRID} bins across the {h}x{w} grid"
+        )
     block = values[r0 : r0 + nh * bin_px, c0 : c0 + nw * bin_px]
     return block.reshape(nh, bin_px, nw, bin_px).sum(axis=(1, 3))
 

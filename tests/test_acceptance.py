@@ -259,12 +259,12 @@ def test_criterion_06_step_heights():
         for i, (_, _, _, signed) in enumerate(exposures([dz], 1))
     )
     mean_s, mean_i = expected_counts(blank_object(220, 220, PITCH), SYS, hi, 0.0)
-    cfg = RetrievalConfig(dz=dz, reference_mean=mean_s, reference_mean_idler=mean_i, sys=SYS)
-    phase = phase_from_twin_frames([fm, f0, fp], cfg)
+    cfg = RetrievalConfig(dz=dz, sys=SYS)
+    phase = phase_from_twin_frames([fm, f0, fp], mean_i, cfg)
     steps = step_heights(phase.values, 1, (220, 220))
 
     cfg12 = replace(cfg, bin_px=12, k=resolve_k("tau", 12, PITCH, hi))
-    est = estimate_transmittance(f0.n_s, f0.n_i, cfg12)
+    est = estimate_transmittance(f0.n_s, f0.n_i, mean_s, mean_i, cfg12)
     _, null_mask = target_masks(220, 220)
     mask = ScalarField2D(PITCH, null_mask.astype(float))
     coverage = bin_counts(mask, 12).values / 144.0
@@ -296,15 +296,13 @@ def transmittances(object_exposures, calib_means):
         dz=dz,
         k=resolve_k("tau", 12, mean_s.pitch, TWIN),
         bin_px=12,
-        reference_mean=mean_s,
-        reference_mean_idler=mean_i,
         sys=SYS,
     )
     cfg_c = replace(cfg_q, k=0.0)
     taus_q, taus_c = [], []
     for f0 in frames[1::3]:
-        taus_q.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_q).values)
-        taus_c.append(estimate_transmittance(f0.n_s, f0.n_i, cfg_c).values)
+        taus_q.append(estimate_transmittance(f0.n_s, f0.n_i, mean_s, mean_i, cfg_q).values)
+        taus_c.append(estimate_transmittance(f0.n_s, f0.n_i, mean_s, mean_i, cfg_c).values)
     return cfg_q.k, np.stack(taus_q), np.stack(taus_c)
 
 

@@ -619,8 +619,14 @@ def test_derived_value_not_finite_and_positive_exits_2(tmp_path, capsys, lines, 
         ("blur_fwhm = 1e154", "blur_fwhm"),
         ("blur_fwhm = 1e200", "blur_fwhm"),
         ("blur_fwhm = 1e300", "blur_fwhm"),
+        ("beam_profile = 1e155", "beam_profile"),
+        ("beam_profile = 1e300", "beam_profile"),
+        ("beam_profile = 1e-200", "beam_profile"),
     ],
-    ids=["pitch_1e-300", "blur_1e154", "blur_1e200", "blur_1e300"],
+    ids=[
+        "pitch_1e-300", "blur_1e154", "blur_1e200", "blur_1e300",
+        "beam_1e155", "beam_1e300", "beam_1e-200",
+    ],
 )
 @pytest.mark.parametrize(
     "command", [["scan", "resolution", "--dz", "0.1"], ["simulate", "--frames", "0"]], ids=" ".join
@@ -631,13 +637,47 @@ def test_optics_square_not_finite_exits_2(tmp_path, capsys, line, named, command
     2 pi^2 sigma^2.  `scan resolution` raised "field contains non-finite
     values" for the first and for blur_fwhm = 1e154, and Python's
     OverflowError from sigma**2 for blur_fwhm = 1e200 and 1e300;
-    `simulate` raised "Maximum allowed dimension exceeded" for the first."""
+    `simulate` raised "Maximum allowed dimension exceeded" for the first.
+    A Gaussian beam's radius**2 in the sampler overflowed to OverflowError
+    (1e155, 1e300) or underflowed to 0, whose division exited 4 (1e-200)."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "o"
     assert exit_code(command + ["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"{named} must square to a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e155", "1e-300", "5e-324"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+@pytest.mark.parametrize("command", [["simulate", "--frames", "0"], ["scan", "noise"]], ids=" ".join)
+def test_extreme_config_value_never_exits_1(tmp_path, command, key, value):
+    """Each numeric key alone at an end of float64's range exits 0, 2, 3
+    or 4, never with a traceback.  `simulate` raised OverflowError from the
+    beam radius's square at beam_profile = 1e155 and 1e300; `scan noise`
+    raised ZeroDivisionError at wavelength = 1e300 and "field contains
+    non-finite values" at mean_photons_per_pixel = 5e-324, both from the
+    TIE factor it no longer applies.  The sampler checks its padded side
+    before any padded array exists, so no run allocates past its grid."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    argv = command + ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL)
+
+
+@pytest.mark.parametrize("line", ["mean_photons_per_pixel = 1e-310", "camera_pixel = 1e-150"])
+def test_noise_scan_without_phase_variance_exits_4(tmp_path, capsys, line):
+    """A level so low that every count is 0, or a pitch so fine that the
+    solve underflows, leaves a classical phase variance of 0: the TIE
+    factor made the first field infinite, and the second's ratio divided
+    by zero."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["scan", "noise", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "classical phase variance is 0 at l_cff = 1 um" in err
+    assert "mean_photons_per_pixel, camera_pixel and magnification" in err
 
 
 @pytest.mark.parametrize(
@@ -707,7 +747,7 @@ def test_retrieve_average_keeps_the_float64_sums(tmp_path, mean, frames, premise
             sums = sums + n_s
         assert premise(np.array(counts), sums)
         means.append(calib_s._adopt(sums / frames))
-    config = retrieval.RetrievalConfig(dz, 0.0, 1, calib_s, calib_i, OpticalSystem())
+    config = retrieval.RetrievalConfig(dz, 0.0, 1, OpticalSystem())
     with runtime.command():  # BLAS at the one thread of every command
         oracle = retrieval.tie_retrieve(means, config).values
     assert np.array_equal(qpf.read_qpf(out / "phase_average.qpf").values, oracle.values)
@@ -1041,6 +1081,11 @@ FAILED_RUNS = {
         ["scan", "noise"],
         ["scan", "noise", "--config", "mean_photons_per_pixel = 1e300"],
         EXIT_CONFIG,
+    ),
+    "noise no variance": (
+        ["scan", "noise"],
+        ["scan", "noise", "--config", "mean_photons_per_pixel = 5e-324"],
+        EXIT_NUMERICAL,
     ),
 }
 
@@ -1538,7 +1583,7 @@ def test_readme_config_sentences_match_the_configs():
         r"`([\w.]+)` has (\w+) settable fields(?: \(|: )([^.)]*)", readme
     )
     assert [ref for ref, _, _ in sentences] == ["TwinBeamConfig", "retrieval.RetrievalConfig"]
-    counts = {"five": 5, "six": 6, "seven": 7}
+    counts = {"four": 4, "five": 5, "six": 6, "seven": 7}
     for ref, count, cells in sentences:
         module, _, name = ref.rpartition(".")
         config = getattr(importlib.import_module(f"twinphase.{module or 'core'}"), name)

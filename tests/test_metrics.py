@@ -254,6 +254,19 @@ class TestStepHeights:
         assert steps["pi"] == pytest.approx(-0.226, abs=0.01)
         assert steps["null"] == pytest.approx(0.345, abs=0.01)
 
+    def test_glyph_interior_coarser_than_the_bins(self):
+        """At bin 25 no bin of the eroded pi glyph is half covered, so
+        its interior falls back to every bin the glyph touches."""
+        from twinphase.twinbeam import bin_counts
+
+        pi_in = metrics._eroded(target_masks(220, 220)[0])
+        coverage = bin_counts(ScalarField2D(1.0, pi_in.astype(float)), 25).values / 625.0
+        assert 0.0 < coverage.max() < 0.5
+        binned = bin_counts(generate_test_target(220, 220, 1.625).phi, 25)
+        steps = step_heights(binned.with_values(binned.values / 625.0), 25, (220, 220))
+        assert -0.226 < steps["pi"] < 0.0
+        assert 0.0 < steps["null"] < 0.345
+
     @pytest.mark.parametrize("shape", [(220, 220), (513, 513), (300, 221)])
     def test_erosion_is_that_of_ndimage(self, shape):
         for mask in target_masks(*shape):

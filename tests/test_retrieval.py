@@ -206,13 +206,8 @@ class TestTransmittance:
         mean_s_obj, _ = expected_counts(obj, self.sys, self.twin, 0.0)
         blank = blank_object(220, 220, self.sys.object_pixel)
         mean_s, mean_i = expected_counts(blank, self.sys, self.twin, 0.0)
-        cfg = RetrievalConfig(
-            dz=0.025,
-            reference_mean=mean_s,
-            reference_mean_idler=mean_i,
-            sys=self.sys,
-        )
-        est = estimate_transmittance(mean_s_obj, mean_i, cfg)
+        cfg = RetrievalConfig(dz=0.025, sys=self.sys)
+        est = estimate_transmittance(mean_s_obj, mean_i, mean_s, mean_i, cfg)
         corner = est.values[:30, :30]
         assert np.allclose(corner, 1.0, atol=1e-9)
         from scipy.ndimage import binary_erosion
@@ -234,14 +229,13 @@ class TestTransmittance:
         n_s = rng.poisson(300.0, (16, 16)).astype(float)
         n_i = rng.poisson(300.0, (16, 16)).astype(float)
         mean_i = np.full((16, 16), 310.0)
-        cfg = RetrievalConfig(
-            dz=0.025,
-            k=0.5,
-            reference_mean=ScalarField2D(1.0, mean),
-            reference_mean_idler=ScalarField2D(1.0, mean_i),
-        )
+        cfg = RetrievalConfig(dz=0.025, k=0.5)
         est = estimate_transmittance(
-            ScalarField2D(1.0, n_s), ScalarField2D(1.0, n_i), cfg
+            ScalarField2D(1.0, n_s),
+            ScalarField2D(1.0, n_i),
+            ScalarField2D(1.0, mean),
+            ScalarField2D(1.0, mean_i),
+            cfg,
         )
         corrected = n_s - 0.5 * (n_i[::-1, ::-1] - mean_i)
         assert np.all(est.values[dark] == 1.0)
@@ -251,13 +245,9 @@ class TestTransmittance:
     def test_signal_mean_on_another_grid_rejected(self):
         # numpy's broadcast error in the division, before the grids were compared
         counts = ScalarField2D(1.0, np.full((16, 16), 300.0))
-        cfg = RetrievalConfig(
-            dz=0.025,
-            reference_mean=ScalarField2D(1.0, np.full((18, 18), 400.0)),
-            reference_mean_idler=counts,
-        )
+        mean_s = ScalarField2D(1.0, np.full((18, 18), 400.0))
         with pytest.raises(GridError):
-            estimate_transmittance(counts, counts, cfg)
+            estimate_transmittance(counts, counts, mean_s, counts, RetrievalConfig(dz=0.025))
 
     @pytest.mark.parametrize("bin_px", [1, 3])
     def test_idler_at_its_mean_subtracts_nothing(self, bin_px):
@@ -267,16 +257,10 @@ class TestTransmittance:
         twin = TwinBeamConfig(beam_profile=200.0)
         blank = blank_object(220, 220, self.sys.object_pixel)
         mean_s, mean_i = expected_counts(blank, self.sys, twin, 0.0)
-        cfg = RetrievalConfig(
-            dz=0.025,
-            bin_px=bin_px,
-            reference_mean=mean_s,
-            reference_mean_idler=mean_i,
-            sys=self.sys,
-        )
-        classical = estimate_transmittance(mean_s, mean_i, cfg)
+        cfg = RetrievalConfig(dz=0.025, bin_px=bin_px, sys=self.sys)
+        classical = estimate_transmittance(mean_s, mean_i, mean_s, mean_i, cfg)
         k_tie = resolve_k("tie", bin_px, mean_s.pitch, twin)
-        tie = estimate_transmittance(mean_s, mean_i, replace(cfg, k=k_tie))
+        tie = estimate_transmittance(mean_s, mean_i, mean_s, mean_i, replace(cfg, k=k_tie))
         assert np.array_equal(tie.values, classical.values)
 
 
@@ -400,8 +384,8 @@ class TestRetrieveFrames:
 
     @pytest.fixture(scope="class")
     def drawn(self):
-        """{(frame, tag): exposure} of a 48-pixel Gaussian phase bump, and
-        the tie-weight configuration of its calibration means."""
+        """{(frame, tag): exposure} of a 48-pixel Gaussian phase bump, its
+        calibration means and the tie-weight configuration."""
         sys_, twin = OpticalSystem(), TwinBeamConfig()
         blank = blank_object(48, 48, sys_.object_pixel)
         y, x = np.mgrid[:48, :48] - 23.5
@@ -411,30 +395,29 @@ class TestRetrieveFrames:
             for i, (_, frame, tag, signed) in enumerate(exposures([0.025], self.FRAMES))
         }
         mean_s, mean_i = expected_counts(blank, sys_, twin, 0.0)
-        config = RetrievalConfig(
-            dz=0.025, k=twin.eta0, reference_mean=mean_s, reference_mean_idler=mean_i, sys=sys_
-        )
-        return frames, config
+        return frames, (mean_s, mean_i), RetrievalConfig(dz=0.025, k=twin.eta0, sys=sys_)
 
     def test_fields_are_those_of_each_frame(self, drawn):
-        frames, config = drawn
-        got = dict(retrieve_frames(lambda frame, tag: frames[frame, tag], self.FRAMES, config))
+        frames, (mean_s, mean_i), config = drawn
+        got = dict(retrieve_frames(lambda f, tag: frames[f, tag], self.FRAMES, mean_s, mean_i, config))
         names = [f"phase_f{frame:04d}" for frame in range(self.FRAMES)]
         assert list(got) == ["transmittance_f0000", *names, "phase_average"]
         in_focus = frames[0, "0"]
-        tau = estimate_transmittance(in_focus.n_s, in_focus.n_i, config)
+        tau = estimate_transmittance(in_focus.n_s, in_focus.n_i, mean_s, mean_i, config)
         assert got["transmittance_f0000"].values.tobytes() == tau.values.tobytes()
         for frame, name in enumerate(names):
             triple = [frames[frame, tag] for tag in ("m", "0", "p")]
-            phase = phase_from_twin_frames(triple, config).values
+            phase = phase_from_twin_frames(triple, mean_i, config).values
             assert got[name].values.tobytes() == phase.values.tobytes()
 
     def test_averaged_phase_does_not_depend_on_frame_order(self, drawn):
         # the per-exposure sums are of integer counts, exact in any order
-        frames, config = drawn
+        frames, means, config = drawn
         last = self.FRAMES - 1
-        forward = dict(retrieve_frames(lambda f, tag: frames[f, tag], self.FRAMES, config))
-        backward = dict(retrieve_frames(lambda f, tag: frames[last - f, tag], self.FRAMES, config))
+        forward = dict(retrieve_frames(lambda f, tag: frames[f, tag], self.FRAMES, *means, config))
+        backward = dict(
+            retrieve_frames(lambda f, tag: frames[last - f, tag], self.FRAMES, *means, config)
+        )
         assert forward["phase_f0000"].values.tobytes() != backward["phase_f0000"].values.tobytes()
         assert forward["phase_average"].values.tobytes() == backward["phase_average"].values.tobytes()
 
