@@ -40,12 +40,6 @@ class NumericalError(RuntimeError):
     """A fit or solver failed to produce a usable result."""
 
 
-def _frozen_array(values, dtype, copy=True):
-    arr = (np.array if copy else np.asarray)(values, dtype=dtype, order="C")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ScalarField2D:
     """2D map with a physical pixel pitch (micrometers per pixel).
@@ -62,7 +56,8 @@ class ScalarField2D:
 
     def __post_init__(self, _fresh=False):
         dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
-        arr = _frozen_array(self.values, dtype, copy=not _fresh)
+        arr = (np.asarray if _fresh else np.array)(self.values, dtype=dtype, order="C")
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if arr.ndim != 2:
             raise GridError(f"values must be a 2-D array, got shape {arr.shape}")

@@ -41,6 +41,7 @@ from .retrieval import (
 from .runtime import ordered_map, scipy_function
 from .twinbeam import (
     _POISSON_LAM_MAX,
+    _bin_sums,
     bin_counts,
     d_factor_for_bin,
     expected_counts,
@@ -151,8 +152,7 @@ def step_heights(phase: ScalarField2D, bin_px: int, fine_shape: tuple) -> dict:
     background = ~(pi_mask | null_mask)
     if bin_px > 1:
         def coarse(mask, thresholds):
-            f = ScalarField2D(1.0, mask.astype(float))
-            cov = bin_counts(f, bin_px).values / (bin_px * bin_px)
+            cov = _bin_sums(mask, bin_px) / (bin_px * bin_px)
             for t in thresholds:
                 sel = cov >= t
                 if sel.any():
@@ -294,41 +294,38 @@ def resolution_scan(dz_list, bin_list, sys: OpticalSystem, twin: TwinBeamConfig)
 
     def point(dz):
         rows, failed = [], []
-        stack = defocus_stack(field, dz, sys, mean_photons=twin.mean_photons_per_pixel)
-        cfg = RetrievalConfig(dz=dz, sys=sys)
-        for bin_px in bin_list:
-            xs, vals = _interleaved_edge_samples(stack, cfg, bin_px)
-            fit = esf_fit(vals, x=xs)
-            if not fit.ok:
-                failed.append(f"dz={dz:g} mm, bin {bin_px}: {fit.message}")
-                continue
-            aperture = bin_px * pitch
-            r_um = lsf_fwhm_with_aperture(aperture, fit.w)
-            # Propagate the fit uncertainty through the aperture
-            # convolution via the local slope dr/dw.
-            h = max(1e-4, 1e-3 * fit.w)
-            slope = (
-                lsf_fwhm_with_aperture(aperture, fit.w + h)
-                - lsf_fwhm_with_aperture(aperture, max(fit.w - h, 0.0))
-            ) / (2.0 * h)
-            rows.append(
-                {
-                    "dz": dz,
-                    "bin_px": bin_px,
-                    "d_factor": d_factor_for_bin(bin_px, pitch, twin.l_cff),
-                    "r_phase_um": r_um,
-                    "se_r_um": slope * (fit.w_ci[1] - fit.w_ci[0]) / 3.92,
-                }
-            )
-        return rows, failed
-
-    def named_point(dz):
         try:
-            return point(dz)
+            stack = defocus_stack(field, dz, sys, mean_photons=twin.mean_photons_per_pixel)
+            cfg = RetrievalConfig(dz=dz, sys=sys)
+            for bin_px in bin_list:
+                xs, vals = _interleaved_edge_samples(stack, cfg, bin_px)
+                fit = esf_fit(vals, x=xs)
+                if not fit.ok:
+                    failed.append(f"dz={dz:g} mm, bin {bin_px}: {fit.message}")
+                    continue
+                aperture = bin_px * pitch
+                r_um = lsf_fwhm_with_aperture(aperture, fit.w)
+                # Propagate the fit uncertainty through the aperture
+                # convolution via the local slope dr/dw.
+                h = max(1e-4, 1e-3 * fit.w)
+                slope = (
+                    lsf_fwhm_with_aperture(aperture, fit.w + h)
+                    - lsf_fwhm_with_aperture(aperture, max(fit.w - h, 0.0))
+                ) / (2.0 * h)
+                rows.append(
+                    {
+                        "dz": dz,
+                        "bin_px": bin_px,
+                        "d_factor": d_factor_for_bin(bin_px, pitch, twin.l_cff),
+                        "r_phase_um": r_um,
+                        "se_r_um": slope * (fit.w_ci[1] - fit.w_ci[0]) / 3.92,
+                    }
+                )
         except (FloatingPointError, NumericalError) as exc:
             raise NumericalError(f"{exc} at dz={dz:g} mm") from None
+        return rows, failed
 
-    points = list(ordered_map(named_point, dz_list))
+    points = list(ordered_map(point, dz_list))
     failed = [message for _, messages in points for message in messages]
     if failed:
         raise NumericalError("edge-spread fit failed at " + "; ".join(failed))
@@ -367,10 +364,8 @@ def _interleaved_edge_samples(stack, config, bin_px):
     acc = np.zeros(n_cols)
     hits = np.zeros(n_cols)
     for c0 in range(bin_px):
-        def rebin(f):
-            return bin_counts(f, bin_px, origin=(0, c0))
-
-        phi = tie_retrieve(map(rebin, (stack.i_minus, stack.i_zero, stack.i_plus)), config)
+        planes = (stack.i_minus, stack.i_zero, stack.i_plus)
+        phi = tie_retrieve((bin_counts(f, bin_px, origin=(0, c0)) for f in planes), config)
         # average over the binned rows covering 5 adjacent fine rows
         rows = np.unique(
             np.clip(
@@ -410,7 +405,8 @@ def noise_suppression_scan(
     ``ordered_map``, each trial's maps on one thread.  Returns rows of
     (l_cff_um, suppression_pct), the mean over each l_cff's ``n_trials``
     trials.  A level numpy cannot draw Poisson counts around raises
-    ConfigError, and a classical phase variance of 0 NumericalError.
+    ConfigError; a classical phase variance of 0, or a floating-point
+    error of a solve, NumericalError naming the l_cff.
     """
     l_cff_list = tuple(l_cff_list)
     pitch, i0 = sys.object_pixel, twin.mean_photons_per_pixel
@@ -432,14 +428,17 @@ def noise_suppression_scan(
         sigma = counts - i0
         smeared = imaging_blur(ScalarField2D(pitch, counts), l_cff)
         sigma_twin = smeared.values - i0
-        var_clas = phase_var(sigma)
-        if var_clas == 0:
-            raise NumericalError(
-                f"the classical phase variance is 0 at l_cff = {l_cff:g} um: "
-                "check mean_photons_per_pixel, camera_pixel and magnification"
-            )
-        var_corr = phase_var(sigma - sigma_twin)
-        return 100.0 * (1.0 - var_corr / var_clas)
+        at = (
+            f"at l_cff = {l_cff:g} um: "
+            "check mean_photons_per_pixel, camera_pixel and magnification"
+        )
+        try:
+            var_clas = phase_var(sigma)
+            if var_clas == 0:
+                raise NumericalError(f"the classical phase variance is 0 {at}")
+            return 100.0 * (1.0 - phase_var(sigma - sigma_twin) / var_clas)
+        except FloatingPointError as exc:
+            raise NumericalError(f"the phase variance solve failed ({exc}) {at}") from None
 
     pct = list(ordered_map(removed, trials()))
     return [

@@ -266,17 +266,17 @@ def _shift_axis(counts, table, s, axis, rng):
     return spill
 
 
-def _redistribute(counts, shift, s, rng):
-    """``_shift_axis`` along axis 0, then axis 1, in the buffer of
-    ``counts``, which is overwritten; returns (counts, spill).
+def _redistribute(counts, shift, s):
+    """The expectation arm: ``_shift_axis`` of the mean ``counts`` along
+    axis 0, then axis 1, in their buffer, which is overwritten and
+    returned.  The sampler's counterpart is ``_arm_stages``.
 
     ``shift(axis)`` gives the shift along ``axis``.  A per-pixel map is
     made just before its axis runs and dropped once its table exists.
     """
-    spill = 0
     for axis in (0, 1):
-        spill += _shift_axis(counts, _shift_table(shift(axis)), s, axis, rng)
-    return counts, spill
+        _shift_axis(counts, _shift_table(shift(axis)), s, axis, None)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +312,15 @@ def _pair_rate(twin: TwinBeamConfig, width, height, pitch, margin):
     weight[-margin:, :] = 0.0
     weight[:, :margin] = 0.0
     weight[:, -margin:] = 0.0
-    weight *= twin.mean_photons_per_pixel / twin.eta0 if twin.eta0 > 0 else 0.0
-    peak = weight.max()
+    # checked as Python floats first: an infinite factor times the zeroed ring is 0 * inf
+    factor = twin.mean_photons_per_pixel / twin.eta0 if twin.eta0 > 0 else 0.0
+    peak = float(weight.max()) * factor
     if not peak <= _POISSON_LAM_MAX:  # also false for nan
         raise ConfigError(
             f"pair-birth rate {peak:.3g} per pixel is not a finite rate of at most "
             f"{_POISSON_LAM_MAX:.3g}: check mean_photons_per_pixel, eta0 and beam_profile"
         )
+    weight *= factor
     return weight
 
 
@@ -345,9 +347,10 @@ def _transport(obj, sys, twin, dz):
     Returns ``(template, crop, rate, tau, idler, signal)``: the output
     grid, the slices that crop the padded grid to it, the pair birth
     rate and the transmittance on the padded grid, and each arm's
-    ``(shift, s)`` arguments of ``_redistribute``.  The signal arm's
-    padded displacement maps are not made here: its ``shift`` makes
-    each one when ``_redistribute`` reaches its axis.
+    ``(shift, s)``: the arguments of the sampler's ``_arm_stages`` and
+    of the expectation's ``_redistribute``.  The signal arm's padded
+    displacement maps are not made here: its ``shift`` makes each one
+    when the arm reaches its axis.
 
     The margin is computed in floating point before any padded array
     exists: a padded side above ``MAX_PADDED_SIDE``, or a margin that is
@@ -543,10 +546,10 @@ def expected_counts(obj: ObjectSpec, sys: OpticalSystem, twin: TwinBeamConfig, d
     mean_i_births = np.multiply(rate, twin.eta0, out=rate)
     mean_s_births = mean_i_births * tau
     del rate, tau
-    mean_i, _ = _redistribute(mean_i_births[::-1, ::-1], *idler, None)
+    mean_i = _redistribute(mean_i_births[::-1, ::-1], *idler)
     mean_i = template.with_values(mean_i[crop])
     del mean_i_births
-    mean_s, _ = _redistribute(mean_s_births, *signal, None)
+    mean_s = _redistribute(mean_s_births, *signal)
     return template.with_values(mean_s[crop]), mean_i
 
 

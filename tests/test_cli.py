@@ -682,16 +682,39 @@ def test_noise_scan_without_phase_variance_exits_4(tmp_path, capsys, line):
 
 @pytest.mark.parametrize(
     "line",
-    ["mean_photons_per_pixel = 1e300", "eta0 = 1e-30", "beam_profile = 0.001"],
-    ids=["photons", "eta0", "beam"],
+    [
+        "magnification = 1e155",
+        "camera_pixel = 1e155",
+        "camera_pixel = 1e300",
+        "magnification = 1e-300",
+    ],
+)
+def test_noise_scan_extreme_pitch_exits_4_naming_l_cff_and_keys(tmp_path, capsys, line):
+    """An extreme pitch overflows the variance's square or the solve's
+    division, or underflows the Dirichlet eigenvalues to 0: each exited 4
+    with numpy's bare message, which named neither l_cff nor a key."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["scan", "noise", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "at l_cff = 1 um" in err
+    assert "mean_photons_per_pixel, camera_pixel and magnification" in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["mean_photons_per_pixel = 1e300", "eta0 = 1e-30", "eta0 = 5e-324", "beam_profile = 0.001"],
+    ids=["photons", "eta0", "eta0_min", "beam"],
 )
 @pytest.mark.parametrize(
     "command", [["simulate", "--frames", "1"], ["scan", "nrf", "--frames", "2"]], ids=" ".join
 )
 def test_pair_rate_numpy_cannot_draw_exits_2(tmp_path, capsys, line, command):
     """Finite values that pass validation can still give a pair-birth rate
-    above numpy's Poisson limit ("lam value too large"), or a beam too
-    narrow to light any pixel, whose normalized weights are 0 / 0."""
+    above numpy's Poisson limit ("lam value too large"), an infinite one
+    (eta0 = 5e-324, whose 0 * inf in the border ring exited 4), or a beam
+    too narrow to light any pixel, whose normalized weights are 0 / 0."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "o"

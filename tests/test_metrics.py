@@ -267,6 +267,38 @@ class TestStepHeights:
         assert -0.226 < steps["pi"] < 0.0
         assert 0.0 < steps["null"] < 0.345
 
+    @staticmethod
+    def oracle(phase, bin_px):
+        """The step heights with each mask binned as a pitch-1 field
+        through ``bin_counts``, on the exact 220-pixel target."""
+        from twinphase.twinbeam import bin_counts
+
+        pi_mask, null_mask = target_masks(220, 220)
+
+        def coarse(mask, thresholds):
+            f = ScalarField2D(1.0, mask.astype(float))
+            cov = bin_counts(f, bin_px).values / (bin_px * bin_px)
+            return next((cov >= t for t in thresholds if (cov >= t).any()), cov > 0.0)
+
+        pi_in = coarse(metrics._eroded(pi_mask), (0.95, 0.5))
+        null_in = coarse(metrics._eroded(null_mask), (0.95, 0.5))
+        level = float(np.median(phase.values[coarse(~(pi_mask | null_mask), (0.999,))]))
+        return {
+            "pi": float(np.median(phase.values[pi_in])) - level,
+            "null": float(np.median(phase.values[null_in])) - level,
+            "background": level,
+        }
+
+    @pytest.mark.parametrize("bin_px", [2, 3, 6, 25])
+    def test_binned_masks_match_binned_fields(self, bin_px):
+        """The masks are binned as integer counts: each coverage, and so
+        each step, equals that of the masks binned as float fields."""
+        from twinphase.twinbeam import bin_counts
+
+        binned = bin_counts(generate_test_target(220, 220, 1.625).phi, bin_px)
+        phase = binned.with_values(binned.values / (bin_px * bin_px))
+        assert step_heights(phase, bin_px, (220, 220)) == self.oracle(phase, bin_px)
+
     @pytest.mark.parametrize("shape", [(220, 220), (513, 513), (300, 221)])
     def test_erosion_is_that_of_ndimage(self, shape):
         for mask in target_masks(*shape):

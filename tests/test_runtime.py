@@ -502,6 +502,43 @@ def test_package_imports_no_scipy_subpackage():
     assert {name for name in names if name.startswith("scipy.")} == set()
 
 
+def test_every_function_and_method_has_a_package_caller():
+    """No module-level function or class, and no method but a dunder,
+    goes unnamed by the package's code as a call, an attribute or an
+    import.  The one exception, ``optics.angular_spectrum_propagate``, is
+    kept for the benchmark tracer, whose ``TARGETS`` in ``bench/spans.py``
+    must still name it: once that wrapper goes, so does the exception."""
+    defined, named = set(), set()
+    for path in sorted(Path(runtime.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert defined - named == {"angular_spectrum_propagate"}
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    targets = next(
+        node.value
+        for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    )
+    assert "angular_spectrum_propagate" in {
+        n.value for n in ast.walk(targets) if isinstance(n, ast.Constant)
+    }
+
+
 # Run in a fresh interpreter: loads every function of runtime's table,
 # then imports the scipy packages of their modules, and prints whether
 # sys.modules kept its scipy entries and whether each package's module
